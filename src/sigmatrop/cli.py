@@ -12,6 +12,7 @@ violation.  SIGMATROP_SEED is reserved and unused by the exact paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -195,6 +196,24 @@ PAYLOAD_SCHEMAS = {
 
 class SchemaError(ValueError):
     pass
+
+
+@functools.cache
+def _validator(command):
+    """Checked and compiled validator for a command's payload schema (the job
+    envelope's for None), built on first use."""
+    schema = JOB_SCHEMA if command is None else PAYLOAD_SCHEMAS[command]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(instance, command):
+    """jsonschema.validate against a compiled validator: raises the same best
+    match ValidationError."""
+    error = jsonschema.exceptions.best_match(_validator(command).iter_errors(instance))
+    if error is not None:
+        raise error
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +548,8 @@ def emit_plot_data(kind, obj, plot_dir: Path) -> list[str]:
 def run(job: dict, threads: int = 1, bound_escalation: int | None = None) -> dict:
     """Validate and dispatch one job document; returns the result document."""
     try:
-        jsonschema.validate(job, JOB_SCHEMA)
-        jsonschema.validate(job["payload"], PAYLOAD_SCHEMAS[job["command"]])
+        _validate(job, None)
+        _validate(job["payload"], job["command"])
     except jsonschema.ValidationError as exc:
         raise SchemaError(exc.message) from exc
     payload = dict(job["payload"])

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .polyhedra import Polyhedron, PolyhedralSet
 from .rings import (ZZ, Character, DimensionError, Direction, LaurentPoly,
-                    chi_value, poly_matrix_mul)
+                    SoundnessError, chi_value, poly_matrix_mul)
 
 INF = math.inf
 
@@ -187,7 +187,8 @@ def check_angle_bound(phi: PushMap, chi: Character, dirs) -> AngleBoundReport:
     if g == INF or g <= 0:
         raise ValueError("the angle bound needs a strictly positive shift")
     nsq = norm(phi).squared
-    assert nsq > 0, "a positive shift forces a positive norm"
+    if nsq <= 0:
+        raise SoundnessError("a positive shift forces a positive norm")
     chin = sum(v * v for v in chi.values)
     # unit-normalized shift g/|chi| gives the bound arccos(g / (|chi| |phi|));
     # in cos(angle(chi, e)) >= g/(|chi| |phi|) the |chi| factors cancel, so the

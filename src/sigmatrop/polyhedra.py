@@ -2,9 +2,10 @@
 
 A Polyhedron is cut out by affine rows a*u = b, a*u >= b, a*u > b with
 integer primitive data; homogeneous instances (all b = 0) are cones.  A
-PolyhedralSet is a finite union of possibly-overlapping, relatively open
-polyhedra (no face-lattice normalization).  A SphericalSet is a union of
-homogeneous pieces read as a set of ray classes (the origin is ignored).
+PolyhedralSet is a finite union of possibly-overlapping polyhedra (no
+face-lattice normalization); its complement is a union of disjoint pieces.
+A SphericalSet is a union of homogeneous pieces read as a set of ray
+classes (the origin is ignored).
 
 Feasibility, emptiness, dimension, containment, and point extraction are
 decided exactly by Fourier-Motzkin elimination with strictness tracking,
@@ -18,17 +19,19 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .rings import Character, DimensionError, Direction
+from .rings import Character, DimensionError, Direction, SoundnessError
 
 RAY_RANK_LIMIT = 6  # ray enumeration is desk scale only
 
 
 def _norm_row(vec, rhs, orient=False):
     """Scale (vec | rhs) to coprime integers; orient makes the sign canonical."""
-    fr = [Fraction(x) for x in vec] + [Fraction(rhs)]
-    den = math.lcm(*(x.denominator for x in fr))
-    ints = [int(x * den) for x in fr]
-    g = math.gcd(*(abs(x) for x in ints))
+    ints = [*vec, rhs]
+    if not all(type(x) is int for x in ints):
+        fr = [Fraction(x) for x in ints]
+        den = math.lcm(*(x.denominator for x in fr))
+        ints = [int(x * den) for x in fr]
+    g = math.gcd(*ints)
     if g:
         ints = [x // g for x in ints]
     if orient:
@@ -43,8 +46,9 @@ def _dot(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin core.  Inequality rows are (vec, rhs, strict) over exact
-# rationals, read as vec*y >= rhs (or > when strict).
+# Fourier-Motzkin core.  Inequality rows are (vec, rhs, strict), read as
+# vec*y >= rhs (or > when strict).  Rows may come in rational; deduping
+# scales them to primitive integer rows, and elimination keeps them integer.
 
 
 def _dedupe_ineqs(rows):
@@ -53,7 +57,7 @@ def _dedupe_ineqs(rows):
         key = _norm_row(vec, rhs)
         cur = best.get(key)
         if cur is None or (strict and not cur[2]):
-            best[key] = (key[0], Fraction(key[1]), strict)
+            best[key] = (key[0], key[1], strict)
     return list(best.values())
 
 
@@ -218,9 +222,8 @@ class Polyhedron:
         return f"Polyhedron(rank={self.rank}, eq={self.eq}, ge={self.ge}, gt={self.gt})"
 
     def _ineq_rows(self):
-        rows = [(tuple(Fraction(x) for x in v), Fraction(r), False) for v, r in self.ge]
-        rows += [(tuple(Fraction(x) for x in v), Fraction(r), True) for v, r in self.gt]
-        return rows
+        return ([(v, r, False) for v, r in self.ge]
+                + [(v, r, True) for v, r in self.gt])
 
     # -- predicates ---------------------------------------------------------
 
@@ -297,17 +300,27 @@ class Polyhedron:
         return out
 
     def complement_pieces(self):
-        """Relatively open pieces whose union is the complement."""
+        """Pairwise-disjoint pieces whose union is the complement.
+
+        Piece i keeps rows 1..i-1 and breaks row i, so a point lies in the
+        piece of the first row it breaks and in no other."""
         if self._forced_empty:
             return [Polyhedron.full(self.rank)]
         out = []
+        eq, ge, gt = [], [], []
         for vec, rhs in self.eq:
-            out.append(Polyhedron(self.rank, gt=[(vec, rhs)]))
-            out.append(Polyhedron(self.rank, gt=[(tuple(-a for a in vec), -rhs)]))
+            neg = (tuple(-a for a in vec), -rhs)
+            out.append(Polyhedron(self.rank, eq=eq, gt=[(vec, rhs)]))
+            out.append(Polyhedron(self.rank, eq=eq, gt=[neg]))
+            eq.append((vec, rhs))
         for vec, rhs in self.ge:
-            out.append(Polyhedron(self.rank, gt=[(tuple(-a for a in vec), -rhs)]))
+            neg = (tuple(-a for a in vec), -rhs)
+            out.append(Polyhedron(self.rank, eq=eq, ge=ge, gt=[neg]))
+            ge.append((vec, rhs))
         for vec, rhs in self.gt:
-            out.append(Polyhedron(self.rank, ge=[(tuple(-a for a in vec), -rhs)]))
+            neg = (tuple(-a for a in vec), -rhs)
+            out.append(Polyhedron(self.rank, eq=eq, ge=ge + [neg], gt=gt))
+            gt.append((vec, rhs))
         return out
 
     @classmethod
@@ -359,7 +372,7 @@ class Polyhedron:
         """Exact projection dropping the last coordinate."""
         n = self.rank
         rows = self._ineq_rows()
-        eq_rows = [(tuple(Fraction(a) for a in v), Fraction(r)) for v, r in self.eq]
+        eq_rows = list(self.eq)
         pivot = next((row for row in eq_rows if row[0][n - 1] != 0), None)
         new_eq = []
         if pivot is not None:
@@ -368,12 +381,12 @@ class Polyhedron:
             for vec, rhs in eq_rows:
                 if (vec, rhs) == pivot:
                     continue
-                f = vec[n - 1] / c
+                f = Fraction(vec[n - 1], c)
                 new_eq.append((tuple(a - f * b for a, b in zip(vec, pv))[: n - 1],
                                rhs - f * pr))
             new_rows = []
             for vec, rhs, strict in rows:
-                f = vec[n - 1] / c
+                f = Fraction(vec[n - 1], c)
                 new_rows.append((tuple(a - f * b for a, b in zip(vec, pv))[: n - 1],
                                  rhs - f * pr, strict))
             rows = new_rows
@@ -491,6 +504,12 @@ class PolyhedralSet:
         return PolyhedralSet(self.rank, [p for p in out if not p.is_empty])
 
     def complement(self) -> "PolyhedralSet":
+        """Pairwise-disjoint pieces covering the complement.
+
+        Each piece picks one disjoint complement piece of every input piece,
+        so distinct pieces are disjoint unions of cells of the arrangement of
+        the |H| rows involved: at most O(|H|^(n-1)) pieces in rank n for
+        homogeneous rows, O(|H|^n) for affine ones."""
         out = [Polyhedron.full(self.rank)]
         for piece in self.pieces:
             if piece.is_empty:
@@ -651,7 +670,8 @@ class HemisphereCertificate:
     """Either a strict witness chi or a rational convex combination of 0."""
 
     def __init__(self, witness=None, combination=None):
-        assert (witness is None) != (combination is None)
+        if (witness is None) == (combination is None):
+            raise ValueError("give exactly one of witness and combination")
         self.witness = witness
         self.combination = combination
 
@@ -675,7 +695,8 @@ def in_open_hemisphere(dirs) -> HemisphereCertificate:
                                for u in dirs], n)
     if point is not None:
         chi = Character(tuple(point))
-        assert all(_dot(chi.values, u) > 0 for u in dirs)
+        if not all(_dot(chi.values, u) > 0 for u in dirs):
+            raise SoundnessError("hemisphere witness fails a direction")
         return HemisphereCertificate(witness=chi)
     k = len(dirs)
     eqs = [(tuple(Fraction(dirs[j][i]) for j in range(k)), Fraction(0))
@@ -684,10 +705,12 @@ def in_open_hemisphere(dirs) -> HemisphereCertificate:
     nonneg = [(tuple(Fraction(int(j == i)) for j in range(k)), Fraction(0), False)
               for i in range(k)]
     lam = _solve_system(eqs, nonneg, k)
-    assert lam is not None, "hemisphere alternative failed to produce a certificate"
-    assert sum(lam) == 1 and all(x >= 0 for x in lam)
-    for i in range(n):
-        assert sum(l * u[i] for l, u in zip(lam, dirs)) == 0
+    if lam is None:
+        raise SoundnessError("hemisphere alternative failed to produce a certificate")
+    if not (sum(lam) == 1 and all(x >= 0 for x in lam)
+            and all(sum(l * u[i] for l, u in zip(lam, dirs)) == 0
+                    for i in range(n))):
+        raise SoundnessError("hemisphere combination is not a convex zero sum")
     return HemisphereCertificate(combination=tuple(lam))
 
 

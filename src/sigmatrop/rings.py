@@ -26,6 +26,10 @@ class DimensionError(ValueError):
     """Operands live over different ranks or domains."""
 
 
+class SoundnessError(RuntimeError):
+    """A check that guards a certified answer failed; the answer is withheld."""
+
+
 @dataclass(frozen=True)
 class Domain:
     """Coefficient domain tag: IntegerRing, RationalField, or PrimeField(p)."""

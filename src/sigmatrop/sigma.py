@@ -9,6 +9,7 @@ answer sound without a general Groebner-fan computation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from . import linalg
 from .polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
                         covers_with_antipodal, in_open_hemisphere)
 from .rings import (ZZ, Character, DimensionError, Direction, Domain,
-                    LaurentPoly, chi_value, initial_part, v_chi)
+                    LaurentPoly, SoundnessError, chi_value, initial_part, v_chi)
 from .tropical import ValuedPoly, global_tropical_Z, trop_hypersurface, trop_prevariety
 from .valuations import PAdicValuation, TrivialValuation, prime_support
 
@@ -383,7 +384,9 @@ def certificate_search(mod: ModulePresentation, chi: Character, box: int,
             continue
         lam = _solve_for_support(m, monos, coeff_bound)
         if lam is not None:
-            assert certificate_valid(lam, chi, mod)
+            if not certificate_valid(lam, chi, mod):
+                raise SoundnessError(f"certificate search at {chi} returned an "
+                                     "invalid certificate")
             return lam
     return None
 
@@ -431,15 +434,16 @@ COVER_BOX_LIMIT = 6
 COVER_SPLIT_DEPTH = 4
 
 
-def _strict_dual_candidates(piece: Polyhedron, rank: int, k: int):
-    """Monomials g whose open halfspace {chi*g > 0} contains every direction
-    of the piece (the origin is immaterial on the sphere)."""
-    out = []
-    for g in _support_in_box(rank, k):
-        bad = piece.intersect(Polyhedron.cone(rank, ge=[tuple(-x for x in g)]))
-        if not bad.has_direction():
-            out.append(g)
-    return out
+def _strict_dual_test(piece: Polyhedron):
+    """Memoized test, for this piece only, of whether a monomial g's open
+    halfspace {chi*g > 0} contains every direction of the piece (the origin
+    is immaterial on the sphere)."""
+    @functools.cache
+    def in_strict_dual(g):
+        bad = piece.intersect(Polyhedron.cone(piece.rank, ge=[tuple(-x for x in g)]))
+        return not bad.has_direction()
+
+    return in_strict_dual
 
 
 def _cover_piece(mod: MatrixAction, piece: Polyhedron, coeff_bound: int,
@@ -448,8 +452,9 @@ def _cover_piece(mod: MatrixAction, piece: Polyhedron, coeff_bound: int,
 
     Returns (certified, failed): certified is a list of
     (sub-piece, validity cone, certificate)."""
+    in_strict_dual = _strict_dual_test(piece)
     for k in range(1, box_limit + 1):
-        monos = _strict_dual_candidates(piece, mod.rank, k)
+        monos = [g for g in _support_in_box(mod.rank, k) if in_strict_dual(g)]
         if not monos:
             continue
         lam = _solve_for_support(mod, monos, coeff_bound)
@@ -743,15 +748,10 @@ def _cover_multiple_piece(f: LaurentPoly, piece: Polyhedron, box_limit: int,
     piece's strict dual."""
     rank = f.rank
     zero = (0,) * rank
-    assert f.domain.kind == "ZZ"
+    if f.domain.kind != "ZZ":
+        raise ValueError("integer certificates need a generator over ZZ")
     supp_f = sorted(f.terms)
-    dual_cache: dict[tuple, bool] = {}
-
-    def in_strict_dual(g):
-        if g not in dual_cache:
-            bad = piece.intersect(Polyhedron.cone(rank, ge=[tuple(-x for x in g)]))
-            dual_cache[g] = not bad.has_direction()
-        return dual_cache[g]
+    in_strict_dual = _strict_dual_test(piece)
 
     for k in range(1, box_limit + 1):
         hsupp = sorted(itertools.product(range(-k, k + 1), repeat=rank))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -242,3 +243,38 @@ def test_trop_padic_and_table_valuations():
     global_job["payload"]["valuation"] = {"kind": "global-z"}
     doc3 = run(global_job)
     assert len(doc3["result"]["fan"]["pieces"]) == 2  # the origin and the shift
+
+
+def _cyclic_rank2(domain, terms):
+    return {"mode": "cyclic", "rank": 2, "domain": domain,
+            "generators": [{"terms": [{"exp": list(e), "coef": c} for e, c in terms]}]}
+
+
+FRONTIER_BUDGET_S = 5.0
+
+
+@pytest.mark.parametrize("rhos", [["6", "10/3"], ["2", "3", "5"], ["2", "3", "7"]])
+def test_frontier_group_jobs_answer(rhos):
+    job = {"version": 1, "command": "group",
+           "payload": {"module": {"mode": "scalar", "rhos": rhos}, "fpm": [1, 2]}}
+    start = time.perf_counter()
+    doc = run(job)
+    elapsed = time.perf_counter() - start
+    result = doc["result"]
+    assert result["finitely_presented"] is True
+    assert result["fp_infinity"] is True
+    assert result["sigma"]["undecided"]["empty"] is True
+    assert doc["undecided"] is False
+    assert elapsed < FRONTIER_BUDGET_S, f"{rhos}: {elapsed:.2f}s"
+
+
+def test_frontier_eight_term_cyclic_over_q_answers():
+    module = _cyclic_rank2("Q", [((-1, -1), 2), ((-1, 1), 1), ((0, 0), 1),
+                                 ((0, 1), -1), ((1, 0), 2), ((1, 2), "1/2"),
+                                 ((2, -1), -3), ((2, 1), 3)])
+    start = time.perf_counter()
+    doc = run({"version": 1, "command": "sigma", "payload": {"module": module}})
+    elapsed = time.perf_counter() - start
+    assert doc["result"]["undecided"]["empty"] is True
+    assert doc["undecided"] is False
+    assert elapsed < FRONTIER_BUDGET_S, f"{elapsed:.2f}s"

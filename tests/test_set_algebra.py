@@ -1,0 +1,223 @@
+"""Cross-checks of set complement and integer Fourier-Motzkin elimination.
+
+The references are the earlier implementations: the overlapping complement
+(one piece per broken row, intersected as a product over the pieces) and
+Fourier-Motzkin over `Fraction` rows.
+"""
+
+import math
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from sigmatrop import polyhedra
+from sigmatrop.polyhedra import (Polyhedron, PolyhedralSet, _dedupe_ineqs,
+                                 _fm_eliminate, _fm_point, balanceable_at,
+                                 in_open_hemisphere)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the overlapping complement.
+
+
+def overlapping_complement_pieces(p):
+    if p._forced_empty:
+        return [Polyhedron.full(p.rank)]
+    out = []
+    for vec, rhs in p.eq:
+        out.append(Polyhedron(p.rank, gt=[(vec, rhs)]))
+        out.append(Polyhedron(p.rank, gt=[(tuple(-a for a in vec), -rhs)]))
+    for vec, rhs in p.ge:
+        out.append(Polyhedron(p.rank, gt=[(tuple(-a for a in vec), -rhs)]))
+    for vec, rhs in p.gt:
+        out.append(Polyhedron(p.rank, ge=[(tuple(-a for a in vec), -rhs)]))
+    return out
+
+
+def overlapping_complement(s):
+    out = [Polyhedron.full(s.rank)]
+    for piece in s.pieces:
+        if piece.is_empty:
+            continue
+        out = [q.intersect(c) for q in out for c in overlapping_complement_pieces(piece)]
+        out = [q for q in out if not q.is_empty]
+    return PolyhedralSet(s.rank, out)
+
+
+def rand_rows(rng, rank, k, affine):
+    return [(tuple(rng.randint(-3, 3) for _ in range(rank)),
+             rng.randint(-2, 2) if affine else 0) for _ in range(k)]
+
+
+def rand_set(rng, rank, affine):
+    pieces = [Polyhedron(rank, eq=rand_rows(rng, rank, rng.randint(0, 1), affine),
+                         ge=rand_rows(rng, rank, rng.randint(0, 2), affine),
+                         gt=rand_rows(rng, rank, rng.randint(0, 2), affine))
+              for _ in range(rng.randint(1, 2))]
+    return PolyhedralSet(rank, pieces)
+
+
+def sample_points(rng, rank):
+    lattice = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(12)]
+    rational = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                      for _ in range(rank)) for _ in range(12)]
+    return lattice + rational
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_complement_matches_overlapping_reference(affine):
+    rng = random.Random(211 + affine)
+    new_total = ref_total = 0
+    for _ in range(100):
+        rank = rng.randint(1, 3)
+        s = rand_set(rng, rank, affine)
+        new, ref = s.complement(), overlapping_complement(s)
+        new_total += len(new.pieces)
+        ref_total += len(ref.pieces)
+        for x in sample_points(rng, rank):
+            inside = [p.contains(x) for p in new.pieces]
+            assert sum(inside) == (not s.contains(x)) == ref.contains(x), (s, x)
+        assert new.set_eq(ref) and ref.set_eq(new), s
+        for p, q in combinations(new.pieces, 2):
+            assert p.intersect(q).is_empty, (s, p, q)
+    assert new_total <= ref_total
+
+
+def test_complement_pieces_partition_the_complement():
+    rng = random.Random(223)
+    for _ in range(80):
+        rank = rng.randint(1, 3)
+        p = Polyhedron(rank, eq=rand_rows(rng, rank, rng.randint(0, 2), True),
+                       ge=rand_rows(rng, rank, rng.randint(0, 3), True),
+                       gt=rand_rows(rng, rank, rng.randint(0, 3), True))
+        pieces = p.complement_pieces()
+        for a, b in combinations(pieces, 2):
+            assert a.intersect(b).is_empty, (p, a, b)
+        for x in sample_points(rng, rank):
+            assert sum(c.contains(x) for c in pieces) == (not p.contains(x)), (p, x)
+
+
+# ---------------------------------------------------------------------------
+# Reference: Fourier-Motzkin over Fraction rows.
+
+
+def fraction_norm_row(vec, rhs):
+    fr = [Fraction(x) for x in vec] + [Fraction(rhs)]
+    den = math.lcm(*(x.denominator for x in fr))
+    ints = [int(x * den) for x in fr]
+    g = math.gcd(*(abs(x) for x in ints))
+    if g:
+        ints = [x // g for x in ints]
+    return tuple(ints[:-1]), ints[-1]
+
+
+def fraction_dedupe(rows):
+    best = {}
+    for vec, rhs, strict in rows:
+        key = fraction_norm_row(vec, rhs)
+        cur = best.get(key)
+        if cur is None or (strict and not cur[2]):
+            best[key] = (tuple(Fraction(x) for x in key[0]), Fraction(key[1]), strict)
+    return list(best.values())
+
+
+def fraction_feasible(rows, n):
+    """True iff the rows vec*y >= rhs (> when strict) have a solution."""
+    for vec, rhs, strict in rows:
+        if not any(vec) and (rhs > 0 or (rhs == 0 and strict)):
+            return False
+    rows = fraction_dedupe([r for r in rows if any(r[0])])
+    for var in range(n):
+        pos = [r for r in rows if r[0][var] > 0]
+        neg = [r for r in rows if r[0][var] < 0]
+        out = [r for r in rows if r[0][var] == 0]
+        for lvec, lrhs, lstrict in pos:
+            for uvec, urhs, ustrict in neg:
+                a, b = lvec[var], uvec[var]
+                vec = tuple(-b * x + a * y for x, y in zip(lvec, uvec))
+                rhs = -b * lrhs + a * urhs
+                strict = lstrict or ustrict
+                if any(vec):
+                    out.append((vec, rhs, strict))
+                elif rhs > 0 or (rhs == 0 and strict):
+                    return False
+        rows = fraction_dedupe(out)
+    return True
+
+
+def rand_ineqs(rng, n, rational):
+    def entry():
+        return (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rational
+                else rng.randint(-4, 4))
+    return [(tuple(entry() for _ in range(n)), entry(), rng.random() < 0.5)
+            for _ in range(rng.randint(1, 6))]
+
+
+def satisfies(rows, point):
+    for vec, rhs, strict in rows:
+        lhs = sum(Fraction(a) * x for a, x in zip(vec, point))
+        if lhs < rhs or (strict and lhs == rhs):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_integer_fm_matches_fraction_reference(rational):
+    rng = random.Random(227 + rational)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows = rand_ineqs(rng, n, rational)
+        point = _fm_point(rows, n)
+        assert (point is not None) == fraction_feasible(rows, n), rows
+        if point is not None:
+            assert satisfies(rows, point), (rows, point)
+        outcomes.add(point is not None)
+    assert outcomes == {True, False}
+
+
+def test_fm_rows_stay_integer():
+    rng = random.Random(229)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        rows = _dedupe_ineqs(rand_ineqs(rng, n, rational=True))
+        for var in range(n):
+            assert all(type(x) is int for vec, rhs, _ in rows for x in vec + (rhs,))
+            rows = _fm_eliminate(rows, var)
+            if rows is None:
+                break
+
+
+def test_fraction_rows_through_hemisphere_and_balance(monkeypatch):
+    """in_open_hemisphere and balanceable_at hand Fraction rows to the solver;
+    every system they solve is decided as the Fraction reference decides it."""
+    real_fm_point = polyhedra._fm_point
+    seen = {"fraction_rows": 0, True: 0, False: 0}
+
+    def checked_fm_point(rows, n):
+        point = real_fm_point(rows, n)
+        assert (point is not None) == fraction_feasible(rows, n), rows
+        if point is not None:
+            assert satisfies(rows, point), (rows, point)
+        seen["fraction_rows"] += any(type(x) is Fraction
+                                     for vec, rhs, _ in rows for x in vec + (rhs,))
+        seen[point is not None] += 1
+        return point
+
+    monkeypatch.setattr(polyhedra, "_fm_point", checked_fm_point)
+    rng = random.Random(233)
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+        dirs = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for _ in range(rank)) for _ in range(rng.randint(1, 4))]
+        in_open_hemisphere([d for d in dirs if any(d)] or [(1,) * rank])
+    balanced = set()
+    for _ in range(20):
+        rank = rng.randint(1, 3)
+        fan = rand_set(rng, rank, affine=False)
+        for x in [x for x in sample_points(rng, rank) if fan.contains(x)][:2]:
+            balanced.add(balanceable_at(fan, x))
+    assert seen["fraction_rows"] and seen[True] and seen[False]
+    assert balanced == {True, False}

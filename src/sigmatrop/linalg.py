@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q and Z (dense, desk scale).
+"""Exact linear algebra over Q and Z (desk scale).
 
 Matrices are lists of row lists; rational entries are Fractions, integer
 routines take plain ints.  Everything returns fresh lists.
@@ -108,85 +108,94 @@ def primitive_vector(v):
     return tuple(x // g for x in ints)
 
 
-def integer_diagonalize(mat):
-    """Diagonalize an integer matrix by unimodular row/column operations.
+def solve_integer(mat, rhs, ncols=None):
+    """One integer solution of mat*x = rhs, or None.
 
-    Returns (D, U, V) with U*mat*V = D, D diagonal (no divisibility chain
-    normalization), U and V unimodular.  Sufficient for solving integer
-    linear systems exactly.
+    Rows are lists of ints, or dicts {column: int} when ncols is given.
+    Diagonalizes by unimodular row and column operations on sparse rows: the
+    pivot is the nonzero (abs, row, column)-least entry of the remaining
+    block, row operations act on rhs as they go, and column operations are
+    replayed on the diagonal solution, whose free coordinates are zero.
     """
-    S = [[int(x) for x in row] for row in mat]
-    m = len(S)
-    n = len(S[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        S[i] = [a - q * b for a, b in zip(S[i], S[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in S:
-            row[i] -= q * row[j]
-        for row in V:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
+    if ncols is None:
+        n = len(mat[0]) if mat else 0
+        rows = [{j: int(x) for j, x in enumerate(row) if x} for row in mat]
+    else:
+        n = ncols
+        rows = [dict(row) for row in mat]
+    m = len(rows)
+    b = [int(x) for x in rhs]
+    col_ops = []  # (i, j, q): column i -= q * column j; q None swaps them
     for t in range(min(m, n)):
         while True:
-            entries = [(abs(S[i][j]), i, j) for i in range(t, m) for j in range(t, n)
-                       if S[i][j] != 0]
-            if not entries:
+            # rows < t hold only their diagonal entry and rows >= t are zero
+            # left of column t; the pivot is the (abs, row, column)-least
+            # nonzero of rows >= t
+            low, pi = 0, None
+            for i in range(t, m):
+                if rows[i]:
+                    a = min(map(abs, rows[i].values()))
+                    if pi is None or a < low:
+                        low, pi = a, i
+                        if a == 1:
+                            break
+            if pi is None:
                 break
-            _, pi, pj = min(entries)
+            pj = min(j for j, v in rows[pi].items() if abs(v) == low)
             if pi != t:
-                swap_rows(t, pi)
+                rows[t], rows[pi] = rows[pi], rows[t]
+                b[t], b[pi] = b[pi], b[t]
             if pj != t:
-                swap_cols(t, pj)
+                for row in rows[t:]:
+                    a, c = row.pop(t, 0), row.pop(pj, 0)
+                    if c:
+                        row[t] = c
+                    if a:
+                        row[pj] = a
+                col_ops.append((t, pj, None))
+            pivot = rows[t]
+            p = pivot[t]
             done = True
             for i in range(t + 1, m):
-                if S[i][t] != 0:
-                    row_op(i, t, S[i][t] // S[t][t])
-                    if S[i][t] != 0:
+                row = rows[i]
+                if t in row:
+                    q = row[t] // p
+                    for j, x in pivot.items():
+                        v = row.get(j, 0) - q * x
+                        if v:
+                            row[j] = v
+                        else:
+                            row.pop(j, None)
+                    b[i] -= q * b[t]
+                    if t in row:
                         done = False
-            for j in range(t + 1, n):
-                if S[t][j] != 0:
-                    col_op(j, t, S[t][j] // S[t][t])
-                    if S[t][j] != 0:
-                        done = False
+            in_col = [row for row in rows[t:] if t in row]
+            for j in sorted(j for j in pivot if j > t):
+                q = pivot[j] // p
+                for row in in_col:
+                    v = row.get(j, 0) - q * row[t]
+                    if v:
+                        row[j] = v
+                    else:
+                        row.pop(j, None)
+                col_ops.append((j, t, q))
+                if j in pivot:
+                    done = False
             if done:
                 break
-    return S, U, V
-
-
-def solve_integer(mat, rhs):
-    """One integer solution of mat*x = rhs (canonical: free coords zero), or None."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    D, U, V = integer_diagonalize(mat)
-    c = [sum(U[i][k] * rhs[k] for k in range(m)) for i in range(m)]
     y = [0] * n
-    for i in range(min(m, n)):
-        d = D[i][i]
+    for i in range(m):
+        d = rows[i].get(i, 0) if i < n else 0
         if d == 0:
-            if c[i] != 0:
+            if b[i] != 0:
                 return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    for i in range(min(m, n), m):
-        if c[i] != 0:
+        elif b[i] % d != 0:
             return None
-    return [sum(V[i][k] * y[k] for k in range(n)) for i in range(n)]
+        else:
+            y[i] = b[i] // d
+    for i, j, q in reversed(col_ops):
+        if q is None:
+            y[i], y[j] = y[j], y[i]
+        else:
+            y[j] -= q * y[i]
+    return y

@@ -9,7 +9,6 @@ answer sound without a general Groebner-fan computation.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -148,34 +147,36 @@ def direct_sum_module(a: ModulePresentation, b: ModulePresentation) -> MatrixAct
 # Action evaluation.
 
 
-def _mat_power(m, k, inverse):
-    d = len(m)
-    out = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    base = m if k >= 0 else inverse
-    for _ in range(abs(k)):
-        out = linalg.mat_mul(out, base)
-    return out
-
-
 class _ActionCache:
-    """Monomial-to-matrix evaluation for one MatrixAction."""
+    """Monomial-to-matrix evaluation for one MatrixAction, scoped to one call."""
 
     def __init__(self, mod: MatrixAction):
         self.mod = mod
         self.d = mod.dim
-        self.inverses = [linalg.invert([list(r) for r in m]) for m in mod.mats]
+        self.mats = [[list(r) for r in m] for m in mod.mats]
+        self.inverses = [linalg.invert(m) for m in self.mats]
+        self.identity = [[Fraction(int(i == j)) for j in range(self.d)]
+                         for i in range(self.d)]
+        self.powers: dict[tuple, list] = {}
         self.cache: dict[tuple, list] = {}
+
+    def power(self, i, e):
+        """Matrix i to the nonzero power e: one product with the power one
+        step nearer 0, which is cached too."""
+        if (i, e) not in self.powers:
+            step = 1 if e > 0 else -1
+            prev = self.identity if e == step else self.power(i, e - step)
+            base = self.mats[i] if e > 0 else self.inverses[i]
+            self.powers[(i, e)] = linalg.mat_mul(prev, base)
+        return self.powers[(i, e)]
 
     def monomial_matrix(self, g):
         g = tuple(g)
         if g not in self.cache:
-            d = self.d
-            out = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+            out = self.identity
             for i, e in enumerate(g):
                 if e:
-                    out = linalg.mat_mul(
-                        out, _mat_power([list(r) for r in self.mod.mats[i]], e,
-                                        self.inverses[i]))
+                    out = linalg.mat_mul(out, self.power(i, e))
             self.cache[g] = out
         return self.cache[g]
 
@@ -190,15 +191,6 @@ class _ActionCache:
         return out
 
 
-_caches: dict[MatrixAction, _ActionCache] = {}
-
-
-def _cache_for(mod: MatrixAction) -> _ActionCache:
-    if mod not in _caches:
-        _caches[mod] = _ActionCache(mod)
-    return _caches[mod]
-
-
 def annihilates(lam: LaurentPoly, mod: ModulePresentation) -> bool:
     """True iff lam evaluated at the action matrices is the zero matrix."""
     if isinstance(mod, CyclicModule):
@@ -206,8 +198,11 @@ def annihilates(lam: LaurentPoly, mod: ModulePresentation) -> bool:
     m = as_matrix_action(mod)
     if lam.rank != m.rank:
         raise DimensionError(f"lam has rank {lam.rank}, module has rank {m.rank}")
-    val = _cache_for(m).evaluate(lam)
-    return all(x == 0 for row in val for x in row)
+    return _is_zero_matrix(_ActionCache(m).evaluate(lam))
+
+
+def _is_zero_matrix(mat) -> bool:
+    return all(x == 0 for row in mat for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +287,7 @@ def matrix_certificate_valid(theta, chi: Character, mod: ModulePresentation) -> 
     if k != len(m.generators):
         raise ValueError(f"theta is {k}x{k} but the module has "
                          f"{len(m.generators)} generators")
-    cache = _cache_for(m)
+    cache = _ActionCache(m)
     d = m.dim
     for i in range(k):
         acc = [Fraction(0)] * d
@@ -338,9 +333,9 @@ def _support_in_box(rank: int, k: int):
                   if any(g))
 
 
-def _solve_for_support(mod: MatrixAction, monos, coeff_bound: int):
+def _solve_for_support(cache: _ActionCache, monos, coeff_bound: int):
     """Integer coefficients c_g with sum c_g * action(g) = -identity, or None."""
-    cache = _cache_for(mod)
+    mod = cache.mod
     d = mod.dim
     cols = [cache.monomial_matrix(g) for g in monos]
     rows, rhs = [], []
@@ -378,11 +373,12 @@ def certificate_search(mod: ModulePresentation, chi: Character, box: int,
     m = as_matrix_action(mod)
     if chi.rank != m.rank:
         raise DimensionError("direction rank does not match the module")
+    cache = _ActionCache(m)
     for k in range(1, box + 1):
         monos = [g for g in _support_in_box(m.rank, k) if chi_value(chi, g) > 0]
         if not monos:
             continue
-        lam = _solve_for_support(m, monos, coeff_bound)
+        lam = _solve_for_support(cache, monos, coeff_bound)
         if lam is not None:
             if not certificate_valid(lam, chi, mod):
                 raise SoundnessError(f"certificate search at {chi} returned an "
@@ -435,47 +431,94 @@ COVER_SPLIT_DEPTH = 4
 
 
 def _strict_dual_test(piece: Polyhedron):
-    """Memoized test, for this piece only, of whether a monomial g's open
-    halfspace {chi*g > 0} contains every direction of the piece (the origin
-    is immaterial on the sphere)."""
-    @functools.cache
+    """Test, for this piece only, whether a monomial g's open halfspace
+    {chi*g > 0} contains every direction of the piece (the origin is
+    immaterial on the sphere).
+
+    The test reads the generators R of the piece's closure (its extreme
+    rays and +/- a lineality basis), computed once; an empty piece has none.
+    g > 0 on every direction of the piece exactly when
+      (a) g*r >= 0 for every r in R, so g >= 0 on the closure, and
+      (b) the face F = {g = 0} of the closure, spanned by the r in R with
+          g*r = 0, meets the piece only at the origin.
+    For (b): the piece is the closure cut by its strict rows h > 0, and each
+    h is >= 0 on the closure.  If every h is positive at one relative
+    interior point of F, that point is a direction of the piece; if some h
+    vanishes there, h vanishes on all of F, since h >= 0 on F.  So (b) holds
+    iff F = {0} (no r with g*r = 0) or one strict row annihilates every r
+    with g*r = 0.  This is the predicate `_check_searched` decides by one
+    Fourier-Motzkin solve per monomial, here at a few integer dot products
+    per g.  Ray enumeration raises ValueError above RAY_RANK_LIMIT (6).
+    """
+    gens = piece.rays()
+    strict = [h for h, _ in piece.gt]
+
     def in_strict_dual(g):
-        bad = piece.intersect(Polyhedron.cone(piece.rank, ge=[tuple(-x for x in g)]))
-        return not bad.has_direction()
+        on_face = []
+        for r in gens:
+            s = sum(a * b for a, b in zip(g, r))
+            if s < 0:
+                return False
+            if s == 0:
+                on_face.append(r)
+        return not on_face or any(
+            all(sum(a * b for a, b in zip(h, r)) == 0 for r in on_face)
+            for h in strict)
 
     return in_strict_dual
 
 
-def _cover_piece(mod: MatrixAction, piece: Polyhedron, coeff_bound: int,
+def _check_searched(lam: LaurentPoly, piece: Polyhedron):
+    """Re-check a searched certificate on its piece, outside the search: its
+    constant term is 1 and every other support monomial is positive on the
+    piece, each by its own Fourier-Motzkin solve, so its initial part is 1
+    at every direction of the piece."""
+    if lam.terms.get((0,) * lam.rank) != 1:
+        raise SoundnessError("searched certificate does not have constant term 1")
+    for g in lam.terms:
+        if not any(g):
+            continue
+        bad = piece.intersect(Polyhedron.cone(piece.rank, ge=[tuple(-x for x in g)]))
+        if bad.has_direction():
+            raise SoundnessError(f"searched certificate has support monomial {g} "
+                                 "that is not positive on its piece")
+
+
+def _cover_piece(cache: _ActionCache, piece: Polyhedron, coeff_bound: int,
                  box_limit: int, depth: int):
     """Certify one region piece, splitting on coordinate signs on failure.
 
     Returns (certified, failed): certified is a list of
     (sub-piece, validity cone, certificate)."""
+    rank = cache.mod.rank
     in_strict_dual = _strict_dual_test(piece)
     for k in range(1, box_limit + 1):
-        monos = [g for g in _support_in_box(mod.rank, k) if in_strict_dual(g)]
+        monos = [g for g in _support_in_box(rank, k) if in_strict_dual(g)]
         if not monos:
             continue
-        lam = _solve_for_support(mod, monos, coeff_bound)
+        lam = _solve_for_support(cache, monos, coeff_bound)
         if lam is not None:
+            if not _is_zero_matrix(cache.evaluate(lam)):
+                raise SoundnessError("searched certificate does not annihilate "
+                                     "the module")
+            _check_searched(lam, piece)
             support = [g for g in lam.terms if any(g)]
-            cone = Polyhedron.cone(mod.rank, gt=support)
+            cone = Polyhedron.cone(rank, gt=support)
             return [(piece, cone, lam)], []
     if depth > 0:
-        for i in range(mod.rank):
-            axis = [0] * mod.rank
+        for i in range(rank):
+            axis = [0] * rank
             axis[i] = 1
-            pos = piece.intersect(Polyhedron.cone(mod.rank, gt=[tuple(axis)]))
+            pos = piece.intersect(Polyhedron.cone(rank, gt=[tuple(axis)]))
             neg = piece.intersect(
-                Polyhedron.cone(mod.rank, gt=[tuple(-x for x in axis)]))
+                Polyhedron.cone(rank, gt=[tuple(-x for x in axis)]))
             if pos.has_direction() and neg.has_direction():
-                zero = piece.intersect(Polyhedron.cone(mod.rank, eq=[tuple(axis)]))
+                zero = piece.intersect(Polyhedron.cone(rank, eq=[tuple(axis)]))
                 certified, failed = [], []
                 for part in (pos, neg, zero):
                     if not part.has_direction():
                         continue
-                    c, f = _cover_piece(mod, part, coeff_bound, box_limit, depth - 1)
+                    c, f = _cover_piece(cache, part, coeff_bound, box_limit, depth - 1)
                     certified += c
                     failed += f
                 return certified, failed
@@ -526,11 +569,12 @@ def sigma_scalar_action_exact(mod: ModulePresentation, box_limit: int = COVER_BO
         complement = SphericalSet.from_directions(dirs, rank=m.rank)
 
     region = complement.complement()
+    cache = _ActionCache(m)
     certified, failed = [], []
     for piece in region.pieces:
         if not piece.has_direction():
             continue
-        c, f = _cover_piece(m, piece, coeff_bound, box_limit, COVER_SPLIT_DEPTH)
+        c, f = _cover_piece(cache, piece, coeff_bound, box_limit, COVER_SPLIT_DEPTH)
         certified += c
         failed += f
     if failed:
@@ -750,26 +794,32 @@ def _cover_multiple_piece(f: LaurentPoly, piece: Polyhedron, box_limit: int,
     zero = (0,) * rank
     if f.domain.kind != "ZZ":
         raise ValueError("integer certificates need a generator over ZZ")
-    supp_f = sorted(f.terms)
     in_strict_dual = _strict_dual_test(piece)
+    f_terms = [(g, int(c)) for g, c in sorted(f.terms.items())]
 
     for k in range(1, box_limit + 1):
         hsupp = sorted(itertools.product(range(-k, k + 1), repeat=rank))
-        prod_supp = sorted({tuple(a + b for a, b in zip(g, h))
-                            for g in supp_f for h in hsupp})
-        rows, rhs = [], []
-        for msum in prod_supp:
+        # column h holds f's coefficient c_g in the row of msum = g + h
+        columns = [[(tuple(a + b for a, b in zip(g, h)), c) for g, c in f_terms]
+                   for h in hsupp]
+        row_of = {}
+        for msum in sorted({msum for col in columns for msum, _ in col}):
             if msum != zero and not in_strict_dual(msum):
-                rows.append([int(f.terms.get(
-                    tuple(a - b for a, b in zip(msum, h)), 0)) for h in hsupp])
-                rhs.append(0)
-        rows.append([int(f.terms.get(tuple(-x for x in h), 0)) for h in hsupp])
-        rhs.append(1)
-        sol = linalg.solve_integer(rows, rhs)
+                row_of[msum] = len(row_of)
+        row_of[zero] = len(row_of)  # the constant term, which must be 1
+        rows = [{} for _ in row_of]
+        for j, col in enumerate(columns):
+            for msum, c in col:
+                r = row_of.get(msum)
+                if r is not None:
+                    rows[r][j] = c
+        rhs = [0] * (len(rows) - 1) + [1]
+        sol = linalg.solve_integer(rows, rhs, ncols=len(hsupp))
         if sol is None or any(abs(c) > coeff_bound for c in sol):
             continue
         h = LaurentPoly(rank, ZZ, {h_: c for h_, c in zip(hsupp, sol) if c})
         lam = f * h
+        _check_searched(lam, piece)
         support = [g for g in lam.terms if any(g)]
         cone = Polyhedron.cone(rank, gt=support)
         return [(piece, cone, lam)], []

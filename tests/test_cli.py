@@ -278,3 +278,33 @@ def test_frontier_eight_term_cyclic_over_q_answers():
     assert doc["result"]["undecided"]["empty"] is True
     assert doc["undecided"] is False
     assert elapsed < FRONTIER_BUDGET_S, f"{elapsed:.2f}s"
+
+
+def test_frontier_cyclic_over_z_answers_undecided():
+    # every coefficient of f is even, so every f*h has even coefficients and
+    # no certificate with constant term 1 exists: nothing is proved in sigma
+    module = _cyclic_rank2("Z", [((0, 0), 2), ((1, 0), -2), ((1, 2), -2),
+                                 ((2, 1), -2)])
+    start = time.perf_counter()
+    doc = run({"version": 1, "command": "sigma", "payload": {"module": module}})
+    elapsed = time.perf_counter() - start
+    result = doc["result"]
+    assert result["proved_sigma"]["empty"] is True
+    assert len(result["undecided"]["pieces"]) == 12
+    assert doc["undecided"] is True
+    assert elapsed < FRONTIER_BUDGET_S, f"{elapsed:.2f}s"
+
+
+def test_rank_seven_sigma_job_stops_at_the_ray_rank_guard(tmp_path, capsys):
+    job = {"version": 1, "command": "sigma",
+           "payload": {"module": {"mode": "scalar",
+                                  "rhos": ["2", "3", "5", "7", "11", "13", "17"]}}}
+    job_file = tmp_path / "rank7.json"
+    job_file.write_text(json.dumps(job))
+    start = time.perf_counter()
+    code = main(["--job", str(job_file)])
+    elapsed = time.perf_counter() - start
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 1
+    assert error["type"] == "ValueError" and "rank <= 6" in error["message"]
+    assert elapsed < 10.0, f"{elapsed:.2f}s"

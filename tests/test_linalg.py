@@ -3,9 +3,92 @@ from fractions import Fraction
 
 import pytest
 
-from sigmatrop.linalg import (integer_diagonalize, invert, mat_mul, mat_vec,
-                              nullspace, primitive_vector, rank, rref, solve,
-                              solve_integer)
+from sigmatrop.linalg import (invert, mat_mul, mat_vec, nullspace,
+                              primitive_vector, rank, rref, solve, solve_integer)
+
+
+def integer_diagonalize(mat):
+    """Dense reference: diagonalize an integer matrix by unimodular row and
+    column operations.
+
+    Returns (D, U, V) with U*mat*V = D, D diagonal (no divisibility chain
+    normalization), U and V unimodular.
+    """
+    S = [[int(x) for x in row] for row in mat]
+    m = len(S)
+    n = len(S[0]) if m else 0
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        S[i] = [a - q * b for a, b in zip(S[i], S[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for row in S:
+            row[i] -= q * row[j]
+        for row in V:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        S[i], S[j] = S[j], S[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in S:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    for t in range(min(m, n)):
+        while True:
+            entries = [(abs(S[i][j]), i, j) for i in range(t, m) for j in range(t, n)
+                       if S[i][j] != 0]
+            if not entries:
+                break
+            _, pi, pj = min(entries)
+            if pi != t:
+                swap_rows(t, pi)
+            if pj != t:
+                swap_cols(t, pj)
+            done = True
+            for i in range(t + 1, m):
+                if S[i][t] != 0:
+                    row_op(i, t, S[i][t] // S[t][t])
+                    if S[i][t] != 0:
+                        done = False
+            for j in range(t + 1, n):
+                if S[t][j] != 0:
+                    col_op(j, t, S[t][j] // S[t][t])
+                    if S[t][j] != 0:
+                        done = False
+            if done:
+                break
+    return S, U, V
+
+
+def dense_solve_integer(mat, rhs):
+    """Reference solver: free coordinates of the diagonal system zero."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    if m == 0:
+        return [0] * n
+    D, U, V = integer_diagonalize(mat)
+    c = [sum(U[i][k] * rhs[k] for k in range(m)) for i in range(m)]
+    y = [0] * n
+    for i in range(min(m, n)):
+        d = D[i][i]
+        if d == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % d != 0:
+                return None
+            y[i] = c[i] // d
+    for i in range(min(m, n), m):
+        if c[i] != 0:
+            return None
+    return [sum(V[i][k] * y[k] for k in range(n)) for i in range(n)]
 
 
 def frac_det(mat):
@@ -92,3 +175,22 @@ def test_solve_integer():
     # gcd obstruction: 6x + 10y = 3 has no integer solution
     assert solve_integer([[6, 10]], [3]) is None
     assert solve_integer([[6, 10]], [4]) is not None
+
+
+def test_sparse_solver_matches_the_dense_reference():
+    """Same pivots, same answer: identical vectors or both None, including on
+    sparse, rank-deficient and inconsistent systems, and on dict rows."""
+    rng = random.Random(31)
+    for trial in range(1500):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice((0.2, 0.5, 1.0))
+        a = [[rng.randint(-7, 7) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(m)]
+        if trial % 3 == 0:  # consistent by construction
+            b = mat_vec(a, [rng.randint(-3, 3) for _ in range(n)])
+        else:
+            b = [rng.randint(-9, 9) for _ in range(m)]
+        want = dense_solve_integer(a, b)
+        assert solve_integer(a, b) == want, (a, b)
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in a]
+        assert solve_integer(sparse, b, ncols=n) == want, (a, b)

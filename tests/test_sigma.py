@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from sigmatrop.polyhedra import in_open_hemisphere
+from sigmatrop import sigma
+from sigmatrop.polyhedra import Polyhedron, in_open_hemisphere
 from sigmatrop.rings import GF, QQ, ZZ, Character, Direction, LaurentPoly
 from sigmatrop.sigma import (CyclicModule, MatrixAction, ScalarAction,
                              UnsupportedModeError, annihilates, as_matrix_action,
@@ -385,3 +387,52 @@ def test_sigma_sets_pairwise_disjoint():
                         result.proved_complement.contains(d),
                         result.undecided.contains(d)])
             assert hits == 1, (vec, hits)
+
+
+def fm_in_strict_dual(piece, g):
+    """Reference: g is in the strict dual iff no direction of the piece has
+    chi*g <= 0, decided by one Fourier-Motzkin solve."""
+    bad = piece.intersect(Polyhedron.cone(piece.rank, ge=[tuple(-x for x in g)]))
+    return not bad.has_direction()
+
+
+def random_piece(rng, rank):
+    def rows(count):
+        return [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(count)]
+    return Polyhedron.cone(rank, eq=rows(rng.choice((0, 0, 0, 1))),
+                           ge=rows(rng.randint(0, 3)), gt=rows(rng.randint(0, 3)))
+
+
+def test_rays_strict_dual_matches_fourier_motzkin():
+    """The strict dual read from the piece's rays agrees with the FM test on
+    seeded pieces of rank 1-4 mixing eq, ge and gt rows (empty ones, lines,
+    lineality spaces and pointed cones among them), for every g in a box."""
+    rng = random.Random(37)
+    pairs = kinds = 0
+    for rank, count, box in ((1, 30, 3), (2, 60, 2), (3, 60, 1), (4, 25, 1)):
+        for _ in range(count):
+            piece = random_piece(rng, rank)
+            test = sigma._strict_dual_test(piece)
+            for g in itertools.product(range(-box, box + 1), repeat=rank):
+                if any(g):
+                    want = fm_in_strict_dual(piece, g)
+                    assert test(g) == want, (piece, g)
+                    pairs += 1
+                    kinds |= 1 << want
+    assert kinds == 3 and pairs > 3000
+
+
+def test_no_module_level_cache_grows():
+    """Action matrices are cached per call: no module-level container of
+    sigma grows across distinct sigma_of_module calls."""
+    def sizes():
+        return {name: len(value) for name, value in vars(sigma).items()
+                if isinstance(value, (dict, list, set))}
+
+    sigma_of_module(ScalarAction.of(6))
+    before = sizes()
+    for k in range(2, 22):
+        mod = (ScalarAction.of(k, Fraction(1, k + 1)) if k % 2 else
+               MatrixAction.of([[[k, 1], [0, k]]], [[1, 0], [0, 1]]))
+        sigma_of_module(mod, box_limit=2)
+    assert sizes() == before

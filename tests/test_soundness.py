@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from sigmatrop import dynamics, polyhedra, sigma
+from sigmatrop import dynamics, linalg, polyhedra, sigma
 from sigmatrop.dynamics import Norm, PushMap, check_angle_bound
 from sigmatrop.polyhedra import HemisphereCertificate, Polyhedron, in_open_hemisphere
-from sigmatrop.rings import QQ, Character, LaurentPoly, SoundnessError
-from sigmatrop.sigma import ScalarAction, certificate_search
+from sigmatrop.rings import QQ, ZZ, Character, LaurentPoly, SoundnessError
+from sigmatrop.sigma import ScalarAction, certificate_search, sigma_of_module
 
 
 def test_certificate_search_rejects_an_invalid_certificate(monkeypatch):
@@ -67,6 +67,48 @@ def test_integer_cover_needs_an_integer_generator():
     f = LaurentPoly(1, QQ, {(1,): 1, (0,): -2})
     with pytest.raises(ValueError):
         sigma._cover_multiple_piece(f, Polyhedron.full(1), 1, 10)
+
+
+def _search_returns(monkeypatch, terms):
+    lam = LaurentPoly(1, ZZ, terms)
+    monkeypatch.setattr(sigma, "_solve_for_support", lambda *args: lam)
+
+
+def test_searched_certificate_must_annihilate(monkeypatch):
+    _search_returns(monkeypatch, {(0,): 1, (-1,): -1})  # 1 - 1/6 at rho = 6
+    with pytest.raises(SoundnessError, match="annihilate"):
+        sigma_of_module(ScalarAction.of(6))
+
+
+def test_searched_certificate_needs_constant_term_one(monkeypatch):
+    _search_returns(monkeypatch, {(0,): 12, (1,): -2})  # annihilates rho = 6
+    with pytest.raises(SoundnessError, match="constant term"):
+        sigma_of_module(ScalarAction.of(6))
+
+
+def test_searched_certificate_must_be_positive_on_its_piece(monkeypatch):
+    # every monomial passes the strict-dual test, so the search finds
+    # 1 - x^-1, whose monomial x^-1 is negative on the direction +1
+    monkeypatch.setattr(sigma, "_strict_dual_test", lambda piece: lambda g: True)
+    with pytest.raises(SoundnessError, match="not positive"):
+        sigma_of_module(ScalarAction.of(1))
+
+
+def test_multiple_certificate_needs_constant_term_one(monkeypatch):
+    f = LaurentPoly(1, ZZ, {(0,): 2, (1,): -1})
+    piece = Polyhedron.cone(1, gt=[(-1,)])  # where -x is initial: a unit
+    assert sigma._cover_multiple_piece(f, piece, 2, 10)[0]
+    monkeypatch.setattr(linalg, "solve_integer", lambda rows, rhs, ncols: [0] * ncols)
+    with pytest.raises(SoundnessError, match="constant term"):
+        sigma._cover_multiple_piece(f, piece, 2, 10)
+
+
+def test_multiple_certificate_must_be_positive_on_its_piece(monkeypatch):
+    # with every monomial allowed, (2 - x) * (-x^-1) = 1 - 2x^-1 is found
+    f = LaurentPoly(1, ZZ, {(0,): 2, (1,): -1})
+    monkeypatch.setattr(sigma, "_strict_dual_test", lambda piece: lambda g: True)
+    with pytest.raises(SoundnessError, match="not positive"):
+        sigma._cover_multiple_piece(f, Polyhedron.cone(1, gt=[(1,)]), 2, 10)
 
 
 def test_soundness_checks_survive_python_O():

@@ -8,11 +8,9 @@ an exact verifier for a family of hyperbolic-plane module limit sets.
 
 __version__ = "0.1.0"
 
-from .kernels import BACKEND
 from .rings import GF, QQ, ZZ, Character, Direction, LaurentPoly
 
 __all__ = [
-    "BACKEND",
     "Character",
     "Direction",
     "GF",

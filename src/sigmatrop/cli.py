@@ -6,7 +6,7 @@ Commands: trop, sigma, group, dyn, h2, amoeba.  Results are canonical JSON
 documents; exact rationals travel as "num/den" strings.
 
 Exit codes: 0 success, 1 error, 2 result is (partly) undecided, 3 schema
-violation.  SIGMATROP_SEED is reserved and unused by the exact paths.
+violation.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +31,7 @@ from .rings import GF, QQ, ZZ, Character, Domain, LaurentPoly
 from .sigma import (CyclicModule, MatrixAction, ScalarAction, SigmaResult,
                     fpm_basis, fpm_test, metabelian_fp, metabelian_fp_infinity,
                     sigma_of_module)
-from .tropical import (AmoebaCloud, ValuedPoly, amoeba_sample, global_tropical_Z,
+from .tropical import (ValuedPoly, amoeba_sample, global_tropical_Z,
                        log_limit_directions, trop_hypersurface, trop_prevariety)
 from .valuations import PAdicValuation, TableValuation, TrivialValuation
 
@@ -319,7 +317,7 @@ def tri_json(value) -> object:
 # Command handlers.  Each returns (result dict, undecided flag, plot payload).
 
 
-def _run_trop(payload, threads):
+def _run_trop(payload):
     rank = payload["rank"]
     domain = parse_domain(payload.get("domain"))
     polys = [parse_poly(p, rank, domain) for p in payload["generators"]]
@@ -353,25 +351,23 @@ def _parse_module(obj):
     return CyclicModule(rank, domain, gens)
 
 
-def _run_sigma(payload, threads):
-    mod = _parse_module(payload["module"])
+def _sigma_of_payload(payload) -> SigmaResult:
+    """sigma_of_module on the payload's module, box and coeff_bound."""
     kw = {}
     if "box" in payload:
         kw["box_limit"] = payload["box"]
     if "coeff_bound" in payload:
         kw["coeff_bound"] = payload["coeff_bound"]
-    result = sigma_of_module(mod, **kw)
+    return sigma_of_module(_parse_module(payload["module"]), **kw)
+
+
+def _run_sigma(payload):
+    result = _sigma_of_payload(payload)
     return sigma_json(result), not result.undecided.is_empty, None
 
 
-def _run_group(payload, threads):
-    mod = _parse_module(payload["module"])
-    kw = {}
-    if "box" in payload:
-        kw["box_limit"] = payload["box"]
-    if "coeff_bound" in payload:
-        kw["coeff_bound"] = payload["coeff_bound"]
-    r = sigma_of_module(mod, **kw)
+def _run_group(payload):
+    r = _sigma_of_payload(payload)
     fp = metabelian_fp(r)
     fpi = metabelian_fp_infinity(r)
     out = {
@@ -388,7 +384,7 @@ def _run_group(payload, threads):
     return out, undecided, None
 
 
-def _run_dyn(payload, threads):
+def _run_dyn(payload):
     rank = payload["rank"]
     entries = [[parse_poly(e, rank, ZZ) for e in row] for row in payload["matrix"]]
     phi = PushMap.of(entries)
@@ -429,7 +425,7 @@ def _run_dyn(payload, threads):
     return result, False, None
 
 
-def _run_h2(payload, threads):
+def _run_h2(payload):
     p = payload["p"]
     out = {}
     if "support_at_zero" in payload:
@@ -476,19 +472,10 @@ def _run_h2(payload, threads):
     return out, False, None
 
 
-def _run_amoeba(payload, threads):
+def _run_amoeba(payload):
     poly = parse_poly(payload["poly"], 2, QQ)
     s_grid = [float(s) for s in payload["s_grid"]]
-    angles = payload["angles"]
-    if threads > 1 and len(s_grid) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            clouds = list(pool.map(lambda s: amoeba_sample(poly, [s], angles),
-                                   s_grid))
-        points = [pt for c in clouds for pt in c.points]
-        dropped = sum(c.dropped for c in clouds)
-        cloud = AmoebaCloud(points=points, dropped=dropped)
-    else:
-        cloud = amoeba_sample(poly, s_grid, angles)
+    cloud = amoeba_sample(poly, s_grid, payload["angles"])
     result = {"points": len(cloud.points), "dropped": cloud.dropped,
               "max_radius": cloud.max_radius}
     if "min_radius" in payload:
@@ -546,7 +533,10 @@ def emit_plot_data(kind, obj, plot_dir: Path) -> list[str]:
 
 
 def run(job: dict, threads: int = 1, bound_escalation: int | None = None) -> dict:
-    """Validate and dispatch one job document; returns the result document."""
+    """Validate and dispatch one job document; returns the result document.
+
+    ``threads`` is accepted for compatibility and has no effect.
+    """
     try:
         _validate(job, None)
         _validate(job["payload"], job["command"])
@@ -555,7 +545,7 @@ def run(job: dict, threads: int = 1, bound_escalation: int | None = None) -> dic
     payload = dict(job["payload"])
     if bound_escalation is not None and job["command"] in ("sigma", "group"):
         payload.setdefault("box", bound_escalation)
-    result, undecided, plot = HANDLERS[job["command"]](payload, threads)
+    result, undecided, plot = HANDLERS[job["command"]](payload)
     return {
         "version": 1,
         "job": job,
@@ -582,11 +572,12 @@ def main(argv=None) -> int:
     parser.add_argument("--job", required=True, help="job JSON file")
     parser.add_argument("--out", help="result JSON file (default: stdout)")
     parser.add_argument("--plot", help="directory for CSV plot data")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--bound-escalation", type=int, default=None,
-                        help="maximum certificate search box")
+                        help="certificate search box of a sigma or group job "
+                             "whose payload gives no box")
     args = parser.parse_args(argv)
-    _ = os.environ.get("SIGMATROP_SEED")  # reserved; exact paths take no seed
 
     try:
         job = json.loads(Path(args.job).read_text())
@@ -594,8 +585,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": {"type": "input", "message": str(exc)}}))
         return 1
     try:
-        doc = run(job, threads=max(1, args.threads),
-                  bound_escalation=args.bound_escalation)
+        doc = run(job, bound_escalation=args.bound_escalation)
     except SchemaError as exc:
         print(json.dumps({"error": {"type": "schema", "message": str(exc)}}))
         return 3

@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from sympy import isprime
 
-from . import kernels
-
 INF = math.inf
 
 Monomial = tuple  # integer exponent tuple of length rank
@@ -47,10 +45,6 @@ class Domain:
         else:
             raise ValueError(f"unknown domain kind {self.kind!r}")
 
-    @property
-    def is_field(self) -> bool:
-        return self.kind != "ZZ"
-
     def normalize(self, c):
         """Coerce c into the domain; raises on non-integral values over ZZ/GF."""
         if self.kind == "QQ":
@@ -79,6 +73,51 @@ _VAR_NAMES = ("x", "y", "z", "w")
 
 def _var(i: int, rank: int) -> str:
     return _VAR_NAMES[i] if rank <= len(_VAR_NAMES) else f"x{i}"
+
+
+# Term maps: dicts from exponent tuples to nonzero coefficients.  ``p`` is the
+# prime modulus over GF(p), where coefficients are kept in range(p), else None.
+def _term_add(a, b, p):
+    out = dict(a)
+    for g, c in b.items():
+        s = out.get(g, 0) + c
+        if p is not None:
+            s %= p
+        if s:
+            out[g] = s
+        else:
+            out.pop(g, None)
+    return out
+
+
+def _term_mul(a, b, p):
+    out = {}
+    for ga, ca in a.items():
+        for gb, cb in b.items():
+            g = tuple(x + y for x, y in zip(ga, gb))
+            s = out.get(g, 0) + ca * cb
+            if p is not None:
+                s %= p
+            if s:
+                out[g] = s
+            else:
+                out.pop(g, None)
+    return out
+
+
+def _term_scale(a, c, p):
+    if p is not None:
+        c %= p
+    if not c:
+        return {}
+    out = {}
+    for g, ca in a.items():
+        s = ca * c
+        if p is not None:
+            s %= p
+        if s:
+            out[g] = s
+    return out
 
 
 class LaurentPoly:
@@ -130,9 +169,6 @@ class LaurentPoly:
     def coefficient(self, g) -> object:
         return self.terms.get(tuple(g), 0)
 
-    def constant_coefficient(self):
-        return self.terms.get((0,) * self.rank, 0)
-
     def _compat(self, other: "LaurentPoly"):
         if self.rank != other.rank:
             raise DimensionError(f"rank mismatch: {self.rank} vs {other.rank}")
@@ -148,7 +184,7 @@ class LaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
         object.__setattr__(out, "rank", self.rank)
         object.__setattr__(out, "domain", self.domain)
-        object.__setattr__(out, "terms", kernels.term_add(self.terms, other.terms, self._mod))
+        object.__setattr__(out, "terms", _term_add(self.terms, other.terms, self._mod))
         return out
 
     def __neg__(self) -> "LaurentPoly":
@@ -162,7 +198,7 @@ class LaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
         object.__setattr__(out, "rank", self.rank)
         object.__setattr__(out, "domain", self.domain)
-        object.__setattr__(out, "terms", kernels.term_mul(self.terms, other.terms, self._mod))
+        object.__setattr__(out, "terms", _term_mul(self.terms, other.terms, self._mod))
         return out
 
     def __pow__(self, k: int) -> "LaurentPoly":
@@ -182,7 +218,7 @@ class LaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
         object.__setattr__(out, "rank", self.rank)
         object.__setattr__(out, "domain", self.domain)
-        object.__setattr__(out, "terms", kernels.term_scale(self.terms, c, self._mod))
+        object.__setattr__(out, "terms", _term_scale(self.terms, c, self._mod))
         return out
 
     def shift(self, g) -> "LaurentPoly":
@@ -194,10 +230,6 @@ class LaurentPoly:
             self.rank, self.domain,
             {tuple(a + b for a, b in zip(h, g)): c for h, c in self.terms.items()},
         )
-
-    def map_coefficients(self, fn, domain: Domain | None = None) -> "LaurentPoly":
-        return LaurentPoly(self.rank, domain or self.domain,
-                           {g: fn(c) for g, c in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and self.rank == other.rank

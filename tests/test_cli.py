@@ -152,6 +152,27 @@ def test_main_end_to_end(tmp_path):
     assert len(rays_csv) == 4
 
 
+def test_bound_escalation_sets_a_missing_box(tmp_path):
+    # A non-diagonalizable matrix module: its answer changes with the box.
+    module = {"mode": "matrix", "mats": [[[2, 1], [0, 2]]],
+              "generators": [[1, 0], [0, 1]]}
+
+    def answer(payload, *flags):
+        job_file = tmp_path / "job.json"
+        out_file = tmp_path / "out.json"
+        job_file.write_text(json.dumps({"version": 1, "command": "sigma",
+                                        "payload": payload}))
+        code = main(["--job", str(job_file), "--out", str(out_file), *flags])
+        doc = json.loads(out_file.read_text())
+        return code, doc["result"], doc["undecided"]
+
+    box1 = answer({"module": module, "box": 1})
+    assert answer({"module": module}) != box1
+    assert answer({"module": module}, "--bound-escalation", "1") == box1
+    assert answer({"module": module, "box": 2}) != box1
+    assert answer({"module": module, "box": 1}, "--bound-escalation", "2") == box1
+
+
 def test_main_exit_codes(tmp_path):
     bad_file = tmp_path / "bad.json"
     bad_file.write_text(json.dumps({"version": 1, "command": "nope",

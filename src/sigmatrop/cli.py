@@ -539,12 +539,13 @@ def run(job: dict, threads: int = 1, bound_escalation: int | None = None) -> dic
     """
     try:
         _validate(job, None)
-        _validate(job["payload"], job["command"])
+        payload = dict(job["payload"])
+        if bound_escalation is not None and job["command"] in ("sigma", "group"):
+            # before validation, so an escalated box meets the payload's minimum
+            payload.setdefault("box", bound_escalation)
+        _validate(payload, job["command"])
     except jsonschema.ValidationError as exc:
         raise SchemaError(exc.message) from exc
-    payload = dict(job["payload"])
-    if bound_escalation is not None and job["command"] in ("sigma", "group"):
-        payload.setdefault("box", bound_escalation)
     result, undecided, plot = HANDLERS[job["command"]](payload)
     return {
         "version": 1,

@@ -9,7 +9,8 @@ classes (the origin is ignored).
 
 Feasibility, emptiness, dimension, containment, and point extraction are
 decided exactly by Fourier-Motzkin elimination with strictness tracking,
-plus Gaussian substitution for equality rows.
+after equality rows are eliminated on primitive integer rows; Fraction
+appears only in a returned point.
 """
 
 from __future__ import annotations
@@ -128,34 +129,47 @@ def _fm_point(rows, n):
     return point
 
 
+def _eliminate(row, pivot, var):
+    """a*row - c*pivot for (vec, rhs) rows, with a and c their entries at
+    var and the sign taken so that a > 0: a primitive integer row, zero at
+    var, that keeps the direction of an inequality row."""
+    (vec, rhs), (pvec, prhs) = row, pivot
+    a, c = pvec[var], vec[var]
+    if a < 0:
+        a, c = -a, -c
+    return _norm_row(tuple(a * x - c * y for x, y in zip(vec, pvec)),
+                     a * rhs - c * prhs)
+
+
 def _solve_system(eq_rows, ineq_rows, n):
-    """Point satisfying equality pairs and strict-flagged inequality rows, or None."""
+    """Point satisfying equality pairs and strict-flagged inequality rows, or None.
+
+    Equalities are eliminated on primitive integer rows, column by column,
+    pivoting on the first remaining equality nonzero there (rref's pivot
+    columns), so each inequality handed to FM is a positive multiple of its
+    rref substitution; pivot coordinates are back-substituted afterwards."""
     if not eq_rows:
         return _fm_point(list(ineq_rows), n)
-    aug = [[Fraction(x) for x in vec] + [Fraction(rhs)] for vec, rhs in eq_rows]
-    red, pivots = linalg.rref(aug)
-    if n in pivots:
+    eqs = [_norm_row(vec, rhs) for vec, rhs in eq_rows]
+    rows = [(*_norm_row(vec, rhs), strict) for vec, rhs, strict in ineq_rows]
+    pivots = []
+    for var in range(n):
+        k = next((i for i, (vec, _) in enumerate(eqs) if vec[var]), None)
+        if k is None:
+            continue
+        pivot = eqs.pop(k)
+        pivots.append((var, pivot))
+        eqs = [_eliminate(r, pivot, var) if r[0][var] else r for r in eqs]
+        rows = [(*_eliminate(r[:2], pivot, var), r[2]) if r[0][var] else r
+                for r in rows]
+    if any(rhs for _, rhs in eqs):
+        return None  # an equality reduced to 0 = b with b != 0
+    point = _fm_point(rows, n)
+    if point is None:
         return None
-    free = [c for c in range(n) if c not in pivots]
-    sub_rows = []
-    for vec, rhs, strict in ineq_rows:
-        vec = [Fraction(x) for x in vec]
-        const = Fraction(0)
-        coef = {f: vec[f] for f in free}
-        for r, pc in enumerate(pivots):
-            if vec[pc]:
-                const += vec[pc] * red[r][n]
-                for f in free:
-                    coef[f] -= vec[pc] * red[r][f]
-        sub_rows.append((tuple(coef[f] for f in free), Fraction(rhs) - const, strict))
-    y = _fm_point(sub_rows, len(free))
-    if y is None:
-        return None
-    point = [Fraction(0)] * n
-    for f, val in zip(free, y):
-        point[f] = val
-    for r, pc in enumerate(pivots):
-        point[pc] = red[r][n] - sum(red[r][f] * point[f] for f in free)
+    for var, (vec, rhs) in reversed(pivots):
+        rest = rhs - sum(a * x for j, (a, x) in enumerate(zip(vec, point)) if j != var)
+        point[var] = Fraction(rest, vec[var])
     return point
 
 
@@ -374,31 +388,16 @@ class Polyhedron:
         rows = self._ineq_rows()
         eq_rows = list(self.eq)
         pivot = next((row for row in eq_rows if row[0][n - 1] != 0), None)
-        new_eq = []
         if pivot is not None:
-            pv, pr = pivot
-            c = pv[n - 1]
-            for vec, rhs in eq_rows:
-                if (vec, rhs) == pivot:
-                    continue
-                f = Fraction(vec[n - 1], c)
-                new_eq.append((tuple(a - f * b for a, b in zip(vec, pv))[: n - 1],
-                               rhs - f * pr))
-            new_rows = []
-            for vec, rhs, strict in rows:
-                f = Fraction(vec[n - 1], c)
-                new_rows.append((tuple(a - f * b for a, b in zip(vec, pv))[: n - 1],
-                                 rhs - f * pr, strict))
-            rows = new_rows
+            eq_rows = [_eliminate(row, pivot, n - 1) for row in eq_rows if row != pivot]
+            rows = [(*_eliminate(row[:2], pivot, n - 1), row[2]) for row in rows]
         else:
-            new_eq = [(v[: n - 1], r) for v, r in eq_rows]
-            reduced = _fm_eliminate(rows, n - 1)
-            if reduced is None:
+            rows = _fm_eliminate(rows, n - 1)
+            if rows is None:
                 return Polyhedron._empty_marker(n - 1)
-            rows = [(v[: n - 1], r, s) for v, r, s in reduced]
-        return Polyhedron(n - 1, eq=new_eq,
-                          ge=[(v, r) for v, r, s in rows if not s],
-                          gt=[(v, r) for v, r, s in rows if s])
+        return Polyhedron(n - 1, eq=[(v[: n - 1], r) for v, r in eq_rows],
+                          ge=[(v[: n - 1], r) for v, r, s in rows if not s],
+                          gt=[(v[: n - 1], r) for v, r, s in rows if s])
 
     # -- ray enumeration ----------------------------------------------------
 
@@ -691,19 +690,16 @@ def in_open_hemisphere(dirs) -> HemisphereCertificate:
         raise ValueError("need at least one direction")
     n = len(dirs[0])
     # chi * u >= 1 for all u is scale-equivalent to chi * u > 0
-    point = _solve_system([], [(tuple(Fraction(x) for x in u), Fraction(1), False)
-                               for u in dirs], n)
+    point = _solve_system([], [(u, 1, False) for u in dirs], n)
     if point is not None:
         chi = Character(tuple(point))
         if not all(_dot(chi.values, u) > 0 for u in dirs):
             raise SoundnessError("hemisphere witness fails a direction")
         return HemisphereCertificate(witness=chi)
     k = len(dirs)
-    eqs = [(tuple(Fraction(dirs[j][i]) for j in range(k)), Fraction(0))
-           for i in range(n)]
-    eqs.append((tuple(Fraction(1) for _ in range(k)), Fraction(1)))
-    nonneg = [(tuple(Fraction(int(j == i)) for j in range(k)), Fraction(0), False)
-              for i in range(k)]
+    eqs = [(tuple(dirs[j][i] for j in range(k)), 0) for i in range(n)]
+    eqs.append(((1,) * k, 1))
+    nonneg = [(tuple(int(j == i) for j in range(k)), 0, False) for i in range(k)]
     lam = _solve_system(eqs, nonneg, k)
     if lam is None:
         raise SoundnessError("hemisphere alternative failed to produce a certificate")
@@ -714,14 +710,13 @@ def in_open_hemisphere(dirs) -> HemisphereCertificate:
     return HemisphereCertificate(combination=tuple(lam))
 
 
-def covers_with_antipodal(s: SphericalSet) -> bool:
-    """True iff s together with its antipodal set covers the whole sphere."""
-    comp = s.complement()
-    for p in comp.pieces:
-        for q in comp.pieces:
+def has_antipodal_pair(s: SphericalSet) -> bool:
+    """True iff s holds some direction u together with its antipode -u."""
+    for p in s.pieces:
+        for q in s.pieces:
             if p.intersect(q.negate()).has_direction():
-                return False
-    return True
+                return True
+    return False
 
 
 def balanceable_at(fan: PolyhedralSet, x) -> bool:
@@ -742,10 +737,8 @@ def balanceable_at(fan: PolyhedralSet, x) -> bool:
         return True  # local cone is the origin; its hull is the zero subspace
     k = len(gens)
     for g in gens:
-        eqs = [(tuple(Fraction(gens[j][i]) for j in range(k)), Fraction(-g[i]))
-               for i in range(fan.rank)]
-        nonneg = [(tuple(Fraction(int(j == i)) for j in range(k)), Fraction(0), False)
-                  for i in range(k)]
+        eqs = [(tuple(gens[j][i] for j in range(k)), -g[i]) for i in range(fan.rank)]
+        nonneg = [(tuple(int(j == i) for j in range(k)), 0, False) for i in range(k)]
         if _solve_system(eqs, nonneg, k) is None:
             return False
     return True

@@ -18,7 +18,7 @@ import sympy
 
 from . import linalg
 from .polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
-                        covers_with_antipodal, in_open_hemisphere)
+                        has_antipodal_pair, in_open_hemisphere)
 from .rings import (ZZ, Character, DimensionError, Direction, Domain,
                     LaurentPoly, SoundnessError, chi_value, initial_part, v_chi)
 from .tropical import ValuedPoly, global_tropical_Z, trop_hypersurface, trop_prevariety
@@ -716,18 +716,8 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
                     f"{len(failed)} pieces exhausted the multiple-search bounds")
         else:
             complement = trop_hypersurface(f, TrivialValuation()).radial()
-            # off the hypersurface one monomial is strictly initial; dividing
-            # f by that term gives the certificate on its openness cone
-            certified = []
-            for g0 in sorted(f.terms):
-                others = [tuple(a - b for a, b in zip(g, g0))
-                          for g in f.terms if g != g0]
-                cone = Polyhedron.cone(rank, gt=others)
-                if not cone.has_direction():
-                    continue
-                lam = f.shift(tuple(-e for e in g0)).scale(
-                    _field_inverse(f.terms[g0], f.domain))
-                certified.append((cone, cone, lam))
+            # off the hypersurface one monomial is strictly initial
+            certified = [(cone, cone, lam) for cone, lam in _monomial_certificates(f)]
             sigma = SphericalSet(rank, [c for c, _, _ in certified])
             undecided = sigma.union(complement).complement()
         witnesses = []
@@ -752,31 +742,35 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
         raise UnsupportedModeError(
             "cyclic mode over Z supports principal ideals only")
     prevariety = trop_prevariety([ValuedPoly(g, TrivialValuation()) for g in gens])
-    certified = []
-    for f in gens:
-        for g0 in sorted(f.terms):
-            others = [g for g in f.terms if g != g0]
-            cone = Polyhedron.cone(rank, gt=[tuple(a - b for a, b in zip(g, g0))
-                                             for g in others])
-            if not cone.has_direction():
-                continue
-            c0 = f.terms[g0]
-            inv = _field_inverse(c0, mod.domain)
-            lam = f.shift(tuple(-e for e in g0)).scale(inv)
-            certified.append((cone, cone, lam))
-    sigma = SphericalSet(rank, [c for c, _, _ in certified])
+    certificates = [pair for f in gens for pair in _monomial_certificates(f)]
+    sigma = SphericalSet(rank, [cone for cone, _ in certificates])
     undecided = sigma.complement()
     return SigmaResult(
         rank=rank,
         proved_sigma=sigma,
         proved_complement=SphericalSet.empty(rank),
         undecided=undecided,
-        certificates=tuple((cone, lam) for _, cone, lam in certified),
+        certificates=tuple(certificates),
         complement_outer_bound=prevariety,
         notes=("multiple generators: complement bounded by the prevariety "
                "(outer candidate), sigma side by per-generator certificates; "
                "the remainder is undecided",),
     )
+
+
+def _monomial_certificates(f: LaurentPoly):
+    """(openness cone, certificate) for each monomial g0 of f, in sorted
+    order, whose cone {chi*(g - g0) > 0 for the other monomials g} has a
+    direction: there f*x^(-g0)/c_g0 has initial part exactly 1."""
+    out = []
+    for g0 in sorted(f.terms):
+        cone = Polyhedron.cone(f.rank, gt=[tuple(a - b for a, b in zip(g, g0))
+                                           for g in f.terms if g != g0])
+        if cone.has_direction():
+            lam = f.shift(tuple(-e for e in g0)).scale(
+                _field_inverse(f.terms[g0], f.domain))
+            out.append((cone, lam))
+    return out
 
 
 def _field_inverse(c, domain: Domain):
@@ -869,13 +863,16 @@ def _resolve(mod_or_result, **kw) -> SigmaResult:
 
 def metabelian_fp(mod_or_result, **kw):
     """Finite presentability of the metabelian extension: the invariant and
-    its antipodal set must cover the sphere.  None when undecided regions
-    could change the answer."""
+    its antipodal set must cover the sphere: no direction outside it has its
+    antipode outside too.  None when undecided regions could change the
+    answer.  Relies on proved_sigma, proved_complement and undecided
+    partitioning the sphere, as every SigmaResult built here does, so the
+    outside is read off the partition and no set complement is taken."""
     r = _resolve(mod_or_result, **kw)
-    lower = covers_with_antipodal(r.proved_sigma)
+    lower = not has_antipodal_pair(r.proved_complement.union(r.undecided))
     if r.undecided.is_empty:
         return lower
-    upper = covers_with_antipodal(r.proved_sigma.union(r.undecided))
+    upper = not has_antipodal_pair(r.proved_complement)
     return lower if lower == upper else None
 
 

@@ -173,6 +173,16 @@ def test_bound_escalation_sets_a_missing_box(tmp_path):
     assert answer({"module": module, "box": 1}, "--bound-escalation", "2") == box1
 
 
+def test_bound_escalation_meets_the_box_minimum(tmp_path, capsys):
+    job_file = tmp_path / "job.json"
+    for job in (SIGMA_JOB, GROUP_JOB):
+        job_file.write_text(json.dumps(job))
+        assert main(["--job", str(job_file), "--bound-escalation", "0"]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "schema",
+                         "message": "0 is less than the minimum of 1"}
+
+
 def test_main_exit_codes(tmp_path):
     bad_file = tmp_path / "bad.json"
     bad_file.write_text(json.dumps({"version": 1, "command": "nope",

@@ -1,4 +1,4 @@
-"""Pinned output bytes of fixed sigma and group jobs.
+"""Pinned output bytes of fixed sigma, group and trop jobs.
 
 Each digest is the sha256 of `canonical_json` of the job's result document
 (which includes the tool version).  A change that alters these bytes must
@@ -21,27 +21,52 @@ def cyclic(rank, domain, terms):
             "generators": [poly(terms)]}
 
 
+def sigma(module):
+    return "sigma", {"module": module}
+
+
+def group(module):
+    return "group", {"module": module, "fpm": [2]}
+
+
+def trop(rank, valuation, *generators, domain="Z"):
+    return "trop", {"rank": rank, "domain": domain, "valuation": valuation,
+                    "generators": [poly(terms) for terms in generators]}
+
+
 JOBS = {
-    "sigma-scalar-r2": ("sigma", {"mode": "scalar", "rhos": ["6", "10/3"]}),
-    "group-scalar-r2": ("group", {"mode": "scalar", "rhos": ["4/9", "5"]}),
-    "sigma-scalar-r3": ("sigma", {"mode": "scalar", "rhos": ["2", "3", "5"]}),
-    "group-scalar-r3": ("group", {"mode": "scalar", "rhos": ["2", "3/7", "7"]}),
-    "sigma-matrix-nondiag": ("sigma", {
+    "sigma-scalar-r2": sigma({"mode": "scalar", "rhos": ["6", "10/3"]}),
+    "group-scalar-r2": group({"mode": "scalar", "rhos": ["4/9", "5"]}),
+    "sigma-scalar-r3": sigma({"mode": "scalar", "rhos": ["2", "3", "5"]}),
+    "group-scalar-r3": group({"mode": "scalar", "rhos": ["2", "3/7", "7"]}),
+    "sigma-matrix-nondiag": sigma({
         "mode": "matrix", "mats": [[["2", "1"], ["0", "2"]], [["3", "0"], ["0", "3"]]],
         "generators": [["1", "0"], ["0", "1"]]}),
-    "group-matrix-nondiag": ("group", {
+    "group-matrix-nondiag": group({
         "mode": "matrix", "mats": [[["1", "1"], ["0", "1"]], [["2", "0"], ["0", "2"]]],
         "generators": [["1", "0"], ["0", "1"]]}),
-    "sigma-cyclic-q-r2": ("sigma", cyclic(2, "Q", [((0, 0), 1), ((1, 0), 2),
-                                                   ((0, 1), -3), ((1, 1), "1/2")])),
-    "group-cyclic-q-r3": ("group", cyclic(3, "Q", [((0, 0, 0), 2), ((1, 0, 0), -1),
-                                                   ((0, 1, 0), 1), ((0, 0, 1), 3)])),
-    "sigma-cyclic-z-r2": ("sigma", cyclic(2, "Z", [((0, 0), 1), ((1, 0), -2),
-                                                   ((0, 1), 3)])),
-    "group-cyclic-z-r2": ("group", cyclic(2, "Z", [((0, 0), 2), ((1, 0), -1),
-                                                   ((1, 1), 3)])),
-    "sigma-cyclic-z-r3": ("sigma", cyclic(3, "Z", [((0, 0, 0), 1), ((1, 0, 0), 2),
-                                                   ((0, 1, 0), -1), ((0, 0, 1), 3)])),
+    "sigma-cyclic-q-r2": sigma(cyclic(2, "Q", [((0, 0), 1), ((1, 0), 2),
+                                               ((0, 1), -3), ((1, 1), "1/2")])),
+    "group-cyclic-q-r3": group(cyclic(3, "Q", [((0, 0, 0), 2), ((1, 0, 0), -1),
+                                               ((0, 1, 0), 1), ((0, 0, 1), 3)])),
+    "sigma-cyclic-z-r2": sigma(cyclic(2, "Z", [((0, 0), 1), ((1, 0), -2),
+                                               ((0, 1), 3)])),
+    "group-cyclic-z-r2": group(cyclic(2, "Z", [((0, 0), 2), ((1, 0), -1),
+                                               ((1, 1), 3)])),
+    "sigma-cyclic-z-r3": sigma(cyclic(3, "Z", [((0, 0, 0), 1), ((1, 0, 0), 2),
+                                               ((0, 1, 0), -1), ((0, 0, 1), 3)])),
+    "trop-padic-r3": trop(3, {"kind": "p-adic", "p": 2},
+                          [((0, 0, 0), 4), ((1, 0, 0), -3), ((0, 1, 0), 6),
+                           ((0, 0, 1), "1/2"), ((1, 1, 1), 1)], domain="Q"),
+    "trop-global-z-r2": trop(2, {"kind": "global-z"},
+                             [((0, 0), 6), ((1, 0), -2), ((0, 1), 3), ((1, 1), 1)]),
+    "trop-prevariety-r3": trop(3, {"kind": "trivial"},
+                               [((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 1), -1)],
+                               [((0, 0, 0), 2), ((0, 1, 0), -1), ((1, 0, 1), 1)]),
+    "trop-table-r2": trop(2, {"kind": "table", "entries": [
+                              {"value": "2", "val": "1/2"}, {"value": "3", "val": "-2/3"},
+                              {"value": "1", "val": "0"}]},
+                          [((0, 0), 2), ((1, 0), 3), ((0, 1), 1), ((1, 1), 2)]),
 }
 
 DIGESTS = {
@@ -56,15 +81,16 @@ DIGESTS = {
     "sigma-cyclic-z-r2": "1394d52089cdd71c7660ccbfc33381ed0688298018a89af0e15adc7e10c41731",
     "group-cyclic-z-r2": "02e8dd27745bcfbc578839415f58d726a737badaa0e9e719a2a5938f9d07350f",
     "sigma-cyclic-z-r3": "2b999725e6213efeb246d51584c74999f49c9718522a9083408e0acb61dc2efb",
+    "trop-padic-r3": "77af228509c35e391a09bad7ac07251ec5380cd1c95b80da834b189a1bb0bc43",
+    "trop-global-z-r2": "f81826013aa0cc334045b5808a706d11e58fd2a5eba2391f7e1b63fcd64dc8bd",
+    "trop-prevariety-r3": "5cc0d81ab0d669d485093fc4bed705daa7b912547d9ec8c6b90fd9715df9aaf9",
+    "trop-table-r2": "f55ed849e0cf3bf1d5b5e36500a6acacaf59e1b57d1723f6d8f62e09550ea1ae",
 }
 
 
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_output_bytes_are_pinned(name):
-    command, module = JOBS[name]
-    payload = {"module": module}
-    if command == "group":
-        payload["fpm"] = [2]
+    command, payload = JOBS[name]
     doc = run({"version": 1, "command": command, "payload": payload})
     digest = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
     assert digest == DIGESTS[name]

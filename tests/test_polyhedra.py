@@ -6,7 +6,7 @@ import pytest
 from sigmatrop.rings import Character, Direction
 from sigmatrop.polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
                                  balanceable_at, cone_membership,
-                                 covers_with_antipodal, in_open_hemisphere,
+                                 has_antipodal_pair, in_open_hemisphere,
                                  local_cone_at_infinity, local_cone_at_origin,
                                  pure_dimension, ray_cone)
 
@@ -141,14 +141,13 @@ def test_in_open_hemisphere_examples():
     assert res.combination == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 
 
-def test_covers_with_antipodal_examples():
+def test_antipodal_pair_examples():
     two_points = SphericalSet.from_directions([Direction.of(1, 0), Direction.of(0, 1)])
-    assert covers_with_antipodal(two_points.complement())
-    assert not covers_with_antipodal(SphericalSet.empty(1))
-    assert covers_with_antipodal(SphericalSet.whole_sphere(2))
-    # antipodal pair removed: not covered
+    assert not has_antipodal_pair(two_points)
+    assert has_antipodal_pair(SphericalSet.whole_sphere(1))
+    assert not has_antipodal_pair(SphericalSet.empty(2))
     pair = SphericalSet.from_directions([Direction.of(1,), Direction.of(-1,)])
-    assert not covers_with_antipodal(pair.complement())
+    assert has_antipodal_pair(pair)
 
 
 def test_balanceable_examples():

@@ -1,8 +1,9 @@
 """Cross-checks of set complement and integer Fourier-Motzkin elimination.
 
 The references are the earlier implementations: the overlapping complement
-(one piece per broken row, intersected as a product over the pieces) and
-Fourier-Motzkin over `Fraction` rows.
+(one piece per broken row, intersected as a product over the pieces),
+Fourier-Motzkin over `Fraction` rows, and equality rows substituted from a
+`Fraction` reduced row echelon form.
 """
 
 import math
@@ -12,10 +13,10 @@ from itertools import combinations
 
 import pytest
 
-from sigmatrop import polyhedra
+from sigmatrop import linalg, polyhedra
 from sigmatrop.polyhedra import (Polyhedron, PolyhedralSet, _dedupe_ineqs,
-                                 _fm_eliminate, _fm_point, balanceable_at,
-                                 in_open_hemisphere)
+                                 _fm_eliminate, _fm_point, _solve_system,
+                                 balanceable_at, in_open_hemisphere)
 
 
 # ---------------------------------------------------------------------------
@@ -221,3 +222,136 @@ def test_fraction_rows_through_hemisphere_and_balance(monkeypatch):
             balanced.add(balanceable_at(fan, x))
     assert seen["fraction_rows"] and seen[True] and seen[False]
     assert balanced == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Reference: equality rows substituted from a Fraction reduced row echelon form.
+
+
+def rref_solve_system(eq_rows, ineq_rows, n):
+    if not eq_rows:
+        return _fm_point(list(ineq_rows), n)
+    aug = [[Fraction(x) for x in vec] + [Fraction(rhs)] for vec, rhs in eq_rows]
+    red, pivots = linalg.rref(aug)
+    if n in pivots:
+        return None
+    free = [c for c in range(n) if c not in pivots]
+    sub_rows = []
+    for vec, rhs, strict in ineq_rows:
+        vec = [Fraction(x) for x in vec]
+        const = Fraction(0)
+        coef = {f: vec[f] for f in free}
+        for r, pc in enumerate(pivots):
+            if vec[pc]:
+                const += vec[pc] * red[r][n]
+                for f in free:
+                    coef[f] -= vec[pc] * red[r][f]
+        sub_rows.append((tuple(coef[f] for f in free), Fraction(rhs) - const, strict))
+    y = _fm_point(sub_rows, len(free))
+    if y is None:
+        return None
+    point = [Fraction(0)] * n
+    for f, val in zip(free, y):
+        point[f] = val
+    for r, pc in enumerate(pivots):
+        point[pc] = red[r][n] - sum(red[r][f] * point[f] for f in free)
+    return point
+
+
+def rref_project_out_last(p):
+    n = p.rank
+    rows = p._ineq_rows()
+    eq_rows = list(p.eq)
+    pivot = next((row for row in eq_rows if row[0][n - 1] != 0), None)
+    new_eq = []
+    if pivot is not None:
+        pv, pr = pivot
+        c = pv[n - 1]
+        for vec, rhs in eq_rows:
+            if (vec, rhs) == pivot:
+                continue
+            f = Fraction(vec[n - 1], c)
+            new_eq.append((tuple(a - f * b for a, b in zip(vec, pv))[: n - 1],
+                           rhs - f * pr))
+        new_rows = []
+        for vec, rhs, strict in rows:
+            f = Fraction(vec[n - 1], c)
+            new_rows.append((tuple(a - f * b for a, b in zip(vec, pv))[: n - 1],
+                             rhs - f * pr, strict))
+        rows = new_rows
+    else:
+        new_eq = [(v[: n - 1], r) for v, r in eq_rows]
+        reduced = _fm_eliminate(rows, n - 1)
+        if reduced is None:
+            return Polyhedron._empty_marker(n - 1)
+        rows = [(v[: n - 1], r, s) for v, r, s in reduced]
+    return Polyhedron(n - 1, eq=new_eq,
+                      ge=[(v, r) for v, r, s in rows if not s],
+                      gt=[(v, r) for v, r, s in rows if s])
+
+
+def rand_system(rng, rational):
+    """Rank 1-4, 0-3 equality rows and 1-6 inequality rows, int or Fraction
+    entries; with two or more equalities the last one is often a combination
+    of the others (dependent) or such a combination with its rhs moved by 1
+    (inconsistent)."""
+    n = rng.randint(1, 4)
+
+    def entry():
+        return (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rational
+                else rng.randint(-4, 4))
+    eqs = [(tuple(entry() for _ in range(n)), entry())
+           for _ in range(rng.randint(0, 3))]
+    kind, roll = "independent", rng.random()
+    if len(eqs) >= 2 and roll < 0.6:
+        coefs = [rng.randint(-2, 2) for _ in eqs[:-1]]
+        vec = tuple(sum(c * v[j] for c, (v, _) in zip(coefs, eqs)) for j in range(n))
+        rhs = sum(c * r for c, (_, r) in zip(coefs, eqs))
+        kind = "dependent" if roll < 0.35 else "inconsistent"
+        eqs[-1] = (vec, rhs if kind == "dependent" else rhs + 1)
+    return n, eqs, rand_ineqs(rng, n, rational), kind
+
+
+def test_integer_elimination_matches_rref_reference(monkeypatch):
+    """_solve_system returns the rref substitution's point, or None with it,
+    and every row it hands to _fm_point after an elimination is integer."""
+    handed = []
+
+    def recording_fm_point(rows, n):
+        handed.append(rows)
+        return _fm_point(rows, n)
+
+    monkeypatch.setattr(polyhedra, "_fm_point", recording_fm_point)
+    rng = random.Random(239)
+    seen = set()
+    for i in range(1000):
+        n, eqs, ineqs, kind = rand_system(rng, rational=i % 2 == 1)
+        want = rref_solve_system(eqs, ineqs, n)
+        handed.clear()
+        got = _solve_system(eqs, ineqs, n)
+        assert got == want, (eqs, ineqs, got, want)
+        if eqs:
+            assert all(type(x) is int
+                       for rows in handed for vec, rhs, _ in rows for x in vec + (rhs,))
+        seen.add((len(eqs), kind, got is not None))
+    assert {(k, found) for k, _, found in seen} == {
+        (k, found) for k in range(4) for found in (True, False)}
+    assert {(kind, found) for _, kind, found in seen} == {
+        ("independent", True), ("independent", False),
+        ("dependent", True), ("dependent", False), ("inconsistent", False)}
+
+
+def test_project_out_last_matches_rref_reference():
+    rng = random.Random(241)
+    pivoted = 0
+    for _ in range(300):
+        rank = rng.randint(2, 4)
+        eq = rand_rows(rng, rank, rng.randint(0, 3), affine=True)
+        if eq and rng.random() < 0.8:
+            vec, rhs = eq[0]
+            eq[0] = (vec[:-1] + (rng.choice((-3, -2, -1, 1, 2, 3)),), rhs)
+        p = Polyhedron(rank, eq=eq, ge=rand_rows(rng, rank, rng.randint(0, 3), True),
+                       gt=rand_rows(rng, rank, rng.randint(0, 3), True))
+        pivoted += any(v[-1] for v, _ in p.eq)
+        assert p.project_out_last() == rref_project_out_last(p), p
+    assert pivoted > 150

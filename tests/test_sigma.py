@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sigmatrop import sigma
-from sigmatrop.polyhedra import Polyhedron, in_open_hemisphere
+from sigmatrop.polyhedra import Polyhedron, PolyhedralSet, in_open_hemisphere
 from sigmatrop.rings import GF, QQ, ZZ, Character, Direction, LaurentPoly
 from sigmatrop.sigma import (CyclicModule, MatrixAction, ScalarAction,
                              UnsupportedModeError, annihilates, as_matrix_action,
@@ -387,6 +387,83 @@ def test_sigma_sets_pairwise_disjoint():
                         result.proved_complement.contains(d),
                         result.undecided.contains(d)])
             assert hits == 1, (vec, hits)
+
+
+def complement_metabelian_fp(r):
+    """Reference: metabelian_fp as decided before it read the partition, by
+    complementing the invariant and testing the rest for antipodal pairs."""
+    def covers_with_antipodal(s):
+        comp = s.complement()
+        for p in comp.pieces:
+            for q in comp.pieces:
+                if p.intersect(q.negate()).has_direction():
+                    return False
+        return True
+
+    lower = covers_with_antipodal(r.proved_sigma)
+    if r.undecided.is_empty:
+        return lower
+    upper = covers_with_antipodal(r.proved_sigma.union(r.undecided))
+    return lower if lower == upper else None
+
+
+def seeded_partition_modules(rng):
+    """About 40 (module, box) pairs: scalar actions of rank 1-3, diagonalizable
+    and non-diagonalizable matrix actions, and cyclic modules over Q and Z of
+    rank 1-3, with multiple-generator modules over Q."""
+    def ratio():
+        return (Fraction(rng.choice((1, 2, 3, 5))) ** rng.choice((-1, 1))
+                * rng.choice((1, 2, 3)))
+
+    def poly_of(rank, domain, count, coefs):
+        exps = set()
+        while len(exps) < count:
+            exps.add(tuple(rng.randint(-1, 1) for _ in range(rank)))
+        return LaurentPoly(rank, domain, {e: rng.choice(coefs) for e in sorted(exps)})
+
+    mods = [(ScalarAction.of(*(ratio() for _ in range(rank))), 3)
+            for rank in (1, 2, 3) for _ in range(4)]
+    for _ in range(3):
+        a, b = (rng.choice((2, 3, 5, Fraction(1, 2))) for _ in range(2))
+        mods.append((MatrixAction.of([[[a, 0], [0, b]], [[b, 0], [0, a]]],
+                                     [[1, 0], [0, 1]]), 3))
+        mods.append((MatrixAction.of([[[a, 1], [0, a]]], [[1, 0], [0, 1]]), 3))
+        mods.append((MatrixAction.of([[[a, 1], [0, a]], [[b, 0], [0, b]]],
+                                     [[1, 0], [0, 1]]), rng.choice((1, 2))))
+    for domain, coefs in ((QQ, (1, -1, 2, Fraction(1, 2), -3)), (ZZ, (1, -1, 2, -2, 3))):
+        for rank in (1, 2, 3):
+            for _ in range(3 if rank < 3 else 2):
+                f = poly_of(rank, domain, rng.randint(2, 3 if rank == 1 else 4), coefs)
+                mods.append((CyclicModule(rank, domain, (f,)), 3))
+    for rank in (1, 2, 3):
+        gens = (poly_of(rank, QQ, 3 if rank > 1 else 2, (1, -1, 2)),
+                poly_of(rank, QQ, 2, (1, -1, 3)))
+        mods.append((CyclicModule(rank, QQ, gens), 3))
+    return mods
+
+
+def test_results_partition_the_sphere_and_metabelian_fp_reads_it(monkeypatch):
+    """proved_sigma, proved_complement and undecided are pairwise disjoint and
+    cover the sphere, which is what lets metabelian_fp read the partition; it
+    answers as the complement-based reference does, and without complement."""
+    results = [sigma_of_module(mod, box_limit=box)
+               for mod, box in seeded_partition_modules(random.Random(43))]
+    assert len(results) >= 40
+    answers = []
+    for r in results:
+        parts = (r.proved_sigma, r.proved_complement, r.undecided)
+        for a, b in itertools.combinations(parts, 2):
+            assert a.intersect(b).is_empty, r
+        assert parts[0].union(parts[1]).union(parts[2]).complement().is_empty, r
+        answers.append(complement_metabelian_fp(r))
+        assert metabelian_fp(r) is answers[-1], r
+
+    def no_complement(self):
+        raise AssertionError("metabelian_fp took a set complement")
+
+    monkeypatch.setattr(PolyhedralSet, "complement", no_complement)
+    assert [metabelian_fp(r) for r in results] == answers
+    assert set(answers) == {True, False, None}
 
 
 def fm_in_strict_dual(piece, g):

@@ -5,8 +5,8 @@ Commands: trop, sigma, group, dyn, h2, amoeba.  Results are canonical JSON
 (sorted keys, fixed separators) so identical jobs produce byte-identical
 documents; exact rationals travel as "num/den" strings.
 
-Exit codes: 0 success, 1 error, 2 result is (partly) undecided, 3 schema
-violation.
+Exit codes: 0 success, 1 error (a malformed command line included), 2 result
+is (partly) undecided, 3 schema violation.
 """
 
 from __future__ import annotations
@@ -532,11 +532,8 @@ def emit_plot_data(kind, obj, plot_dir: Path) -> list[str]:
 # Entry points.
 
 
-def run(job: dict, threads: int = 1, bound_escalation: int | None = None) -> dict:
-    """Validate and dispatch one job document; returns the result document.
-
-    ``threads`` is accepted for compatibility and has no effect.
-    """
+def run(job: dict, bound_escalation: int | None = None) -> dict:
+    """Validate and dispatch one job document; returns the result document."""
     try:
         _validate(job, None)
         payload = dict(job["payload"])
@@ -566,19 +563,28 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a bad command line, as argparse's exit code 2 means undecided."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sigmatrop",
         description="exact tropical sigma-invariant toolbox (batch mode)")
     parser.add_argument("--job", required=True, help="job JSON file")
     parser.add_argument("--out", help="result JSON file (default: stdout)")
     parser.add_argument("--plot", help="directory for CSV plot data")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
     parser.add_argument("--bound-escalation", type=int, default=None,
                         help="certificate search box of a sigma or group job "
                              "whose payload gives no box")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(json.dumps({"error": {"type": "usage", "message": str(exc)}}))
+        return 1
 
     try:
         job = json.loads(Path(args.job).read_text())

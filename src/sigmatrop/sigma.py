@@ -18,7 +18,7 @@ import sympy
 
 from . import linalg
 from .polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
-                        has_antipodal_pair, in_open_hemisphere)
+                        has_antipodal_pair, in_open_hemisphere, ray_cone)
 from .rings import (ZZ, Character, DimensionError, Direction, Domain,
                     LaurentPoly, SoundnessError, chi_value, initial_part, v_chi)
 from .tropical import ValuedPoly, global_tropical_Z, trop_hypersurface, trop_prevariety
@@ -357,13 +357,11 @@ def _solve_for_support(cache: _ActionCache, monos, coeff_bound: int):
 
 def certificate_search(mod: ModulePresentation, chi: Character, box: int,
                        coeff_bound: int):
-    """Search for an integer certificate at chi.
-
-    Supports are {0} union {g in [-box, box]^n : chi * g > 0}, enumerated by
-    increasing box size then lexicographic order; the zero-monomial
-    coefficient is fixed to 1 and the linear system is solved by exact
-    integer diagonalization.  Returns the first solution whose coefficients
-    stay within coeff_bound, else None.
+    """Search for an integer certificate at chi: `_cover_piece` on chi's open
+    ray, unsplit.  On a ray the strict dual is {g : chi * g > 0}, so supports
+    are {0} union {g in [-box, box]^n : chi * g > 0}, by increasing box size
+    then lexicographic order, with the constant coefficient fixed to 1.
+    Returns the first re-checked solution within coeff_bound, else None.
     """
     if chi.is_zero:
         raise ValueError("search needs a nonzero direction")
@@ -373,18 +371,9 @@ def certificate_search(mod: ModulePresentation, chi: Character, box: int,
     m = as_matrix_action(mod)
     if chi.rank != m.rank:
         raise DimensionError("direction rank does not match the module")
-    cache = _ActionCache(m)
-    for k in range(1, box + 1):
-        monos = [g for g in _support_in_box(m.rank, k) if chi_value(chi, g) > 0]
-        if not monos:
-            continue
-        lam = _solve_for_support(cache, monos, coeff_bound)
-        if lam is not None:
-            if not certificate_valid(lam, chi, mod):
-                raise SoundnessError(f"certificate search at {chi} returned an "
-                                     "invalid certificate")
-            return lam
-    return None
+    ray = ray_cone(Direction.from_vector(chi.values))
+    certified, _ = _cover_piece(_ActionCache(m), ray, coeff_bound, box, 0)
+    return certified[0][2] if certified else None
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +657,14 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
     Exact for principal ideals: over a field the complement is the radial
     projection of the trivial-valuation hypersurface; over Z it is the
     projection of the global tropical variety.  The zero ideal is the free
-    module: the complement is the whole sphere.  Multiple generators over a
-    field only give the prevariety as an outer candidate for the complement;
-    the sigma side is filled with per-generator certificates and the rest is
-    undecided.
+    module: the complement is the whole sphere.  Over a field no set
+    complement is taken.  At a direction either one monomial of a generator
+    is minimal, and the direction lies in its open vertex cone, which carries
+    a certificate, or several are, and it lies on the hypersurface (the
+    normal fan of the Newton polytope is complete).  So one generator leaves
+    nothing undecided; for several, what is left is the prevariety (the
+    intersection of the hypersurfaces), an outer candidate for the
+    complement, reported as undecided.
     """
     rank = mod.rank
     gens = [g for g in mod.gens if not g.is_zero]
@@ -700,26 +693,21 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
     if len(gens) == 1:
         f = gens[0]
         notes = []
+        certified, failed = [], []
         if mod.domain.kind == "ZZ":
             complement = global_tropical_Z(f).radial()
-            certified, failed = [], []
             for piece in complement.complement().pieces:
                 if not piece.has_direction():
                     continue
                 c, fl = _cover_multiple_piece(f, piece, box_limit, coeff_bound)
                 certified += c
                 failed += fl
-            sigma = SphericalSet(rank, [p for p, _, _ in certified])
-            undecided = SphericalSet(rank, failed)
             if failed:
                 notes.append(
                     f"{len(failed)} pieces exhausted the multiple-search bounds")
         else:
             complement = trop_hypersurface(f, TrivialValuation()).radial()
-            # off the hypersurface one monomial is strictly initial
             certified = [(cone, cone, lam) for cone, lam in _monomial_certificates(f)]
-            sigma = SphericalSet(rank, [c for c, _, _ in certified])
-            undecided = sigma.union(complement).complement()
         witnesses = []
         fd = complement.finite_directions()
         if fd is not None:
@@ -728,9 +716,9 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
                                                    vector=tuple(d.vector)))
         return SigmaResult(
             rank=rank,
-            proved_sigma=sigma,
+            proved_sigma=SphericalSet(rank, [p for p, _, _ in certified]),
             proved_complement=complement,
-            undecided=undecided,
+            undecided=SphericalSet(rank, failed),
             certificates=tuple((cone, lam) for _, cone, lam in certified),
             witnesses=tuple(witnesses),
             notes=tuple(notes) + (
@@ -744,12 +732,11 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
     prevariety = trop_prevariety([ValuedPoly(g, TrivialValuation()) for g in gens])
     certificates = [pair for f in gens for pair in _monomial_certificates(f)]
     sigma = SphericalSet(rank, [cone for cone, _ in certificates])
-    undecided = sigma.complement()
     return SigmaResult(
         rank=rank,
         proved_sigma=sigma,
         proved_complement=SphericalSet.empty(rank),
-        undecided=undecided,
+        undecided=prevariety.radial(),
         certificates=tuple(certificates),
         complement_outer_bound=prevariety,
         notes=("multiple generators: complement bounded by the prevariety "
@@ -821,12 +808,16 @@ def _cover_multiple_piece(f: LaurentPoly, piece: Polyhedron, box_limit: int,
 
 
 def sigma_direct_sum(r1: SigmaResult, r2: SigmaResult) -> SigmaResult:
-    """Invariant of a direct sum: sigma intersects, complements unite."""
+    """Invariant of a direct sum: sigma intersects, complements unite, and,
+    as each (S, C, U) partitions the sphere, the undecided set is
+    (S1 n U2) u (U1 n S2) u (U1 n U2), which takes no set complement."""
     if r1.rank != r2.rank:
         raise DimensionError("direct summands must share the rank")
     sigma = r1.proved_sigma.intersect(r2.proved_sigma)
     complement = r1.proved_complement.union(r2.proved_complement)
-    undecided = sigma.union(complement).complement()
+    undecided = (r1.proved_sigma.intersect(r2.undecided)
+                 .union(r1.undecided.intersect(r2.proved_sigma))
+                 .union(r1.undecided.intersect(r2.undecided)))
     certs = []
     for c1, l1 in r1.certificates:
         for c2, l2 in r2.certificates:

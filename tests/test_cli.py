@@ -109,12 +109,33 @@ def test_h2_job():
     assert res["zero_obstruction"]["passed"]
 
 
-def test_amoeba_job_and_threads_determinism():
-    doc1 = run(AMOEBA_JOB, threads=1)
-    doc8 = run(AMOEBA_JOB, threads=8)
-    assert canonical_json(doc1) == canonical_json(doc8)
+def test_amoeba_job_determinism():
+    doc1 = run(AMOEBA_JOB)
+    doc2 = run(AMOEBA_JOB)
+    assert canonical_json(doc1) == canonical_json(doc2)
     dirs = doc1["result"]["limit_directions"]["directions"]
     assert dirs, "expected far directions for the diagonal curve"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "required: --job"),
+    (["--job", "JOB", "--bogus"], "unrecognized arguments: --bogus"),
+    (["--job", "JOB", "--threads", "1"], "unrecognized arguments: --threads 1"),
+])
+def test_usage_error_exits_1(tmp_path, capsys, argv, message):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps(SIGMA_JOB))
+    code = main([str(job_file) if a == "JOB" else a for a in argv])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 1
+    assert error["type"] == "usage" and message in error["message"]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--job" in capsys.readouterr().out
 
 
 def test_unknown_command_schema_error():
@@ -231,8 +252,8 @@ def test_console_script_runs(tmp_path):
 
 def test_byte_identical_reruns():
     jobs = [TROP_JOB, SIGMA_JOB, GROUP_JOB, DYN_JOB, H2_JOB, AMOEBA_JOB]
-    first = [canonical_json(run(j, threads=1)) for j in jobs]
-    second = [canonical_json(run(j, threads=8)) for j in jobs]
+    first = [canonical_json(run(j)) for j in jobs]
+    second = [canonical_json(run(j)) for j in jobs]
     assert first == second
 
 
@@ -276,8 +297,8 @@ def test_trop_padic_and_table_valuations():
     assert len(doc3["result"]["fan"]["pieces"]) == 2  # the origin and the shift
 
 
-def _cyclic_rank2(domain, terms):
-    return {"mode": "cyclic", "rank": 2, "domain": domain,
+def _cyclic(rank, domain, terms):
+    return {"mode": "cyclic", "rank": rank, "domain": domain,
             "generators": [{"terms": [{"exp": list(e), "coef": c} for e, c in terms]}]}
 
 
@@ -300,9 +321,24 @@ def test_frontier_group_jobs_answer(rhos):
 
 
 def test_frontier_eight_term_cyclic_over_q_answers():
-    module = _cyclic_rank2("Q", [((-1, -1), 2), ((-1, 1), 1), ((0, 0), 1),
-                                 ((0, 1), -1), ((1, 0), 2), ((1, 2), "1/2"),
-                                 ((2, -1), -3), ((2, 1), 3)])
+    module = _cyclic(2, "Q", [((-1, -1), 2), ((-1, 1), 1), ((0, 0), 1),
+                              ((0, 1), -1), ((1, 0), 2), ((1, 2), "1/2"),
+                              ((2, -1), -3), ((2, 1), 3)])
+    start = time.perf_counter()
+    doc = run({"version": 1, "command": "sigma", "payload": {"module": module}})
+    elapsed = time.perf_counter() - start
+    assert doc["result"]["undecided"]["empty"] is True
+    assert doc["undecided"] is False
+    assert elapsed < FRONTIER_BUDGET_S, f"{elapsed:.2f}s"
+
+
+def test_frontier_rank_four_cyclic_over_q_answers():
+    # over a field one generator leaves nothing undecided: every direction is
+    # in a vertex cone or on the hypersurface, and no set complement is taken
+    module = _cyclic(4, "Q", [((-2, -2, 2, -2), 5), ((-2, 1, 0, -1), -4),
+                              ((-2, 1, 1, 1), 5), ((-2, 1, 1, 2), 3),
+                              ((-1, 2, -2, 0), -2), ((1, -1, -2, 1), 3),
+                              ((1, -1, 1, -2), 4), ((2, -2, 0, -2), -2)])
     start = time.perf_counter()
     doc = run({"version": 1, "command": "sigma", "payload": {"module": module}})
     elapsed = time.perf_counter() - start
@@ -314,8 +350,8 @@ def test_frontier_eight_term_cyclic_over_q_answers():
 def test_frontier_cyclic_over_z_answers_undecided():
     # every coefficient of f is even, so every f*h has even coefficients and
     # no certificate with constant term 1 exists: nothing is proved in sigma
-    module = _cyclic_rank2("Z", [((0, 0), 2), ((1, 0), -2), ((1, 2), -2),
-                                 ((2, 1), -2)])
+    module = _cyclic(2, "Z", [((0, 0), 2), ((1, 0), -2), ((1, 2), -2),
+                              ((2, 1), -2)])
     start = time.perf_counter()
     doc = run({"version": 1, "command": "sigma", "payload": {"module": module}})
     elapsed = time.perf_counter() - start

@@ -16,9 +16,9 @@ def poly(terms):
     return {"terms": [{"exp": list(e), "coef": c} for e, c in terms]}
 
 
-def cyclic(rank, domain, terms):
+def cyclic(rank, domain, *generators):
     return {"mode": "cyclic", "rank": rank, "domain": domain,
-            "generators": [poly(terms)]}
+            "generators": [poly(terms) for terms in generators]}
 
 
 def sigma(module):
@@ -45,8 +45,12 @@ JOBS = {
     "group-matrix-nondiag": group({
         "mode": "matrix", "mats": [[["1", "1"], ["0", "1"]], [["2", "0"], ["0", "2"]]],
         "generators": [["1", "0"], ["0", "1"]]}),
+    "group-cyclic-q-r1": group(cyclic(1, "Q", [((-1,), -3), ((0,), 3), ((1,), -1)])),
     "sigma-cyclic-q-r2": sigma(cyclic(2, "Q", [((0, 0), 1), ((1, 0), 2),
                                                ((0, 1), -3), ((1, 1), "1/2")])),
+    "sigma-cyclic-q-r2-two-generators": sigma(cyclic(
+        2, "Q", [((0, 0), 1), ((1, 0), 1), ((0, 1), 1)],
+        [((0, 0), 2), ((1, 0), -1), ((0, 1), 3)])),
     "group-cyclic-q-r3": group(cyclic(3, "Q", [((0, 0, 0), 2), ((1, 0, 0), -1),
                                                ((0, 1, 0), 1), ((0, 0, 1), 3)])),
     "sigma-cyclic-z-r2": sigma(cyclic(2, "Z", [((0, 0), 1), ((1, 0), -2),
@@ -76,7 +80,10 @@ DIGESTS = {
     "group-scalar-r3": "bc35944d5ad952e3cc84b6a1c63d430f991b34a68a720940e8a191e0a6c446b8",
     "sigma-matrix-nondiag": "50c3cd11d845e05ffbdbe89474d37eceef0b645e274f5efca7b77228ff4fa72e",
     "group-matrix-nondiag": "8d25920549d4d3e9764ba40fe12f0973268b8c6c444fe372bca51585488f03c1",
+    "group-cyclic-q-r1": "2fbb6854f680316d740696af3ab4b4837dfa26a46df6eb396a5741ef54c20259",
     "sigma-cyclic-q-r2": "b102f05158dfff4880b2ca5b0160b770eedb665acccaaebb8ee016ded2dc901a",
+    "sigma-cyclic-q-r2-two-generators": (
+        "c67ed82dfe10b05de8790b358ae6338824429dca2d88d3c683509ccc5b7b14d2"),
     "group-cyclic-q-r3": "66841b743bbc192f06fd8580934d7108bea02f66e40d8cee2a4202ba7f9e29a3",
     "sigma-cyclic-z-r2": "1394d52089cdd71c7660ccbfc33381ed0688298018a89af0e15adc7e10c41731",
     "group-cyclic-z-r2": "02e8dd27745bcfbc578839415f58d726a737badaa0e9e719a2a5938f9d07350f",

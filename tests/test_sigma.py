@@ -408,9 +408,10 @@ def complement_metabelian_fp(r):
 
 
 def seeded_partition_modules(rng):
-    """About 40 (module, box) pairs: scalar actions of rank 1-3, diagonalizable
+    """About 45 (module, box) pairs: scalar actions of rank 1-3, diagonalizable
     and non-diagonalizable matrix actions, and cyclic modules over Q and Z of
-    rank 1-3, with multiple-generator modules over Q."""
+    rank 1-3, with multiple-generator modules over Q, and principal and
+    two-generator modules over GF(3) and GF(5) of rank 1-3."""
     def ratio():
         return (Fraction(rng.choice((1, 2, 3, 5))) ** rng.choice((-1, 1))
                 * rng.choice((1, 2, 3)))
@@ -439,16 +440,37 @@ def seeded_partition_modules(rng):
         gens = (poly_of(rank, QQ, 3 if rank > 1 else 2, (1, -1, 2)),
                 poly_of(rank, QQ, 2, (1, -1, 3)))
         mods.append((CyclicModule(rank, QQ, gens), 3))
+    for rank, field in ((1, GF(3)), (2, GF(5)), (3, GF(3))):
+        coefs = tuple(range(1, field.p))
+        mods.append((CyclicModule(rank, field, (poly_of(rank, field, 3, coefs),)), 3))
+        gens = (poly_of(rank, field, 3, coefs), poly_of(rank, field, 2, coefs))
+        mods.append((CyclicModule(rank, field, gens), 3))
     return mods
+
+
+def undecided_direct_sum():
+    """The summands of a direct sum whose undecided set is not empty: a
+    non-diagonalizable matrix action, which leaves its complement side
+    undecided, and a scalar action."""
+    jordan = MatrixAction.of([[[2, 1], [0, 2]], [[3, 0], [0, 3]]], [[1, 0], [0, 1]])
+    return (sigma_of_module(jordan, box_limit=2),
+            sigma_of_module(ScalarAction.of(Fraction(1, 3), 5), box_limit=3))
 
 
 def test_results_partition_the_sphere_and_metabelian_fp_reads_it(monkeypatch):
     """proved_sigma, proved_complement and undecided are pairwise disjoint and
     cover the sphere, which is what lets metabelian_fp read the partition; it
-    answers as the complement-based reference does, and without complement."""
-    results = [sigma_of_module(mod, box_limit=box)
-               for mod, box in seeded_partition_modules(random.Random(43))]
-    assert len(results) >= 40
+    answers as the complement-based reference does, and without complement.
+    Cyclic modules over a field and direct sums build their partition without
+    a set complement too."""
+    modules = seeded_partition_modules(random.Random(43))
+    results = [sigma_of_module(mod, box_limit=box) for mod, box in modules]
+    summands = undecided_direct_sum()
+    direct_sum = sigma_direct_sum(*summands)
+    assert not summands[0].undecided.is_empty
+    assert not direct_sum.undecided.is_empty
+    results.append(direct_sum)
+    assert len(results) >= 46
     answers = []
     for r in results:
         parts = (r.proved_sigma, r.proved_complement, r.undecided)
@@ -459,11 +481,21 @@ def test_results_partition_the_sphere_and_metabelian_fp_reads_it(monkeypatch):
         assert metabelian_fp(r) is answers[-1], r
 
     def no_complement(self):
-        raise AssertionError("metabelian_fp took a set complement")
+        raise AssertionError("a set complement was taken")
 
     monkeypatch.setattr(PolyhedralSet, "complement", no_complement)
     assert [metabelian_fp(r) for r in results] == answers
     assert set(answers) == {True, False, None}
+
+    def parts(r):
+        return r.proved_sigma.pieces, r.proved_complement.pieces, r.undecided.pieces
+
+    field = [(mod, box, r) for (mod, box), r in zip(modules, results)
+             if isinstance(mod, CyclicModule) and mod.domain.kind != "ZZ"]
+    assert {mod.domain.kind for mod, _, _ in field} == {"QQ", "GF"}
+    for mod, box, r in field:
+        assert parts(sigma_cyclic_field(mod, box_limit=box)) == parts(r), mod
+    assert parts(sigma_direct_sum(*summands)) == parts(direct_sum)
 
 
 def fm_in_strict_dual(piece, g):

@@ -23,8 +23,8 @@ from sigmatrop.sigma import ScalarAction, certificate_search, sigma_of_module
 def test_certificate_search_rejects_an_invalid_certificate(monkeypatch):
     mod, chi = ScalarAction.of(6), Character.of(-1)
     assert certificate_search(mod, chi, 2, 100) is not None
-    monkeypatch.setattr(sigma, "certificate_valid", lambda *args: False)
-    with pytest.raises(SoundnessError):
+    _search_returns(monkeypatch, {(0,): 1, (-1,): -1})  # 1 - 1/6 at rho = 6
+    with pytest.raises(SoundnessError, match="annihilate"):
         certificate_search(mod, chi, 2, 100)
 
 

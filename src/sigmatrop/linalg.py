@@ -62,22 +62,6 @@ def nullspace(mat):
     return basis
 
 
-def solve(mat, rhs):
-    """One rational solution of mat*x = rhs (free coordinates zero), or None."""
-    m = len(mat)
-    if m == 0:
-        return []
-    n = len(mat[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
-    rows, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][n]
-    return x
-
-
 def invert(mat):
     """Exact inverse of a square rational matrix, or None if singular."""
     n = len(mat)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from . import linalg
 from .rings import Character, DimensionError, Direction, SoundnessError
@@ -300,8 +300,13 @@ class Polyhedron:
         """Image under u -> -u (antipodal reflection)."""
         def flip(rows):
             return [(tuple(-a for a in v), r) for v, r in rows]
-        return Polyhedron(self.rank, eq=flip(self.eq), ge=flip(self.ge),
-                          gt=flip(self.gt))
+        out = Polyhedron(self.rank, eq=flip(self.eq), ge=flip(self.ge),
+                         gt=flip(self.gt))
+        if self._forced_empty:
+            # the infeasible zero-vector row that emptied self is not kept
+            out._forced_empty = True
+            out._empty = True
+        return out
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         if self.rank != other.rank:
@@ -711,12 +716,13 @@ def in_open_hemisphere(dirs) -> HemisphereCertificate:
 
 
 def has_antipodal_pair(s: SphericalSet) -> bool:
-    """True iff s holds some direction u together with its antipode -u."""
-    for p in s.pieces:
-        for q in s.pieces:
-            if p.intersect(q.negate()).has_direction():
-                return True
-    return False
+    """True iff s holds some direction u together with its antipode -u.
+
+    Each unordered pair of pieces is tested once: p and -q share a direction
+    iff q and -p do.
+    """
+    return any(p.intersect(q.negate()).has_direction()
+               for p, q in combinations_with_replacement(s.pieces, 2))
 
 
 def balanceable_at(fan: PolyhedralSet, x) -> bool:

@@ -364,7 +364,8 @@ def grading(chi: Character, f: LaurentPoly) -> list[tuple[Fraction, LaurentPoly]
 def poly_matrix_mul(a, b):
     """Product of matrices with LaurentPoly entries."""
     k, m, n = len(a), len(b), len(b[0])
-    assert all(len(row) == m for row in a)
+    if any(len(row) != m for row in a):
+        raise DimensionError("matrix product: inner dimensions differ")
     out = []
     for i in range(k):
         row = []

@@ -580,74 +580,32 @@ def sigma_scalar_action_exact(mod: ModulePresentation, box_limit: int = COVER_BO
     )
 
 
-def _char_poly(mat):
-    """Characteristic polynomial coefficients (monic, descending) over Q."""
-    d = len(mat)
-    lam = sympy.Symbol("lam")
-    m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in mat])
-    poly = sympy.Poly((m - lam * sympy.eye(d)).det() * (-1) ** d, lam)
-    return [Fraction(str(c)) for c in poly.all_coeffs()]
-
-
-def _rational_roots(coeffs):
-    """Rational roots of a monic rational polynomial, via the integer model."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    lead, const = ints[0], ints[-1]
-    if const == 0:
-        roots = {Fraction(0)}
-        return roots | _rational_roots([Fraction(c) for c in coeffs[:-1]])
-    roots = set()
-    for p in sympy.divisors(abs(const)):
-        for q in sympy.divisors(abs(lead)):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                val = Fraction(0)
-                for c in coeffs:
-                    val = val * cand + c
-                if val == 0:
-                    roots.add(cand)
-    return roots
-
-
 def _rational_eigentuples(m: MatrixAction):
-    """Joint eigenvalue tuples when simultaneously diagonalizable over Q, else None."""
-    d = m.dim
-    spaces = [([tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)], ())]
+    """Joint eigenvalue tuples when simultaneously diagonalizable over Q, else None.
+
+    A tuple (rho_1, ..., rho_i) lives while the stacked rows
+    (A_1 - rho_1; ...; A_i - rho_i) have a nonzero kernel, its joint
+    eigenspace.  The matrices commute, so joint eigenspaces of distinct
+    tuples are independent, and their dimensions add up to d exactly when
+    the action is simultaneously diagonalizable over Q.  Tuples come out
+    sorted, since each level extends them by sorted roots.
+    """
+    live = [((), [], m.dim)]  # (tuple, stacked rows, kernel dimension)
     for mat in m.mats:
-        mat = [list(r) for r in mat]
-        new_spaces = []
-        for basis, eigs in spaces:
-            k = len(basis)
-            cols = [linalg.mat_vec(mat, list(b)) for b in basis]
-            bt = [[basis[j][i] for j in range(k)] for i in range(d)]
-            rep = []
-            for v in cols:
-                coords = linalg.solve(bt, list(v))
-                if coords is None:
-                    return None
-                rep.append(coords)
-            t = [[rep[j][i] for j in range(k)] for i in range(k)]
-            cp = _char_poly(t)
-            found = 0
-            for root in sorted(_rational_roots(cp)):
-                shifted = [[t[i][j] - (root if i == j else 0) for j in range(k)]
-                           for i in range(k)]
-                kern = linalg.nullspace(shifted)
-                if not kern:
-                    continue
-                found += len(kern)
-                sub_basis = []
-                for v in kern:
-                    w = [sum(v[j] * basis[j][i] for j in range(k)) for i in range(d)]
-                    sub_basis.append(tuple(w))
-                new_spaces.append((sub_basis, eigs + (root,)))
-            if found != k:
-                return None
-        spaces = new_spaces
-    out = []
-    for basis, eigs in spaces:
-        out.append(tuple(eigs))
-    return sorted(set(out))
+        poly = sympy.Matrix(mat).charpoly()
+        roots = sorted(Fraction(int(r.p), int(r.q)) for r in poly.ground_roots())
+        grown = []
+        for eigs, rows, _ in live:
+            for rho in roots:
+                stacked = rows + [[x - rho if i == j else x for j, x in enumerate(row)]
+                                  for i, row in enumerate(mat)]
+                kern = len(linalg.nullspace(stacked))
+                if kern:
+                    grown.append((eigs + (rho,), stacked, kern))
+        live = grown
+    if sum(kern for _, _, kern in live) != m.dim:
+        return None
+    return [eigs for eigs, _, _ in live]
 
 
 def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,

@@ -320,6 +320,19 @@ def test_frontier_group_jobs_answer(rhos):
     assert elapsed < FRONTIER_BUDGET_S, f"{rhos}: {elapsed:.2f}s"
 
 
+def test_large_eigenvalue_matrix_group_job_answers():
+    # diag(n, 1/n), n = 12252240 = 2^4 3^2 5 7 11 13 17: the eigenvalues come
+    # from factoring the characteristic polynomial, not from n's divisors
+    module = {"mode": "matrix", "mats": [[["12252240", "0"], ["0", "1/12252240"]]],
+              "generators": [["1", "0"], ["0", "1"]]}
+    start = time.perf_counter()
+    doc = run({"version": 1, "command": "group", "payload": {"module": module}})
+    elapsed = time.perf_counter() - start
+    assert doc["result"]["finitely_presented"] is False
+    assert doc["undecided"] is False
+    assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
 def test_frontier_eight_term_cyclic_over_q_answers():
     module = _cyclic(2, "Q", [((-1, -1), 2), ((-1, 1), 1), ((0, 0), 1),
                               ((0, 1), -1), ((1, 0), 2), ((1, 2), "1/2"),

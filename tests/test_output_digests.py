@@ -45,6 +45,16 @@ JOBS = {
     "group-matrix-nondiag": group({
         "mode": "matrix", "mats": [[["1", "1"], ["0", "1"]], [["2", "0"], ["0", "2"]]],
         "generators": [["1", "0"], ["0", "1"]]}),
+    # the second matrix splits the first one's repeated eigenvalue 6
+    "sigma-matrix-diag-split": sigma({
+        "mode": "matrix", "mats": [[["6", "0"], ["0", "6"]], [["3", "1"], ["0", "5"]]],
+        "generators": [["1", "0"], ["0", "1"]]}),
+    # P diag(2, 3, 1) P^-1 and P diag(1, 5, 1/2) P^-1, P = [[1,1,0],[0,1,1],[0,0,1]]
+    "group-matrix-diag-conjugated": group({
+        "mode": "matrix",
+        "mats": [[["2", "1", "-1"], ["0", "3", "-2"], ["0", "0", "1"]],
+                 [["1", "4", "-4"], ["0", "5", "-9/2"], ["0", "0", "1/2"]]],
+        "generators": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}),
     "group-cyclic-q-r1": group(cyclic(1, "Q", [((-1,), -3), ((0,), 3), ((1,), -1)])),
     "sigma-cyclic-q-r2": sigma(cyclic(2, "Q", [((0, 0), 1), ((1, 0), 2),
                                                ((0, 1), -3), ((1, 1), "1/2")])),
@@ -80,6 +90,10 @@ DIGESTS = {
     "group-scalar-r3": "bc35944d5ad952e3cc84b6a1c63d430f991b34a68a720940e8a191e0a6c446b8",
     "sigma-matrix-nondiag": "50c3cd11d845e05ffbdbe89474d37eceef0b645e274f5efca7b77228ff4fa72e",
     "group-matrix-nondiag": "8d25920549d4d3e9764ba40fe12f0973268b8c6c444fe372bca51585488f03c1",
+    "sigma-matrix-diag-split": (
+        "8ff58dbce567366037c54b76811a91088831b693f7fe2b43a8de8d835e2ac9bc"),
+    "group-matrix-diag-conjugated": (
+        "a9da4ca6204a46fff64d9dc5d98da6bac1135a0901a3ed1bbf39280a890969ae"),
     "group-cyclic-q-r1": "2fbb6854f680316d740696af3ab4b4837dfa26a46df6eb396a5741ef54c20259",
     "sigma-cyclic-q-r2": "b102f05158dfff4880b2ca5b0160b770eedb665acccaaebb8ee016ded2dc901a",
     "sigma-cyclic-q-r2-two-generators": (

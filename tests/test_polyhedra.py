@@ -149,6 +149,29 @@ def test_antipodal_pair_examples():
     pair = SphericalSet.from_directions([Direction.of(1,), Direction.of(-1,)])
     assert has_antipodal_pair(pair)
 
+    # emptied by the row 0 > 0, which Polyhedron drops; its antipode stays empty
+    assert Polyhedron.cone(1, gt=[(0,)]).negate().is_empty
+
+    def ordered_pairs_reference(s):
+        return any(p.intersect(q.negate()).has_direction()
+                   for p in s.pieces for q in s.pieces)
+
+    def rows(rng, rank, k):
+        return [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(k)]
+
+    rng = random.Random(229)
+    answers = []
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+        s = SphericalSet(rank, [
+            Polyhedron.cone(rank, eq=rows(rng, rank, rng.randint(0, 1)),
+                            ge=rows(rng, rank, rng.randint(0, 2)),
+                            gt=rows(rng, rank, rng.randint(0, 2)))
+            for _ in range(rng.randint(1, 4))])
+        answers.append(has_antipodal_pair(s))
+        assert answers[-1] == ordered_pairs_reference(s)
+    assert 10 < sum(answers) < 50
+
 
 def test_balanceable_examples():
     tropical_line = PolyhedralSet(2, [

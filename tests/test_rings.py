@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from sigmatrop.rings import (GF, QQ, ZZ, Character, DimensionError, Direction,
-                             LaurentPoly, chi_value, grading, initial_part, v_chi)
+                             LaurentPoly, chi_value, grading, initial_part,
+                             poly_matrix_mul, v_chi)
 
 X = LaurentPoly.monomial
 
@@ -134,6 +135,13 @@ def test_ring_arithmetic_basics():
     assert f.scale(0).is_zero
     two = LaurentPoly(1, GF(2), {(0,): 1}) + LaurentPoly(1, GF(2), {(0,): 1})
     assert two.is_zero
+
+
+def test_poly_matrix_mul_checks_shapes():
+    one, t = X((0,)), X((1,))
+    assert poly_matrix_mul([[one, t]], [[t], [one]]) == [[t + t]]
+    with pytest.raises(DimensionError):
+        poly_matrix_mul([[one, t]], [[t, one]])
 
 
 def test_direction_primitivity():

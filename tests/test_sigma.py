@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from sigmatrop import sigma
+from sigmatrop import linalg, sigma
 from sigmatrop.polyhedra import Polyhedron, PolyhedralSet, in_open_hemisphere
 from sigmatrop.rings import GF, QQ, ZZ, Character, Direction, LaurentPoly
 from sigmatrop.sigma import (CyclicModule, MatrixAction, ScalarAction,
@@ -210,6 +212,130 @@ def test_sigma_matrix_action_non_diagonalizable():
     assert not result.undecided.is_empty
     lam = result.certificate_for(Direction.of(-1))
     assert lam is not None and certificate_valid(lam, Character.of(-1), m)
+
+
+def reference_eigentuples(m):
+    """Reference: joint eigenvalue tuples by restricting each matrix to the
+    eigenspaces found so far (change of basis), with the characteristic
+    polynomial from a symbolic determinant and its rational roots from a
+    divisor search."""
+    def char_poly(mat):
+        d = len(mat)
+        lam = sympy.Symbol("lam")
+        a = sympy.Matrix([[sympy.Rational(x) for x in row] for row in mat])
+        p = sympy.Poly((a - lam * sympy.eye(d)).det() * (-1) ** d, lam)
+        return [Fraction(str(c)) for c in p.all_coeffs()]
+
+    def rational_roots(coeffs):
+        den = math.lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * den) for c in coeffs]
+        lead, const = ints[0], ints[-1]
+        if const == 0:
+            return {Fraction(0)} | rational_roots(coeffs[:-1])
+        roots = set()
+        for p in sympy.divisors(abs(const)):
+            for q in sympy.divisors(abs(lead)):
+                for cand in (Fraction(p, q), Fraction(-p, q)):
+                    val = Fraction(0)
+                    for c in coeffs:
+                        val = val * cand + c
+                    if val == 0:
+                        roots.add(cand)
+        return roots
+
+    def solve(mat, rhs):
+        n = len(mat[0])
+        aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
+        rows, pivots = linalg.rref(aug)
+        if n in pivots:
+            return None
+        x = [Fraction(0)] * n
+        for r, pc in enumerate(pivots):
+            x[pc] = rows[r][n]
+        return x
+
+    d = m.dim
+    spaces = [([tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)], ())]
+    for mat in m.mats:
+        mat = [list(r) for r in mat]
+        new_spaces = []
+        for basis, eigs in spaces:
+            k = len(basis)
+            bt = [[basis[j][i] for j in range(k)] for i in range(d)]
+            rep = []
+            for b in basis:
+                coords = solve(bt, linalg.mat_vec(mat, list(b)))
+                if coords is None:
+                    return None
+                rep.append(coords)
+            t = [[rep[j][i] for j in range(k)] for i in range(k)]
+            found = 0
+            for root in sorted(rational_roots(char_poly(t))):
+                shifted = [[t[i][j] - (root if i == j else 0) for j in range(k)]
+                           for i in range(k)]
+                kern = linalg.nullspace(shifted)
+                if kern:
+                    found += len(kern)
+                    sub = [tuple(sum(v[j] * basis[j][i] for j in range(k))
+                                 for i in range(d)) for v in kern]
+                    new_spaces.append((sub, eigs + (root,)))
+            if found != k:
+                return None
+        spaces = new_spaces
+    return sorted(set(eigs for _, eigs in spaces))
+
+
+def seeded_commuting_family(rng, d, rank):
+    """rank commuting invertible d x d matrices P B_k P^-1, B_k block
+    diagonal with one block kind per position: rational scalars from a small
+    pool (so one matrix repeats an eigenvalue that another splits), a Jordan
+    block a + bN, or a + bC with C = [[0, c], [1, 0]], c not a square."""
+    kinds, left = [], d
+    while left:
+        kinds.append("scalar" if left == 1 else
+                     rng.choice(("scalar", "scalar", "scalar", "jordan", "irrational")))
+        left -= 1 if kinds[-1] == "scalar" else 2
+    while True:
+        p = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        p_inv = linalg.invert(p)
+        if p_inv is not None:
+            break
+    cs = [rng.choice((2, 3, -1, 5)) for _ in kinds]
+    mats = []
+    for _ in range(rank):
+        b = [[Fraction(0)] * d for _ in range(d)]
+        at = 0
+        for kind, c in zip(kinds, cs):
+            a = Fraction(rng.choice((1, -1, 2))) / rng.choice((1, 1, 3))
+            if kind == "scalar":
+                b[at][at] = a
+                at += 1
+                continue
+            e = rng.choice((0, 0, 1, 2))
+            b[at][at] = b[at + 1][at + 1] = a
+            if kind == "jordan":
+                b[at][at + 1] = Fraction(e)
+            else:
+                b[at][at + 1], b[at + 1][at] = c * e, Fraction(e)
+            at += 2
+        mats.append(linalg.mat_mul(linalg.mat_mul(p, b), p_inv))
+    return MatrixAction.of(mats, [[int(i == j) for j in range(d)] for i in range(d)])
+
+
+def test_eigentuples_match_the_change_of_basis_reference():
+    """Seeded commuting families of rank 1-3 on Q^2..Q^4 give the same
+    tuples as the reference, or None on both sides."""
+    rng = random.Random(41)
+    split = undiagonalizable = 0
+    for _ in range(80):
+        m = seeded_commuting_family(rng, rng.randint(2, 4), rng.randint(1, 3))
+        got = sigma._rational_eigentuples(m)
+        assert got == reference_eigentuples(m), m
+        if got is None:
+            undiagonalizable += 1
+        elif len({t[0] for t in got}) < len(got):
+            split += 1  # the first matrix repeats an eigenvalue that a later one splits
+    assert split >= 5 and undiagonalizable >= 10
 
 
 def test_sigma_cyclic_field_principal():

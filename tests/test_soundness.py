@@ -1,10 +1,11 @@
 """Checks that guard certified answers raise real exceptions.
 
-Each test forces one check to fail; the last one reruns such a test under
-`python -O`, which strips `assert` statements, so a soundness check written
-as an `assert` fails here.
+Each test forces one check to fail; the last two make sure no check is an
+`assert`, which `python -O` strips: one finds no `assert` statement in the
+package source, the other reruns such a test under `python -O`.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import sigmatrop
 from sigmatrop import dynamics, linalg, polyhedra, sigma
 from sigmatrop.dynamics import Norm, PushMap, check_angle_bound
 from sigmatrop.polyhedra import HemisphereCertificate, Polyhedron, in_open_hemisphere
@@ -122,3 +124,12 @@ def test_soundness_checks_survive_python_O():
                          cwd=root, env=env, capture_output=True, text=True,
                          timeout=120)
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_package_source_has_no_assert_statements():
+    found = []
+    for path in sorted(Path(sigmatrop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, found

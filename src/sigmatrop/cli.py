@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -181,7 +182,7 @@ PAYLOAD_SCHEMAS = {
         "type": "object",
         "properties": {
             "poly": _POLY,
-            "s_grid": {"type": "array", "items": {"type": "number"}},
+            "s_grid": {"type": "array", "items": {"type": "number"}, "minItems": 1},
             "angles": {"type": "integer", "minimum": 1},
             "min_radius": {"type": "number"},
             "angle_bins": {"type": "integer", "minimum": 1},
@@ -196,6 +197,14 @@ class SchemaError(ValueError):
     pass
 
 
+def _finite_number(checker, instance) -> bool:
+    """The schemas' "number": json.loads also reads NaN, Infinity and
+    -Infinity, which are not numbers a job can compute with."""
+    if isinstance(instance, bool) or not isinstance(instance, numbers.Number):
+        return False
+    return not isinstance(instance, float) or math.isfinite(instance)
+
+
 @functools.cache
 def _validator(command):
     """Checked and compiled validator for a command's payload schema (the job
@@ -203,7 +212,8 @@ def _validator(command):
     schema = JOB_SCHEMA if command is None else PAYLOAD_SCHEMAS[command]
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    checker = cls.TYPE_CHECKER.redefine("number", _finite_number)
+    return jsonschema.validators.extend(cls, type_checker=checker)(schema)
 
 
 def _validate(instance, command):

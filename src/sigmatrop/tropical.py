@@ -109,6 +109,12 @@ class AmoebaCloud:
 
 
 RESIDUAL_TOL = 1e-9
+# s-values per batch of companion matrices: the stacked arrays of a block of
+# AMOEBA_BLOCK * angles rows stay small next to the output cloud.
+AMOEBA_BLOCK = 8
+# ln of a bound below which every intermediate of a root's residual is a
+# finite, normal float (ln of the largest float is 709.8).
+_LN_SAFE = 600.0
 
 
 def amoeba_sample(f: LaurentPoly, s_grid, angles: int) -> AmoebaCloud:
@@ -116,9 +122,26 @@ def amoeba_sample(f: LaurentPoly, s_grid, angles: int) -> AmoebaCloud:
     `angles` arguments phi, set x = e^(s+i phi) and record (s, ln|y|) for the
     roots y of f(x, -).
 
-    Roots come from the companion matrix (numpy.roots), are ordered by (real,
-    imaginary) part, and are dropped (and counted) when the relative residual
-    exceeds 1e-9 or |y| = 0.
+    The grid is solved in blocks of AMOEBA_BLOCK s-values.  For a block, the
+    coefficient rows of all its (s, phi) are built at once, trailing zero
+    coefficients are stripped (each is a root y = 0, dropped and counted),
+    and the rows are grouped by the degree left.  Each group's companion
+    matrices, built as numpy.roots builds them (ones on the subdiagonal,
+    -p[1:]/p[0] as the first row), go to one stacked numpy.linalg.eigvals
+    call, and each row of roots is sorted by (real, imaginary) part.  A row
+    whose leading coefficient is 0 is dropped and counted; a root is dropped
+    and counted when |y| is 0 or not finite, or when its relative residual
+    exceeds RESIDUAL_TOL.
+
+    The values that reach the output are computed as a scalar walk of the
+    grid computes them, so the cloud is the same, float for float, as with
+    one numpy.roots call per (s, phi): x comes from cmath.exp, x**a from
+    Python's complex power, |y| from numpy.hypot and ln|y| from math.log
+    (numpy's power, abs and log differ in the last bits).  Residuals and
+    weights only meet the threshold and are numpy arrays, except for a root
+    whose residual terms may leave the float range: it takes the scalar
+    expression, which raises OverflowError or ZeroDivisionError where floats
+    run out.  The first failing (s, phi) in grid order sets the exception.
     """
     if f.rank != 2:
         raise DimensionError("amoeba sampling needs a polynomial in two variables")
@@ -128,34 +151,109 @@ def amoeba_sample(f: LaurentPoly, s_grid, angles: int) -> AmoebaCloud:
     ymin, ymax = min(ydegs), max(ydegs)
     if ymax == ymin:
         raise ValueError("polynomial has y-degree zero; no roots to follow")
+    phis = [2.0 * math.pi * k / angles for k in range(angles)]
     points: list[tuple[float, float]] = []
     dropped = 0
-    for s in s_grid:
-        for k in range(angles):
-            phi = 2.0 * math.pi * k / angles
-            x = cmath.exp(complex(s, phi))
-            coeffs = [complex(0)] * (ymax - ymin + 1)
-            for (a, b), c in f.terms.items():
-                coeffs[ymax - b] += float(c) * x ** a
-            if abs(coeffs[0]) == 0.0:
-                dropped += 1
-                continue
-            roots = sorted(np.roots(coeffs), key=lambda z: (z.real, z.imag))
-            for y in roots:
-                y = complex(y)
-                ay = abs(y)
-                if ay == 0.0 or not math.isfinite(ay):
-                    dropped += 1
-                    continue
-                resid = abs(sum(float(c) * x ** a * y ** b
-                                for (a, b), c in f.terms.items()))
-                weight = sum(abs(float(c)) * abs(x) ** a * ay ** b
-                             for (a, b), c in f.terms.items())
-                if weight == 0.0 or resid / weight > RESIDUAL_TOL:
-                    dropped += 1
-                    continue
-                points.append((float(s), math.log(ay)))
+    for i in range(0, len(s_grid), AMOEBA_BLOCK):
+        dropped += _sample_block(f, ymax, ymax - ymin, s_grid[i:i + AMOEBA_BLOCK],
+                                 phis, points)
     return AmoebaCloud(points=points, dropped=dropped)
+
+
+def _sample_block(f: LaurentPoly, ymax: int, span: int, block, phis,
+                  points) -> int:
+    """Append the kept points of one block of s-values to `points`; return
+    the number of dropped rows and roots."""
+    terms = [(a, ymax - b, float(c)) for (a, b), c in f.terms.items()]
+    rows: list[tuple[float, complex]] = []
+    coeffs: list[complex] = []
+    failure = None
+    try:
+        for s in block:
+            for phi in phis:
+                x = cmath.exp(complex(s, phi))
+                row = [complex(0)] * (span + 1)
+                for a, col, fc in terms:
+                    row[col] += fc * x ** a
+                rows.append((s, x))
+                coeffs += row
+    except ArithmeticError as exc:
+        failure = exc  # raised after the rows before it
+    n = len(rows)
+    c = np.array(coeffs, dtype=complex).reshape(n, span + 1)
+    with np.errstate(all="ignore"):
+        lead = c[:, 0]
+        # abs() of a finite complex raises when its modulus overflows
+        lead_raises = (np.isfinite(lead.real) & np.isfinite(lead.imag)
+                       & ~np.isfinite(np.hypot(lead.real, lead.imag)))
+        fails = lead_raises.copy()
+        live = lead != 0
+        deg = span - np.argmax(c[:, ::-1] != 0, axis=1)
+        companions = {}
+        for d in range(1, span + 1):
+            sel = np.flatnonzero(live & (deg == d))
+            if not len(sel):
+                continue
+            comp = np.zeros((len(sel), d, d), dtype=complex)
+            comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+            comp[:, 0, :] = -c[sel, 1:d + 1] / c[sel, :1]
+            companions[d] = sel, comp
+            # eigvals refuses a matrix with an inf or a nan
+            fails[sel] |= ~np.isfinite(comp).all(axis=(1, 2))
+    # rows from the first failing one on are not solved
+    cut = int(np.argmax(fails)) if fails.any() else n
+    y = np.zeros((n, span), dtype=complex)
+    valid = np.zeros((n, span), dtype=bool)
+    for d, (sel, comp) in companions.items():
+        sel, comp = sel[sel < cut], comp[sel < cut]
+        if len(sel):
+            y[sel, :d] = np.sort(np.linalg.eigvals(comp), axis=1)
+            valid[sel, :d] = True
+    with np.errstate(all="ignore"):
+        ay = np.hypot(y.real, y.imag)
+        ay_raises = valid & np.isfinite(y.real) & np.isfinite(y.imag) & ~np.isfinite(ay)
+        cand = valid & (ay != 0.0) & np.isfinite(ay)
+        # residual |sum_j c_j y^(ymax-j)|, weight sum_t |c_t| |x|^a_t |y|^b_t
+        yc = np.where(cand, y, 1.0)[:, :, None]
+        exps = ymax - np.arange(span + 1)
+        resid = np.abs((c[:, None, :] * yc ** exps).sum(axis=2))
+        s_arr = np.array([s for s, _ in rows], dtype=float)
+        w = np.zeros((n, span + 1))
+        for a, col, fc in terms:
+            w[:, col] += abs(fc) * np.exp(a * s_arr)
+        weight = (w[:, None, :] * np.abs(yc) ** exps).sum(axis=2)
+        keep = (weight != 0.0) & ~(resid / weight > RESIDUAL_TOL)
+        # a bound on ln|v| for every intermediate v of a root's residual
+        bound = (np.abs(s_arr)[:, None] * (1 + max(abs(a) for a, _, _ in terms))
+                 + max(abs(math.log(abs(fc))) if fc else math.inf for _, _, fc in terms)
+                 + math.log(len(terms))
+                 + int(np.abs(exps).max()) * np.abs(np.log(ay)))
+        scalar = cand & ~(bound < _LN_SAFE)
+    for r, k in zip(*np.nonzero(scalar | ay_raises)):
+        yk = complex(y[r, k])
+        ay_k = abs(yk)  # raises OverflowError where ay_raises
+        keep[r, k] = not _residual_exceeds(f, rows[r][1], yk, ay_k)
+    if cut < n:  # the rows before it raised nothing
+        if lead_raises[cut]:
+            abs(complex(c[cut, 0]))  # raises OverflowError
+        sel, comp = companions[int(deg[cut])]
+        np.linalg.eigvals(comp[sel == cut])  # raises LinAlgError
+    if failure is not None:
+        raise failure
+    kept = cand & keep
+    r_idx = np.nonzero(kept)[0].tolist()
+    points.extend((float(rows[r][0]), math.log(v))
+                  for r, v in zip(r_idx, ay[kept].tolist()))
+    return int((~live).sum() + (span - deg[live]).sum() + (valid & ~kept).sum())
+
+
+def _residual_exceeds(f: LaurentPoly, x: complex, y: complex, ay: float) -> bool:
+    """The drop test of one root in scalar arithmetic, for roots whose
+    residual terms may overflow or underflow."""
+    resid = abs(sum(float(c) * x ** a * y ** b for (a, b), c in f.terms.items()))
+    weight = sum(abs(float(c)) * abs(x) ** a * ay ** b
+                 for (a, b), c in f.terms.items())
+    return weight == 0.0 or resid / weight > RESIDUAL_TOL
 
 
 @dataclass

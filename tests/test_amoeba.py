@@ -1,0 +1,196 @@
+"""The batched amoeba sampler against the scalar sampler it replaced.
+
+`reference_sample` is the earlier implementation, kept here as the oracle:
+one numpy.roots call per (s, phi), each root's residual evaluated term by
+term.  The batched sampler must give the same points, drop count and max
+radius float for float, and raise the same exception where the reference
+raises.  The work-count and memory tests pin the batching itself.
+"""
+
+import cmath
+import math
+import random
+import time
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+from sigmatrop.cli import run
+from sigmatrop.rings import QQ, LaurentPoly
+from sigmatrop.tropical import (AMOEBA_BLOCK, RESIDUAL_TOL, AmoebaCloud,
+                                amoeba_sample)
+
+
+def reference_sample(f, s_grid, angles):
+    ydegs = [g[1] for g in f.terms]
+    ymin, ymax = min(ydegs), max(ydegs)
+    points = []
+    dropped = 0
+    for s in s_grid:
+        for k in range(angles):
+            phi = 2.0 * math.pi * k / angles
+            x = cmath.exp(complex(s, phi))
+            coeffs = [complex(0)] * (ymax - ymin + 1)
+            for (a, b), c in f.terms.items():
+                coeffs[ymax - b] += float(c) * x ** a
+            if abs(coeffs[0]) == 0.0:
+                dropped += 1
+                continue
+            roots = sorted(np.roots(coeffs), key=lambda z: (z.real, z.imag))
+            for y in roots:
+                y = complex(y)
+                ay = abs(y)
+                if ay == 0.0 or not math.isfinite(ay):
+                    dropped += 1
+                    continue
+                resid = abs(sum(float(c) * x ** a * y ** b
+                                for (a, b), c in f.terms.items()))
+                weight = sum(abs(float(c)) * abs(x) ** a * ay ** b
+                             for (a, b), c in f.terms.items())
+                if weight == 0.0 or resid / weight > RESIDUAL_TOL:
+                    dropped += 1
+                    continue
+                points.append((float(s), math.log(ay)))
+    return AmoebaCloud(points=points, dropped=dropped)
+
+
+def outcome(sample, f, s_grid, angles):
+    """The cloud's fields, or the exception's type and message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            cloud = sample(f, s_grid, angles)
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            return type(exc).__name__, str(exc)
+    return cloud.points, cloud.dropped, cloud.max_radius
+
+
+def laurent(terms):
+    return LaurentPoly(2, QQ, terms)
+
+
+def random_curves(seed, count):
+    """Seeded Laurent polynomials with exponents in [-2, 2], 2-5 terms,
+    coefficients +-1, 2, 3, 5 and a nonzero y-degree span."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            terms[(rng.randint(-2, 2), rng.randint(-2, 2))] = rng.choice((1, -1, 2, 3, 5))
+        ydegs = [b for _, b in terms]
+        if len(terms) >= 2 and max(ydegs) > min(ydegs):
+            out.append(laurent(terms))
+    return out
+
+
+GRID = [x / 2 for x in range(-6, 7)]  # 13 values through s = 0
+
+
+def test_matches_the_scalar_reference_on_random_curves():
+    rng = random.Random(8)
+    for f in random_curves(8, 300):
+        angles = rng.choice((1, 4, 7, 16))
+        want = reference_sample(f, GRID, angles)
+        got = amoeba_sample(f, GRID, angles)
+        assert got.points == want.points, f
+        assert got.dropped == want.dropped, f
+        assert got.max_radius == want.max_radius, f
+
+
+@pytest.mark.parametrize("terms, angles, dropped", [
+    # the trailing coefficient x - 1 vanishes at x = 1: a root y = 0, dropped
+    ({(0, 2): 1, (0, 1): 2, (1, 0): 1, (0, 0): -1}, 4, 1),
+    # the leading coefficient x - 1 vanishes at x = 1: the row is dropped
+    ({(1, 2): 1, (0, 2): -1, (0, 1): 1, (0, 0): 1}, 4, 1),
+    # y-degree span 4, with exponents of both signs
+    ({(0, 2): 1, (1, -2): -3, (-1, 1): 2, (2, 0): 5, (0, -1): -1}, 7, None),
+])
+def test_fixed_curves_match_the_reference(terms, angles, dropped):
+    f = laurent(terms)
+    want = reference_sample(f, GRID, angles)
+    assert outcome(amoeba_sample, f, GRID, angles) == (
+        want.points, want.dropped, want.max_radius)
+    if dropped is not None:
+        assert want.dropped == dropped
+
+
+@pytest.mark.parametrize("terms, s, message", [
+    # cmath.exp(800 + i phi) overflows for every curve
+    ({(0, 1): 1, (1, 0): -1}, 800.0, "math range error"),
+    # at s = 300 the root y ~ x^2 = e^600 is finite, but its square is not
+    ({(0, 2): 1, (2, 1): -1, (0, 0): 1}, 300.0, "complex exponentiation"),
+])
+def test_overflow_still_raises(terms, s, message):
+    f = laurent(terms)
+    for grid in ([s], [0.0, 1.0, s, 2.0]):
+        with pytest.raises(OverflowError, match=message):
+            amoeba_sample(f, grid, 4)
+        assert outcome(reference_sample, f, grid, 4) == ("OverflowError", message)
+
+
+def test_far_grids_fail_or_answer_as_the_reference():
+    """Grids that leave the float range: the first (s, phi) that fails in
+    grid order sets the exception (OverflowError, ZeroDivisionError or
+    numpy's LinAlgError), and grids that do not fail give the same cloud."""
+    rng = random.Random(3)
+    grids = ([300.0], [-300.0], [-800.0], [0.0, 320.0, -250.0],
+             [100.0, 200.0, 250.0, 320.0], [-40.0, 40.0, 350.0])
+    kinds = set()
+    for f in random_curves(3, 60):
+        for grid in grids:
+            angles = rng.choice((1, 4, 7))
+            want = outcome(reference_sample, f, grid, angles)
+            assert outcome(amoeba_sample, f, grid, angles) == want, (f, grid)
+            kinds.add(want[0] if isinstance(want[0], str) else "cloud")
+    assert kinds == {"cloud", "OverflowError", "ZeroDivisionError", "LinAlgError"}
+
+
+# The largest light-mix amoeba shape: 161 s-values, 64 angles, 4 terms of
+# y-degree span 2.
+BIG_TERMS = {(0, 0): 1, (1, 0): -2, (2, 1): 1, (1, 2): 2}
+BIG_SPAN = 2
+BIG_JOB = {"version": 1, "command": "amoeba", "payload": {
+    "poly": {"terms": [{"exp": list(e), "coef": c} for e, c in BIG_TERMS.items()]},
+    "s_grid": [round(-20.0 + 40.0 * i / 160, 6) for i in range(161)],
+    "angles": 64, "min_radius": 16.0, "angle_bins": 72}}
+
+
+def test_big_grid_solves_one_stacked_eigvals_per_block_and_degree(monkeypatch):
+    calls = {"eigvals": 0, "roots": 0}
+    eigvals, roots = np.linalg.eigvals, np.roots
+
+    def counting_eigvals(a):
+        calls["eigvals"] += 1
+        return eigvals(a)
+
+    def counting_roots(p):
+        calls["roots"] += 1
+        return roots(p)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    monkeypatch.setattr(np, "roots", counting_roots)
+    f = laurent(BIG_TERMS)
+    cloud = amoeba_sample(f, BIG_JOB["payload"]["s_grid"], 64)
+    # one np.roots call per (s, phi) was 161 * 64 = 10,304 calls
+    assert calls["roots"] == 0
+    assert 0 < calls["eigvals"] <= math.ceil(161 / AMOEBA_BLOCK) * BIG_SPAN
+    assert len(cloud.points) + cloud.dropped == 161 * 64 * BIG_SPAN
+
+
+def test_big_grid_memory_and_wall_budget():
+    run(BIG_JOB)  # compiles the schema validator
+    tracemalloc.start()
+    try:
+        run(BIG_JOB)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000, f"{peak / 1e6:.1f} MB"
+    start = time.perf_counter()
+    doc = run(BIG_JOB)
+    elapsed = time.perf_counter() - start
+    assert doc["result"]["points"] > 0
+    assert elapsed < 0.5, f"{elapsed:.2f}s"

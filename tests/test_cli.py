@@ -228,6 +228,27 @@ def test_main_exit_codes(tmp_path):
     assert main(["--job", str(broken)]) == 1
 
 
+# json.loads reads NaN, Infinity and -Infinity; before these were schema
+# errors they failed deep in the sampler (LinAlgError, OverflowError, a float
+# conversion) or, for an empty grid, with "empty cloud".
+@pytest.mark.parametrize("field, value, message", [
+    ("s_grid", [0.0, float("nan")], "nan is not of type 'number'"),
+    ("s_grid", [float("inf")], "inf is not of type 'number'"),
+    ("s_grid", [-1.0, float("-inf")], "-inf is not of type 'number'"),
+    ("s_grid", [], "[] should be non-empty"),
+    ("min_radius", float("nan"), "nan is not of type 'number'"),
+    ("min_radius", float("inf"), "inf is not of type 'number'"),
+])
+def test_bad_amoeba_payload_is_a_schema_error(tmp_path, capsys, field, value, message):
+    job = json.loads(json.dumps(AMOEBA_JOB))
+    job["payload"][field] = value
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps(job))  # writes the NaN and Infinity tokens
+    assert main(["--job", str(job_file)]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "schema", "message": message}
+
+
 def test_amoeba_plot_csv(tmp_path):
     job_file = tmp_path / "job.json"
     job_file.write_text(json.dumps(AMOEBA_JOB))

@@ -1,4 +1,4 @@
-"""Pinned output bytes of fixed sigma, group and trop jobs.
+"""Pinned output bytes of fixed sigma, group, trop, dyn, h2 and amoeba jobs.
 
 Each digest is the sha256 of `canonical_json` of the job's result document
 (which includes the tool version).  A change that alters these bytes must
@@ -32,6 +32,10 @@ def group(module):
 def trop(rank, valuation, *generators, domain="Z"):
     return "trop", {"rank": rank, "domain": domain, "valuation": valuation,
                     "generators": [poly(terms) for terms in generators]}
+
+
+def amoeba(terms, s_grid, angles, **far):
+    return "amoeba", {"poly": poly(terms), "s_grid": s_grid, "angles": angles, **far}
 
 
 JOBS = {
@@ -81,6 +85,25 @@ JOBS = {
                               {"value": "2", "val": "1/2"}, {"value": "3", "val": "-2/3"},
                               {"value": "1", "val": "0"}]},
                           [((0, 0), 2), ((1, 0), 3), ((0, 1), 1), ((1, 1), 2)]),
+    # the far points bin to the recession rays of the curve y = 2x - 3
+    "amoeba-span1-far": amoeba([((0, 1), 1), ((1, 0), -2), ((0, 0), 3)],
+                               [x / 2 for x in range(-40, 41)], 16,
+                               min_radius=12.0, angle_bins=72),
+    # exponents of both signs, y-degrees -1..1, on a grid through s = 0
+    "amoeba-laurent-span2": amoeba([((-1, 1), 1), ((0, -1), -2), ((1, 0), 3),
+                                    ((2, 1), -1), ((-2, 0), 5)],
+                                   [x / 4 for x in range(-6, 7)], 12),
+    "dyn-rank2": ("dyn", {
+        "rank": 2,
+        "matrix": [[poly([((1, 0), 1), ((0, 1), 1)]), poly([((0, 0), 2)])],
+                   [poly([((0, 0), -1)]), poly([((1, 1), 1), ((0, -1), 3)])]],
+        "chi": ["1", "-1/2"], "iters": 5, "powers": 3}),
+    "h2-p3": ("h2", {
+        "p": 3,
+        "support_at_zero": {"k": 1, "j_max": 4},
+        "infinity_obstruction": {"q": "1/3", "coeff_bound": 2, "k_max": 2},
+        "push": {},
+        "zero_obstruction": {"q": 9, "coeff_bound": 3, "size_bound": 2}}),
 }
 
 DIGESTS = {
@@ -106,6 +129,11 @@ DIGESTS = {
     "trop-global-z-r2": "f81826013aa0cc334045b5808a706d11e58fd2a5eba2391f7e1b63fcd64dc8bd",
     "trop-prevariety-r3": "5cc0d81ab0d669d485093fc4bed705daa7b912547d9ec8c6b90fd9715df9aaf9",
     "trop-table-r2": "f55ed849e0cf3bf1d5b5e36500a6acacaf59e1b57d1723f6d8f62e09550ea1ae",
+    "amoeba-span1-far": "2c272cc3602ec563a75b6b37a3ce4fabf85f873a6534716472e3f79318383023",
+    "amoeba-laurent-span2": (
+        "cd6732dad769f08e31395fc8fa72f833d59a2066d2f2981abc11e9ec568bc16e"),
+    "dyn-rank2": "60ddd61725d4f49a23c90df45995fac21ef6c2e4f68561fbfeb5b9808e59c90c",
+    "h2-p3": "24bbd38f181851daf0ed0e7591e0c34042b8805ce7259c26b3fbafb0b7f81f4b",
 }
 
 

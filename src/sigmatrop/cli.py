@@ -27,7 +27,7 @@ from .dynamics import (INF, PushMap, check_angle_bound, compose_gsh_check, gsh,
                        lambda_of_push_estimate, norm, sigma_of_push)
 from .halfplane import (verify_infinity_obstruction_A, verify_push_B,
                         verify_support_at_zero_A, verify_zero_obstruction_B)
-from .polyhedra import Polyhedron, PolyhedralSet, SphericalSet
+from .polyhedra import RAY_RANK_LIMIT, Polyhedron, PolyhedralSet, SphericalSet
 from .rings import GF, QQ, ZZ, Character, Domain, LaurentPoly
 from .sigma import (CyclicModule, MatrixAction, ScalarAction, SigmaResult,
                     fpm_basis, fpm_test, metabelian_fp, metabelian_fp_infinity,
@@ -284,18 +284,15 @@ def piece_json(p: Polyhedron) -> dict:
 
 def fan_json(fan: PolyhedralSet) -> dict:
     out = {"rank": fan.rank, "pieces": [piece_json(p) for p in fan.pieces]}
-    if fan.rank <= 6:
-        try:
-            out["spherical_rays"] = [list(d.vector) for d in fan.radial().rays()]
-        except ValueError:
-            pass
+    if fan.rank <= RAY_RANK_LIMIT:
+        out["spherical_rays"] = [list(d.vector) for d in fan.radial().rays()]
     return out
 
 
 def spherical_json(s: SphericalSet) -> dict:
     out = {"rank": s.rank, "pieces": [piece_json(p) for p in s.pieces],
            "empty": bool(s.is_empty)}
-    fd = s.finite_directions() if s.rank <= 6 else None
+    fd = s.finite_directions() if s.rank <= RAY_RANK_LIMIT else None
     if fd is not None:
         out["directions"] = [list(d.vector) for d in fd]
     return out

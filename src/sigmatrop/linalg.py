@@ -1,7 +1,9 @@
 """Exact linear algebra over Q and Z (desk scale).
 
-Matrices are lists of row lists; rational entries are Fractions, integer
-routines take plain ints.  Everything returns fresh lists.
+Matrices are lists of row lists with int or Fraction entries.  rank and
+nullspace scale each row to integers and eliminate fraction-free (Bareiss);
+the Fraction rref is left under invert only.  Everything returns fresh
+lists.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ def _frac_rows(mat):
 
 
 def rref(mat):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    """Reduced row echelon form over Fractions; returns (rows, pivot column
+    indices)."""
     rows = _frac_rows(mat)
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -39,27 +42,90 @@ def rref(mat):
     return rows, pivots
 
 
+def _integer_row(row):
+    """The row scaled by the lcm of its entries' denominators."""
+    den = math.lcm(*(x.denominator for x in row))
+    return [int(x * den) for x in row]
+
+
+def echelon(mat):
+    """Fraction-free reduced row echelon form of a rational matrix.
+
+    Each row is scaled to integers, then columns are eliminated in order by
+    Gauss-Jordan steps with Bareiss's exact division by the previous pivot
+    (every entry stays a minor of the integer matrix).  Returns (rows,
+    pivots, den): row r < len(pivots) holds den at pivots[r] and 0 at the
+    other pivot columns, and rows[r] / den is row r of the rref.
+    """
+    rows = [_integer_row(row) for row in mat]
+    m = len(rows)
+    pivots = []
+    den = 1
+    for c in range(len(rows[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            a = row[c]
+            if i == r or (a == 0 and p == den):
+                continue
+            rows[i] = [(p * x - a * y) // den for x, y in zip(row, prow)]
+        pivots.append(c)
+        den = p
+        if r + 1 == m:
+            break
+    return rows, pivots, den
+
+
 def rank(mat) -> int:
-    if not mat:
-        return 0
-    return len(rref(mat)[1])
+    return len(echelon(mat)[1])
 
 
 def nullspace(mat):
-    """Basis of the right kernel (each vector has a 1 in its free coordinate)."""
+    """Basis of the right kernel as primitive integer tuples, one per free
+    column: the rref's kernel vector (1 in its free coordinate) scaled to
+    coprime integers, so that coordinate stays positive."""
     if not mat:
         return []
     n = len(mat[0])
-    rows, pivots = rref(mat)
-    free = [c for c in range(n) if c not in pivots]
+    rows, pivots, den = echelon(mat)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [0] * n
+        v[fc] = den
         for r, pc in enumerate(pivots):
             v[pc] = -rows[r][fc]
-        basis.append(v)
+        g = math.gcd(*v) if den > 0 else -math.gcd(*v)
+        basis.append(tuple(x // g for x in v))
     return basis
+
+
+def det(mat):
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                return 0
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot = a[k]
+        akk = pivot[k]
+        for row in a[k + 1:]:
+            aik = row[k]
+            for j in range(k + 1, n):
+                row[j] = (akk * row[j] - aik * pivot[j]) // prev
+        prev = akk
+    return sign * a[-1][-1] if n else 1
 
 
 def invert(mat):
@@ -79,17 +145,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def primitive_vector(v):
-    """Scale a nonzero rational vector to coprime integers, sign preserved."""
-    fr = [Fraction(x) for x in v]
-    den = math.lcm(*(x.denominator for x in fr))
-    ints = [int(x * den) for x in fr]
-    g = math.gcd(*(abs(x) for x in ints))
-    if g == 0:
-        raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in ints)
 
 
 def solve_integer(mat, rhs, ncols=None):

@@ -10,7 +10,8 @@ classes (the origin is ignored).
 Feasibility, emptiness, dimension, containment, and point extraction are
 decided exactly by Fourier-Motzkin elimination with strictness tracking,
 after equality rows are eliminated on primitive integer rows; Fraction
-appears only in a returned point.
+appears only in a returned point.  Rays, lineality spaces and ranks come
+from fraction-free integer elimination and maximal minors (linalg).
 """
 
 from __future__ import annotations
@@ -266,30 +267,49 @@ class Polyhedron:
         return self._empty
 
     def dim(self):
-        """Dimension of the affine hull, or None when empty."""
+        """Dimension of the affine hull, or None when empty.
+
+        The implicit equalities are the weak rows with no slack anywhere on
+        the set.  A row with slack at a known point of the set is not one:
+        the cached feasible point clears rows without a probe, and each
+        remaining row is probed with its strict version, whose point, when
+        it exists, clears every remaining row it slacks."""
         if self.is_empty:
             return None
         if self._dim is not None:
             return self._dim
-        eqs = [list(v) for v, _ in self.eq]
-        for vec, rhs in self.ge:
-            # implicit equality: the weak row never has slack on the set
-            probe = Polyhedron(self.rank, eq=self.eq, ge=self.ge,
-                               gt=self.gt + ((vec, rhs),))
-            if probe.is_empty:
-                eqs.append(list(vec))
-        self._dim = self.rank - (linalg.rank(eqs) if eqs else 0)
+        eqs = [v for v, _ in self.eq]
+        rows = self._ineq_rows()
+        tight = [(v, r) for v, r in self.ge if _dot(v, self._point) == r]
+        while tight:
+            vec, rhs = tight.pop()
+            point = _solve_system(list(self.eq), rows + [(vec, rhs, True)], self.rank)
+            if point is None:
+                eqs.append(vec)
+            else:
+                tight = [(v, r) for v, r in tight if _dot(v, point) == r]
+        self._dim = self.rank - linalg.rank(eqs)
         return self._dim
 
     def has_direction(self) -> bool:
-        """True iff the set contains a nonzero point (homogeneous pieces)."""
-        if self.is_empty:
+        """True iff the set contains a nonzero point (homogeneous pieces).
+
+        A closed cone {Eu = 0, Au >= 0} has one when its lineality space is
+        nonzero, that is rank [E; A] < n; otherwise 0 is its only point with
+        Au = 0, so it has one iff some u in it has (sum of A's rows)*u > 0,
+        one feasibility probe."""
+        if self._forced_empty:
             return False
-        if self.gt:
-            return True  # strict rows rule out the origin
-        if not self.is_homogeneous:
+        if self.gt or not self.is_homogeneous:
+            return not self.is_empty  # a strict homogeneous row misses 0
+        normals = [v for v, _ in self.eq + self.ge]
+        if linalg.rank(normals) < self.rank:
             return True
-        return self.dim() >= 1
+        if not self.ge:
+            return False
+        total = tuple(map(sum, zip(*(v for v, _ in self.ge))))
+        return _solve_system(list(self.eq), self._ineq_rows() + [(total, 0, True)],
+                             self.rank) is not None
 
     # -- transforms ----------------------------------------------------------
 
@@ -385,7 +405,10 @@ class Polyhedron:
             return [(tuple(v) + (-r,), 0) for v, r in rows]
         lifted = Polyhedron(self.rank + 1, eq=lift(self.eq), ge=lift(self.ge),
                             gt=lift(self.gt) + [((0,) * self.rank + (1,), 0)])
-        return lifted.project_out_last()
+        hull = lifted.project_out_last()
+        # the projection is exact, so P's point (mu = 1) certifies the hull
+        hull._empty, hull._point = False, self._point
+        return hull
 
     def project_out_last(self) -> "Polyhedron":
         """Exact projection dropping the last coordinate."""
@@ -408,18 +431,22 @@ class Polyhedron:
 
     def lineality_basis(self):
         """Primitive basis of the lineality space of the closure."""
-        normals = [list(v) for v, _ in self.eq + self.ge + self.gt]
+        normals = [v for v, _ in self.eq + self.ge + self.gt]
         if not normals:
             return [tuple(int(i == j) for j in range(self.rank))
                     for i in range(self.rank)]
-        return [linalg.primitive_vector(b) for b in linalg.nullspace(normals)]
+        return linalg.nullspace(normals)
 
     def rays(self):
         """Extreme rays of the closure, primitive integer vectors, sorted.
 
         When the lineality space L is nonzero: rays of closure intersected
         with the orthogonal complement of L, plus +/- a primitive basis of L
-        (documented convention).
+        (documented convention).  The equality normals and L's basis reduce
+        to an independent integer row basis B once; each extreme ray spans
+        the kernel of B and n - 1 - |B| weak normals, read off the signed
+        maximal minors of those n - 1 rows, and is kept in the sign that
+        meets every weak normal.
         """
         if self.rank > RAY_RANK_LIMIT:
             raise ValueError(f"ray enumeration limited to rank <= {RAY_RANK_LIMIT}")
@@ -429,35 +456,30 @@ class Polyhedron:
             return []
         closure = self.closure()
         lin = closure.lineality_basis()
-        result = set()
-        if lin:
-            for l in lin:
-                result.add(tuple(l))
-                result.add(tuple(-x for x in l))
-            pointed = Polyhedron(self.rank,
-                                 eq=closure.eq + tuple((l, 0) for l in lin),
-                                 ge=closure.ge)
-        else:
-            pointed = closure
-        eqs = [list(v) for v, _ in pointed.eq]
-        normals = sorted({v for v, _ in pointed.ge})
-        base_rank = linalg.rank(eqs) if eqs else 0
-        need = self.rank - 1 - base_rank
-        for size in range(0, max(need, -1) + 1):
-            for combo in combinations(normals, size):
-                mat = eqs + [list(v) for v in combo]
-                if mat:
-                    ns = linalg.nullspace(mat)
-                else:
-                    ns = [[Fraction(int(i == j)) for j in range(self.rank)]
-                          for i in range(self.rank)]
-                if len(ns) != 1:
-                    continue
-                d = linalg.primitive_vector(ns[0])
-                for cand in (d, tuple(-x for x in d)):
-                    if all(_dot(v, cand) >= 0 for v in normals):
-                        result.add(cand)
+        result = set(lin) | {tuple(-x for x in l) for l in lin}
+        rows, pivots, _ = linalg.echelon([v for v, _ in closure.eq] + lin)
+        basis = rows[:len(pivots)]
+        normals = sorted({v for v, _ in closure.ge})
+        need = self.rank - 1 - len(basis)
+        if need < 0:
+            return sorted(result)
+        for combo in combinations(normals, need):
+            d = _kernel_line(basis + list(combo), self.rank)
+            if d is None:
+                continue
+            for cand in (d, tuple(-x for x in d)):
+                if all(_dot(v, cand) >= 0 for v in normals):
+                    result.add(cand)
         return sorted(result)
+
+
+def _kernel_line(rows, n):
+    """Primitive generator of the kernel of n - 1 integer rows of length n,
+    or None when the rows are dependent: the signed maximal minors."""
+    minors = [(-1) ** j * linalg.det([row[:j] + row[j + 1:] for row in rows])
+              for j in range(n)]
+    g = math.gcd(*minors)
+    return tuple(x // g for x in minors) if g else None
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,8 @@ def amoeba_sample(f: LaurentPoly, s_grid, angles: int) -> AmoebaCloud:
     call, and each row of roots is sorted by (real, imaginary) part.  A row
     whose leading coefficient is 0 is dropped and counted; a root is dropped
     and counted when |y| is 0 or not finite, or when its relative residual
-    exceeds RESIDUAL_TOL.
+    is not at most RESIDUAL_TOL (a NaN residual, from terms whose product
+    overflowed, included).
 
     The values that reach the output are computed as a scalar walk of the
     grid computes them, so the cloud is the same, float for float, as with
@@ -222,7 +223,9 @@ def _sample_block(f: LaurentPoly, ymax: int, span: int, block, phis,
         for a, col, fc in terms:
             w[:, col] += abs(fc) * np.exp(a * s_arr)
         weight = (w[:, None, :] * np.abs(yc) ** exps).sum(axis=2)
-        keep = (weight != 0.0) & ~(resid / weight > RESIDUAL_TOL)
+        # NaN compares False, so a zero weight or a residual lost to
+        # overflow drops the root
+        keep = resid / weight <= RESIDUAL_TOL
         # a bound on ln|v| for every intermediate v of a root's residual
         bound = (np.abs(s_arr)[:, None] * (1 + max(abs(a) for a, _, _ in terms))
                  + max(abs(math.log(abs(fc))) if fc else math.inf for _, _, fc in terms)
@@ -253,7 +256,7 @@ def _residual_exceeds(f: LaurentPoly, x: complex, y: complex, ay: float) -> bool
     resid = abs(sum(float(c) * x ** a * y ** b for (a, b), c in f.terms.items()))
     weight = sum(abs(float(c)) * abs(x) ** a * ay ** b
                  for (a, b), c in f.terms.items())
-    return weight == 0.0 or resid / weight > RESIDUAL_TOL
+    return weight == 0.0 or not resid / weight <= RESIDUAL_TOL
 
 
 @dataclass

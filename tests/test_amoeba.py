@@ -20,7 +20,7 @@ import pytest
 from sigmatrop.cli import run
 from sigmatrop.rings import QQ, LaurentPoly
 from sigmatrop.tropical import (AMOEBA_BLOCK, RESIDUAL_TOL, AmoebaCloud,
-                                amoeba_sample)
+                                _residual_exceeds, amoeba_sample)
 
 
 def reference_sample(f, s_grid, angles):
@@ -49,7 +49,7 @@ def reference_sample(f, s_grid, angles):
                                 for (a, b), c in f.terms.items()))
                 weight = sum(abs(float(c)) * abs(x) ** a * ay ** b
                              for (a, b), c in f.terms.items())
-                if weight == 0.0 or resid / weight > RESIDUAL_TOL:
+                if weight == 0.0 or not resid / weight <= RESIDUAL_TOL:
                     dropped += 1
                     continue
                 points.append((float(s), math.log(ay)))
@@ -146,6 +146,35 @@ def test_far_grids_fail_or_answer_as_the_reference():
             assert outcome(amoeba_sample, f, grid, angles) == want, (f, grid)
             kinds.add(want[0] if isinstance(want[0], str) else "cloud")
     assert kinds == {"cloud", "OverflowError", "ZeroDivisionError", "LinAlgError"}
+
+
+def test_a_root_with_a_nan_residual_is_dropped_and_counted():
+    """At s = -300 the root y ~ -2e130 i of this curve is finite, but the
+    products c x^a y^b of its residual overflow inside Python's complex
+    multiplication, which raises nothing: the residual is NaN and the weight
+    inf.  NaN > tol is False, so a `ratio > tol` drop rule kept the root."""
+    f = laurent({(2, 0): 2, (0, 2): 3, (-2, 1): 5, (-1, 2): 5})
+    s, angles = -300.0, 4
+    nan_roots = 0
+    for k in range(angles):
+        x = cmath.exp(complex(s, 2.0 * math.pi * k / angles))
+        coeffs = [complex(0)] * 3
+        for (a, b), c in f.terms.items():
+            coeffs[2 - b] += c * x ** a
+        for y in np.roots(coeffs):
+            y = complex(y)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                resid = abs(sum(c * x ** a * y ** b for (a, b), c in f.terms.items()))
+            if math.isnan(resid):
+                nan_roots += 1
+                assert _residual_exceeds(f, x, y, abs(y))
+    assert nan_roots >= 1
+    cloud = amoeba_sample(f, [s], angles)
+    want = reference_sample(f, [s], angles)
+    assert (cloud.points, cloud.dropped) == (want.points, want.dropped)
+    assert cloud.dropped >= nan_roots
+    assert len(cloud.points) + cloud.dropped == angles * 2
 
 
 # The largest light-mix amoeba shape: 161 s-values, 64 angles, 4 terms of

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from sigmatrop.linalg import (invert, mat_mul, mat_vec, nullspace,
-                              primitive_vector, rank, rref, solve_integer)
+from sigmatrop.linalg import (invert, mat_mul, mat_vec, nullspace, rank, rref,
+                              solve_integer)
 
 
 def integer_diagonalize(mat):
@@ -120,23 +120,17 @@ def test_rref_and_rank():
 
 
 def test_nullspace():
-    ns = nullspace([[1, 1, 0]])
-    assert len(ns) == 2
-    for v in ns:
-        assert v[0] + v[1] == 0 or v == [Fraction(0), Fraction(0), Fraction(1)]
+    # primitive integer vectors, positive in their free coordinate
+    assert nullspace([[1, 1, 0]]) == [(-1, 1, 0), (0, 0, 1)]
+    assert nullspace([[Fraction(1, 2), Fraction(1, 3)]]) == [(-2, 3)]
+    assert nullspace([[-2, 4], [1, -2]]) == [(2, 1)]
+    assert nullspace([[1, 0], [0, 1]]) == []
 
 
 def test_invert():
     inv = invert([[2, 1], [1, 1]])
     assert mat_mul([[2, 1], [1, 1]], inv) == [[1, 0], [0, 1]]
     assert invert([[1, 2], [2, 4]]) is None
-
-
-def test_primitive_vector():
-    assert primitive_vector([4, -6]) == (2, -3)
-    assert primitive_vector([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
-    with pytest.raises(ValueError):
-        primitive_vector([0, 0])
 
 
 def test_integer_diagonalize_invariants():

@@ -34,6 +34,10 @@ def trop(rank, valuation, *generators, domain="Z"):
                     "generators": [poly(terms) for terms in generators]}
 
 
+def unit(rank, i):
+    return tuple(int(j == i) for j in range(rank))
+
+
 def amoeba(terms, s_grid, angles, **far):
     return "amoeba", {"poly": poly(terms), "s_grid": s_grid, "angles": angles, **far}
 
@@ -85,6 +89,24 @@ JOBS = {
                               {"value": "2", "val": "1/2"}, {"value": "3", "val": "-2/3"},
                               {"value": "1", "val": "0"}]},
                           [((0, 0), 2), ((1, 0), 3), ((0, 1), 1), ((1, 1), 2)]),
+    # the work-count job of test_cone_kernels.py
+    "trop-trivial-r4": trop(4, {"kind": "trivial"},
+                            [((0, 0, 0, 0), 1), ((1, 0, 0, 0), 1), ((0, 1, 0, 0), -1),
+                             ((0, 0, 1, 0), 2), ((0, 0, 0, 1), 3), ((1, 1, 1, 1), 1)]),
+    "trop-padic-r4": trop(4, {"kind": "p-adic", "p": 3},
+                          [((0, 0, 0, 0), 9), ((1, 0, 0, 0), -1), ((0, 1, 0, 0), 3),
+                           ((0, 0, 1, 1), "1/3"), ((1, -1, 0, 1), 2)], domain="Q"),
+    "trop-global-z-r3": trop(3, {"kind": "global-z"},
+                             [((0, 0, 0), 6), ((1, 0, 0), -2), ((0, 1, 0), 3),
+                              ((0, 0, 1), 1)]),
+    # rank 6 is RAY_RANK_LIMIT: the fan still gets spherical rays, and its
+    # pieces have a 3-dimensional lineality space
+    "trop-trivial-r6": trop(6, {"kind": "trivial"},
+                            [((0,) * 6, 1), (unit(6, 0), -1), (unit(6, 1), 2),
+                             ((0, 0, 1, 1, 1, 1), 1)]),
+    # above the limit the fan has no "spherical_rays" key
+    "trop-trivial-r7": trop(7, {"kind": "trivial"},
+                            [((0,) * 7, 1), (unit(7, 0), 1), ((0, 1, 1, 1, 1, 1, 1), -2)]),
     # the far points bin to the recession rays of the curve y = 2x - 3
     "amoeba-span1-far": amoeba([((0, 1), 1), ((1, 0), -2), ((0, 0), 3)],
                                [x / 2 for x in range(-40, 41)], 16,
@@ -129,6 +151,11 @@ DIGESTS = {
     "trop-global-z-r2": "f81826013aa0cc334045b5808a706d11e58fd2a5eba2391f7e1b63fcd64dc8bd",
     "trop-prevariety-r3": "5cc0d81ab0d669d485093fc4bed705daa7b912547d9ec8c6b90fd9715df9aaf9",
     "trop-table-r2": "f55ed849e0cf3bf1d5b5e36500a6acacaf59e1b57d1723f6d8f62e09550ea1ae",
+    "trop-trivial-r4": "6d0ff6bc870c627a0bca9347b6eef8da4c7353e591e02c8eb1a839bb3d12d311",
+    "trop-padic-r4": "e80ad929837aadcec416ea48f58822d80deefa2e89ce6ce5687934975fa0af80",
+    "trop-global-z-r3": "7e26067d20f4b1f3696d1467c1072113132e34925cb9333f58063ac96d5dae90",
+    "trop-trivial-r6": "21ec3eec2e1d3b3002f8329b5eab50e0ccd22c46ea57067d0e2203f232f75d35",
+    "trop-trivial-r7": "713c625910728148aa019f861e6479f75961b3ae7a9ca2942c5be43733d36033",
     "amoeba-span1-far": "2c272cc3602ec563a75b6b37a3ce4fabf85f873a6534716472e3f79318383023",
     "amoeba-laurent-span2": (
         "cd6732dad769f08e31395fc8fa72f833d59a2066d2f2981abc11e9ec568bc16e"),

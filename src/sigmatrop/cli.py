@@ -600,6 +600,9 @@ def main(argv=None) -> int:
         return 1
     try:
         doc = run(job, bound_escalation=args.bound_escalation)
+        plot = doc.get("_plot")
+        if args.plot and plot is not None:
+            emit_plot_data(plot[0], plot[1], Path(args.plot))
     except SchemaError as exc:
         print(json.dumps({"error": {"type": "schema", "message": str(exc)}}))
         return 3
@@ -608,9 +611,6 @@ def main(argv=None) -> int:
                                     "message": str(exc)}}))
         return 1
 
-    plot = doc.get("_plot")
-    if args.plot and plot is not None:
-        emit_plot_data(plot[0], plot[1], Path(args.plot))
     text = canonical_json(doc)
     if args.out:
         Path(args.out).write_text(text)

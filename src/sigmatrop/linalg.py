@@ -1,45 +1,15 @@
 """Exact linear algebra over Q and Z (desk scale).
 
-Matrices are lists of row lists with int or Fraction entries.  rank and
-nullspace scale each row to integers and eliminate fraction-free (Bareiss);
-the Fraction rref is left under invert only.  Everything returns fresh
-lists.
+Matrices are lists of row lists with int or rational entries.  One
+fraction-free elimination, echelon (Bareiss), serves rank, nullspace and
+invert: each row is scaled to integers and every entry stays a minor of the
+integer matrix.  Everything returns fresh lists.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-
-def _frac_rows(mat):
-    return [[Fraction(x) for x in row] for row in mat]
-
-
-def rref(mat):
-    """Reduced row echelon form over Fractions; returns (rows, pivot column
-    indices)."""
-    rows = _frac_rows(mat)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
 
 
 def _integer_row(row):
@@ -85,13 +55,11 @@ def rank(mat) -> int:
     return len(echelon(mat)[1])
 
 
-def nullspace(mat):
-    """Basis of the right kernel as primitive integer tuples, one per free
-    column: the rref's kernel vector (1 in its free coordinate) scaled to
-    coprime integers, so that coordinate stays positive."""
-    if not mat:
-        return []
-    n = len(mat[0])
+def nullspace(mat, n):
+    """Basis of the right kernel of a matrix with n columns, as primitive
+    integer tuples, one per free column: the rref's kernel vector (1 in its
+    free coordinate) scaled to coprime integers, so that coordinate stays
+    positive.  A matrix with no rows has the identity basis."""
     rows, pivots, den = echelon(mat)
     basis = []
     for fc in range(n):
@@ -106,45 +74,21 @@ def nullspace(mat):
     return basis
 
 
-def det(mat):
-    """Determinant of a square integer matrix by Bareiss elimination."""
-    a = [list(row) for row in mat]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            p = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if p is None:
-                return 0
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        pivot = a[k]
-        akk = pivot[k]
-        for row in a[k + 1:]:
-            aik = row[k]
-            for j in range(k + 1, n):
-                row[j] = (akk * row[j] - aik * pivot[j]) // prev
-        prev = akk
-    return sign * a[-1][-1] if n else 1
-
-
 def invert(mat):
-    """Exact inverse of a square rational matrix, or None if singular."""
+    """Exact inverse of a square rational matrix, or None if singular.
+
+    echelon reduces [A | I] to den * [I | A^-1] when A is invertible (the
+    row scaling it applies cancels in the right block)."""
     n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    rows, pivots = rref(aug)
+    rows, pivots, den = echelon([list(row) + [int(i == j) for j in range(n)]
+                                 for i, row in enumerate(mat)])
     if pivots[:n] != list(range(n)):
         return None
-    return [row[n:] for row in rows[:n]]
+    return [[Fraction(x, den) for x in row[n:]] for row in rows[:n]]
 
 
 def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def solve_integer(mat, rhs, ncols=None):

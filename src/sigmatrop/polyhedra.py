@@ -11,7 +11,8 @@ Feasibility, emptiness, dimension, containment, and point extraction are
 decided exactly by Fourier-Motzkin elimination with strictness tracking,
 after equality rows are eliminated on primitive integer rows; Fraction
 appears only in a returned point.  Rays, lineality spaces and ranks come
-from fraction-free integer elimination and maximal minors (linalg).
+from linalg's fraction-free integer elimination: a ray is the kernel line
+of n - 1 independent normals.
 """
 
 from __future__ import annotations
@@ -314,6 +315,8 @@ class Polyhedron:
     # -- transforms ----------------------------------------------------------
 
     def closure(self):
+        if self._forced_empty:
+            return Polyhedron._empty_marker(self.rank)
         return Polyhedron(self.rank, eq=self.eq, ge=self.ge + self.gt)
 
     def negate(self):
@@ -413,6 +416,8 @@ class Polyhedron:
     def project_out_last(self) -> "Polyhedron":
         """Exact projection dropping the last coordinate."""
         n = self.rank
+        if self._forced_empty:
+            return Polyhedron._empty_marker(n - 1)
         rows = self._ineq_rows()
         eq_rows = list(self.eq)
         pivot = next((row for row in eq_rows if row[0][n - 1] != 0), None)
@@ -431,11 +436,7 @@ class Polyhedron:
 
     def lineality_basis(self):
         """Primitive basis of the lineality space of the closure."""
-        normals = [v for v, _ in self.eq + self.ge + self.gt]
-        if not normals:
-            return [tuple(int(i == j) for j in range(self.rank))
-                    for i in range(self.rank)]
-        return linalg.nullspace(normals)
+        return linalg.nullspace([v for v, _ in self.eq + self.ge + self.gt], self.rank)
 
     def rays(self):
         """Extreme rays of the closure, primitive integer vectors, sorted.
@@ -444,9 +445,8 @@ class Polyhedron:
         with the orthogonal complement of L, plus +/- a primitive basis of L
         (documented convention).  The equality normals and L's basis reduce
         to an independent integer row basis B once; each extreme ray spans
-        the kernel of B and n - 1 - |B| weak normals, read off the signed
-        maximal minors of those n - 1 rows, and is kept in the sign that
-        meets every weak normal.
+        the kernel of B and n - 1 - |B| weak normals when that kernel is a
+        line, and is kept in the sign that meets every weak normal.
         """
         if self.rank > RAY_RANK_LIMIT:
             raise ValueError(f"ray enumeration limited to rank <= {RAY_RANK_LIMIT}")
@@ -464,22 +464,13 @@ class Polyhedron:
         if need < 0:
             return sorted(result)
         for combo in combinations(normals, need):
-            d = _kernel_line(basis + list(combo), self.rank)
-            if d is None:
+            line = linalg.nullspace(basis + list(combo), self.rank)
+            if len(line) != 1:
                 continue
-            for cand in (d, tuple(-x for x in d)):
+            for cand in (line[0], tuple(-x for x in line[0])):
                 if all(_dot(v, cand) >= 0 for v in normals):
                     result.add(cand)
         return sorted(result)
-
-
-def _kernel_line(rows, n):
-    """Primitive generator of the kernel of n - 1 integer rows of length n,
-    or None when the rows are dependent: the signed maximal minors."""
-    minors = [(-1) ** j * linalg.det([row[:j] + row[j + 1:] for row in rows])
-              for j in range(n)]
-    g = math.gcd(*minors)
-    return tuple(x // g for x in minors) if g else None
 
 
 # ---------------------------------------------------------------------------

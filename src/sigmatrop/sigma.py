@@ -599,7 +599,7 @@ def _rational_eigentuples(m: MatrixAction):
             for rho in roots:
                 stacked = rows + [[x - rho if i == j else x for j, x in enumerate(row)]
                                   for i, row in enumerate(mat)]
-                kern = len(linalg.nullspace(stacked))
+                kern = len(linalg.nullspace(stacked, m.dim))
                 if kern:
                     grown.append((eigs + (rho,), stacked, kern))
         live = grown

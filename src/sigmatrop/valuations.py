@@ -2,7 +2,8 @@
 
 A valuation v satisfies v(0) = inf, v(1) = 0, v(ab) = v(a) + v(b), and
 v(a+b) >= min(v(a), v(b)).  The p-adic valuation counts the exponent of p;
-negative values occur on denominators.
+negative values occur on denominators.  Trivial and p-adic values are ints,
+table values Fractions.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class TrivialValuation:
     kind: str = field(default="trivial", init=False)
 
     def value(self, a):
-        return INF if Fraction(a) == 0 else Fraction(0)
+        return INF if Fraction(a) == 0 else 0
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class PAdicValuation:
         a = Fraction(a)
         if a == 0:
             return INF
-        return Fraction(padic_valuation(a.numerator, self.p)
-                        - padic_valuation(a.denominator, self.p))
+        return (padic_valuation(a.numerator, self.p)
+                - padic_valuation(a.denominator, self.p))
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ class NewtonPolygon:
     """
 
     points: tuple[tuple[int, object], ...]
-    hull: tuple[tuple[int, Fraction], ...]
+    hull: tuple[tuple[int, int | Fraction], ...]
     slopes: tuple[tuple[Fraction, int], ...]
 
     def root_valuations(self) -> list[tuple[Fraction, int]]:
@@ -145,7 +146,7 @@ def newton_polygon(coeffs, v: ValuationSpec) -> NewtonPolygon:
     points = tuple((i, v.value(c)) for i, c in enumerate(coeffs))
     finite = [(i, val) for i, val in points if val != INF]
 
-    hull: list[tuple[int, Fraction]] = []
+    hull: list[tuple[int, int | Fraction]] = []
     for pt in finite:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]

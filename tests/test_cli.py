@@ -287,6 +287,27 @@ def test_plot_rank_guard(tmp_path):
         emit_plot_data("fan", fan4, tmp_path / "plots")
 
 
+@pytest.mark.parametrize("job, plot, kind, message", [
+    # a rank-4 fan has no plot form
+    ({**TROP_JOB, "payload": {
+        "rank": 4, "valuation": {"kind": "trivial"},
+        "generators": [{"terms": [{"exp": [0, 0, 0, 0], "coef": 1},
+                                  {"exp": [1, 1, 0, 0], "coef": 1},
+                                  {"exp": [0, 0, 1, 1], "coef": 1}]}]}},
+     "plots", "ValueError", "rank <= 3"),
+    # the plot directory path is a file
+    (TROP_JOB, "taken", "FileExistsError", "taken"),
+])
+def test_plot_failure_is_a_structured_error(tmp_path, capsys, job, plot, kind, message):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps(job))
+    (tmp_path / "taken").write_text("")
+    code = main(["--job", str(job_file), "--plot", str(tmp_path / plot)])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 1
+    assert error["type"] == kind and message in error["message"]
+
+
 def test_trop_padic_and_table_valuations():
     padic_job = {
         "version": 1,

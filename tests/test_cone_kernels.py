@@ -1,12 +1,12 @@
 """The integer cone kernels against the Fraction kernels they replaced.
 
 The reference functions below are the earlier implementations, kept as the
-oracle: `ref_rref`, `ref_rank` and `ref_nullspace` eliminate over Fractions,
-`ref_dim` probes every weak row, and `ref_rays` tries every subset of weak
-normals of each size up to the one that can give a line, one Fraction
-nullspace per subset.  The kernels must agree with them exactly (kernels up
-to positive scaling), and the work-count test pins how much less work the
-fan path does.
+oracle: `rref` (from reference_linalg), `ref_rank` and `ref_nullspace`
+eliminate over Fractions, `ref_dim` probes every weak row, and `ref_rays`
+tries every subset of weak normals of each size up to the one that can give
+a line, one Fraction nullspace per subset.  The kernels must agree with them
+exactly (kernels up to positive scaling), and the work-count tests pin how
+much less work the fan path does.
 """
 
 import math
@@ -20,40 +20,18 @@ from sigmatrop import linalg, polyhedra
 from sigmatrop.cli import run
 from sigmatrop.polyhedra import RAY_RANK_LIMIT, Polyhedron
 
-
-def ref_rref(mat):
-    rows = [[Fraction(x) for x in row] for row in mat]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
+from reference_linalg import rref
 
 
 def ref_rank(mat):
-    return len(ref_rref(mat)[1]) if mat else 0
+    return len(rref(mat)[1]) if mat else 0
 
 
 def ref_nullspace(mat):
     if not mat:
         return []
     n = len(mat[0])
-    rows, pivots = ref_rref(mat)
+    rows, pivots = rref(mat)
     basis = []
     for fc in [c for c in range(n) if c not in pivots]:
         v = [Fraction(0)] * n
@@ -196,7 +174,7 @@ def test_rank_and_kernels_match_the_references():
         if m > 1 and rng.random() < 0.3:
             mat[-1] = [2 * a - b for a, b in zip(mat[0], mat[1])]
         assert linalg.rank(mat) == ref_rank(mat), mat
-        got, want = linalg.nullspace(mat), ref_nullspace(mat)
+        got, want = linalg.nullspace(mat, n), ref_nullspace(mat)
         assert len(got) == len(want), mat
         for v, w in zip(got, want):
             assert all(type(x) is int for x in v) and math.gcd(*v) == 1, v
@@ -211,23 +189,10 @@ def test_echelon_is_the_scaled_rref():
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         rows, pivots, den = linalg.echelon(mat)
-        want, want_pivots = ref_rref(mat)
+        want, want_pivots = rref(mat)
         assert pivots == want_pivots
         for r in range(len(pivots)):
             assert [Fraction(x, den) for x in rows[r]] == want[r]
-
-
-def test_det_matches_the_cofactor_expansion():
-    def cofactor(a):
-        if not a:
-            return 1
-        return sum((-1) ** j * a[0][j] * cofactor([row[:j] + row[j + 1:] for row in a[1:]])
-                   for j in range(len(a)))
-    rng = random.Random(6)
-    for _ in range(500):
-        n = rng.randint(0, 5)
-        a = [[rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(n)] for _ in range(n)]
-        assert linalg.det(a) == cofactor(a), a
 
 
 def test_positive_hull_keeps_a_point_of_the_piece():
@@ -263,15 +228,22 @@ def counting(monkeypatch, module, name):
 
 
 def test_rays_and_has_direction_call_no_fraction_kernel(monkeypatch):
-    nullspace = counting(monkeypatch, linalg, "nullspace")
-    rref = counting(monkeypatch, linalg, "rref")
+    echelons = counting(monkeypatch, linalg, "echelon")
     dims = counting(monkeypatch, Polyhedron, "dim")
     for p in list(random_cones())[::7]:
-        before = len(nullspace)
+        closure = p.closure()
+        k = len(set(closure.ge))
+        # a zero row makes the kernel of no normals the whole space
+        lin = ref_nullspace([list(v) for v, _ in closure.eq + closure.ge] + [[0] * p.rank])
+        need = p.rank - 1 - ref_rank([list(v) for v, _ in closure.eq] + lin)
+        before = len(echelons)
         fresh(p).rays()
-        assert len(nullspace) - before <= 1  # the lineality basis only
+        # the lineality basis, the row basis B, then one kernel per subset of
+        # exactly `need` weak normals
+        assert len(echelons) - before <= 2 + (math.comb(k, need) if need >= 0 else 0)
         fresh(p).has_direction()
-    assert not rref and not dims
+    assert not dims
+    assert not hasattr(linalg, "rref") and not hasattr(linalg, "det")
 
 
 def poly(terms):
@@ -279,7 +251,7 @@ def poly(terms):
 
 
 # f = 1 + x1 - x2 + 2 x3 + 3 x4 + x1 x2 x3 x4; the Fraction kernels made 75
-# FM solves and 197 rref calls on it
+# FM solves on it
 WORK_JOB = {"version": 1, "command": "trop", "payload": {
     "rank": 4, "valuation": {"kind": "trivial"},
     "generators": [poly([((0, 0, 0, 0), 1), ((1, 0, 0, 0), 1), ((0, 1, 0, 0), -1),
@@ -288,8 +260,6 @@ WORK_JOB = {"version": 1, "command": "trop", "payload": {
 
 def test_trop_job_work_counts(monkeypatch):
     solves = counting(monkeypatch, polyhedra, "_solve_system")
-    rref = counting(monkeypatch, linalg, "rref")
     doc = run(WORK_JOB)
     assert len(doc["result"]["fan"]["spherical_rays"]) == 8
     assert len(solves) <= 30
-    assert not rref

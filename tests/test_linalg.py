@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from sigmatrop.linalg import (invert, mat_mul, mat_vec, nullspace, rank, rref,
-                              solve_integer)
+from sigmatrop.linalg import invert, mat_mul, nullspace, rank, solve_integer
+
+from reference_linalg import invert as ref_invert, kernel_line, mat_vec
 
 
 def integer_diagonalize(mat):
@@ -111,26 +112,69 @@ def frac_det(mat):
     return det
 
 
-def test_rref_and_rank():
-    rows, pivots = rref([[2, 4], [1, 2]])
-    assert pivots == [0]
-    assert rows[0] == [1, 2]
+def test_rank():
+    assert rank([[2, 4], [1, 2]]) == 1
     assert rank([[1, 0], [0, 1], [1, 1]]) == 2
     assert rank([]) == 0
 
 
 def test_nullspace():
     # primitive integer vectors, positive in their free coordinate
-    assert nullspace([[1, 1, 0]]) == [(-1, 1, 0), (0, 0, 1)]
-    assert nullspace([[Fraction(1, 2), Fraction(1, 3)]]) == [(-2, 3)]
-    assert nullspace([[-2, 4], [1, -2]]) == [(2, 1)]
-    assert nullspace([[1, 0], [0, 1]]) == []
+    assert nullspace([[1, 1, 0]], 3) == [(-1, 1, 0), (0, 0, 1)]
+    assert nullspace([[Fraction(1, 2), Fraction(1, 3)]], 2) == [(-2, 3)]
+    assert nullspace([[-2, 4], [1, -2]], 2) == [(2, 1)]
+    assert nullspace([[1, 0], [0, 1]], 2) == []
+
+
+def test_nullspace_of_no_rows_is_the_identity_basis():
+    for n in range(5):
+        assert nullspace([], n) == [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+def test_nullspace_line_matches_the_minors_reference():
+    """On n - 1 integer rows, nullspace is one line exactly when the signed
+    maximal minors are not all 0, and it is their line."""
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(1200):
+        n = rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3, 4)) for _ in range(n)]
+                for _ in range(n - 1)]
+        if n > 2 and rng.random() < 0.3:  # a dependent row
+            rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
+        got, want = nullspace(rows, n), kernel_line(rows, n)
+        if want is None:
+            assert len(got) != 1, rows
+        else:
+            assert got in ([want], [tuple(-x for x in want)]), rows
+        seen.add((n, want is None))
+    assert {(n, False) for n in range(1, 7)} <= seen
+    assert {(n, True) for n in range(2, 7)} <= seen
 
 
 def test_invert():
     inv = invert([[2, 1], [1, 1]])
     assert mat_mul([[2, 1], [1, 1]], inv) == [[1, 0], [0, 1]]
     assert invert([[1, 2], [2, 4]]) is None
+
+
+def test_invert_matches_the_rref_reference():
+    rng = random.Random(43)
+    singular = 0
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        den = rng.choice((1, 1, 4))
+        a = [[Fraction(rng.randint(-3, 3), rng.randint(1, den)) for _ in range(n)]
+             for _ in range(n)]
+        if n > 1 and rng.random() < 0.25:  # singular by construction
+            a[-1] = [x - 3 * y for x, y in zip(a[0], a[-2])] if n > 2 else a[0][:]
+        got, want = invert(a), ref_invert(a)
+        assert got == want, a
+        if got is None:
+            singular += 1
+        else:
+            assert all(type(x) is Fraction for row in got for x in row)
+    assert singular >= 100
 
 
 def test_integer_diagonalize_invariants():

@@ -285,3 +285,12 @@ def test_feasible_points_always_contained():
             found += 1
             assert p.contains(pt)
     assert found > 50
+
+
+@pytest.mark.parametrize("transform", [Polyhedron.closure, Polyhedron.project_out_last])
+def test_transforms_keep_a_forced_empty_polyhedron_empty(transform):
+    # emptied by a zero row, which Polyhedron drops: 0 > 0, then 0 = 1
+    for p in (Polyhedron(2, ge=[((1, 0), 0)], gt=[((0, 0), 0)]),
+              Polyhedron(3, eq=[((0, 0, 0), 1)], ge=[((0, 1, 1), 2)])):
+        assert p.is_empty
+        assert transform(p).is_empty

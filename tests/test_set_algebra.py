@@ -13,10 +13,12 @@ from itertools import combinations
 
 import pytest
 
-from sigmatrop import linalg, polyhedra
+from sigmatrop import polyhedra
 from sigmatrop.polyhedra import (Polyhedron, PolyhedralSet, _dedupe_ineqs,
                                  _fm_eliminate, _fm_point, _solve_system,
                                  balanceable_at, in_open_hemisphere)
+
+from reference_linalg import rref
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +234,7 @@ def rref_solve_system(eq_rows, ineq_rows, n):
     if not eq_rows:
         return _fm_point(list(ineq_rows), n)
     aug = [[Fraction(x) for x in vec] + [Fraction(rhs)] for vec, rhs in eq_rows]
-    red, pivots = linalg.rref(aug)
+    red, pivots = rref(aug)
     if n in pivots:
         return None
     free = [c for c in range(n) if c not in pivots]
@@ -260,6 +262,8 @@ def rref_solve_system(eq_rows, ineq_rows, n):
 
 def rref_project_out_last(p):
     n = p.rank
+    if p._forced_empty:
+        return Polyhedron._empty_marker(n - 1)
     rows = p._ineq_rows()
     eq_rows = list(p.eq)
     pivot = next((row for row in eq_rows if row[0][n - 1] != 0), None)

@@ -18,6 +18,8 @@ from sigmatrop.sigma import (CyclicModule, MatrixAction, ScalarAction,
                              sigma_cyclic_field, sigma_direct_sum, sigma_of_module,
                              sigma_scalar_action_exact)
 
+from reference_linalg import mat_vec, rref
+
 X = LaurentPoly.monomial
 
 
@@ -246,7 +248,7 @@ def reference_eigentuples(m):
     def solve(mat, rhs):
         n = len(mat[0])
         aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
-        rows, pivots = linalg.rref(aug)
+        rows, pivots = rref(aug)
         if n in pivots:
             return None
         x = [Fraction(0)] * n
@@ -264,7 +266,7 @@ def reference_eigentuples(m):
             bt = [[basis[j][i] for j in range(k)] for i in range(d)]
             rep = []
             for b in basis:
-                coords = solve(bt, linalg.mat_vec(mat, list(b)))
+                coords = solve(bt, mat_vec(mat, list(b)))
                 if coords is None:
                     return None
                 rep.append(coords)
@@ -273,7 +275,7 @@ def reference_eigentuples(m):
             for root in sorted(rational_roots(char_poly(t))):
                 shifted = [[t[i][j] - (root if i == j else 0) for j in range(k)]
                            for i in range(k)]
-                kern = linalg.nullspace(shifted)
+                kern = linalg.nullspace(shifted, k)
                 if kern:
                     found += len(kern)
                     sub = [tuple(sum(v[j] * basis[j][i] for j in range(k))

@@ -117,3 +117,33 @@ def test_newton_polygon_total_length_is_degree_span():
         assert all(v != INF for _, v in np_.hull)
         slopes = [s for s, _ in np_.slopes]
         assert slopes == sorted(set(slopes))
+
+
+def test_trivial_and_padic_values_are_ints():
+    """v_p of a rational is an integer, so trivial and p-adic values are
+    ints (polyhedron rows built from them stay on integer arithmetic);
+    table values stay Fractions.  Newton polygons get the same hull and
+    slopes as from the same values given as Fractions."""
+    class AsFraction:
+        def __init__(self, v):
+            self.v = v
+
+        def value(self, a):
+            val = self.v.value(a)
+            return val if val == INF else Fraction(val)
+
+    rng = random.Random(11)
+    for _ in range(200):
+        a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 500), rng.randint(1, 500))
+        for v in (TrivialValuation(), PAdicValuation(2), PAdicValuation(3),
+                  PAdicValuation(7)):
+            assert type(v.value(a)) is int
+            assert v.value(a) == AsFraction(v).value(a)
+        coeffs = [Fraction(rng.randint(-60, 60), rng.randint(1, 60)) or 1
+                  for _ in range(rng.randint(2, 6))]
+        for v in (TrivialValuation(), PAdicValuation(2), PAdicValuation(5)):
+            got = newton_polygon(coeffs, v)
+            want = newton_polygon(coeffs, AsFraction(v))
+            assert got.slopes == want.slopes and got.hull == want.hull
+            assert all(type(s) is Fraction for s, _ in got.slopes)
+    assert type(TableValuation.from_dict({2: 1, 3: 0}).value(6)) is Fraction

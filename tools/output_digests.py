@@ -1,0 +1,59 @@
+#!/usr/bin/env python3
+"""Digest the canonical outputs of the benchmark's job batches.
+
+Usage (from the repository root):
+
+    python3 tools/output_digests.py [--seeds 1 2 3]
+
+Runs every job of the given seeds of the three perfbench workloads
+(sigma-ladder, trop-fans, light-mix) through `sigmatrop.cli.run`, with no
+time cap, and prints one line per workload and seed: the number of jobs and
+the sha256 over their `canonical_json` texts in batch order.  A job that
+raises contributes its exception type and message instead.  The time each
+batch took goes to standard error.  Two source trees print the same lines
+exactly when their outputs on these jobs are byte-identical.  The job
+generator, perfbench/jobs.py, is imported and not changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import jobs as J  # noqa: E402
+from sigmatrop.cli import canonical_json, run  # noqa: E402
+
+
+def batch_digest(workload: str, seed: int) -> tuple[int, str]:
+    h = hashlib.sha256()
+    jobs = J.batch(workload, seed)
+    for job in jobs:
+        try:
+            text = canonical_json(run(job.doc))
+        except Exception as exc:  # noqa: BLE001 - an error is part of the output
+            text = f"{type(exc).__name__}: {exc}\n"
+        h.update(text.encode())
+    return len(jobs), h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = parser.parse_args(argv)
+    for workload in J.WORKLOADS:
+        for seed in args.seeds:
+            start = time.perf_counter()
+            count, digest = batch_digest(workload, seed)
+            print(f"{workload} seed {seed}: {count} jobs {digest}", flush=True)
+            print(f"  {time.perf_counter() - start:.1f} s", file=sys.stderr, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

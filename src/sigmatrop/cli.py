@@ -285,7 +285,7 @@ def piece_json(p: Polyhedron) -> dict:
 def fan_json(fan: PolyhedralSet) -> dict:
     out = {"rank": fan.rank, "pieces": [piece_json(p) for p in fan.pieces]}
     if fan.rank <= RAY_RANK_LIMIT:
-        out["spherical_rays"] = [list(d.vector) for d in fan.radial().rays()]
+        out["spherical_rays"] = [list(d.vector) for d in fan.spherical_rays()]
     return out
 
 
@@ -516,7 +516,7 @@ def emit_plot_data(kind, obj, plot_dir: Path) -> list[str]:
     if kind == "fan":
         if obj.rank > 3:
             raise ValueError("plot emission supports fans of rank <= 3 only")
-        rays = obj.radial().rays()
+        rays = obj.spherical_rays()
         header = ",".join(f"dir_{ax}" for ax in "xyz"[: obj.rank])
         lines = [header]
         for d in rays:
@@ -603,6 +603,9 @@ def main(argv=None) -> int:
         plot = doc.get("_plot")
         if args.plot and plot is not None:
             emit_plot_data(plot[0], plot[1], Path(args.plot))
+        text = canonical_json(doc)
+        if args.out:
+            Path(args.out).write_text(text)
     except SchemaError as exc:
         print(json.dumps({"error": {"type": "schema", "message": str(exc)}}))
         return 3
@@ -611,10 +614,7 @@ def main(argv=None) -> int:
                                     "message": str(exc)}}))
         return 1
 
-    text = canonical_json(doc)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 2 if doc["undecided"] else 0
 

@@ -10,9 +10,10 @@ classes (the origin is ignored).
 Feasibility, emptiness, dimension, containment, and point extraction are
 decided exactly by Fourier-Motzkin elimination with strictness tracking,
 after equality rows are eliminated on primitive integer rows; Fraction
-appears only in a returned point.  Rays, lineality spaces and ranks come
-from linalg's fraction-free integer elimination: a ray is the kernel line
-of n - 1 independent normals.
+appears only in a returned point.  A closed cone (homogeneous, no strict
+row) is never empty: its point is the origin, found with no FM solve.
+Rays, lineality spaces and ranks come from linalg's fraction-free integer
+elimination: a ray is the kernel line of n - 1 independent normals.
 """
 
 from __future__ import annotations
@@ -28,20 +29,21 @@ RAY_RANK_LIMIT = 6  # ray enumeration is desk scale only
 
 
 def _norm_row(vec, rhs, orient=False):
-    """Scale (vec | rhs) to coprime integers; orient makes the sign canonical."""
-    ints = [*vec, rhs]
-    if not all(type(x) is int for x in ints):
-        fr = [Fraction(x) for x in ints]
+    """Scale (vec | rhs) to coprime integers; orient makes the sign canonical.
+
+    The row is built as one tuple and rebuilt only when it has a common
+    factor, a negative lead to orient, or rational entries."""
+    row = (*vec, rhs)
+    if not all(type(x) is int for x in row):
+        fr = [Fraction(x) for x in row]
         den = math.lcm(*(x.denominator for x in fr))
-        ints = [int(x * den) for x in fr]
-    g = math.gcd(*ints)
-    if g:
-        ints = [x // g for x in ints]
-    if orient:
-        lead = next((x for x in ints if x != 0), 0)
-        if lead < 0:
-            ints = [-x for x in ints]
-    return tuple(ints[:-1]), ints[-1]
+        row = tuple(int(x * den) for x in fr)
+    g = math.gcd(*row)
+    if orient and next((x for x in row if x), 0) < 0:
+        g = -g
+    if g not in (0, 1):
+        row = tuple(x // g for x in row)
+    return row[:-1], row[-1]
 
 
 def _dot(a, b):
@@ -254,9 +256,16 @@ class Polyhedron:
                 and all(_dot(v, point) > r for v, r in self.gt))
 
     def feasible_point(self):
+        """A rational point of the set, or None when it is empty; cached.
+
+        A closed cone (homogeneous, no strict row) holds the origin, which
+        is the point FM would return, so it takes no FM solve."""
         if self._empty is not None:
             return self._point
-        pt = _solve_system(list(self.eq), self._ineq_rows(), self.rank)
+        if not self.gt and self.is_homogeneous:
+            pt = [Fraction(0)] * self.rank
+        else:
+            pt = _solve_system(list(self.eq), self._ineq_rows(), self.rank)
         self._empty = pt is None
         self._point = tuple(pt) if pt is not None else None
         return self._point
@@ -317,6 +326,8 @@ class Polyhedron:
     def closure(self):
         if self._forced_empty:
             return Polyhedron._empty_marker(self.rank)
+        if not self.gt:
+            return self
         return Polyhedron(self.rank, eq=self.eq, ge=self.ge + self.gt)
 
     def negate(self):
@@ -559,6 +570,17 @@ class PolyhedralSet:
     def radial(self) -> "SphericalSet":
         hulls = [p.positive_hull() for p in self.pieces if not p.is_empty]
         return SphericalSet(self.rank, [h for h in hulls if h.has_direction()])
+
+    def spherical_rays(self):
+        """Sorted extreme rays of the closures of the positive hulls of the
+        nonempty pieces: the same list as radial().rays().
+
+        No piece is asked has_direction(), which radial() does to drop the
+        hulls that are only {0}: a nonempty cone with no nonzero point is
+        {0}, which has no extreme ray and no lineality, so its rays() adds
+        nothing."""
+        hulls = [p.positive_hull() for p in self.pieces if not p.is_empty]
+        return SphericalSet(self.rank, hulls).rays()
 
     def __repr__(self):
         return f"PolyhedralSet(rank={self.rank}, pieces={len(self.pieces)})"

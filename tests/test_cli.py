@@ -308,6 +308,16 @@ def test_plot_failure_is_a_structured_error(tmp_path, capsys, job, plot, kind, m
     assert error["type"] == kind and message in error["message"]
 
 
+def test_out_write_failure_is_a_structured_error(tmp_path, capsys):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps(SIGMA_JOB))
+    code = main(["--job", str(job_file),
+                 "--out", str(tmp_path / "missing" / "x.json")])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 1
+    assert error["type"] == "FileNotFoundError" and "x.json" in error["message"]
+
+
 def test_trop_padic_and_table_valuations():
     padic_job = {
         "version": 1,

@@ -6,7 +6,9 @@ eliminate over Fractions, `ref_dim` probes every weak row, and `ref_rays`
 tries every subset of weak normals of each size up to the one that can give
 a line, one Fraction nullspace per subset.  The kernels must agree with them
 exactly (kernels up to positive scaling), and the work-count tests pin how
-much less work the fan path does.
+much less work the fan path does.  The tests at the end check that a closed
+cone's origin point is the point FM returns, and that the fan output's
+`spherical_rays()` equals the `radial().rays()` it replaced.
 """
 
 import math
@@ -18,7 +20,11 @@ import pytest
 
 from sigmatrop import linalg, polyhedra
 from sigmatrop.cli import run
-from sigmatrop.polyhedra import RAY_RANK_LIMIT, Polyhedron
+from sigmatrop.polyhedra import RAY_RANK_LIMIT, PolyhedralSet, Polyhedron
+from sigmatrop.rings import ZZ, LaurentPoly
+from sigmatrop.tropical import (ValuedPoly, global_tropical_Z, trop_hypersurface,
+                                trop_prevariety)
+from sigmatrop.valuations import PAdicValuation, TrivialValuation
 
 from reference_linalg import rref
 
@@ -262,4 +268,124 @@ def test_trop_job_work_counts(monkeypatch):
     solves = counting(monkeypatch, polyhedra, "_solve_system")
     doc = run(WORK_JOB)
     assert len(doc["result"]["fan"]["spherical_rays"]) == 8
-    assert len(solves) <= 30
+    # every piece of a trivial-valuation fan is a closed cone
+    assert not solves
+
+
+# f = 1 + 2 x1 + 3 x2 + 6 x3 + 4 x1 x2 x3: 10 monomial pairs, and the 2-adic
+# and 3-adic valuations of its coefficients are both non-trivial
+VALUED = [((0, 0, 0), 1), ((1, 0, 0), 2), ((0, 1, 0), 3), ((0, 0, 1), 6),
+          ((1, 1, 1), 4)]
+
+
+@pytest.mark.parametrize("valuation, want", [
+    ({"kind": "p-adic", "p": 2}, 10),
+    # the trivial hypersurface is free; one solve per pair for 2 and for 3
+    ({"kind": "global-z"}, 20),
+])
+def test_valued_trop_job_solves_once_per_monomial_pair(monkeypatch, valuation, want):
+    solves = counting(monkeypatch, polyhedra, "_solve_system")
+    doc = run({"version": 1, "command": "trop", "payload": {
+        "rank": 3, "valuation": valuation, "generators": [poly(VALUED)]}})
+    assert doc["result"]["fan"]["spherical_rays"]
+    assert len(solves) == want
+
+
+# ---------------------------------------------------------------------------
+# A closed cone's feasible point is the origin, with no FM solve.
+
+
+def closed_cones():
+    rng = random.Random(11)
+    for rank in range(1, 7):
+        for _ in range(40):
+            yield rand_cone(rng, rank, rng.choice((0, 0, 1, 2)), rng.randint(0, rank + 1),
+                            dependent=rng.random() < 0.3)
+        # a lineality space: fewer normals than the rank
+        yield Polyhedron.cone(rank, ge=[rand_vec(rng, rank)])
+
+
+def test_closed_cone_point_is_the_fm_point_without_a_solve(monkeypatch):
+    cones = list(closed_cones())
+    want = [polyhedra._solve_system(list(p.eq), p._ineq_rows(), p.rank) for p in cones]
+    solves = counting(monkeypatch, polyhedra, "_solve_system")
+    for p, point in zip(cones, want):
+        assert fresh(p).feasible_point() == tuple(point), p
+    assert not solves
+    assert any(p.eq for p in cones)
+    assert any(p.lineality_basis() and p.ge for p in cones)
+
+
+def test_forced_empty_closed_cone_has_no_point(monkeypatch):
+    solves = counting(monkeypatch, polyhedra, "_solve_system")
+    # 0 > 0 empties the cone and is then dropped, leaving a gt-free cone
+    p = Polyhedron.cone(3, ge=[(1, 0, 0)], gt=[(0, 0, 0)])
+    assert not p.gt and p.is_homogeneous
+    assert p.feasible_point() is None and p.is_empty
+    assert not solves
+
+
+@pytest.mark.parametrize("p", [
+    Polyhedron.cone(2, ge=[(1, 0)], gt=[(0, 1)]),
+    Polyhedron(2, ge=[((1, 0), 1), ((0, 1), 0)]),
+    Polyhedron(3, eq=[((1, 1, 0), 2)], ge=[((0, 0, 1), 0)]),
+])
+def test_strict_or_affine_rows_still_solve(monkeypatch, p):
+    solves = counting(monkeypatch, polyhedra, "_solve_system")
+    point = p.feasible_point()
+    assert len(solves) == 1 and p.contains(point)
+
+
+# ---------------------------------------------------------------------------
+# spherical_rays() against the radial() path it replaces on the fan output.
+
+
+def rand_poly(rng, rank, domain=ZZ):
+    terms = {}
+    while len(terms) < rng.randint(2, 5):
+        terms[tuple(rng.randint(-1, 2) for _ in range(rank))] = rng.choice(
+            (1, -1, 2, 3, 4, 6, 9, -12))
+    return LaurentPoly(rank, domain, terms)
+
+
+def random_fans():
+    rng = random.Random(13)
+    for rank in range(2, 5):
+        for _ in range(8):
+            f = rand_poly(rng, rank)
+            yield trop_hypersurface(f, TrivialValuation())
+            yield trop_hypersurface(f, PAdicValuation(rng.choice((2, 3))))
+            yield global_tropical_Z(f)
+            gens = [ValuedPoly(rand_poly(rng, rank), PAdicValuation(2)) for _ in range(2)]
+            yield trop_prevariety(gens)
+            yield PolyhedralSet(rank, [
+                Polyhedron(rank, eq=[(rand_vec(rng, rank), rng.randint(-2, 2))
+                                     for _ in range(rng.choice((0, 0, 1)))],
+                           ge=[(rand_vec(rng, rank), rng.randint(-2, 2))
+                               for _ in range(rng.randint(0, 4))],
+                           gt=[(rand_vec(rng, rank), rng.randint(-2, 2))
+                               for _ in range(rng.choice((0, 1)))])
+                for _ in range(rng.randint(1, 3))])
+
+
+def test_spherical_rays_match_the_radial_rays():
+    seen_zero = 0
+    for fan in random_fans():
+        assert fan.spherical_rays() == fan.radial().rays(), fan
+        for p in fan.pieces:
+            if not p.is_empty:
+                hull = p.positive_hull()
+                seen_zero += not fresh(hull).has_direction()
+    # some hulls were {0}, the cones that radial() drops
+    assert seen_zero
+
+
+def test_a_nonempty_cone_has_rays_iff_it_has_a_direction():
+    seen = set()
+    for p in list(random_cones()) + list(closed_cones()):
+        if fresh(p).is_empty:
+            continue
+        has = fresh(p).has_direction()
+        assert (fresh(p).rays() == []) == (not has), p
+        seen.add(has)
+    assert seen == {True, False}

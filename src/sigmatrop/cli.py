@@ -2,8 +2,9 @@
 
 One JSON job per invocation: {"version": 1, "command": ..., "payload": ...}.
 Commands: trop, sigma, group, dyn, h2, amoeba.  Results are canonical JSON
-(sorted keys, fixed separators) so identical jobs produce byte-identical
-documents; exact rationals travel as "num/den" strings.
+(sorted keys, two-space indent, ASCII escapes: the same bytes as
+json.dumps(..., sort_keys=True, indent=2)), so identical jobs produce
+byte-identical documents; exact rationals travel as "num/den" strings.
 
 Exit codes: 0 success, 1 error (a malformed command line included), 2 result
 is (partly) undecided, 3 schema violation.
@@ -18,6 +19,7 @@ import math
 import numbers
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import jsonschema
@@ -79,6 +81,12 @@ _VALUATION = {
     "required": ["kind"],
     "additionalProperties": False,
 }
+
+
+def _mode_is(mode):
+    return {"properties": {"mode": {"const": mode}}, "required": ["mode"]}
+
+
 _MODULE = {
     "type": "object",
     "properties": {
@@ -93,6 +101,17 @@ _MODULE = {
     },
     "required": ["mode"],
     "additionalProperties": False,
+    # the keys each mode reads, and the shape of its generators
+    "allOf": [
+        {"if": _mode_is("scalar"), "then": {"required": ["rhos"]}},
+        {"if": _mode_is("matrix"),
+         "then": {"required": ["mats", "generators"],
+                  "properties": {"generators": {
+                      "items": {"type": "array", "items": _FRAC}}}}},
+        {"if": _mode_is("cyclic"),
+         "then": {"required": ["rank"],
+                  "properties": {"generators": {"items": _POLY}}}},
+    ],
 }
 
 JOB_SCHEMA = {
@@ -129,7 +148,8 @@ PAYLOAD_SCHEMAS = {
     "group": {
         "type": "object",
         "properties": {"module": _MODULE,
-                       "fpm": {"type": "array", "items": {"type": "integer"}},
+                       "fpm": {"type": "array",
+                               "items": {"type": "integer", "minimum": 1}},
                        "box": {"type": "integer", "minimum": 1},
                        "coeff_bound": {"type": "integer", "minimum": 1}},
         "required": ["module"],
@@ -566,8 +586,70 @@ def run(job: dict, bound_escalation: int | None = None) -> dict:
 
 
 def canonical_json(doc: dict) -> str:
-    doc = {k: v for k, v in doc.items() if not k.startswith("_")}
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """The result document without its "_" keys, as the text
+    json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n".
+
+    Hand-written because json.dumps uses its C encoder only when indent is
+    None: with indent=2 it runs its pure-Python generator encoder.  This one
+    appends string chunks and joins them once, with the C string escaper and
+    json's int and float texts, in about half the time.  Keys must be str
+    (the schema and the result builders make every key one); another key,
+    or a value json.dumps rejects, raises TypeError.
+    """
+    out = []
+    _encode({k: v for k, v in doc.items() if not k.startswith("_")}, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(o, out: list, nl: str) -> None:
+    """Append the chunks of o's text to out; nl is a newline followed by the
+    indentation of the line o starts on."""
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            out.append(sep + _encode_str(k) + ": ")
+            _encode(o[k], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if all(type(x) is int for x in o):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o))
+                       + nl + "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            _encode(x, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        if o != o:
+            out.append("NaN")
+        elif o in (math.inf, -math.inf):
+            out.append("Infinity" if o > 0 else "-Infinity")
+        else:
+            out.append(float.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 class _Parser(argparse.ArgumentParser):

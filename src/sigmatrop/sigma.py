@@ -724,15 +724,33 @@ def _field_inverse(c, domain: Domain):
     return 1 / Fraction(c)
 
 
+def _content(f: LaurentPoly) -> int:
+    """The gcd of the coefficients of f, a polynomial over ZZ."""
+    return math.gcd(*(int(c) for c in f.terms.values()))
+
+
 def _cover_multiple_piece(f: LaurentPoly, piece: Polyhedron, box_limit: int,
                           coeff_bound: int):
     """Certify a piece for the principal ideal (f): find lam = f*h with
-    integer (or field) coefficients, constant term 1, and support in the
-    piece's strict dual."""
+    integer coefficients, constant term 1, and support in the piece's strict
+    dual.  Returns ([(piece, cone, lam)], []) or, when the box search up to
+    box_limit finds none, ([], [piece]).
+
+    When the content c of f (the gcd of its coefficients) is not 1, every
+    coefficient of every f*h lies in cZ, so none has constant term 1: in each
+    system below the constant-term row holds only coefficients of f and its
+    right-hand side is 1, and solve_integer returns None at every box size.
+    The piece is then failed before any system is built.  (ZG/(f) then maps
+    onto the free module F_p G for each prime p dividing c, so no direction
+    carries a certificate.)  The piece stays undecided, as the search leaves
+    it.
+    """
     rank = f.rank
     zero = (0,) * rank
     if f.domain.kind != "ZZ":
         raise ValueError("integer certificates need a generator over ZZ")
+    if _content(f) != 1:
+        return [], [piece]
     in_strict_dual = _strict_dual_test(piece)
     f_terms = [(g, int(c)) for g, c in sorted(f.terms.items())]
 

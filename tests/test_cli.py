@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from sigmatrop import linalg
 from sigmatrop.cli import canonical_json, main, run, SchemaError
+
+from test_cone_kernels import counting
 
 TROP_JOB = {
     "version": 1,
@@ -249,6 +252,36 @@ def test_bad_amoeba_payload_is_a_schema_error(tmp_path, capsys, field, value, me
     assert error == {"type": "schema", "message": message}
 
 
+# each of these failed inside a handler (KeyError, TypeError, ValueError) with
+# exit 1 before the schema named the keys each module mode reads
+_POLY = {"terms": [{"exp": [0], "coef": 2}, {"exp": [1], "coef": -1}]}
+_SCALAR = {"mode": "scalar", "rhos": ["6"]}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("sigma", {"module": {"mode": "cyclic", "generators": [_POLY]}},
+     "'rank' is a required property"),
+    ("sigma", {"module": {"mode": "scalar"}}, "'rhos' is a required property"),
+    ("sigma", {"module": {"mode": "matrix", "generators": [["1"]]}},
+     "'mats' is a required property"),
+    ("sigma", {"module": {"mode": "matrix", "mats": [[["2"]]]}},
+     "'generators' is a required property"),
+    ("sigma", {"module": {"mode": "matrix", "mats": [[["2"]]], "generators": [1]}},
+     "1 is not of type 'array'"),
+    ("group", {"module": {"mode": "cyclic", "rank": 1, "generators": [5]}},
+     "5 is not of type 'object'"),
+    ("group", {"module": _SCALAR, "fpm": [0]}, "0 is less than the minimum of 1"),
+    ("group", {"module": _SCALAR, "fpm": [-1]}, "-1 is less than the minimum of 1"),
+])
+def test_module_gaps_are_schema_errors(tmp_path, capsys, command, payload, message):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps({"version": 1, "command": command,
+                                    "payload": payload}))
+    assert main(["--job", str(job_file)]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "schema", "message": message}
+
+
 def test_amoeba_plot_csv(tmp_path):
     job_file = tmp_path / "job.json"
     job_file.write_text(json.dumps(AMOEBA_JOB))
@@ -412,9 +445,11 @@ def test_frontier_rank_four_cyclic_over_q_answers():
     assert elapsed < FRONTIER_BUDGET_S, f"{elapsed:.2f}s"
 
 
-def test_frontier_cyclic_over_z_answers_undecided():
+def test_frontier_cyclic_over_z_answers_undecided(monkeypatch):
     # every coefficient of f is even, so every f*h has even coefficients and
-    # no certificate with constant term 1 exists: nothing is proved in sigma
+    # no certificate with constant term 1 exists: nothing is proved in sigma,
+    # and the multiple search builds no integer system
+    solves = counting(monkeypatch, linalg, "solve_integer")
     module = _cyclic(2, "Z", [((0, 0), 2), ((1, 0), -2), ((1, 2), -2),
                               ((2, 1), -2)])
     start = time.perf_counter()
@@ -423,7 +458,9 @@ def test_frontier_cyclic_over_z_answers_undecided():
     result = doc["result"]
     assert result["proved_sigma"]["empty"] is True
     assert len(result["undecided"]["pieces"]) == 12
+    assert result["notes"][0] == "12 pieces exhausted the multiple-search bounds"
     assert doc["undecided"] is True
+    assert solves == []
     assert elapsed < FRONTIER_BUDGET_S, f"{elapsed:.2f}s"
 
 

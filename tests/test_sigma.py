@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 import sympy
 
 from sigmatrop import linalg, sigma
+from sigmatrop.cli import canonical_json, run
 from sigmatrop.polyhedra import Polyhedron, PolyhedralSet, in_open_hemisphere
 from sigmatrop.rings import GF, QQ, ZZ, Character, Direction, LaurentPoly
 from sigmatrop.sigma import (CyclicModule, MatrixAction, ScalarAction,
@@ -19,6 +21,7 @@ from sigmatrop.sigma import (CyclicModule, MatrixAction, ScalarAction,
                              sigma_scalar_action_exact)
 
 from reference_linalg import mat_vec, rref
+from test_cone_kernels import counting
 
 X = LaurentPoly.monomial
 
@@ -387,6 +390,37 @@ def test_sigma_cyclic_over_Z_principal():
     assert result_q.proved_complement.is_empty
     assert result_q.proved_sigma.contains(Direction.of(1))
     assert result_q.proved_sigma.contains(Direction.of(-1))
+
+
+def _principal_job_over_z(rng, rank, content):
+    """A seeded sigma job on ZG/(f) over Z whose f has the given content."""
+    exps = set()
+    while len(exps) < rng.randint(2, 4 if rank < 3 else 3):
+        exps.add(tuple(rng.randint(-2, 2) for _ in range(rank)))
+    coefs = [content] + [content * rng.choice([-3, -2, -1, 1, 2, 3])
+                         for _ in range(len(exps) - 1)]
+    terms = [{"exp": list(e), "coef": c}
+             for e, c in zip(sorted(exps), rng.sample(coefs, len(coefs)))]
+    return {"version": 1, "command": "sigma", "payload": {
+        "box": 2, "module": {"mode": "cyclic", "rank": rank, "domain": "Z",
+                             "generators": [{"terms": terms}]}}}
+
+
+def test_content_test_answers_as_the_full_multiple_search(monkeypatch):
+    """A generator of content > 1 fails each piece before any integer system
+    is built; the full box search, run by making every content read 1, ends
+    in the same output, byte for byte."""
+    rng = random.Random(12)
+    jobs = [_principal_job_over_z(rng, rank, content)
+            for rank in (1, 2, 3) for content in (2, 3, 6) for _ in range(2)]
+    solves = counting(monkeypatch, linalg, "solve_integer")
+    fast = [canonical_json(run(job)) for job in jobs]
+    assert solves == []
+    monkeypatch.setattr(sigma, "_content", lambda f: 1)
+    full = [canonical_json(run(job)) for job in jobs]
+    assert solves
+    assert fast == full
+    assert sum(json.loads(text)["undecided"] for text in fast) >= len(jobs) // 2
 
 
 def test_sigma_cyclic_multi_generator_outer_bound():

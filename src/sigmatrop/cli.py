@@ -96,7 +96,7 @@ _MODULE = {
                  "items": {"type": "array",
                            "items": {"type": "array", "items": _FRAC}}},
         "generators": {"type": "array"},
-        "rank": {"type": "integer"},
+        "rank": {"type": "integer", "minimum": 1},
         "domain": _DOMAIN,
     },
     "required": ["mode"],
@@ -254,7 +254,12 @@ def frac_str(x) -> str:
 
 
 def parse_frac(x) -> Fraction:
-    return Fraction(x) if isinstance(x, int) else Fraction(str(x))
+    """An int or a rational string; any other string, "1/0" too, is a
+    SchemaError."""
+    try:
+        return Fraction(x) if isinstance(x, int) else Fraction(str(x))
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"{x!r} is not a rational number") from None
 
 
 def parse_domain(obj) -> Domain:
@@ -269,6 +274,9 @@ def parse_poly(obj, rank: int, domain: Domain) -> LaurentPoly:
     terms = {}
     for t in obj["terms"]:
         exp = tuple(int(e) for e in t["exp"])
+        if len(exp) != rank:
+            raise SchemaError(f"exponent {list(exp)} has length {len(exp)}, "
+                              f"not the rank {rank}")
         coef = parse_frac(t["coef"])
         terms[exp] = terms.get(exp, 0) + coef
     return LaurentPoly(rank, domain, terms)

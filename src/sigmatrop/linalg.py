@@ -91,25 +91,20 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def solve_integer(mat, rhs, ncols=None):
-    """One integer solution of mat*x = rhs, or None.
+def solve_integer(rows, rhs, ncols):
+    """One integer solution x of rows*x = rhs in ncols unknowns, or None.
 
-    Rows are lists of ints, or dicts {column: int} when ncols is given.
-    Diagonalizes by unimodular row and column operations on sparse rows: the
-    pivot is the nonzero (abs, row, column)-least entry of the remaining
-    block, row operations act on rhs as they go, and column operations are
-    replayed on the diagonal solution, whose free coordinates are zero.
+    Rows are sparse, dicts {column: int} with no zero entries.  Diagonalizes
+    by unimodular row and column operations: the pivot is the nonzero
+    (abs, row, column)-least entry of the remaining block, row operations
+    act on rhs as they go, and column operations are replayed on the
+    diagonal solution, whose free coordinates are zero.
     """
-    if ncols is None:
-        n = len(mat[0]) if mat else 0
-        rows = [{j: int(x) for j, x in enumerate(row) if x} for row in mat]
-    else:
-        n = ncols
-        rows = [dict(row) for row in mat]
+    rows = [dict(row) for row in rows]
     m = len(rows)
     b = [int(x) for x in rhs]
     col_ops = []  # (i, j, q): column i -= q * column j; q None swaps them
-    for t in range(min(m, n)):
+    for t in range(min(m, ncols)):
         while True:
             # rows < t hold only their diagonal entry and rows >= t are zero
             # left of column t; the pivot is the (abs, row, column)-least
@@ -166,9 +161,9 @@ def solve_integer(mat, rhs, ncols=None):
                     done = False
             if done:
                 break
-    y = [0] * n
+    y = [0] * ncols
     for i in range(m):
-        d = rows[i].get(i, 0) if i < n else 0
+        d = rows[i].get(i, 0) if i < ncols else 0
         if d == 0:
             if b[i] != 0:
                 return None

@@ -636,9 +636,6 @@ class SphericalSet:
     def complement(self) -> "SphericalSet":
         return SphericalSet(self.rank, self._set.complement().pieces)
 
-    def minus(self, other: "SphericalSet") -> "SphericalSet":
-        return SphericalSet(self.rank, self._set.minus(other._set).pieces)
-
     def negate(self) -> "SphericalSet":
         return SphericalSet(self.rank, self._set.negate().pieces)
 

@@ -106,6 +106,8 @@ class CyclicModule:
     gens: tuple[LaurentPoly, ...]
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError("cyclic presentations need rank >= 1")
         for g in self.gens:
             if g.rank != self.rank or g.domain != self.domain:
                 raise DimensionError("generators must live in the stated ring")
@@ -328,31 +330,37 @@ def determinant_reduction(theta) -> LaurentPoly:
 # -- search ------------------------------------------------------------------
 
 
-def _support_in_box(rank: int, k: int):
-    return sorted(g for g in itertools.product(range(-k, k + 1), repeat=rank)
-                  if any(g))
+def _matrix_system(cache: _ActionCache):
+    """Certificate system of a matrix action for `_cover_piece`: lam =
+    1 + sum c_g x^g over the strict-dual monomials g != 0 of [-k, k]^n, with
+    sum c_g action(g) = -I as one integer row per matrix entry.  Each lam it
+    returns is re-checked to annihilate the module."""
+    d, rank = cache.d, cache.mod.rank
 
-
-def _solve_for_support(cache: _ActionCache, monos, coeff_bound: int):
-    """Integer coefficients c_g with sum c_g * action(g) = -identity, or None."""
-    mod = cache.mod
-    d = mod.dim
-    cols = [cache.monomial_matrix(g) for g in monos]
-    rows, rhs = [], []
-    for i in range(d):
-        for j in range(d):
+    def system(in_strict_dual, k):
+        # product() runs through the box in lexicographic order
+        monos = [g for g in itertools.product(range(-k, k + 1), repeat=rank)
+                 if any(g) and in_strict_dual(g)]
+        cols = [cache.monomial_matrix(g) for g in monos]
+        rows, rhs = [], []
+        for i, j in itertools.product(range(d), repeat=2):
             row = [c[i][j] for c in cols]
             den = math.lcm(*(x.denominator for x in row), 1)
-            rows.append([int(x * den) for x in row])
-            rhs.append(int(-Fraction(int(i == j)) * den))
-    sol = linalg.solve_integer(rows, rhs)
-    if sol is None or any(abs(c) > coeff_bound for c in sol):
-        return None
-    terms = {(0,) * mod.rank: 1}
-    for g, c in zip(monos, sol):
-        if c:
-            terms[g] = c
-    return LaurentPoly(mod.rank, ZZ, terms)
+            rows.append({t: int(x * den) for t, x in enumerate(row) if x})
+            rhs.append(-den if i == j else 0)
+
+        def to_lam(sol):
+            terms = {(0,) * rank: 1}
+            terms.update((g, c) for g, c in zip(monos, sol) if c)
+            lam = LaurentPoly(rank, ZZ, terms)
+            if not _is_zero_matrix(cache.evaluate(lam)):
+                raise SoundnessError("searched certificate does not annihilate "
+                                     "the module")
+            return lam
+
+        return rows, rhs, len(monos), to_lam
+
+    return system
 
 
 def certificate_search(mod: ModulePresentation, chi: Character, box: int,
@@ -372,7 +380,8 @@ def certificate_search(mod: ModulePresentation, chi: Character, box: int,
     if chi.rank != m.rank:
         raise DimensionError("direction rank does not match the module")
     ray = ray_cone(Direction.from_vector(chi.values))
-    certified, _ = _cover_piece(_ActionCache(m), ray, coeff_bound, box, 0)
+    certified, _ = _cover_piece(_matrix_system(_ActionCache(m)), ray, coeff_bound,
+                                 box, 0)
     return certified[0][2] if certified else None
 
 
@@ -473,41 +482,40 @@ def _check_searched(lam: LaurentPoly, piece: Polyhedron):
                                  "that is not positive on its piece")
 
 
-def _cover_piece(cache: _ActionCache, piece: Polyhedron, coeff_bound: int,
-                 box_limit: int, depth: int):
+def _cover_piece(system, piece: Polyhedron, coeff_bound: int, box_limit: int,
+                 depth: int):
     """Certify one region piece, splitting on coordinate signs on failure.
 
-    Returns (certified, failed): certified is a list of
+    At each box size k, system(in_strict_dual, k) gives the module's sparse
+    rows {column: int}, right-hand side, column count and solution-to-lam
+    map.  Returns (certified, failed): certified is a list of
     (sub-piece, validity cone, certificate)."""
-    rank = cache.mod.rank
+    rank = piece.rank
     in_strict_dual = _strict_dual_test(piece)
     for k in range(1, box_limit + 1):
-        monos = [g for g in _support_in_box(rank, k) if in_strict_dual(g)]
-        if not monos:
+        rows, rhs, ncols, to_lam = system(in_strict_dual, k)
+        if not ncols:
             continue
-        lam = _solve_for_support(cache, monos, coeff_bound)
-        if lam is not None:
-            if not _is_zero_matrix(cache.evaluate(lam)):
-                raise SoundnessError("searched certificate does not annihilate "
-                                     "the module")
-            _check_searched(lam, piece)
-            support = [g for g in lam.terms if any(g)]
-            cone = Polyhedron.cone(rank, gt=support)
-            return [(piece, cone, lam)], []
+        sol = linalg.solve_integer(rows, rhs, ncols)
+        if sol is None or any(abs(c) > coeff_bound for c in sol):
+            continue
+        lam = to_lam(sol)
+        _check_searched(lam, piece)
+        support = [g for g in lam.terms if any(g)]
+        cone = Polyhedron.cone(rank, gt=support)
+        return [(piece, cone, lam)], []
     if depth > 0:
         for i in range(rank):
-            axis = [0] * rank
-            axis[i] = 1
-            pos = piece.intersect(Polyhedron.cone(rank, gt=[tuple(axis)]))
-            neg = piece.intersect(
-                Polyhedron.cone(rank, gt=[tuple(-x for x in axis)]))
+            axis = tuple(int(j == i) for j in range(rank))
+            pos = piece.intersect(Polyhedron.cone(rank, gt=[axis]))
+            neg = piece.intersect(Polyhedron.cone(rank, gt=[tuple(-x for x in axis)]))
             if pos.has_direction() and neg.has_direction():
-                zero = piece.intersect(Polyhedron.cone(rank, eq=[tuple(axis)]))
+                zero = piece.intersect(Polyhedron.cone(rank, eq=[axis]))
                 certified, failed = [], []
                 for part in (pos, neg, zero):
                     if not part.has_direction():
                         continue
-                    c, f = _cover_piece(cache, part, coeff_bound, box_limit, depth - 1)
+                    c, f = _cover_piece(system, part, coeff_bound, box_limit, depth - 1)
                     certified += c
                     failed += f
                 return certified, failed
@@ -558,12 +566,12 @@ def sigma_scalar_action_exact(mod: ModulePresentation, box_limit: int = COVER_BO
         complement = SphericalSet.from_directions(dirs, rank=m.rank)
 
     region = complement.complement()
-    cache = _ActionCache(m)
+    system = _matrix_system(_ActionCache(m))
     certified, failed = [], []
     for piece in region.pieces:
         if not piece.has_direction():
             continue
-        c, f = _cover_piece(cache, piece, coeff_bound, box_limit, COVER_SPLIT_DEPTH)
+        c, f = _cover_piece(system, piece, coeff_bound, box_limit, COVER_SPLIT_DEPTH)
         certified += c
         failed += f
     if failed:
@@ -654,12 +662,17 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
         certified, failed = [], []
         if mod.domain.kind == "ZZ":
             complement = global_tropical_Z(f).radial()
-            for piece in complement.complement().pieces:
-                if not piece.has_direction():
-                    continue
-                c, fl = _cover_multiple_piece(f, piece, box_limit, coeff_bound)
-                certified += c
-                failed += fl
+            pieces = [p for p in complement.complement().pieces if p.has_direction()]
+            if _content(f) != 1:
+                # every f*h has coefficients in cZ for the content c, so no
+                # multiple has constant term 1: the pieces stay undecided
+                failed = pieces
+            else:
+                system = _multiple_system(f)
+                for piece in pieces:
+                    c, fl = _cover_piece(system, piece, coeff_bound, box_limit, 0)
+                    certified += c
+                    failed += fl
             if failed:
                 notes.append(
                     f"{len(failed)} pieces exhausted the multiple-search bounds")
@@ -729,33 +742,19 @@ def _content(f: LaurentPoly) -> int:
     return math.gcd(*(int(c) for c in f.terms.values()))
 
 
-def _cover_multiple_piece(f: LaurentPoly, piece: Polyhedron, box_limit: int,
-                          coeff_bound: int):
-    """Certify a piece for the principal ideal (f): find lam = f*h with
-    integer coefficients, constant term 1, and support in the piece's strict
-    dual.  Returns ([(piece, cone, lam)], []) or, when the box search up to
-    box_limit finds none, ([], [piece]).
-
-    When the content c of f (the gcd of its coefficients) is not 1, every
-    coefficient of every f*h lies in cZ, so none has constant term 1: in each
-    system below the constant-term row holds only coefficients of f and its
-    right-hand side is 1, and solve_integer returns None at every box size.
-    The piece is then failed before any system is built.  (ZG/(f) then maps
-    onto the free module F_p G for each prime p dividing c, so no direction
-    carries a certificate.)  The piece stays undecided, as the search leaves
-    it.
-    """
-    rank = f.rank
-    zero = (0,) * rank
+def _multiple_system(f: LaurentPoly):
+    """Certificate system of the principal ideal (f) over Z for
+    `_cover_piece`: lam = f*h with one integer unknown per monomial h of
+    [-k, k]^n, one row per monomial of f*h outside the strict dual (its
+    coefficient is 0) and the constant-term row (its coefficient is 1)."""
     if f.domain.kind != "ZZ":
         raise ValueError("integer certificates need a generator over ZZ")
-    if _content(f) != 1:
-        return [], [piece]
-    in_strict_dual = _strict_dual_test(piece)
+    rank = f.rank
+    zero = (0,) * rank
     f_terms = [(g, int(c)) for g, c in sorted(f.terms.items())]
 
-    for k in range(1, box_limit + 1):
-        hsupp = sorted(itertools.product(range(-k, k + 1), repeat=rank))
+    def system(in_strict_dual, k):
+        hsupp = list(itertools.product(range(-k, k + 1), repeat=rank))
         # column h holds f's coefficient c_g in the row of msum = g + h
         columns = [[(tuple(a + b for a, b in zip(g, h)), c) for g, c in f_terms]
                    for h in hsupp]
@@ -771,16 +770,13 @@ def _cover_multiple_piece(f: LaurentPoly, piece: Polyhedron, box_limit: int,
                 if r is not None:
                     rows[r][j] = c
         rhs = [0] * (len(rows) - 1) + [1]
-        sol = linalg.solve_integer(rows, rhs, ncols=len(hsupp))
-        if sol is None or any(abs(c) > coeff_bound for c in sol):
-            continue
-        h = LaurentPoly(rank, ZZ, {h_: c for h_, c in zip(hsupp, sol) if c})
-        lam = f * h
-        _check_searched(lam, piece)
-        support = [g for g in lam.terms if any(g)]
-        cone = Polyhedron.cone(rank, gt=support)
-        return [(piece, cone, lam)], []
-    return [], [piece]
+
+        def to_lam(sol):
+            return f * LaurentPoly(rank, ZZ, {h: c for h, c in zip(hsupp, sol) if c})
+
+        return rows, rhs, len(hsupp), to_lam
+
+    return system
 
 
 def sigma_direct_sum(r1: SigmaResult, r2: SigmaResult) -> SigmaResult:

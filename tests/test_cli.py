@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import sigmatrop
 from sigmatrop import linalg
 from sigmatrop.cli import canonical_json, main, run, SchemaError
 
@@ -272,6 +274,33 @@ _SCALAR = {"mode": "scalar", "rhos": ["6"]}
      "5 is not of type 'object'"),
     ("group", {"module": _SCALAR, "fpm": [0]}, "0 is less than the minimum of 1"),
     ("group", {"module": _SCALAR, "fpm": [-1]}, "-1 is less than the minimum of 1"),
+    # a rank below 1 used to answer, with a witness direction of length 1
+    ("sigma", {"module": {"mode": "cyclic", "rank": 0, "generators": []}},
+     "0 is less than the minimum of 1"),
+    ("sigma", {"module": {"mode": "cyclic", "rank": -1, "generators": []}},
+     "-1 is less than the minimum of 1"),
+    # values the schema cannot express: a string that is not a rational
+    # (ValueError), a zero denominator (ZeroDivisionError) and an exponent
+    # whose length is not the rank (DimensionError), each exit 1 before
+    ("sigma", {"module": {"mode": "scalar", "rhos": ["x"]}},
+     "'x' is not a rational number"),
+    ("sigma", {"module": {"mode": "cyclic", "rank": 1, "generators": [
+        {"terms": [{"exp": [0], "coef": "x"}, {"exp": [1], "coef": 1}]}]}},
+     "'x' is not a rational number"),
+    ("group", {"module": {"mode": "cyclic", "rank": 1, "generators": [
+        {"terms": [{"exp": [0], "coef": "1/0"}, {"exp": [1], "coef": 1}]}]}},
+     "'1/0' is not a rational number"),
+    ("sigma", {"module": {"mode": "cyclic", "rank": 2, "generators": [_POLY]}},
+     "exponent [0] has length 1, not the rank 2"),
+    ("trop", {"rank": 2, "valuation": {"kind": "trivial"}, "generators": [_POLY]},
+     "exponent [0] has length 1, not the rank 2"),
+    ("trop", {"rank": 1, "valuation": {"kind": "trivial"}, "generators": [
+        {"terms": [{"exp": [0], "coef": "1/0"}, {"exp": [1], "coef": 1}]}]},
+     "'1/0' is not a rational number"),
+    ("dyn", {"rank": 1, "matrix": [[_POLY]], "chi": ["x"]},
+     "'x' is not a rational number"),
+    ("dyn", {"rank": 2, "matrix": [[_POLY]]},
+     "exponent [0] has length 1, not the rank 2"),
 ])
 def test_module_gaps_are_schema_errors(tmp_path, capsys, command, payload, message):
     job_file = tmp_path / "job.json"
@@ -296,9 +325,13 @@ def test_amoeba_plot_csv(tmp_path):
 def test_console_script_runs(tmp_path):
     job_file = tmp_path / "job.json"
     job_file.write_text(json.dumps(SIGMA_JOB))
+    # the child imports the package this process imported, installed or not
+    src = str(Path(sigmatrop.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "sigmatrop.cli", "--job", str(job_file)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["proved_complement"]["directions"] == [[1]]

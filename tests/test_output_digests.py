@@ -77,6 +77,9 @@ JOBS = {
                                                ((1, 1), 3)])),
     "sigma-cyclic-z-r3": sigma(cyclic(3, "Z", [((0, 0, 0), 1), ((1, 0, 0), 2),
                                                ((0, 1, 0), -1), ((0, 0, 1), 3)])),
+    # content 1, yet one piece exhausts the multiple search and stays undecided
+    "group-cyclic-z-r1-undecided": group(cyclic(1, "Z", [((-1,), 1), ((0,), 2),
+                                                         ((1,), -2), ((2,), 1)])),
     "trop-padic-r3": trop(3, {"kind": "p-adic", "p": 2},
                           [((0, 0, 0), 4), ((1, 0, 0), -3), ((0, 1, 0), 6),
                            ((0, 0, 1), "1/2"), ((1, 1, 1), 1)], domain="Q"),
@@ -147,6 +150,8 @@ DIGESTS = {
     "sigma-cyclic-z-r2": "1394d52089cdd71c7660ccbfc33381ed0688298018a89af0e15adc7e10c41731",
     "group-cyclic-z-r2": "02e8dd27745bcfbc578839415f58d726a737badaa0e9e719a2a5938f9d07350f",
     "sigma-cyclic-z-r3": "2b999725e6213efeb246d51584c74999f49c9718522a9083408e0acb61dc2efb",
+    "group-cyclic-z-r1-undecided": (
+        "7ac11066badd9e9fa7ddf923793d4e5cd256dfb64c303479a1aaa81b506eeb1f"),
     "trop-padic-r3": "77af228509c35e391a09bad7ac07251ec5380cd1c95b80da834b189a1bb0bc43",
     "trop-global-z-r2": "f81826013aa0cc334045b5808a706d11e58fd2a5eba2391f7e1b63fcd64dc8bd",
     "trop-prevariety-r3": "5cc0d81ab0d669d485093fc4bed705daa7b912547d9ec8c6b90fd9715df9aaf9",

@@ -40,6 +40,9 @@ def test_presentation_guards():
         MatrixAction.of([[[1, 1], [1, 1]]], [[1, 0], [0, 1]])  # singular
     with pytest.raises(ValueError):
         MatrixAction.of([[[2, 0], [0, 3]]], [[1, 0]])  # generators do not span
+    for rank in (0, -1):
+        with pytest.raises(ValueError, match="rank >= 1"):
+            CyclicModule(rank, ZZ, ())
 
 
 def test_annihilates_examples():

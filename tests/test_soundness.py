@@ -19,13 +19,14 @@ from sigmatrop import dynamics, linalg, polyhedra, sigma
 from sigmatrop.dynamics import Norm, PushMap, check_angle_bound
 from sigmatrop.polyhedra import HemisphereCertificate, Polyhedron, in_open_hemisphere
 from sigmatrop.rings import QQ, ZZ, Character, LaurentPoly, SoundnessError
-from sigmatrop.sigma import ScalarAction, certificate_search, sigma_of_module
+from sigmatrop.sigma import (CyclicModule, ScalarAction, certificate_search,
+                             sigma_of_module)
 
 
 def test_certificate_search_rejects_an_invalid_certificate(monkeypatch):
     mod, chi = ScalarAction.of(6), Character.of(-1)
     assert certificate_search(mod, chi, 2, 100) is not None
-    _search_returns(monkeypatch, {(0,): 1, (-1,): -1})  # 1 - 1/6 at rho = 6
+    _solve_returns(monkeypatch, lambda ncols: [-1] * ncols)  # 1 - x^-1
     with pytest.raises(SoundnessError, match="annihilate"):
         certificate_search(mod, chi, 2, 100)
 
@@ -68,24 +69,31 @@ def test_angle_bound_needs_a_positive_norm(monkeypatch):
 def test_integer_cover_needs_an_integer_generator():
     f = LaurentPoly(1, QQ, {(1,): 1, (0,): -2})
     with pytest.raises(ValueError):
-        sigma._cover_multiple_piece(f, Polyhedron.full(1), 1, 10)
+        sigma._cover_piece(sigma._multiple_system(f), Polyhedron.full(1), 10, 1, 0)
 
 
-def _search_returns(monkeypatch, terms):
-    lam = LaurentPoly(1, ZZ, terms)
-    monkeypatch.setattr(sigma, "_solve_for_support", lambda *args: lam)
+def _solve_returns(monkeypatch, solution):
+    """Make every integer system the search builds return solution(ncols)."""
+    monkeypatch.setattr(linalg, "solve_integer",
+                        lambda rows, rhs, ncols: solution(ncols))
 
 
 def test_searched_certificate_must_annihilate(monkeypatch):
-    _search_returns(monkeypatch, {(0,): 1, (-1,): -1})  # 1 - 1/6 at rho = 6
+    # the one column is x^-1: lam = 1 - x^-1, which is 1 - 1/6 at rho = 6
+    _solve_returns(monkeypatch, lambda ncols: [-1] * ncols)
     with pytest.raises(SoundnessError, match="annihilate"):
         sigma_of_module(ScalarAction.of(6))
 
 
 def test_searched_certificate_needs_constant_term_one(monkeypatch):
-    _search_returns(monkeypatch, {(0,): 12, (1,): -2})  # annihilates rho = 6
+    # a matrix system fixes the constant term to 1, so the check is reached
+    # through the ideal's system: h = 1, the middle column of the box, gives
+    # lam = f = 2 - x, whose constant term is 2
+    f = LaurentPoly(1, ZZ, {(0,): 2, (1,): -1})
+    _solve_returns(monkeypatch, lambda ncols: [int(j == ncols // 2)
+                                               for j in range(ncols)])
     with pytest.raises(SoundnessError, match="constant term"):
-        sigma_of_module(ScalarAction.of(6))
+        sigma_of_module(CyclicModule(1, ZZ, (f,)))
 
 
 def test_searched_certificate_must_be_positive_on_its_piece(monkeypatch):
@@ -99,10 +107,11 @@ def test_searched_certificate_must_be_positive_on_its_piece(monkeypatch):
 def test_multiple_certificate_needs_constant_term_one(monkeypatch):
     f = LaurentPoly(1, ZZ, {(0,): 2, (1,): -1})
     piece = Polyhedron.cone(1, gt=[(-1,)])  # where -x is initial: a unit
-    assert sigma._cover_multiple_piece(f, piece, 2, 10)[0]
-    monkeypatch.setattr(linalg, "solve_integer", lambda rows, rhs, ncols: [0] * ncols)
+    system = sigma._multiple_system(f)
+    assert sigma._cover_piece(system, piece, 10, 2, 0)[0]
+    _solve_returns(monkeypatch, lambda ncols: [0] * ncols)  # lam = 0
     with pytest.raises(SoundnessError, match="constant term"):
-        sigma._cover_multiple_piece(f, piece, 2, 10)
+        sigma._cover_piece(system, piece, 10, 2, 0)
 
 
 def test_multiple_certificate_must_be_positive_on_its_piece(monkeypatch):
@@ -110,7 +119,8 @@ def test_multiple_certificate_must_be_positive_on_its_piece(monkeypatch):
     f = LaurentPoly(1, ZZ, {(0,): 2, (1,): -1})
     monkeypatch.setattr(sigma, "_strict_dual_test", lambda piece: lambda g: True)
     with pytest.raises(SoundnessError, match="not positive"):
-        sigma._cover_multiple_piece(f, Polyhedron.cone(1, gt=[(1,)]), 2, 10)
+        sigma._cover_piece(sigma._multiple_system(f), Polyhedron.cone(1, gt=[(1,)]),
+                           10, 2, 0)
 
 
 def test_soundness_checks_survive_python_O():

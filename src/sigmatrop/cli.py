@@ -42,6 +42,8 @@ from .valuations import PAdicValuation, TableValuation, TrivialValuation
 # JSON schema.
 
 _FRAC = {"type": ["string", "integer"]}
+_POS_INT = {"type": "integer", "minimum": 1}
+_NONNEG_INT = {"type": "integer", "minimum": 0}
 _POLY = {
     "type": "object",
     "properties": {
@@ -96,7 +98,7 @@ _MODULE = {
                  "items": {"type": "array",
                            "items": {"type": "array", "items": _FRAC}}},
         "generators": {"type": "array"},
-        "rank": {"type": "integer", "minimum": 1},
+        "rank": _POS_INT,
         "domain": _DOMAIN,
     },
     "required": ["mode"],
@@ -129,7 +131,7 @@ PAYLOAD_SCHEMAS = {
     "trop": {
         "type": "object",
         "properties": {
-            "rank": {"type": "integer", "minimum": 1},
+            "rank": _POS_INT,
             "domain": _DOMAIN,
             "generators": {"type": "array", "items": _POLY, "minItems": 1},
             "valuation": _VALUATION,
@@ -139,32 +141,27 @@ PAYLOAD_SCHEMAS = {
     },
     "sigma": {
         "type": "object",
-        "properties": {"module": _MODULE,
-                       "box": {"type": "integer", "minimum": 1},
-                       "coeff_bound": {"type": "integer", "minimum": 1}},
+        "properties": {"module": _MODULE, "box": _POS_INT, "coeff_bound": _POS_INT},
         "required": ["module"],
         "additionalProperties": False,
     },
     "group": {
         "type": "object",
-        "properties": {"module": _MODULE,
-                       "fpm": {"type": "array",
-                               "items": {"type": "integer", "minimum": 1}},
-                       "box": {"type": "integer", "minimum": 1},
-                       "coeff_bound": {"type": "integer", "minimum": 1}},
+        "properties": {"module": _MODULE, "fpm": {"type": "array", "items": _POS_INT},
+                       "box": _POS_INT, "coeff_bound": _POS_INT},
         "required": ["module"],
         "additionalProperties": False,
     },
     "dyn": {
         "type": "object",
         "properties": {
-            "rank": {"type": "integer", "minimum": 1},
+            "rank": _POS_INT,
             "matrix": {"type": "array",
                        "items": {"type": "array", "items": _POLY}},
             "chi": {"type": "array", "items": _FRAC},
             "start": {"type": "array", "items": _POLY},
-            "iters": {"type": "integer", "minimum": 1},
-            "powers": {"type": "integer", "minimum": 1},
+            "iters": _POS_INT,
+            "powers": _POS_INT,
         },
         "required": ["rank", "matrix"],
         "additionalProperties": False,
@@ -175,22 +172,19 @@ PAYLOAD_SCHEMAS = {
             "p": {"type": "integer", "minimum": 2},
             "support_at_zero": {
                 "type": "object",
-                "properties": {"k": {"type": "integer"},
-                               "j_max": {"type": "integer"}},
+                "properties": {"k": _NONNEG_INT, "j_max": _NONNEG_INT},
                 "required": ["k", "j_max"], "additionalProperties": False},
             "infinity_obstruction": {
                 "type": "object",
-                "properties": {"q": _FRAC, "coeff_bound": {"type": "integer"},
-                               "k_max": {"type": "integer"}},
+                "properties": {"q": _FRAC, "coeff_bound": _POS_INT, "k_max": _POS_INT},
                 "required": ["q", "coeff_bound", "k_max"],
                 "additionalProperties": False},
             "push": {"type": "object", "properties": {},
                      "additionalProperties": False},
             "zero_obstruction": {
                 "type": "object",
-                "properties": {"q": _FRAC, "coeff_bound": {"type": "integer"},
-                               "size_bound": {"type": "integer"},
-                               "k_max": {"type": "integer"},
+                "properties": {"q": _FRAC, "coeff_bound": _POS_INT,
+                               "size_bound": _POS_INT, "k_max": _NONNEG_INT,
                                "module": {"enum": ["A", "B"]}},
                 "required": ["q", "coeff_bound", "size_bound"],
                 "additionalProperties": False},
@@ -203,9 +197,9 @@ PAYLOAD_SCHEMAS = {
         "properties": {
             "poly": _POLY,
             "s_grid": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-            "angles": {"type": "integer", "minimum": 1},
+            "angles": _POS_INT,
             "min_radius": {"type": "number"},
-            "angle_bins": {"type": "integer", "minimum": 1},
+            "angle_bins": _POS_INT,
         },
         "required": ["poly", "s_grid", "angles"],
         "additionalProperties": False,
@@ -267,7 +261,10 @@ def parse_domain(obj) -> Domain:
         return ZZ
     if obj == "Q":
         return QQ
-    return GF(int(obj["GF"]))
+    try:
+        return GF(int(obj["GF"]))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def parse_poly(obj, rank: int, domain: Domain) -> LaurentPoly:
@@ -294,13 +291,18 @@ def parse_valuation(obj):
     if kind == "p-adic":
         if "p" not in obj:
             raise SchemaError("p-adic valuation needs p")
-        return PAdicValuation(int(obj["p"]))
-    if kind == "table":
-        return TableValuation.from_dict(
-            {parse_frac(e["value"]): (math.inf if e["val"] == "inf"
-                                      else parse_frac(e["val"]))
-             for e in obj.get("entries", [])})
-    return kind  # "global-z" handled by the caller
+        build, arg = PAdicValuation, int(obj["p"])
+    elif kind == "table":
+        build, arg = TableValuation.from_dict, {
+            parse_frac(e["value"]): (math.inf if e["val"] == "inf"
+                                     else parse_frac(e["val"]))
+            for e in obj.get("entries", [])}
+    else:
+        return kind  # "global-z" handled by the caller
+    try:
+        return build(arg)
+    except ValueError as exc:  # p is not a prime, or the table is no valuation
+        raise SchemaError(str(exc)) from None
 
 
 def piece_json(p: Polyhedron) -> dict:
@@ -465,6 +467,8 @@ def _run_h2(payload):
     out = {}
     if "support_at_zero" in payload:
         params = payload["support_at_zero"]
+        if params["j_max"] < params["k"]:
+            raise SchemaError(f"j_max {params['j_max']} is less than k {params['k']}")
         rep = verify_support_at_zero_A(p, params["k"], params["j_max"])
         out["support_at_zero"] = {
             "passed": rep.passed,

@@ -202,6 +202,8 @@ def verify_support_at_zero_A(p: int, k: int, j_max: int) -> SupportAtZeroReport:
     their control points climb arbitrarily high in every horoball at 0."""
     if p < 2:
         raise ValueError("need p >= 2")
+    if k < 0:
+        raise ValueError("need k >= 0")
     if j_max < k:
         raise ValueError("need j_max >= k: the residues start at j = k")
     rows = []
@@ -243,6 +245,8 @@ def verify_infinity_obstruction_A(p: int, q, coeff_bound: int,
     Brute-force part: exhaustive search over bounded coefficients confirms
     sum m_k p^(2k) = 1 has no solution.
     """
+    if coeff_bound < 1 or k_max < 1:
+        raise ValueError("need coeff_bound >= 1 and k_max >= 1: an empty search")
     q = Fraction(q)
     applies = q > 1
     symbolic_pass = False
@@ -336,6 +340,8 @@ def verify_zero_obstruction_B(p: int, q, coeff_bound: int, size_bound: int,
     is supported at 0, so a witness is expected there once the coefficient
     bound admits it.
     """
+    if coeff_bound < 1 or size_bound < 1 or k_max < 0:
+        raise ValueError("need coeff_bound, size_bound >= 1 and k_max >= 0")
     q = Fraction(q)
     ball = HoroballSpec(xi=Fraction(0), level_arg=q)
     candidates = []

@@ -2,10 +2,11 @@
 
 A Polyhedron is cut out by affine rows a*u = b, a*u >= b, a*u > b with
 integer primitive data; homogeneous instances (all b = 0) are cones.  A
-PolyhedralSet is a finite union of possibly-overlapping polyhedra (no
-face-lattice normalization); its complement is a union of disjoint pieces.
-A SphericalSet is a union of homogeneous pieces read as a set of ray
-classes (the origin is ignored).
+constant row that no point meets stores the set as Polyhedron.empty, the
+row 0 >= 1.  A PolyhedralSet is a finite union of possibly-overlapping
+polyhedra (no face-lattice normalization); its complement is a union of
+disjoint pieces.  A SphericalSet is a union of homogeneous pieces read as
+a set of ray classes (the origin is ignored).
 
 Feasibility, emptiness, dimension, containment, and point extraction are
 decided exactly by Fourier-Motzkin elimination with strictness tracking,
@@ -189,7 +190,7 @@ class Polyhedron:
 
     def __init__(self, rank, eq=(), ge=(), gt=()):
         self.rank = rank
-        self._forced_empty = False
+        self._empty = None
         groups = []
         for rows, kind in ((eq, "eq"), (ge, "ge"), (gt, "gt")):
             sink = set()
@@ -202,18 +203,25 @@ class Polyhedron:
                     if (kind == "eq" and nrhs != 0) or \
                        (kind == "ge" and nrhs > 0) or \
                        (kind == "gt" and nrhs >= 0):
-                        self._forced_empty = True
+                        self._empty = True
                     continue
                 sink.add((nvec, nrhs))
             groups.append(tuple(sorted(sink)))
+        if self._empty:
+            # no point meets a constant row: the whole set is stored as 0 >= 1
+            groups = [(), (((0,) * rank, 1),), ()]
         self.eq, self.ge, self.gt = groups
-        self._empty = True if self._forced_empty else None
         self._point = None
         self._dim = None
 
     @classmethod
     def full(cls, rank):
         return cls(rank)
+
+    @classmethod
+    def empty(cls, rank):
+        """The canonical empty polyhedron, the single row 0 >= 1."""
+        return cls(rank, ge=[((0,) * rank, 1)])
 
     @classmethod
     def cone(cls, rank, eq=(), ge=(), gt=()):
@@ -228,7 +236,7 @@ class Polyhedron:
         return all(r == 0 for _, r in self.eq + self.ge + self.gt)
 
     def _key(self):
-        return (self.rank, self._forced_empty, self.eq, self.ge, self.gt)
+        return (self.rank, self.eq, self.ge, self.gt)
 
     def __eq__(self, other):
         return isinstance(other, Polyhedron) and self._key() == other._key()
@@ -249,8 +257,6 @@ class Polyhedron:
         point = [Fraction(x) for x in point]
         if len(point) != self.rank:
             raise DimensionError(f"point has length {len(point)}, expected {self.rank}")
-        if self._forced_empty:
-            return False
         return (all(_dot(v, point) == r for v, r in self.eq)
                 and all(_dot(v, point) >= r for v, r in self.ge)
                 and all(_dot(v, point) > r for v, r in self.gt))
@@ -308,8 +314,6 @@ class Polyhedron:
         nonzero, that is rank [E; A] < n; otherwise 0 is its only point with
         Au = 0, so it has one iff some u in it has (sum of A's rows)*u > 0,
         one feasibility probe."""
-        if self._forced_empty:
-            return False
         if self.gt or not self.is_homogeneous:
             return not self.is_empty  # a strict homogeneous row misses 0
         normals = [v for v, _ in self.eq + self.ge]
@@ -324,8 +328,6 @@ class Polyhedron:
     # -- transforms ----------------------------------------------------------
 
     def closure(self):
-        if self._forced_empty:
-            return Polyhedron._empty_marker(self.rank)
         if not self.gt:
             return self
         return Polyhedron(self.rank, eq=self.eq, ge=self.ge + self.gt)
@@ -334,31 +336,20 @@ class Polyhedron:
         """Image under u -> -u (antipodal reflection)."""
         def flip(rows):
             return [(tuple(-a for a in v), r) for v, r in rows]
-        out = Polyhedron(self.rank, eq=flip(self.eq), ge=flip(self.ge),
-                         gt=flip(self.gt))
-        if self._forced_empty:
-            # the infeasible zero-vector row that emptied self is not kept
-            out._forced_empty = True
-            out._empty = True
-        return out
+        return Polyhedron(self.rank, eq=flip(self.eq), ge=flip(self.ge),
+                          gt=flip(self.gt))
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         if self.rank != other.rank:
             raise DimensionError("rank mismatch in intersection")
-        out = Polyhedron(self.rank, eq=self.eq + other.eq, ge=self.ge + other.ge,
-                         gt=self.gt + other.gt)
-        if self._forced_empty or other._forced_empty:
-            out._forced_empty = True
-            out._empty = True
-        return out
+        return Polyhedron(self.rank, eq=self.eq + other.eq, ge=self.ge + other.ge,
+                          gt=self.gt + other.gt)
 
     def complement_pieces(self):
         """Pairwise-disjoint pieces whose union is the complement.
 
         Piece i keeps rows 1..i-1 and breaks row i, so a point lies in the
         piece of the first row it breaks and in no other."""
-        if self._forced_empty:
-            return [Polyhedron.full(self.rank)]
         out = []
         eq, ge, gt = [], [], []
         for vec, rhs in self.eq:
@@ -376,25 +367,16 @@ class Polyhedron:
             gt.append((vec, rhs))
         return out
 
-    @classmethod
-    def _empty_marker(cls, rank):
-        p = cls(rank)
-        p._forced_empty = True
-        p._empty = True
-        return p
-
     def recession(self) -> "Polyhedron":
         """Closed cone of directions of rays eventually inside the set."""
         if self.is_empty:
-            return Polyhedron._empty_marker(self.rank)
+            return Polyhedron.empty(self.rank)
         return Polyhedron.cone(self.rank, eq=[v for v, _ in self.eq],
                                ge=[v for v, _ in self.ge + self.gt])
 
     def germ_cone_at(self, x):
         """Directions d with x + eps*d inside for all small eps > 0, or None."""
         x = [Fraction(v) for v in x]
-        if self._forced_empty:
-            return None
         eq, ge, gt = [], [], []
         for vec, rhs in self.eq:
             if _dot(vec, x) != rhs:
@@ -412,7 +394,7 @@ class Polyhedron:
     def positive_hull(self) -> "Polyhedron":
         """Homogeneous cone {mu*u : u in P, mu > 0} via FM projection."""
         if self.is_empty:
-            return Polyhedron._empty_marker(self.rank)
+            return Polyhedron.empty(self.rank)
         if self.is_homogeneous:
             return self
         def lift(rows):
@@ -427,8 +409,6 @@ class Polyhedron:
     def project_out_last(self) -> "Polyhedron":
         """Exact projection dropping the last coordinate."""
         n = self.rank
-        if self._forced_empty:
-            return Polyhedron._empty_marker(n - 1)
         rows = self._ineq_rows()
         eq_rows = list(self.eq)
         pivot = next((row for row in eq_rows if row[0][n - 1] != 0), None)
@@ -438,7 +418,7 @@ class Polyhedron:
         else:
             rows = _fm_eliminate(rows, n - 1)
             if rows is None:
-                return Polyhedron._empty_marker(n - 1)
+                return Polyhedron.empty(n - 1)
         return Polyhedron(n - 1, eq=[(v[: n - 1], r) for v, r in eq_rows],
                           ge=[(v[: n - 1], r) for v, r, s in rows if not s],
                           gt=[(v[: n - 1], r) for v, r, s in rows if s])
@@ -461,10 +441,10 @@ class Polyhedron:
         """
         if self.rank > RAY_RANK_LIMIT:
             raise ValueError(f"ray enumeration limited to rank <= {RAY_RANK_LIMIT}")
-        if not self.is_homogeneous:
-            raise ValueError("rays need a homogeneous piece; use positive_hull()")
         if self.is_empty:
             return []
+        if not self.is_homogeneous:
+            raise ValueError("rays need a homogeneous piece; use positive_hull()")
         closure = self.closure()
         lin = closure.lineality_basis()
         result = set(lin) | {tuple(-x for x in l) for l in lin}
@@ -591,7 +571,7 @@ class SphericalSet:
 
     def __init__(self, rank, pieces=()):
         for p in pieces:
-            if not p.is_homogeneous and not p._forced_empty:
+            if not p.is_homogeneous and not p.is_empty:
                 raise ValueError("spherical sets need homogeneous pieces")
         self._set = PolyhedralSet(rank, pieces)
         self.rank = rank

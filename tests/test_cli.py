@@ -301,6 +301,40 @@ _SCALAR = {"mode": "scalar", "rhos": ["6"]}
      "'x' is not a rational number"),
     ("dyn", {"rank": 2, "matrix": [[_POLY]]},
      "exponent [0] has length 1, not the rank 2"),
+    # a modulus or p that is not a prime and a table that is not a valuation
+    # each ended in a ValueError with exit 1
+    *[(command, payload, f"prime field modulus must be prime, got {m}")
+      for m in (4, 0, 1, -3)
+      for command, payload in (
+          ("sigma", {"module": {"mode": "cyclic", "rank": 1, "domain": {"GF": m},
+                                "generators": [_POLY]}}),
+          ("trop", {"rank": 1, "domain": {"GF": m}, "valuation": {"kind": "trivial"},
+                    "generators": [_POLY]}))],
+    *[("trop", {"rank": 1, "valuation": {"kind": "p-adic", "p": q},
+                "generators": [_POLY]}, f"{q} is not prime") for q in (4, 1, 0, -2)],
+    *[("trop", {"rank": 1, "valuation": {"kind": "table", "entries": entries},
+                "generators": [_POLY]}, message) for entries, message in (
+        ([{"value": 2, "val": "inf"}], "only 0 may have value +inf"),
+        ([{"value": 1, "val": 1}], "v(1) must be 0"),
+        ([{"value": 2, "val": 1}, {"value": 4, "val": 3}],
+         "table is not multiplicative at 2*2"))],
+    # h2 searches with empty bounds reported passed after 0 candidates, or
+    # ended with exit 1
+    ("h2", {"p": 2, "infinity_obstruction": {"q": "2", "coeff_bound": -1, "k_max": 2}},
+     "-1 is less than the minimum of 1"),
+    ("h2", {"p": 2, "infinity_obstruction": {"q": "2", "coeff_bound": 2, "k_max": -2}},
+     "-2 is less than the minimum of 1"),
+    ("h2", {"p": 2, "zero_obstruction": {"q": 2, "coeff_bound": 2, "size_bound": 0}},
+     "0 is less than the minimum of 1"),
+    ("h2", {"p": 2, "zero_obstruction": {"q": 2, "coeff_bound": -1, "size_bound": 1}},
+     "-1 is less than the minimum of 1"),
+    ("h2", {"p": 2, "zero_obstruction": {"q": 2, "coeff_bound": 2, "size_bound": 1,
+                                         "k_max": -1}},
+     "-1 is less than the minimum of 0"),
+    ("h2", {"p": 2, "support_at_zero": {"k": -2, "j_max": 3}},
+     "-2 is less than the minimum of 0"),
+    ("h2", {"p": 2, "support_at_zero": {"k": 3, "j_max": 2}},
+     "j_max 2 is less than k 3"),
 ])
 def test_module_gaps_are_schema_errors(tmp_path, capsys, command, payload, message):
     job_file = tmp_path / "job.json"

@@ -318,9 +318,9 @@ def test_closed_cone_point_is_the_fm_point_without_a_solve(monkeypatch):
 
 def test_forced_empty_closed_cone_has_no_point(monkeypatch):
     solves = counting(monkeypatch, polyhedra, "_solve_system")
-    # 0 > 0 empties the cone and is then dropped, leaving a gt-free cone
+    # 0 > 0 empties the cone, which is then stored as the row 0 >= 1
     p = Polyhedron.cone(3, ge=[(1, 0, 0)], gt=[(0, 0, 0)])
-    assert not p.gt and p.is_homogeneous
+    assert p == Polyhedron.empty(3)
     assert p.feasible_point() is None and p.is_empty
     assert not solves
 

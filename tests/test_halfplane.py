@@ -133,8 +133,9 @@ def test_support_at_zero_A():
     rep3 = verify_support_at_zero_A(3, 1, 3)
     assert rep3.passed
 
-    with pytest.raises(ValueError):
-        verify_support_at_zero_A(2, 2, 1)
+    for k, j_max in ((2, 1), (-2, 3)):
+        with pytest.raises(ValueError):
+            verify_support_at_zero_A(2, k, j_max)
 
 
 def test_infinity_obstruction_A():
@@ -148,6 +149,11 @@ def test_infinity_obstruction_A():
 
     low = verify_infinity_obstruction_A(2, Fraction(1, 2), coeff_bound=3, k_max=2)
     assert not low.symbolic_applies  # inconclusive threshold, k = 0 is allowed
+
+    # an empty search proves nothing: no coefficient, or no power of t
+    for coeff_bound, k_max in ((-1, 2), (0, 2), (3, 0), (3, -2)):
+        with pytest.raises(ValueError):
+            verify_infinity_obstruction_A(2, 2, coeff_bound=coeff_bound, k_max=k_max)
 
 
 def test_push_B():
@@ -163,8 +169,11 @@ def test_zero_obstruction_B():
     assert rep.passed and rep.witness is None
     assert rep.qualifying_elements > 0 and rep.combinations_checked > 0
 
-    vacuous = verify_zero_obstruction_B(2, 4, coeff_bound=5, size_bound=0)
-    assert vacuous.passed and vacuous.combinations_checked == 0
+    # an empty search proves nothing: it used to pass after 0 combinations
+    for coeff_bound, size_bound, k_max in ((5, 0, 2), (-1, 1, 2), (0, 1, 2), (5, 1, -1)):
+        with pytest.raises(ValueError):
+            verify_zero_obstruction_B(2, 4, coeff_bound=coeff_bound,
+                                      size_bound=size_bound, k_max=k_max)
 
     # sanity inversion: module A is supported over the horoball at 0
     inv = verify_zero_obstruction_B(2, 4, coeff_bound=5, size_bound=1, module="A")

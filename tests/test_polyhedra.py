@@ -287,10 +287,39 @@ def test_feasible_points_always_contained():
     assert found > 50
 
 
-@pytest.mark.parametrize("transform", [Polyhedron.closure, Polyhedron.project_out_last])
+def emptied_polyhedra():
+    # emptied by a constant row no point meets: 0 > 0, then 0 = 1
+    return (Polyhedron(2, ge=[((1, 0), 0)], gt=[((0, 0), 0)]),
+            Polyhedron(3, eq=[((0, 0, 0), 1)], ge=[((0, 1, 1), 2)]))
+
+
+@pytest.mark.parametrize("transform", [
+    Polyhedron.closure, Polyhedron.project_out_last, Polyhedron.negate,
+    Polyhedron.positive_hull, Polyhedron.recession,
+    lambda p: p.intersect(Polyhedron.full(p.rank)),
+    lambda p: Polyhedron.full(p.rank).intersect(p),
+], ids=["closure", "project_out_last", "negate", "positive_hull", "recession",
+        "intersect_full", "full_intersect"])
 def test_transforms_keep_a_forced_empty_polyhedron_empty(transform):
-    # emptied by a zero row, which Polyhedron drops: 0 > 0, then 0 = 1
-    for p in (Polyhedron(2, ge=[((1, 0), 0)], gt=[((0, 0), 0)]),
-              Polyhedron(3, eq=[((0, 0, 0), 1)], ge=[((0, 1, 1), 2)])):
+    for p in emptied_polyhedra():
         assert p.is_empty
         assert transform(p).is_empty
+
+
+def test_an_emptied_polyhedron_has_no_direction_germ_or_complement():
+    for p in emptied_polyhedra():
+        assert not p.has_direction()
+        assert p.germ_cone_at([0] * p.rank) is None
+        full = PolyhedralSet.full(p.rank)
+        assert PolyhedralSet(p.rank, [p]).complement().set_eq(full)
+
+
+def test_constant_rows_empty_to_one_canonical_polyhedron():
+    emptied = [Polyhedron(2, gt=[((0, 0), 0)]),
+               Polyhedron(2, ge=[((1, 0), 0), ((0, 0), 3)]),
+               Polyhedron(2, eq=[((0, 0), -1), ((1, 1), 2)]),
+               Polyhedron.cone(2, ge=[(1, 0)], gt=[(0, 0)])]
+    for p in emptied:
+        assert p == Polyhedron.empty(2) and hash(p) == hash(Polyhedron.empty(2))
+        assert p.is_empty and p.feasible_point() is None
+    assert len(PolyhedralSet(2, emptied).pieces) == 1

@@ -26,8 +26,6 @@ from reference_linalg import rref
 
 
 def overlapping_complement_pieces(p):
-    if p._forced_empty:
-        return [Polyhedron.full(p.rank)]
     out = []
     for vec, rhs in p.eq:
         out.append(Polyhedron(p.rank, gt=[(vec, rhs)]))
@@ -262,8 +260,6 @@ def rref_solve_system(eq_rows, ineq_rows, n):
 
 def rref_project_out_last(p):
     n = p.rank
-    if p._forced_empty:
-        return Polyhedron._empty_marker(n - 1)
     rows = p._ineq_rows()
     eq_rows = list(p.eq)
     pivot = next((row for row in eq_rows if row[0][n - 1] != 0), None)
@@ -287,7 +283,7 @@ def rref_project_out_last(p):
         new_eq = [(v[: n - 1], r) for v, r in eq_rows]
         reduced = _fm_eliminate(rows, n - 1)
         if reduced is None:
-            return Polyhedron._empty_marker(n - 1)
+            return Polyhedron.empty(n - 1)
         rows = [(v[: n - 1], r, s) for v, r, s in reduced]
     return Polyhedron(n - 1, eq=new_eq,
                       ge=[(v, r) for v, r, s in rows if not s],

@@ -36,7 +36,8 @@ from .sigma import (CyclicModule, MatrixAction, ScalarAction, SigmaResult,
                     sigma_of_module)
 from .tropical import (ValuedPoly, amoeba_sample, global_tropical_Z,
                        log_limit_directions, trop_hypersurface, trop_prevariety)
-from .valuations import PAdicValuation, TableValuation, TrivialValuation
+from .valuations import (PAdicValuation, TableValuation, TrivialValuation,
+                         UnknownCoefficientError)
 
 # ---------------------------------------------------------------------------
 # JSON schema.
@@ -362,12 +363,16 @@ def _run_trop(payload):
     unit = any(len(p.terms) == 1 for p in polys)
     if val == "global-z":
         if len(polys) != 1:
-            raise ValueError("the global variety over Z takes one generator")
+            raise SchemaError("the global variety over Z takes one generator")
+        if domain != ZZ:
+            raise SchemaError("the global variety over Z needs the domain Z")
         fan = global_tropical_Z(polys[0])
-    elif len(polys) == 1:
-        fan = trop_hypersurface(polys[0], val)
     else:
-        fan = trop_prevariety([ValuedPoly(p, val) for p in polys])
+        try:
+            fan = (trop_hypersurface(polys[0], val) if len(polys) == 1 else
+                   trop_prevariety([ValuedPoly(p, val) for p in polys]))
+        except UnknownCoefficientError as exc:  # a table with a prime missing
+            raise SchemaError(exc.args[0]) from None
     result = {"fan": fan_json(fan), "unit_generator": unit,
               "exact": len(polys) == 1,
               "kind": "hypersurface" if len(polys) == 1 else "prevariety"}

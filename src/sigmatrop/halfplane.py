@@ -19,8 +19,12 @@ from fractions import Fraction
 
 
 def _strip_power(den: int, p: int) -> int:
-    while den % p == 0:
-        den //= p
+    """den with every prime factor of p divided out: 1 exactly when den
+    divides a power of p, also for composite p."""
+    g = math.gcd(den, p)
+    while g != 1:
+        den //= g
+        g = math.gcd(den, p)
     return den
 
 

@@ -5,14 +5,18 @@ integer primitive data; homogeneous instances (all b = 0) are cones.  A
 constant row that no point meets stores the set as Polyhedron.empty, the
 row 0 >= 1.  A PolyhedralSet is a finite union of possibly-overlapping
 polyhedra (no face-lattice normalization); its complement is a union of
-disjoint pieces.  A SphericalSet is a union of homogeneous pieces read as
-a set of ray classes (the origin is ignored).
+disjoint pieces.  A SphericalSet is a PolyhedralSet of homogeneous pieces
+read as a set of ray classes: its constructor keeps only the pieces with a
+direction (a nonzero point), so a piece that is only the origin, or empty,
+never enters one, and the set algebra it inherits returns SphericalSets.
 
 Feasibility, emptiness, dimension, containment, and point extraction are
 decided exactly by Fourier-Motzkin elimination with strictness tracking,
 after equality rows are eliminated on primitive integer rows; Fraction
 appears only in a returned point.  A closed cone (homogeneous, no strict
-row) is never empty: its point is the origin, found with no FM solve.
+row) is never empty: its point is the origin, found with no FM solve.  A
+polyhedron caches its point, dimension and has_direction answer, so each
+is decided at most once per object.
 Rays, lineality spaces and ranks come from linalg's fraction-free integer
 elimination: a ray is the kernel line of n - 1 independent normals.
 """
@@ -213,6 +217,7 @@ class Polyhedron:
         self.eq, self.ge, self.gt = groups
         self._point = None
         self._dim = None
+        self._direction = None
 
     @classmethod
     def full(cls, rank):
@@ -313,7 +318,12 @@ class Polyhedron:
         A closed cone {Eu = 0, Au >= 0} has one when its lineality space is
         nonzero, that is rank [E; A] < n; otherwise 0 is its only point with
         Au = 0, so it has one iff some u in it has (sum of A's rows)*u > 0,
-        one feasibility probe."""
+        one feasibility probe.  Cached."""
+        if self._direction is None:
+            self._direction = self._find_direction()
+        return self._direction
+
+    def _find_direction(self) -> bool:
         if self.gt or not self.is_homogeneous:
             return not self.is_empty  # a strict homogeneous row misses 0
         normals = [v for v, _ in self.eq + self.ge]
@@ -491,7 +501,7 @@ class PolyhedralSet:
         return cls(rank, [Polyhedron.full(rank)])
 
     def pruned(self) -> "PolyhedralSet":
-        return PolyhedralSet(self.rank, [p for p in self.pieces if not p.is_empty])
+        return type(self)(self.rank, [p for p in self.pieces if not p.is_empty])
 
     @property
     def is_empty(self) -> bool:
@@ -503,13 +513,13 @@ class PolyhedralSet:
     def union(self, other: "PolyhedralSet") -> "PolyhedralSet":
         if self.rank != other.rank:
             raise DimensionError("rank mismatch in union")
-        return PolyhedralSet(self.rank, self.pieces + other.pieces).pruned()
+        return type(self)(self.rank, self.pieces + other.pieces).pruned()
 
     def intersect(self, other: "PolyhedralSet") -> "PolyhedralSet":
         if self.rank != other.rank:
             raise DimensionError("rank mismatch in intersection")
         out = [p.intersect(q) for p in self.pieces for q in other.pieces]
-        return PolyhedralSet(self.rank, [p for p in out if not p.is_empty])
+        return type(self)(self.rank, [p for p in out if not p.is_empty])
 
     def complement(self) -> "PolyhedralSet":
         """Pairwise-disjoint pieces covering the complement.
@@ -524,7 +534,7 @@ class PolyhedralSet:
                 continue
             out = [q.intersect(c) for q in out for c in piece.complement_pieces()]
             out = [q for q in out if not q.is_empty]
-        return PolyhedralSet(self.rank, out)
+        return type(self)(self.rank, out)
 
     def minus(self, other: "PolyhedralSet") -> "PolyhedralSet":
         return self.intersect(other.complement())
@@ -536,7 +546,7 @@ class PolyhedralSet:
         return self.subset_of(other) and other.subset_of(self)
 
     def negate(self) -> "PolyhedralSet":
-        return PolyhedralSet(self.rank, [p.negate() for p in self.pieces])
+        return type(self)(self.rank, [p.negate() for p in self.pieces])
 
     def local_cone_at(self, x) -> "PolyhedralSet":
         germs = [p.germ_cone_at(x) for p in self.pieces]
@@ -547,42 +557,38 @@ class PolyhedralSet:
         recs = [p.recession() for p in self.pieces if not p.is_empty]
         return PolyhedralSet(self.rank, recs)
 
+    def _hulls(self):
+        return [p.positive_hull() for p in self.pieces if not p.is_empty]
+
     def radial(self) -> "SphericalSet":
-        hulls = [p.positive_hull() for p in self.pieces if not p.is_empty]
-        return SphericalSet(self.rank, [h for h in hulls if h.has_direction()])
+        return SphericalSet(self.rank, self._hulls())
 
     def spherical_rays(self):
         """Sorted extreme rays of the closures of the positive hulls of the
         nonempty pieces: the same list as radial().rays().
 
-        No piece is asked has_direction(), which radial() does to drop the
+        No hull is asked has_direction(), which radial() does to drop the
         hulls that are only {0}: a nonempty cone with no nonzero point is
         {0}, which has no extreme ray and no lineality, so its rays() adds
         nothing."""
-        hulls = [p.positive_hull() for p in self.pieces if not p.is_empty]
-        return SphericalSet(self.rank, hulls).rays()
+        return _ray_union(self._hulls())
 
     def __repr__(self):
         return f"PolyhedralSet(rank={self.rank}, pieces={len(self.pieces)})"
 
 
-class SphericalSet:
-    """Union of homogeneous pieces read as ray classes on the boundary sphere."""
+class SphericalSet(PolyhedralSet):
+    """Homogeneous pieces read as ray classes on the boundary sphere.
+
+    Only pieces with a direction are kept, so the set is empty exactly when
+    it has no pieces, and the inherited set algebra, which returns
+    SphericalSets, needs no further has_direction test."""
 
     def __init__(self, rank, pieces=()):
-        for p in pieces:
-            if not p.is_homogeneous and not p.is_empty:
-                raise ValueError("spherical sets need homogeneous pieces")
-        self._set = PolyhedralSet(rank, pieces)
-        self.rank = rank
-
-    @classmethod
-    def empty(cls, rank):
-        return cls(rank)
-
-    @classmethod
-    def whole_sphere(cls, rank):
-        return cls(rank, [Polyhedron.full(rank)])
+        super().__init__(rank, pieces)
+        self.pieces = tuple(p for p in self.pieces if p.has_direction())
+        if not all(p.is_homogeneous for p in self.pieces):
+            raise ValueError("spherical sets need homogeneous pieces")
 
     @classmethod
     def from_directions(cls, dirs, rank=None) -> "SphericalSet":
@@ -592,53 +598,19 @@ class SphericalSet:
         rank = rank if rank is not None else dirs[0].rank
         return cls(rank, [ray_cone(d) for d in dirs])
 
-    @property
-    def pieces(self):
-        return self._set.pieces
-
     def contains(self, direction: Direction) -> bool:
         # pieces are homogeneous, so testing the primitive representative
         # realizes scale invariance of [chi] membership exactly
-        return self._set.contains(direction.vector)
-
-    @property
-    def is_empty(self) -> bool:
-        return not any(p.has_direction() for p in self.pieces)
-
-    def union(self, other: "SphericalSet") -> "SphericalSet":
-        if self.rank != other.rank:
-            raise DimensionError("rank mismatch in union")
-        return SphericalSet(self.rank, self.pieces + other.pieces)
-
-    def intersect(self, other: "SphericalSet") -> "SphericalSet":
-        return SphericalSet(self.rank, self._set.intersect(other._set).pieces)
-
-    def complement(self) -> "SphericalSet":
-        return SphericalSet(self.rank, self._set.complement().pieces)
-
-    def negate(self) -> "SphericalSet":
-        return SphericalSet(self.rank, self._set.negate().pieces)
-
-    def subset_of(self, other: "SphericalSet") -> bool:
-        return not any(p.has_direction() for p in self._set.minus(other._set).pieces)
-
-    def set_eq(self, other: "SphericalSet") -> bool:
-        return self.subset_of(other) and other.subset_of(self)
+        return super().contains(direction.vector)
 
     def rays(self):
         """Sorted extreme rays of the closures of all pieces."""
-        out = set()
-        for p in self.pieces:
-            if not p.is_empty:
-                out.update(p.rays())
-        return [Direction(r) for r in sorted(out)]
+        return _ray_union(self.pieces)
 
     def finite_directions(self):
         """The direction list when every piece is at most a ray, else None."""
         dirs = set()
         for p in self.pieces:
-            if p.is_empty or not p.has_direction():
-                continue
             if p.dim() > 1:
                 return None
             for r in p.rays():
@@ -649,6 +621,12 @@ class SphericalSet:
 
     def __repr__(self):
         return f"SphericalSet(rank={self.rank}, pieces={len(self.pieces)})"
+
+
+def _ray_union(cones):
+    """Sorted Directions of the extreme rays of the closures of homogeneous
+    cones; an empty cone or {0} adds none."""
+    return [Direction(r) for r in sorted({r for c in cones for r in c.rays()})]
 
 
 def ray_cone(d: Direction) -> Polyhedron:
@@ -745,12 +723,7 @@ def balanceable_at(fan: PolyhedralSet, x) -> bool:
     """
     if not fan.contains(x):
         raise ValueError(f"point {tuple(x)} is not in the set")
-    local = fan.local_cone_at(x)
-    gens: set = set()
-    for piece in local.pieces:
-        if not piece.is_empty:
-            gens.update(piece.rays())
-    gens = sorted(gens)
+    gens = [d.vector for d in _ray_union(fan.local_cone_at(x).pieces)]
     if not gens:
         return True  # local cone is the origin; its hull is the zero subspace
     k = len(gens)

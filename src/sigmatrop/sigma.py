@@ -569,8 +569,6 @@ def sigma_scalar_action_exact(mod: ModulePresentation, box_limit: int = COVER_BO
     system = _matrix_system(_ActionCache(m))
     certified, failed = [], []
     for piece in region.pieces:
-        if not piece.has_direction():
-            continue
         c, f = _cover_piece(system, piece, coeff_bound, box_limit, COVER_SPLIT_DEPTH)
         certified += c
         failed += f
@@ -638,7 +636,7 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
         return SigmaResult(
             rank=rank,
             proved_sigma=SphericalSet.empty(rank),
-            proved_complement=SphericalSet.whole_sphere(rank),
+            proved_complement=SphericalSet.full(rank),
             undecided=SphericalSet.empty(rank),
             witnesses=(ComplementWitness(
                 direction=Direction.of(*([1] + [0] * (rank - 1))),
@@ -650,7 +648,7 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
     if any(len(g.terms) == 1 for g in gens):
         return SigmaResult(
             rank=rank,
-            proved_sigma=SphericalSet.whole_sphere(rank),
+            proved_sigma=SphericalSet.full(rank),
             proved_complement=SphericalSet.empty(rank),
             undecided=SphericalSet.empty(rank),
             notes=("a generator is a unit: the module is zero and the "
@@ -662,7 +660,7 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
         certified, failed = [], []
         if mod.domain.kind == "ZZ":
             complement = global_tropical_Z(f).radial()
-            pieces = [p for p in complement.complement().pieces if p.has_direction()]
+            pieces = complement.complement().pieces
             if _content(f) != 1:
                 # every f*h has coefficients in cZ for the content c, so no
                 # multiple has constant term 1: the pieces stay undecided

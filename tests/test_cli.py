@@ -335,6 +335,16 @@ _SCALAR = {"mode": "scalar", "rhos": ["6"]}
      "-2 is less than the minimum of 0"),
     ("h2", {"p": 2, "support_at_zero": {"k": 3, "j_max": 2}},
      "j_max 2 is less than k 3"),
+    # well-typed trop inputs that ended in exit 1: a table with no value for
+    # the prime 2 of the coefficient 2, and a global-z valuation over Q or
+    # with two generators
+    ("trop", {"rank": 1, "valuation": {"kind": "table", "entries": []},
+              "generators": [_POLY]}, "no table value for 2 (prime 2 missing)"),
+    ("trop", {"rank": 1, "domain": "Q", "valuation": {"kind": "global-z"},
+              "generators": [_POLY]}, "the global variety over Z needs the domain Z"),
+    ("trop", {"rank": 1, "valuation": {"kind": "global-z"},
+              "generators": [_POLY, _POLY]},
+     "the global variety over Z takes one generator"),
 ])
 def test_module_gaps_are_schema_errors(tmp_path, capsys, command, payload, message):
     job_file = tmp_path / "job.json"
@@ -343,6 +353,16 @@ def test_module_gaps_are_schema_errors(tmp_path, capsys, command, payload, messa
     assert main(["--job", str(job_file)]) == 3
     error = json.loads(capsys.readouterr().out)["error"]
     assert error == {"type": "schema", "message": message}
+
+
+def test_h2_job_with_composite_p(tmp_path, capsys):
+    # Z[1/4] = Z[1/2]: 1/2 is an element, which ended in exit 1 for p = 4
+    payload = dict(H2_JOB["payload"], p=4)
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps(dict(H2_JOB, payload=payload)))
+    assert main(["--job", str(job_file)]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert all(res[check]["passed"] for check in res)
 
 
 def test_amoeba_plot_csv(tmp_path):

@@ -144,7 +144,7 @@ def test_in_open_hemisphere_examples():
 def test_antipodal_pair_examples():
     two_points = SphericalSet.from_directions([Direction.of(1, 0), Direction.of(0, 1)])
     assert not has_antipodal_pair(two_points)
-    assert has_antipodal_pair(SphericalSet.whole_sphere(1))
+    assert has_antipodal_pair(SphericalSet.full(1))
     assert not has_antipodal_pair(SphericalSet.empty(2))
     pair = SphericalSet.from_directions([Direction.of(1,), Direction.of(-1,)])
     assert has_antipodal_pair(pair)
@@ -252,7 +252,7 @@ def test_spherical_scale_invariance():
 def test_finite_directions():
     s = SphericalSet.from_directions([Direction.of(1, 0), Direction.of(0, 1)])
     assert [d.vector for d in s.finite_directions()] == [(0, 1), (1, 0)]
-    assert SphericalSet.whole_sphere(2).finite_directions() is None
+    assert SphericalSet.full(2).finite_directions() is None
     line = SphericalSet(1, [Polyhedron.full(1)])
     assert [d.vector for d in line.finite_directions()] == [(-1,), (1,)]
 

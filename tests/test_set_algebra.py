@@ -1,24 +1,29 @@
-"""Cross-checks of set complement and integer Fourier-Motzkin elimination.
+"""Cross-checks of set complement and integer Fourier-Motzkin elimination,
+and of the spherical sets built on them.
 
 The references are the earlier implementations: the overlapping complement
 (one piece per broken row, intersected as a product over the pieces),
 Fourier-Motzkin over `Fraction` rows, and equality rows substituted from a
-`Fraction` reduced row echelon form.
+`Fraction` reduced row echelon form.  A spherical set is checked against
+the same set with its pieces unfiltered.
 """
 
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from sigmatrop import polyhedra
-from sigmatrop.polyhedra import (Polyhedron, PolyhedralSet, _dedupe_ineqs,
-                                 _fm_eliminate, _fm_point, _solve_system,
-                                 balanceable_at, in_open_hemisphere)
+from sigmatrop.polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
+                                 _dedupe_ineqs, _fm_eliminate, _fm_point,
+                                 _solve_system, balanceable_at,
+                                 in_open_hemisphere, ray_cone)
+from sigmatrop.rings import Direction
 
 from reference_linalg import rref
+from test_cone_kernels import counting, fresh
 
 
 # ---------------------------------------------------------------------------
@@ -355,3 +360,60 @@ def test_project_out_last_matches_rref_reference():
         pivoted += any(v[-1] for v, _ in p.eq)
         assert p.project_out_last() == rref_project_out_last(p), p
     assert pivoted > 150
+
+
+# ---------------------------------------------------------------------------
+# Spherical sets keep only the pieces with a direction.
+
+
+def nonzero_probes(rank):
+    return [x for x in product(range(-2, 3), repeat=rank) if any(x)]
+
+
+def check_spherical(s, unfiltered):
+    """s holds only pieces with a direction, is empty exactly when it has no
+    pieces, and has the unfiltered set's points on every nonzero probe.
+    Returns the number of unfiltered pieces that are only the origin."""
+    assert isinstance(s, SphericalSet)
+    assert all(fresh(p).has_direction() for p in s.pieces), s
+    assert s.is_empty == (not s.pieces), s
+    for x in nonzero_probes(s.rank):
+        assert s.contains(Direction.from_vector(x)) == unfiltered.contains(x), (s, x)
+    return sum(not p.is_empty and not fresh(p).has_direction()
+               for p in unfiltered.pieces)
+
+
+def test_spherical_sets_keep_only_pieces_with_a_direction():
+    rng = random.Random(239)
+    origin_only = 0
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+        a, b = rand_set(rng, rank, False), rand_set(rng, rank, False)
+        sa, sb = SphericalSet(rank, a.pieces), SphericalSet(rank, b.pieces)
+        affine = rand_set(rng, rank, True)
+        hulls = [p.positive_hull() for p in affine.pieces if not p.is_empty]
+        dirs = [Direction.from_vector(x) for x in rng.sample(nonzero_probes(rank), 2)]
+        for s, unfiltered in (
+                (sa, a),
+                (sa.intersect(sb), a.intersect(b)),
+                (sa.union(sb), a.union(b)),
+                (sa.complement(), a.complement()),
+                (sa.negate(), a.negate()),
+                (affine.radial(), PolyhedralSet(rank, hulls)),
+                (SphericalSet.from_directions(dirs),
+                 PolyhedralSet(rank, [ray_cone(d) for d in dirs]))):
+            origin_only += check_spherical(s, unfiltered)
+    assert origin_only  # the constructors did meet pieces that are only {0}
+
+
+def test_has_direction_is_decided_once(monkeypatch):
+    solves = counting(monkeypatch, polyhedra, "_solve_system")
+    for p in (Polyhedron.cone(2, ge=[(1, 0), (0, 1)]),
+              Polyhedron.cone(2, ge=[(1, 0), (-1, 0), (0, 1), (0, -1)]),
+              Polyhedron.cone(2, ge=[(1, 1)], gt=[(1, -1)])):
+        before = len(solves)
+        first = p.has_direction()
+        assert len(solves) > before, p  # the first call is decided by a solve
+        before = len(solves)
+        assert p.has_direction() == first
+        assert len(solves) == before, p

@@ -7,12 +7,15 @@ Usage (from the repository root):
 
 Runs every job of the given seeds of the three perfbench workloads
 (sigma-ladder, trop-fans, light-mix) through `sigmatrop.cli.run`, with no
-time cap, and prints one line per workload and seed: the number of jobs and
-the sha256 over their `canonical_json` texts in batch order.  A job that
-raises contributes its exception type and message instead.  The time each
-batch took goes to standard error.  Two source trees print the same lines
-exactly when their outputs on these jobs are byte-identical.  The job
-generator, perfbench/jobs.py, is imported and not changed.
+time cap.  For each workload and seed it prints one line per job (workload,
+seed, job index, job class and the sha256 of the job's `canonical_json`
+text), then one batch line: the number of jobs and the sha256 over their
+texts in batch order.  A job that raises contributes its exception type and
+message instead.  The time each batch took goes to standard error.  Two
+source trees print the same lines exactly when their outputs on these jobs
+are byte-identical; a diff of the two printouts names the jobs that
+changed.  The job generator, perfbench/jobs.py, is imported and not
+changed.
 """
 
 from __future__ import annotations
@@ -31,14 +34,18 @@ from sigmatrop.cli import canonical_json, run  # noqa: E402
 
 
 def batch_digest(workload: str, seed: int) -> tuple[int, str]:
+    """Print each job's digest line; return the job count and batch digest."""
     h = hashlib.sha256()
     jobs = J.batch(workload, seed)
-    for job in jobs:
+    for index, job in enumerate(jobs):
         try:
             text = canonical_json(run(job.doc))
         except Exception as exc:  # noqa: BLE001 - an error is part of the output
             text = f"{type(exc).__name__}: {exc}\n"
-        h.update(text.encode())
+        data = text.encode()
+        h.update(data)
+        print(f"{workload} seed {seed} job {index} {job.cls} "
+              f"{hashlib.sha256(data).hexdigest()}", flush=True)
     return len(jobs), h.hexdigest()
 
 

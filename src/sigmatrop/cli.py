@@ -7,22 +7,21 @@ json.dumps(..., sort_keys=True, indent=2)), so identical jobs produce
 byte-identical documents; exact rationals travel as "num/den" strings.
 
 Exit codes: 0 success, 1 error (a malformed command line included), 2 result
-is (partly) undecided, 3 schema violation.
+is (partly) undecided, 3 schema violation.  run() reads the whole job into
+typed inputs before it computes: a ValueError of that step, from a reader
+below or from a constructor it calls, is a SchemaError; an exception of the
+computation is not.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
-import numbers
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-
-import jsonschema
 
 from . import __version__
 from .dynamics import (INF, PushMap, check_angle_bound, compose_gsh_check, gsh,
@@ -36,211 +35,162 @@ from .sigma import (CyclicModule, MatrixAction, ScalarAction, SigmaResult,
                     sigma_of_module)
 from .tropical import (ValuedPoly, amoeba_sample, global_tropical_Z,
                        log_limit_directions, trop_hypersurface, trop_prevariety)
-from .valuations import (PAdicValuation, TableValuation, TrivialValuation,
-                         UnknownCoefficientError)
-
-# ---------------------------------------------------------------------------
-# JSON schema.
-
-_FRAC = {"type": ["string", "integer"]}
-_POS_INT = {"type": "integer", "minimum": 1}
-_NONNEG_INT = {"type": "integer", "minimum": 0}
-_POLY = {
-    "type": "object",
-    "properties": {
-        "terms": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "exp": {"type": "array", "items": {"type": "integer"}},
-                    "coef": _FRAC,
-                },
-                "required": ["exp", "coef"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["terms"],
-    "additionalProperties": False,
-}
-_DOMAIN = {
-    "oneOf": [
-        {"enum": ["Z", "Q"]},
-        {"type": "object", "properties": {"GF": {"type": "integer"}},
-         "required": ["GF"], "additionalProperties": False},
-    ]
-}
-_VALUATION = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["trivial", "p-adic", "global-z", "table"]},
-        "p": {"type": "integer"},
-        "entries": {"type": "array", "items": {
-            "type": "object",
-            "properties": {"value": _FRAC, "val": _FRAC},
-            "required": ["value", "val"], "additionalProperties": False}},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-
-def _mode_is(mode):
-    return {"properties": {"mode": {"const": mode}}, "required": ["mode"]}
-
-
-_MODULE = {
-    "type": "object",
-    "properties": {
-        "mode": {"enum": ["scalar", "matrix", "cyclic"]},
-        "rhos": {"type": "array", "items": _FRAC},
-        "mats": {"type": "array",
-                 "items": {"type": "array",
-                           "items": {"type": "array", "items": _FRAC}}},
-        "generators": {"type": "array"},
-        "rank": _POS_INT,
-        "domain": _DOMAIN,
-    },
-    "required": ["mode"],
-    "additionalProperties": False,
-    # the keys each mode reads, and the shape of its generators
-    "allOf": [
-        {"if": _mode_is("scalar"), "then": {"required": ["rhos"]}},
-        {"if": _mode_is("matrix"),
-         "then": {"required": ["mats", "generators"],
-                  "properties": {"generators": {
-                      "items": {"type": "array", "items": _FRAC}}}}},
-        {"if": _mode_is("cyclic"),
-         "then": {"required": ["rank"],
-                  "properties": {"generators": {"items": _POLY}}}},
-    ],
-}
-
-JOB_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "version": {"const": 1},
-        "command": {"enum": ["trop", "sigma", "group", "dyn", "h2", "amoeba"]},
-        "payload": {"type": "object"},
-    },
-    "required": ["version", "command", "payload"],
-    "additionalProperties": False,
-}
-
-PAYLOAD_SCHEMAS = {
-    "trop": {
-        "type": "object",
-        "properties": {
-            "rank": _POS_INT,
-            "domain": _DOMAIN,
-            "generators": {"type": "array", "items": _POLY, "minItems": 1},
-            "valuation": _VALUATION,
-        },
-        "required": ["rank", "generators", "valuation"],
-        "additionalProperties": False,
-    },
-    "sigma": {
-        "type": "object",
-        "properties": {"module": _MODULE, "box": _POS_INT, "coeff_bound": _POS_INT},
-        "required": ["module"],
-        "additionalProperties": False,
-    },
-    "group": {
-        "type": "object",
-        "properties": {"module": _MODULE, "fpm": {"type": "array", "items": _POS_INT},
-                       "box": _POS_INT, "coeff_bound": _POS_INT},
-        "required": ["module"],
-        "additionalProperties": False,
-    },
-    "dyn": {
-        "type": "object",
-        "properties": {
-            "rank": _POS_INT,
-            "matrix": {"type": "array",
-                       "items": {"type": "array", "items": _POLY}},
-            "chi": {"type": "array", "items": _FRAC},
-            "start": {"type": "array", "items": _POLY},
-            "iters": _POS_INT,
-            "powers": _POS_INT,
-        },
-        "required": ["rank", "matrix"],
-        "additionalProperties": False,
-    },
-    "h2": {
-        "type": "object",
-        "properties": {
-            "p": {"type": "integer", "minimum": 2},
-            "support_at_zero": {
-                "type": "object",
-                "properties": {"k": _NONNEG_INT, "j_max": _NONNEG_INT},
-                "required": ["k", "j_max"], "additionalProperties": False},
-            "infinity_obstruction": {
-                "type": "object",
-                "properties": {"q": _FRAC, "coeff_bound": _POS_INT, "k_max": _POS_INT},
-                "required": ["q", "coeff_bound", "k_max"],
-                "additionalProperties": False},
-            "push": {"type": "object", "properties": {},
-                     "additionalProperties": False},
-            "zero_obstruction": {
-                "type": "object",
-                "properties": {"q": _FRAC, "coeff_bound": _POS_INT,
-                               "size_bound": _POS_INT, "k_max": _NONNEG_INT,
-                               "module": {"enum": ["A", "B"]}},
-                "required": ["q", "coeff_bound", "size_bound"],
-                "additionalProperties": False},
-        },
-        "required": ["p"],
-        "additionalProperties": False,
-    },
-    "amoeba": {
-        "type": "object",
-        "properties": {
-            "poly": _POLY,
-            "s_grid": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-            "angles": _POS_INT,
-            "min_radius": {"type": "number"},
-            "angle_bins": _POS_INT,
-        },
-        "required": ["poly", "s_grid", "angles"],
-        "additionalProperties": False,
-    },
-}
+from .valuations import PAdicValuation, TableValuation, TrivialValuation
 
 
 class SchemaError(ValueError):
-    pass
-
-
-def _finite_number(checker, instance) -> bool:
-    """The schemas' "number": json.loads also reads NaN, Infinity and
-    -Infinity, which are not numbers a job can compute with."""
-    if isinstance(instance, bool) or not isinstance(instance, numbers.Number):
-        return False
-    return not isinstance(instance, float) or math.isfinite(instance)
-
-
-@functools.cache
-def _validator(command):
-    """Checked and compiled validator for a command's payload schema (the job
-    envelope's for None), built on first use."""
-    schema = JOB_SCHEMA if command is None else PAYLOAD_SCHEMAS[command]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    checker = cls.TYPE_CHECKER.redefine("number", _finite_number)
-    return jsonschema.validators.extend(cls, type_checker=checker)(schema)
-
-
-def _validate(instance, command):
-    """jsonschema.validate against a compiled validator: raises the same best
-    match ValidationError."""
-    error = jsonschema.exceptions.best_match(_validator(command).iter_errors(instance))
-    if error is not None:
-        raise error
+    """An input the tool cannot take (exit 3)."""
 
 
 # ---------------------------------------------------------------------------
-# Exact <-> JSON helpers.
+# Reading.  Each reader checks one JSON value and returns it as a typed input,
+# raising ValueError at the first fault; shape faults read as JSON Schema
+# (2020-12) words them, where an integral float is an integer and a bool is
+# not a number.
+
+
+def _dict(x) -> dict:
+    if not isinstance(x, dict):
+        raise ValueError(f"{x!r} is not of type 'object'")
+    return x
+
+
+def _object(x, required=(), optional=()) -> dict:
+    """x as a dict with every required key and no key outside the two."""
+    _dict(x)
+    for key in required:
+        if key not in x:
+            raise ValueError(f"{key!r} is a required property")
+    extra = [key for key in x if key not in required and key not in optional]
+    if extra:
+        raise ValueError("Additional properties are not allowed "
+                         f"({', '.join(map(repr, extra))} "
+                         f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+    return x
+
+
+def _array(x, read, non_empty=False) -> list:
+    """read applied to each item of the array x."""
+    if not isinstance(x, list):
+        raise ValueError(f"{x!r} is not of type 'array'")
+    if non_empty and not x:
+        raise ValueError(f"{x!r} should be non-empty")
+    return [read(item) for item in x]
+
+
+def _is_int(x) -> bool:
+    return (isinstance(x, int) and not isinstance(x, bool)
+            or isinstance(x, float) and x.is_integer())
+
+
+def _int(x, minimum=None) -> int:
+    if not _is_int(x):
+        raise ValueError(f"{x!r} is not of type 'integer'")
+    if minimum is not None and x < minimum:
+        raise ValueError(f"{x!r} is less than the minimum of {minimum}")
+    return int(x)
+
+
+def _number(x):
+    """A finite number: json.loads also reads NaN, Infinity and -Infinity,
+    which are not numbers a job can compute with."""
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or isinstance(x, float) and not math.isfinite(x)):
+        raise ValueError(f"{x!r} is not of type 'number'")
+    return x
+
+
+def _one_of(x, choices):
+    choices = list(choices)
+    if x not in choices:
+        raise ValueError(f"{x!r} is not one of {choices!r}")
+    return x
+
+
+def parse_frac(x) -> Fraction:
+    """An integer or a rational string; any other string, "1/0" too, is
+    not a rational number."""
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{x!r} is not a rational number") from None
+    if not _is_int(x):
+        raise ValueError(f"{x!r} is not of type 'string', 'integer'")
+    return Fraction(int(x))
+
+
+def _fracs(x) -> list:
+    return _array(x, parse_frac)
+
+
+def parse_domain(x) -> Domain:
+    """"Z", "Q" or {"GF": p} for a prime p."""
+    if x == "Z":
+        return ZZ
+    if x == "Q":
+        return QQ
+    if isinstance(x, dict):
+        return GF(_int(_object(x, ("GF",))["GF"]))
+    raise ValueError(f"{x!r} is not valid under any of the given schemas")
+
+
+def parse_poly(x, rank: int, domain: Domain) -> LaurentPoly:
+    terms = {}
+    for t in _array(_object(x, ("terms",))["terms"],
+                    lambda t: _object(t, ("exp", "coef"))):
+        exp = tuple(_array(t["exp"], _int))
+        if len(exp) != rank:
+            raise ValueError(f"exponent {list(exp)} has length {len(exp)}, "
+                             f"not the rank {rank}")
+        terms[exp] = terms.get(exp, 0) + parse_frac(t["coef"])
+    return LaurentPoly(rank, domain, terms)
+
+
+def _table_entry(x) -> tuple:
+    e = _object(x, ("value", "val"))
+    return parse_frac(e["value"]), INF if e["val"] == "inf" else parse_frac(e["val"])
+
+
+def parse_valuation(x):
+    """A valuation; "global-z" stays a name, the caller builds that variety."""
+    v = _object(x, ("kind",), ("p", "entries"))
+    kind = _one_of(v["kind"], ("trivial", "p-adic", "global-z", "table"))
+    p = _int(v["p"]) if "p" in v else None
+    entries = _array(v.get("entries", []), _table_entry)
+    if kind == "trivial":
+        return TrivialValuation()
+    if kind == "p-adic":
+        if p is None:
+            raise ValueError("p-adic valuation needs p")
+        return PAdicValuation(p)
+    if kind == "table":
+        return TableValuation(tuple(sorted(entries)))
+    return kind
+
+
+_MODE_KEYS = {"scalar": ("rhos",), "matrix": ("mats", "generators"),
+              "cyclic": ("rank",)}
+_MODULE_KEYS = ("mode", "rhos", "mats", "generators", "rank", "domain")
+
+
+def parse_module(x):
+    """A scalar action, a matrix action or a cyclic presentation."""
+    mode = _one_of(_object(x, ("mode",), _MODULE_KEYS)["mode"], _MODE_KEYS)
+    m = _object(x, _MODE_KEYS[mode], _MODULE_KEYS)
+    if mode == "scalar":
+        return ScalarAction(tuple(_fracs(m["rhos"])))
+    if mode == "matrix":
+        return MatrixAction.of(_array(m["mats"], lambda a: _array(a, _fracs)),
+                               _array(m["generators"], _fracs))
+    rank = _int(m["rank"], 1)
+    domain = parse_domain(m.get("domain", "Z"))
+    return CyclicModule(rank, domain, tuple(
+        _array(m.get("generators", []), lambda f: parse_poly(f, rank, domain))))
+
+
+# ---------------------------------------------------------------------------
+# Exact -> JSON.
 
 
 def frac_str(x) -> str:
@@ -248,62 +198,9 @@ def frac_str(x) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def parse_frac(x) -> Fraction:
-    """An int or a rational string; any other string, "1/0" too, is a
-    SchemaError."""
-    try:
-        return Fraction(x) if isinstance(x, int) else Fraction(str(x))
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"{x!r} is not a rational number") from None
-
-
-def parse_domain(obj) -> Domain:
-    if obj in (None, "Z"):
-        return ZZ
-    if obj == "Q":
-        return QQ
-    try:
-        return GF(int(obj["GF"]))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
-
-
-def parse_poly(obj, rank: int, domain: Domain) -> LaurentPoly:
-    terms = {}
-    for t in obj["terms"]:
-        exp = tuple(int(e) for e in t["exp"])
-        if len(exp) != rank:
-            raise SchemaError(f"exponent {list(exp)} has length {len(exp)}, "
-                              f"not the rank {rank}")
-        coef = parse_frac(t["coef"])
-        terms[exp] = terms.get(exp, 0) + coef
-    return LaurentPoly(rank, domain, terms)
-
-
 def poly_json(f: LaurentPoly) -> dict:
     return {"terms": [{"exp": list(g), "coef": frac_str(c)}
                       for g, c in sorted(f.terms.items())]}
-
-
-def parse_valuation(obj):
-    kind = obj["kind"]
-    if kind == "trivial":
-        return TrivialValuation()
-    if kind == "p-adic":
-        if "p" not in obj:
-            raise SchemaError("p-adic valuation needs p")
-        build, arg = PAdicValuation, int(obj["p"])
-    elif kind == "table":
-        build, arg = TableValuation.from_dict, {
-            parse_frac(e["value"]): (math.inf if e["val"] == "inf"
-                                     else parse_frac(e["val"]))
-            for e in obj.get("entries", [])}
-    else:
-        return kind  # "global-z" handled by the caller
-    try:
-        return build(arg)
-    except ValueError as exc:  # p is not a prime, or the table is no valuation
-        raise SchemaError(str(exc)) from None
 
 
 def piece_json(p: Polyhedron) -> dict:
@@ -352,64 +249,68 @@ def tri_json(value) -> object:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.  Each returns (result dict, undecided flag, plot payload).
+# Commands.  Each reads its payload into typed inputs, then computes from
+# them (result dict, undecided flag, plot payload).
 
 
-def _run_trop(payload):
-    rank = payload["rank"]
-    domain = parse_domain(payload.get("domain"))
-    polys = [parse_poly(p, rank, domain) for p in payload["generators"]]
-    val = parse_valuation(payload["valuation"])
-    unit = any(len(p.terms) == 1 for p in polys)
+def _read_trop(payload):
+    obj = _object(payload, ("rank", "generators", "valuation"), ("domain",))
+    rank = _int(obj["rank"], 1)
+    domain = parse_domain(obj.get("domain", "Z"))
+    polys = _array(obj["generators"], lambda f: parse_poly(f, rank, domain),
+                   non_empty=True)
+    val = parse_valuation(obj["valuation"])
+    if any(f.is_zero for f in polys):
+        raise ValueError("the zero polynomial has no tropical variety")
     if val == "global-z":
         if len(polys) != 1:
-            raise SchemaError("the global variety over Z takes one generator")
+            raise ValueError("the global variety over Z takes one generator")
         if domain != ZZ:
-            raise SchemaError("the global variety over Z needs the domain Z")
+            raise ValueError("the global variety over Z needs the domain Z")
+    elif isinstance(val, TableValuation) and domain.kind != "GF":
+        # a prime the table lacks is a read fault; over GF(p) every nonzero
+        # coefficient is valued as 1
+        for f in polys:
+            for c in f.terms.values():
+                val.value(c)
+    return polys, val
+
+
+def _run_trop(polys, val):
+    if val == "global-z":
         fan = global_tropical_Z(polys[0])
+    elif len(polys) == 1:
+        fan = trop_hypersurface(polys[0], val)
     else:
-        try:
-            fan = (trop_hypersurface(polys[0], val) if len(polys) == 1 else
-                   trop_prevariety([ValuedPoly(p, val) for p in polys]))
-        except UnknownCoefficientError as exc:  # a table with a prime missing
-            raise SchemaError(exc.args[0]) from None
-    result = {"fan": fan_json(fan), "unit_generator": unit,
+        fan = trop_prevariety([ValuedPoly(p, val) for p in polys])
+    result = {"fan": fan_json(fan),
+              "unit_generator": any(len(p.terms) == 1 for p in polys),
               "exact": len(polys) == 1,
               "kind": "hypersurface" if len(polys) == 1 else "prevariety"}
     return result, False, ("fan", fan)
 
 
-def _parse_module(obj):
-    mode = obj["mode"]
-    if mode == "scalar":
-        return ScalarAction(tuple(parse_frac(r) for r in obj["rhos"]))
-    if mode == "matrix":
-        mats = [[[parse_frac(x) for x in row] for row in m] for m in obj["mats"]]
-        gens = [[parse_frac(x) for x in g] for g in obj["generators"]]
-        return MatrixAction.of(mats, gens)
-    rank = obj["rank"]
-    domain = parse_domain(obj.get("domain"))
-    gens = tuple(parse_poly(p, rank, domain) for p in obj.get("generators", []))
-    return CyclicModule(rank, domain, gens)
+def _read_sigma(payload, keys=()):
+    """The module and the sigma_of_module bounds the payload gives."""
+    obj = _object(payload, ("module",), ("box", "coeff_bound") + keys)
+    module = parse_module(obj["module"])
+    bounds = {name: _int(obj[key], 1) for key, name in
+              (("box", "box_limit"), ("coeff_bound", "coeff_bound")) if key in obj}
+    return module, bounds
 
 
-def _sigma_of_payload(payload) -> SigmaResult:
-    """sigma_of_module on the payload's module, box and coeff_bound."""
-    kw = {}
-    if "box" in payload:
-        kw["box_limit"] = payload["box"]
-    if "coeff_bound" in payload:
-        kw["coeff_bound"] = payload["coeff_bound"]
-    return sigma_of_module(_parse_module(payload["module"]), **kw)
-
-
-def _run_sigma(payload):
-    result = _sigma_of_payload(payload)
+def _run_sigma(module, bounds):
+    result = sigma_of_module(module, **bounds)
     return sigma_json(result), not result.undecided.is_empty, None
 
 
-def _run_group(payload):
-    r = _sigma_of_payload(payload)
+def _read_group(payload):
+    module, bounds = _read_sigma(payload, ("fpm",))
+    return module, bounds, _array(payload.get("fpm", []), lambda m: _int(m, 1))
+
+
+def _run_group(module, bounds, fpm):
+    r = sigma_of_module(module, **bounds)
     fp = metabelian_fp(r)
     fpi = metabelian_fp_infinity(r)
     out = {
@@ -419,36 +320,47 @@ def _run_group(payload):
         "fpm": {},
     }
     undecided = fp is None or fpi is None
-    for m in payload.get("fpm", []):
+    for m in fpm:
         val = fpm_test(r, m)
         out["fpm"][str(m)] = {"value": tri_json(val), "basis": fpm_basis(m)}
         undecided = undecided or val is None
     return out, undecided, None
 
 
-def _run_dyn(payload):
-    rank = payload["rank"]
-    entries = [[parse_poly(e, rank, ZZ) for e in row] for row in payload["matrix"]]
-    phi = PushMap.of(entries)
+def _read_dyn(payload):
+    obj = _object(payload, ("rank", "matrix"), ("chi", "start", "iters", "powers"))
+    rank = _int(obj["rank"], 1)
+
+    def poly(f):
+        return parse_poly(f, rank, ZZ)
+
+    phi = PushMap.of(_array(obj["matrix"], lambda row: _array(row, poly)))
+    start = _array(obj.get("start", []), poly)
+    if start and len(start) != phi.size:
+        raise ValueError(f"start has length {len(start)}, not the matrix size {phi.size}")
+    chi = Character(tuple(_fracs(obj["chi"]))) if "chi" in obj else None
+    if chi is not None and chi.rank != rank:
+        raise ValueError(f"chi has length {chi.rank}, not the rank {rank}")
+    vec = start or [LaurentPoly.one(rank)] + [LaurentPoly.zero(rank)] * (phi.size - 1)
+    return phi, vec, chi, _int(obj.get("iters", 8), 1), _int(obj.get("powers", 5), 1)
+
+
+def _run_dyn(phi, vec, chi, iters, powers):
     result = {
         "size": phi.size,
         "norm": {"squared": frac_str(norm(phi).squared), "value": norm(phi).value},
         "positivity_cone": fan_json(sigma_of_push(phi)),
     }
-    start = payload.get("start")
-    vec = ([parse_poly(e, rank, ZZ) for e in start] if start
-           else [LaurentPoly.one(rank)] + [LaurentPoly.zero(rank)] * (phi.size - 1))
-    orbit = lambda_of_push_estimate(phi, vec, payload.get("iters", 8))
+    orbit = lambda_of_push_estimate(phi, vec, iters)
     result["orbit"] = {
         "directions": [list(d.vector) for d in orbit.directions],
         "died_out": orbit.died_out,
         "steps": orbit.steps,
     }
-    if "chi" in payload:
-        chi = Character(tuple(parse_frac(x) for x in payload["chi"]))
+    if chi is not None:
         g = gsh(phi, chi)
         result["gsh"] = "inf" if g == INF else frac_str(g)
-        comp = compose_gsh_check(phi, phi, chi, payload.get("powers", 5))
+        comp = compose_gsh_check(phi, phi, chi, powers)
         result["compose_check"] = {
             "additive_ok": comp.additive_ok,
             "power_ok": comp.power_ok,
@@ -467,24 +379,48 @@ def _run_dyn(payload):
     return result, False, None
 
 
-def _run_h2(payload):
-    p = payload["p"]
+def _read_h2(payload):
+    """p and the arguments of each verifier the payload asks for."""
+    obj = _object(payload, ("p",), ("support_at_zero", "infinity_obstruction",
+                                    "push", "zero_obstruction"))
+    p = _int(obj["p"], 2)
+    checks = {}
+    if "support_at_zero" in obj:
+        params = _object(obj["support_at_zero"], ("k", "j_max"))
+        k, j_max = _int(params["k"], 0), _int(params["j_max"], 0)
+        if j_max < k:
+            raise ValueError(f"j_max {j_max} is less than k {k}")
+        checks["support_at_zero"] = k, j_max
+    if "infinity_obstruction" in obj:
+        params = _object(obj["infinity_obstruction"], ("q", "coeff_bound", "k_max"))
+        checks["infinity_obstruction"] = (parse_frac(params["q"]),
+                                          _int(params["coeff_bound"], 1),
+                                          _int(params["k_max"], 1))
+    if "push" in obj:
+        _object(obj["push"])  # takes no keys
+        checks["push"] = ()
+    if "zero_obstruction" in obj:
+        params = _object(obj["zero_obstruction"], ("q", "coeff_bound", "size_bound"),
+                         ("k_max", "module"))
+        checks["zero_obstruction"] = (
+            parse_frac(params["q"]), _int(params["coeff_bound"], 1),
+            _int(params["size_bound"], 1), _int(params.get("k_max", 2), 0),
+            _one_of(params.get("module", "B"), ("A", "B")))
+    return p, checks
+
+
+def _run_h2(p, checks):
     out = {}
-    if "support_at_zero" in payload:
-        params = payload["support_at_zero"]
-        if params["j_max"] < params["k"]:
-            raise SchemaError(f"j_max {params['j_max']} is less than k {params['k']}")
-        rep = verify_support_at_zero_A(p, params["k"], params["j_max"])
+    if "support_at_zero" in checks:
+        rep = verify_support_at_zero_A(p, *checks["support_at_zero"])
         out["support_at_zero"] = {
             "passed": rep.passed,
             "strictly_increasing": rep.strictly_increasing,
             "rows": [{"j": j, "epsilon_ok": ok, "busemann_arg": frac_str(a)}
                      for j, ok, a in rep.rows],
         }
-    if "infinity_obstruction" in payload:
-        params = payload["infinity_obstruction"]
-        rep = verify_infinity_obstruction_A(p, parse_frac(params["q"]),
-                                            params["coeff_bound"], params["k_max"])
+    if "infinity_obstruction" in checks:
+        rep = verify_infinity_obstruction_A(p, *checks["infinity_obstruction"])
         out["infinity_obstruction"] = {
             "passed": rep.passed,
             "symbolic_applies": rep.symbolic_applies,
@@ -493,7 +429,7 @@ def _run_h2(payload):
             "witness": list(rep.witness) if rep.witness else None,
             "note": rep.note,
         }
-    if "push" in payload:
+    if "push" in checks:
         rep = verify_push_B(p)
         out["push"] = {
             "passed": rep.passed,
@@ -501,11 +437,10 @@ def _run_h2(payload):
             "shift_arg_ratio": frac_str(rep.shift_arg_ratio),
             "shift_value": rep.shift_value,
         }
-    if "zero_obstruction" in payload:
-        params = payload["zero_obstruction"]
-        rep = verify_zero_obstruction_B(
-            p, parse_frac(params["q"]), params["coeff_bound"], params["size_bound"],
-            k_max=params.get("k_max", 2), module=params.get("module", "B"))
+    if "zero_obstruction" in checks:
+        q, coeff_bound, size_bound, k_max, module = checks["zero_obstruction"]
+        rep = verify_zero_obstruction_B(p, q, coeff_bound, size_bound,
+                                        k_max=k_max, module=module)
         out["zero_obstruction"] = {
             "passed": rep.passed,
             "module": rep.module,
@@ -516,15 +451,23 @@ def _run_h2(payload):
     return out, False, None
 
 
-def _run_amoeba(payload):
-    poly = parse_poly(payload["poly"], 2, QQ)
-    s_grid = [float(s) for s in payload["s_grid"]]
-    cloud = amoeba_sample(poly, s_grid, payload["angles"])
+def _read_amoeba(payload):
+    obj = _object(payload, ("poly", "s_grid", "angles"), ("min_radius", "angle_bins"))
+    poly = parse_poly(obj["poly"], 2, QQ)
+    if len({g[1] for g in poly.terms}) < 2:
+        raise ValueError("the polynomial has no roots in y to follow")
+    s_grid = [float(s) for s in _array(obj["s_grid"], _number, non_empty=True)]
+    min_radius = _number(obj["min_radius"]) if "min_radius" in obj else None
+    return (poly, s_grid, _int(obj["angles"], 1), min_radius,
+            _int(obj.get("angle_bins", 72), 1))
+
+
+def _run_amoeba(poly, s_grid, angles, min_radius, angle_bins):
+    cloud = amoeba_sample(poly, s_grid, angles)
     result = {"points": len(cloud.points), "dropped": cloud.dropped,
               "max_radius": cloud.max_radius}
-    if "min_radius" in payload:
-        dirs = log_limit_directions(cloud, payload["min_radius"],
-                                    payload.get("angle_bins", 72))
+    if min_radius is not None:
+        dirs = log_limit_directions(cloud, min_radius, angle_bins)
         result["limit_directions"] = {
             "no_far_points": dirs.no_far_points,
             "directions": [{"dir": [dx, dy], "count": c}
@@ -533,13 +476,13 @@ def _run_amoeba(payload):
     return result, False, ("cloud", cloud)
 
 
-HANDLERS = {
-    "trop": _run_trop,
-    "sigma": _run_sigma,
-    "group": _run_group,
-    "dyn": _run_dyn,
-    "h2": _run_h2,
-    "amoeba": _run_amoeba,
+COMMANDS = {
+    "trop": (_read_trop, _run_trop),
+    "sigma": (_read_sigma, _run_sigma),
+    "group": (_read_group, _run_group),
+    "dyn": (_read_dyn, _run_dyn),
+    "h2": (_read_h2, _run_h2),
+    "amoeba": (_read_amoeba, _run_amoeba),
 }
 
 
@@ -577,17 +520,22 @@ def emit_plot_data(kind, obj, plot_dir: Path) -> list[str]:
 
 
 def run(job: dict, bound_escalation: int | None = None) -> dict:
-    """Validate and dispatch one job document; returns the result document."""
+    """Read one job document, then compute its result document.  Every
+    ValueError of the read step is a SchemaError; the compute step's
+    exceptions pass through."""
     try:
-        _validate(job, None)
-        payload = dict(job["payload"])
-        if bound_escalation is not None and job["command"] in ("sigma", "group"):
-            # before validation, so an escalated box meets the payload's minimum
-            payload.setdefault("box", bound_escalation)
-        _validate(payload, job["command"])
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(exc.message) from exc
-    result, undecided, plot = HANDLERS[job["command"]](payload)
+        obj = _object(job, ("version", "command", "payload"))
+        if not _is_int(obj["version"]) or obj["version"] != 1:
+            raise ValueError("1 was expected")
+        read, compute = COMMANDS[_one_of(obj["command"], COMMANDS)]
+        payload = _dict(obj["payload"])
+        if bound_escalation is not None and obj["command"] in ("sigma", "group"):
+            # before reading, so an escalated box meets the payload's minimum
+            payload = {"box": bound_escalation, **payload}
+        inputs = read(payload)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+    result, undecided, plot = compute(*inputs)
     return {
         "version": 1,
         "job": job,

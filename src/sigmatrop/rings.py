@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import isprime
-
 INF = math.inf
 
 Monomial = tuple  # integer exponent tuple of length rank
@@ -37,6 +35,8 @@ class Domain:
 
     def __post_init__(self):
         if self.kind == "GF":
+            from sympy import isprime  # here, so that jobs over Z and Q never import sympy
+
             if self.p is None or self.p < 2 or not isprime(self.p):
                 raise ValueError(f"prime field modulus must be prime, got {self.p!r}")
         elif self.kind in ("ZZ", "QQ"):

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from . import linalg
 from .polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
                         has_antipodal_pair, in_open_hemisphere, ray_cone)
@@ -73,6 +71,8 @@ class MatrixAction:
         if not self.mats:
             raise ValueError("need at least one acting matrix")
         d = len(self.mats[0])
+        if d < 1:
+            raise ValueError("acting matrices must have a size of at least 1")
         for m in self.mats:
             if len(m) != d or any(len(row) != d for row in m):
                 raise ValueError("matrices must be square of one size")
@@ -85,6 +85,8 @@ class MatrixAction:
                 raise ValueError("acting matrices must commute pairwise")
         if not self.generators:
             raise ValueError("need module generators")
+        if any(len(g) != d for g in self.generators):
+            raise ValueError(f"generators must have length {d}")
         if linalg.rank([list(g) for g in self.generators]) != d:
             raise ValueError("generators must span Q^d")
 
@@ -216,6 +218,8 @@ MEMBERSHIP_DEGREE_LIMIT = 12
 
 def _to_sympy_poly(f: LaurentPoly, syms):
     """Clear monomial units: shift exponents to be nonnegative."""
+    import sympy
+
     shifts = [min((g[i] for g in f.terms), default=0) for i in range(f.rank)]
     shifts = [min(s, 0) for s in shifts]
     expr = 0
@@ -246,6 +250,8 @@ def ideal_membership(lam: LaurentPoly, gens, domain: Domain) -> bool:
     span = max(max(abs(e) for g in f.terms for e in g) for f in gens + [lam])
     if span * lam.rank > MEMBERSHIP_DEGREE_LIMIT * 2:
         raise ValueError("degree exceeds the desk-scale membership guard")
+    import sympy
+
     n = lam.rank
     syms = sympy.symbols(f"v0:{n}") if n > 1 else (sympy.Symbol("v0"),)
     t = sympy.Symbol("t_sat")
@@ -596,6 +602,8 @@ def _rational_eigentuples(m: MatrixAction):
     the action is simultaneously diagonalizable over Q.  Tuples come out
     sorted, since each level extends them by sorted roots.
     """
+    import sympy
+
     live = [((), [], m.dim)]  # (tuple, stacked rows, kernel dimension)
     for mat in m.mats:
         poly = sympy.Matrix(mat).charpoly()

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .polyhedra import Polyhedron, PolyhedralSet
 from .rings import DimensionError, LaurentPoly
 from .valuations import PAdicValuation, TrivialValuation, ValuationSpec, prime_support
@@ -165,6 +163,8 @@ def _sample_block(f: LaurentPoly, ymax: int, span: int, block, phis,
                   points) -> int:
     """Append the kept points of one block of s-values to `points`; return
     the number of dropped rows and roots."""
+    import numpy as np  # only amoeba jobs pay for its import
+
     terms = [(a, ymax - b, float(c)) for (a, b), c in f.terms.items()]
     rows: list[tuple[float, complex]] = []
     coeffs: list[complex] = []

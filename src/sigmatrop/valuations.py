@@ -13,12 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from sympy import factorint, isprime
-
 INF = math.inf
 
 
-class UnknownCoefficientError(KeyError):
+class UnknownCoefficientError(ValueError):
     """A table valuation was queried outside its multiplicative closure."""
 
 
@@ -47,6 +45,8 @@ class PAdicValuation:
     kind = "p-adic"
 
     def __post_init__(self):
+        from sympy import isprime
+
         if not isprime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -83,6 +83,9 @@ class TableValuation:
 
     def __post_init__(self):
         d = dict(self.table)
+        if len(d) != len(self.table):
+            twice = next(a for a in d if sum(b == a for b, _ in self.table) > 1)
+            raise ValueError(f"the table lists {twice} twice")
         for a, v in d.items():
             if v == INF and a != 0:
                 raise ValueError("only 0 may have value +inf")
@@ -100,6 +103,8 @@ class TableValuation:
             return d[a]
         if a == 0:
             return INF
+        from sympy import factorint
+
         total = Fraction(0)
         for n, sign in ((a.numerator, 1), (a.denominator, -1)):
             for p, e in factorint(abs(n)).items():
@@ -165,6 +170,8 @@ def newton_polygon(coeffs, v: ValuationSpec) -> NewtonPolygon:
 
 def prime_support(rationals) -> set[int]:
     """Primes dividing any numerator or denominator of the (nonzero) inputs."""
+    from sympy import factorint
+
     primes: set[int] = set()
     for a in rationals:
         a = Fraction(a)

@@ -345,6 +345,38 @@ _SCALAR = {"mode": "scalar", "rhos": ["6"]}
     ("trop", {"rank": 1, "valuation": {"kind": "global-z"},
               "generators": [_POLY, _POLY]},
      "the global variety over Z takes one generator"),
+    # values the constructors or the computation refused with exit 1: a zero
+    # generator, a matrix generator or a start vector of the wrong length
+    # (an IndexError from linalg.echelon for the first), a chi whose length
+    # is not the rank, an amoeba polynomial with no roots in y, a table that
+    # lists a value twice (the last entry won), a coefficient outside Z and
+    # a zero ratio
+    *[("trop", {"rank": 1, "valuation": {"kind": kind}, "generators": [{"terms": []}]},
+       "the zero polynomial has no tropical variety") for kind in ("trivial", "global-z")],
+    ("sigma", {"module": {"mode": "matrix", "mats": [[["2", "1"], ["0", "2"]]],
+                          "generators": [["1", "0"], []]}},
+     "generators must have length 2"),
+    ("sigma", {"module": {"mode": "matrix", "mats": [[]], "generators": [[]]}},
+     "acting matrices must have a size of at least 1"),
+    ("dyn", {"rank": 1, "matrix": [[_POLY]], "chi": ["1", "1"]},
+     "chi has length 2, not the rank 1"),
+    ("dyn", {"rank": 1, "matrix": [[_POLY]], "start": [_POLY, _POLY]},
+     "start has length 2, not the matrix size 1"),
+    *[("amoeba", {"poly": {"terms": terms}, "s_grid": [0.0], "angles": 2},
+       "the polynomial has no roots in y to follow")
+      for terms in ([], [{"exp": [0, 0], "coef": 1}, {"exp": [1, 0], "coef": -1}])],
+    ("trop", {"rank": 1, "valuation": {"kind": "table", "entries": [
+        {"value": 2, "val": 1}, {"value": "2", "val": 2}]}, "generators": [_POLY]},
+     "the table lists 2 twice"),
+    ("trop", {"rank": 1, "valuation": {"kind": "trivial"}, "generators": [
+        {"terms": [{"exp": [0], "coef": "2/3"}, {"exp": [1], "coef": 1}]}]},
+     "2/3 is not integral over ZZ"),
+    ("sigma", {"module": {"mode": "scalar", "rhos": ["6", 0]}},
+     "scalar actions need nonzero ratios"),
+    # JSON Schema's integers: a bool is none, an integral float is one
+    ("trop", {"rank": True, "valuation": {"kind": "trivial"}, "generators": [_POLY]},
+     "True is not of type 'integer'"),
+    ("sigma", {"module": _SCALAR, "box": 0.0}, "0.0 is less than the minimum of 1"),
 ])
 def test_module_gaps_are_schema_errors(tmp_path, capsys, command, payload, message):
     job_file = tmp_path / "job.json"
@@ -353,6 +385,99 @@ def test_module_gaps_are_schema_errors(tmp_path, capsys, command, payload, messa
     assert main(["--job", str(job_file)]) == 3
     error = json.loads(capsys.readouterr().out)["error"]
     assert error == {"type": "schema", "message": message}
+
+
+def test_integral_floats_are_integers():
+    # "rank": 2.0 and "box": 2.0 ended in a TypeError (exit 1)
+    trop = {**TROP_JOB, "payload": {**TROP_JOB["payload"], "rank": 2.0}}
+    assert run(trop)["result"] == run(TROP_JOB)["result"]
+    boxed = {**SIGMA_JOB, "payload": {**SIGMA_JOB["payload"], "box": 2}}
+    floated = {**SIGMA_JOB, "payload": {**SIGMA_JOB["payload"], "box": 2.0}}
+    assert run(floated)["result"] == run(boxed)["result"]
+    padic = {**TROP_JOB, "payload": {**TROP_JOB["payload"],
+                                     "valuation": {"kind": "p-adic", "p": 2.0}}}
+    assert run(padic)["result"]["fan"]["spherical_rays"] == [[-1, -1], [0, 1], [1, 0]]
+
+
+CYCLIC_Q_JOB = {
+    "version": 1,
+    "command": "sigma",
+    "payload": {"module": {"mode": "cyclic", "rank": 2, "domain": "Q", "generators": [
+        {"terms": [{"exp": [1, 0], "coef": 1}, {"exp": [0, 1], "coef": "2/3"},
+                   {"exp": [0, 0], "coef": -1}]}]}},
+}
+
+JORDAN_JOB = {
+    "version": 1,
+    "command": "sigma",
+    "payload": {"module": {"mode": "matrix", "mats": [[["2", "1"], ["0", "2"]]],
+                           "generators": [["1", "0"], ["0", "1"]]},
+                "box": 1},
+}
+
+TABLE_JOB = {
+    "version": 1,
+    "command": "trop",
+    "payload": {
+        "rank": 1,
+        "generators": [{"terms": [{"exp": [1], "coef": 1}, {"exp": [0], "coef": -6}]}],
+        "valuation": {"kind": "table", "entries": [{"value": "2", "val": "1"},
+                                                   {"value": "3", "val": "0"},
+                                                   {"value": "0", "val": "inf"}]},
+    },
+}
+
+MUTANT_VALUES = [0, -1, 1, 2, 3, "x", "1/0", "2/3", [], {}, None, True, 2.5, "inf",
+                 [0], [[]]]
+
+
+def _paths(doc, path=()):
+    """The path of every value inside doc, containers included."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@pytest.mark.parametrize("job", [TROP_JOB, SIGMA_JOB, GROUP_JOB, DYN_JOB, H2_JOB,
+                                 AMOEBA_JOB, CYCLIC_Q_JOB, JORDAN_JOB, TABLE_JOB],
+                         ids=["trop", "sigma", "group", "dyn", "h2", "amoeba",
+                              "cyclic-q", "jordan", "table"])
+def test_one_value_mutants_answer_or_are_schema_errors(job):
+    # every input the tool cannot take is a schema error (exit 3), never an
+    # exception from the computation (exit 1)
+    failures = []
+    for path in _paths(job):
+        for value in MUTANT_VALUES:
+            mutant = json.loads(json.dumps(job))
+            node = mutant
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            try:
+                run(mutant)
+            except SchemaError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - collected and reported
+                failures.append(f"{list(path)} = {value!r}: {type(exc).__name__}: {exc}")
+    assert not failures, "\n".join(failures)
+
+
+def test_light_jobs_import_neither_sympy_nor_numpy():
+    src = str(Path(sigmatrop.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = ("import json, sys\n"
+            "from sigmatrop.cli import run\n"
+            "for job in json.loads(sys.argv[1]):\n"
+            "    run(job)\n"
+            "print(sorted({'sympy', 'numpy', 'jsonschema'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps([TROP_JOB, CYCLIC_Q_JOB])],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_h2_job_with_composite_p(tmp_path, capsys):

@@ -233,7 +233,7 @@ def sigma_json(r: SigmaResult) -> dict:
         "proved_complement": spherical_json(r.proved_complement),
         "undecided": spherical_json(r.undecided),
         "certificates": [{"cone": piece_json(c), "poly": poly_json(lam)}
-                         for c, lam in r.certificates],
+                         for _, c, lam in r.certified],
         "witnesses": [{"direction": list(w.direction.vector), "kind": w.kind,
                        "prime": w.prime,
                        "vector": [frac_str(x) for x in w.vector]}

@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
@@ -259,12 +260,10 @@ def ideal_membership(lam: LaurentPoly, gens, domain: Domain) -> bool:
     for s in syms:
         prod *= s
     basis_polys = [_to_sympy_poly(g, syms) for g in gens] + [prod - 1]
-    kwargs = {"order": "grevlex"}
-    if domain.kind == "GF":
-        kwargs["modulus"] = domain.p
-    gb = sympy.groebner(basis_polys, *syms, t, **kwargs)
-    target = sympy.Poly(_to_sympy_poly(lam, syms), *syms, t,
-                        **({"modulus": domain.p} if domain.kind == "GF" else {}))
+    # both over one field: over QQ, not the ZZ sympy infers from integer input
+    opts = {"modulus": domain.p} if domain.kind == "GF" else {"domain": "QQ"}
+    gb = sympy.groebner(basis_polys, *syms, t, order="grevlex", **opts)
+    target = sympy.Poly(_to_sympy_poly(lam, syms), *syms, t, **opts)
     return gb.reduce(target)[1] == 0
 
 
@@ -337,7 +336,7 @@ def determinant_reduction(theta) -> LaurentPoly:
 
 
 def _matrix_system(cache: _ActionCache):
-    """Certificate system of a matrix action for `_cover_piece`: lam =
+    """Certificate system of a matrix action for `_cover`: lam =
     1 + sum c_g x^g over the strict-dual monomials g != 0 of [-k, k]^n, with
     sum c_g action(g) = -I as one integer row per matrix entry.  Each lam it
     returns is re-checked to annihilate the module."""
@@ -371,7 +370,7 @@ def _matrix_system(cache: _ActionCache):
 
 def certificate_search(mod: ModulePresentation, chi: Character, box: int,
                        coeff_bound: int):
-    """Search for an integer certificate at chi: `_cover_piece` on chi's open
+    """Search for an integer certificate at chi: `_cover` on chi's open
     ray, unsplit.  On a ray the strict dual is {g : chi * g > 0}, so supports
     are {0} union {g in [-box, box]^n : chi * g > 0}, by increasing box size
     then lexicographic order, with the constant coefficient fixed to 1.
@@ -386,8 +385,7 @@ def certificate_search(mod: ModulePresentation, chi: Character, box: int,
     if chi.rank != m.rank:
         raise DimensionError("direction rank does not match the module")
     ray = ray_cone(Direction.from_vector(chi.values))
-    certified, _ = _cover_piece(_matrix_system(_ActionCache(m)), ray, coeff_bound,
-                                 box, 0)
+    certified, _ = _cover(_matrix_system(_ActionCache(m)), [ray], coeff_bound, box, 0)
     return certified[0][2] if certified else None
 
 
@@ -407,18 +405,25 @@ class ComplementWitness:
 
 @dataclass
 class SigmaResult:
+    """The invariant as a partition of the sphere.  Each proved sigma piece
+    is the piece of a record (piece, validity cone, lam), checkable alone:
+    the cone contains the piece, and lam's initial part on the cone is 1."""
+
     rank: int
-    proved_sigma: SphericalSet
     proved_complement: SphericalSet
     undecided: SphericalSet
-    certificates: tuple = ()  # (validity cone, LaurentPoly) pairs
+    certified: tuple = ()  # (piece, validity cone, LaurentPoly) records
     witnesses: tuple = ()  # ComplementWitness
     complement_outer_bound: PolyhedralSet | None = None
     notes: tuple = ()
 
+    @cached_property
+    def proved_sigma(self) -> SphericalSet:
+        return SphericalSet(self.rank, [piece for piece, _, _ in self.certified])
+
     def certificate_for(self, direction: Direction):
-        for cone, lam in self.certificates:
-            if cone.contains(direction.vector):
+        for piece, _, lam in self.certified:
+            if piece.contains(direction.vector):
                 return lam
         return None
 
@@ -488,44 +493,51 @@ def _check_searched(lam: LaurentPoly, piece: Polyhedron):
                                  "that is not positive on its piece")
 
 
-def _cover_piece(system, piece: Polyhedron, coeff_bound: int, box_limit: int,
-                 depth: int):
-    """Certify one region piece, splitting on coordinate signs on failure.
+def _cover(system, pieces, coeff_bound: int, box_limit: int, depth: int):
+    """Certify region pieces, splitting a piece on coordinate signs when its
+    search fails, at most depth times.
 
     At each box size k, system(in_strict_dual, k) gives the module's sparse
     rows {column: int}, right-hand side, column count and solution-to-lam
     map.  Returns (certified, failed): certified is a list of
-    (sub-piece, validity cone, certificate)."""
+    (sub-piece, validity cone, certificate) records, failed the pieces
+    left uncertified."""
+    certified, failed = [], []
+    for piece in pieces:
+        in_strict_dual = _strict_dual_test(piece)
+        for k in range(1, box_limit + 1):
+            rows, rhs, ncols, to_lam = system(in_strict_dual, k)
+            if not ncols:
+                continue
+            sol = linalg.solve_integer(rows, rhs, ncols)
+            if sol is None or any(abs(c) > coeff_bound for c in sol):
+                continue
+            lam = to_lam(sol)
+            _check_searched(lam, piece)
+            support = [g for g in lam.terms if any(g)]
+            certified.append((piece, Polyhedron.cone(piece.rank, gt=support), lam))
+            break
+        else:
+            parts = _sign_split(piece) if depth > 0 else []
+            c, f = (_cover(system, parts, coeff_bound, box_limit, depth - 1)
+                    if parts else ([], [piece]))
+            certified += c
+            failed += f
+    return certified, failed
+
+
+def _sign_split(piece: Polyhedron):
+    """The positive, negative and zero parts, those with a direction, of the
+    first coordinate that takes both signs on the piece; [] if none does."""
     rank = piece.rank
-    in_strict_dual = _strict_dual_test(piece)
-    for k in range(1, box_limit + 1):
-        rows, rhs, ncols, to_lam = system(in_strict_dual, k)
-        if not ncols:
-            continue
-        sol = linalg.solve_integer(rows, rhs, ncols)
-        if sol is None or any(abs(c) > coeff_bound for c in sol):
-            continue
-        lam = to_lam(sol)
-        _check_searched(lam, piece)
-        support = [g for g in lam.terms if any(g)]
-        cone = Polyhedron.cone(rank, gt=support)
-        return [(piece, cone, lam)], []
-    if depth > 0:
-        for i in range(rank):
-            axis = tuple(int(j == i) for j in range(rank))
-            pos = piece.intersect(Polyhedron.cone(rank, gt=[axis]))
-            neg = piece.intersect(Polyhedron.cone(rank, gt=[tuple(-x for x in axis)]))
-            if pos.has_direction() and neg.has_direction():
-                zero = piece.intersect(Polyhedron.cone(rank, eq=[axis]))
-                certified, failed = [], []
-                for part in (pos, neg, zero):
-                    if not part.has_direction():
-                        continue
-                    c, f = _cover_piece(system, part, coeff_bound, box_limit, depth - 1)
-                    certified += c
-                    failed += f
-                return certified, failed
-    return [], [piece]
+    for i in range(rank):
+        axis = tuple(int(j == i) for j in range(rank))
+        pos = piece.intersect(Polyhedron.cone(rank, gt=[axis]))
+        neg = piece.intersect(Polyhedron.cone(rank, gt=[tuple(-x for x in axis)]))
+        if pos.has_direction() and neg.has_direction():
+            zero = piece.intersect(Polyhedron.cone(rank, eq=[axis]))
+            return [part for part in (pos, neg, zero) if part.has_direction()]
+    return []
 
 
 def sigma_scalar_action_exact(mod: ModulePresentation, box_limit: int = COVER_BOX_LIMIT,
@@ -571,22 +583,17 @@ def sigma_scalar_action_exact(mod: ModulePresentation, box_limit: int = COVER_BO
                                                    prime=p, vector=vec))
         complement = SphericalSet.from_directions(dirs, rank=m.rank)
 
-    region = complement.complement()
-    system = _matrix_system(_ActionCache(m))
-    certified, failed = [], []
-    for piece in region.pieces:
-        c, f = _cover_piece(system, piece, coeff_bound, box_limit, COVER_SPLIT_DEPTH)
-        certified += c
-        failed += f
+    certified, failed = _cover(_matrix_system(_ActionCache(m)),
+                               complement.complement().pieces, coeff_bound,
+                               box_limit, COVER_SPLIT_DEPTH)
     if failed:
         notes.append(f"{len(failed)} region pieces exhausted the search bounds "
                      f"(box {box_limit}, coefficients {coeff_bound})")
     return SigmaResult(
         rank=m.rank,
-        proved_sigma=SphericalSet(m.rank, [p for p, _, _ in certified]),
         proved_complement=complement,
         undecided=SphericalSet(m.rank, failed),
-        certificates=tuple((cone, lam) for _, cone, lam in certified),
+        certified=tuple(certified),
         witnesses=tuple(witnesses),
         notes=tuple(notes),
     )
@@ -629,7 +636,9 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
     Exact for principal ideals: over a field the complement is the radial
     projection of the trivial-valuation hypersurface; over Z it is the
     projection of the global tropical variety.  The zero ideal is the free
-    module: the complement is the whole sphere.  Over a field no set
+    module: the complement is the whole sphere.  A unit generator, one term
+    whose coefficient is a unit of the domain (so +-x^g over Z), makes the
+    module zero: sigma is the whole sphere.  Over a field no set
     complement is taken.  At a direction either one monomial of a generator
     is minimal, and the direction lies in its open vertex cone, which carries
     a certificate, or several are, and it lies on the hypersurface (the
@@ -643,7 +652,6 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
     if not gens:
         return SigmaResult(
             rank=rank,
-            proved_sigma=SphericalSet.empty(rank),
             proved_complement=SphericalSet.full(rank),
             undecided=SphericalSet.empty(rank),
             witnesses=(ComplementWitness(
@@ -653,51 +661,45 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
             notes=("zero ideal: the module is the free module of rank one; "
                    "every nonzero direction admits a valuation witness",),
         )
-    if any(len(g.terms) == 1 for g in gens):
+    units = [g for g in gens if len(g.terms) == 1 and (
+        mod.domain.kind != "ZZ" or abs(next(iter(g.terms.values()))) == 1)]
+    if units:
         return SigmaResult(
             rank=rank,
-            proved_sigma=SphericalSet.full(rank),
             proved_complement=SphericalSet.empty(rank),
             undecided=SphericalSet.empty(rank),
+            certified=tuple(_monomial_certificates(units[0])),
             notes=("a generator is a unit: the module is zero and the "
                    "invariant is the whole sphere",),
         )
     if len(gens) == 1:
         f = gens[0]
         notes = []
-        certified, failed = [], []
         if mod.domain.kind == "ZZ":
             complement = global_tropical_Z(f).radial()
             pieces = complement.complement().pieces
             if _content(f) != 1:
                 # every f*h has coefficients in cZ for the content c, so no
                 # multiple has constant term 1: the pieces stay undecided
-                failed = pieces
+                certified, failed = [], pieces
             else:
-                system = _multiple_system(f)
-                for piece in pieces:
-                    c, fl = _cover_piece(system, piece, coeff_bound, box_limit, 0)
-                    certified += c
-                    failed += fl
+                certified, failed = _cover(_multiple_system(f), pieces, coeff_bound,
+                                           box_limit, 0)
             if failed:
                 notes.append(
                     f"{len(failed)} pieces exhausted the multiple-search bounds")
         else:
             complement = trop_hypersurface(f, TrivialValuation()).radial()
-            certified = [(cone, cone, lam) for cone, lam in _monomial_certificates(f)]
-        witnesses = []
-        fd = complement.finite_directions()
-        if fd is not None:
-            for d in fd:
-                witnesses.append(ComplementWitness(direction=d, kind="tropical",
-                                                   vector=tuple(d.vector)))
+            certified, failed = _monomial_certificates(f), []
+        witnesses = tuple(ComplementWitness(direction=d, kind="tropical",
+                                            vector=tuple(d.vector))
+                          for d in complement.finite_directions() or ())
         return SigmaResult(
             rank=rank,
-            proved_sigma=SphericalSet(rank, [p for p, _, _ in certified]),
             proved_complement=complement,
             undecided=SphericalSet(rank, failed),
-            certificates=tuple((cone, lam) for _, cone, lam in certified),
-            witnesses=tuple(witnesses),
+            certified=tuple(certified),
+            witnesses=witnesses,
             notes=tuple(notes) + (
                 "complement realized by the valuations behind each "
                 "hypersurface piece",),
@@ -707,14 +709,11 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
         raise UnsupportedModeError(
             "cyclic mode over Z supports principal ideals only")
     prevariety = trop_prevariety([ValuedPoly(g, TrivialValuation()) for g in gens])
-    certificates = [pair for f in gens for pair in _monomial_certificates(f)]
-    sigma = SphericalSet(rank, [cone for cone, _ in certificates])
     return SigmaResult(
         rank=rank,
-        proved_sigma=sigma,
         proved_complement=SphericalSet.empty(rank),
         undecided=prevariety.radial(),
-        certificates=tuple(certificates),
+        certified=tuple(r for f in gens for r in _monomial_certificates(f)),
         complement_outer_bound=prevariety,
         notes=("multiple generators: complement bounded by the prevariety "
                "(outer candidate), sigma side by per-generator certificates; "
@@ -723,9 +722,10 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
 
 
 def _monomial_certificates(f: LaurentPoly):
-    """(openness cone, certificate) for each monomial g0 of f, in sorted
-    order, whose cone {chi*(g - g0) > 0 for the other monomials g} has a
-    direction: there f*x^(-g0)/c_g0 has initial part exactly 1."""
+    """A record (cone, cone, certificate) for each monomial g0 of f, in
+    sorted order, whose open vertex cone {chi*(g - g0) > 0 for the other
+    monomials g} has a direction: there f*x^(-g0)/c_g0 has initial part
+    exactly 1.  c_g0 must be a unit: a unit +-x^g0 over Z gives (full, full, 1)."""
     out = []
     for g0 in sorted(f.terms):
         cone = Polyhedron.cone(f.rank, gt=[tuple(a - b for a, b in zip(g, g0))
@@ -733,7 +733,7 @@ def _monomial_certificates(f: LaurentPoly):
         if cone.has_direction():
             lam = f.shift(tuple(-e for e in g0)).scale(
                 _field_inverse(f.terms[g0], f.domain))
-            out.append((cone, lam))
+            out.append((cone, cone, lam))
     return out
 
 
@@ -750,7 +750,7 @@ def _content(f: LaurentPoly) -> int:
 
 def _multiple_system(f: LaurentPoly):
     """Certificate system of the principal ideal (f) over Z for
-    `_cover_piece`: lam = f*h with one integer unknown per monomial h of
+    `_cover`: lam = f*h with one integer unknown per monomial h of
     [-k, k]^n, one row per monomial of f*h outside the strict dual (its
     coefficient is 0) and the constant-term row (its coefficient is 1)."""
     if f.domain.kind != "ZZ":
@@ -788,26 +788,28 @@ def _multiple_system(f: LaurentPoly):
 def sigma_direct_sum(r1: SigmaResult, r2: SigmaResult) -> SigmaResult:
     """Invariant of a direct sum: sigma intersects, complements unite, and,
     as each (S, C, U) partitions the sphere, the undecided set is
-    (S1 n U2) u (U1 n S2) u (U1 n U2), which takes no set complement."""
+    (S1 n U2) u (U1 n S2) u (U1 n U2), which takes no set complement.
+    Each meet of two certified pieces that has a direction is certified by
+    the product of their certificates, on the meet of their cones."""
     if r1.rank != r2.rank:
         raise DimensionError("direct summands must share the rank")
-    sigma = r1.proved_sigma.intersect(r2.proved_sigma)
+    if len({lam.domain for _, _, lam in r1.certified + r2.certified}) > 1:
+        raise UnsupportedModeError("direct summands certified over different domains")
+    certified = []
+    for p1, c1, l1 in r1.certified:
+        for p2, c2, l2 in r2.certified:
+            meet = p1.intersect(p2)
+            if meet.has_direction():
+                certified.append((meet, c1.intersect(c2), l1 * l2))
     complement = r1.proved_complement.union(r2.proved_complement)
     undecided = (r1.proved_sigma.intersect(r2.undecided)
                  .union(r1.undecided.intersect(r2.proved_sigma))
                  .union(r1.undecided.intersect(r2.undecided)))
-    certs = []
-    for c1, l1 in r1.certificates:
-        for c2, l2 in r2.certificates:
-            meet = c1.intersect(c2)
-            if meet.has_direction() and l1.domain == l2.domain:
-                certs.append((meet, l1 * l2))
     return SigmaResult(
         rank=r1.rank,
-        proved_sigma=sigma,
         proved_complement=complement,
         undecided=undecided,
-        certificates=tuple(certs),
+        certified=tuple(certified),
         witnesses=tuple(r1.witnesses) + tuple(r2.witnesses),
         notes=tuple(r1.notes) + tuple(r2.notes),
     )

@@ -272,13 +272,14 @@ class LimitDirections:
 def log_limit_directions(cloud: AmoebaCloud, min_radius: float,
                          angle_bins: int) -> LimitDirections:
     """Bin the reflected far points (norm >= min_radius) into angular bins;
-    each populated bin reports the normalized mean direction and the count."""
+    each populated bin reports the normalized mean direction and the count.
+    A point at the origin has no direction and is skipped."""
     if not cloud.points:
         raise ValueError("empty cloud")
     bins: dict[int, list[tuple[float, float]]] = {}
     for px, py in cloud.points:
         r = math.hypot(px, py)
-        if r < min_radius:
+        if r < min_radius or r == 0:
             continue
         ux, uy = -px / r, -py / r
         angle = math.atan2(uy, ux) % (2.0 * math.pi)

@@ -119,11 +119,6 @@ class TableValuation:
 ValuationSpec = TrivialValuation | PAdicValuation | TableValuation
 
 
-def value(v: ValuationSpec, a):
-    """Value of the valuation v at the exact rational a."""
-    return v.value(a)
-
-
 @dataclass(frozen=True)
 class NewtonPolygon:
     """Lower convex hull of (degree, v(coefficient)) points.

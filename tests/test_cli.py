@@ -676,6 +676,55 @@ def test_frontier_cyclic_over_z_answers_undecided(monkeypatch):
     assert elapsed < FRONTIER_BUDGET_S, f"{elapsed:.2f}s"
 
 
+def _main_on(tmp_path, command, module):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps({"version": 1, "command": command,
+                                    "payload": {"module": module}}))
+    return main(["--job", str(job_file), "--out", str(tmp_path / "out.json")])
+
+
+def test_only_a_unit_of_the_domain_makes_the_module_zero(tmp_path, capsys):
+    # 2x is not a unit over Z: ZG/(2x) = ZG/(2) is F_2 G, free, with empty
+    # sigma.  Its sigma job exited 0 with the whole sphere as sigma.
+    two_x = _cyclic(2, "Z", [((1, 0), 2)])
+    assert _main_on(tmp_path, "sigma", two_x) == 2
+    result = json.loads((tmp_path / "out.json").read_text())["result"]
+    assert result["proved_sigma"]["empty"] is True
+    assert result["certificates"] == []
+    # rank-1 ZG/(2) gives the lamplighter Z/2 wr Z, which is not finitely
+    # presented; it was answered true, and the content rule leaves it undecided
+    doc = run({"version": 1, "command": "group",
+               "payload": {"module": _cyclic(1, "Z", [((0,), 2)])}})
+    assert doc["result"]["finitely_presented"] == "undecided"
+    # a unit makes the module zero, with one certificate, 1, for the sphere
+    for module in (_cyclic(2, "Z", [((1, 0), -1)]), _cyclic(1, "Q", [((1,), 2)])):
+        result = run({"version": 1, "command": "sigma",
+                      "payload": {"module": module}})["result"]
+        assert result["undecided"]["empty"] is True
+        assert [c["poly"]["terms"] for c in result["certificates"]] == [
+            [{"exp": [0] * module["rank"], "coef": "1"}]]
+    # several generators over Z are not supported, 2 among them; this exited 0
+    capsys.readouterr()
+    two_gens = _cyclic(1, "Z", [((0,), 2)])
+    two_gens["generators"].append({"terms": [{"exp": [0], "coef": 1},
+                                             {"exp": [1], "coef": 1}]})
+    assert _main_on(tmp_path, "sigma", two_gens) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "UnsupportedModeError"
+
+
+def test_amoeba_min_radius_zero_skips_points_at_the_origin(tmp_path, capsys):
+    # at s = 0 the curve y = x passes through (0, 0), which has no direction;
+    # binning it divided by zero (exit 1)
+    job = json.loads(json.dumps(AMOEBA_JOB))
+    job["payload"].update(s_grid=[0.0, 1.0], angles=4, min_radius=0)
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps(job))
+    assert main(["--job", str(job_file)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["limit_directions"]["directions"]
+
+
 def test_rank_seven_sigma_job_stops_at_the_ray_rank_guard(tmp_path, capsys):
     job = {"version": 1, "command": "sigma",
            "payload": {"module": {"mode": "scalar",

@@ -159,7 +159,7 @@ def test_push_respects_module_sigma():
     for mod in corpus:
         result = sigma_of_module(mod)
         checked = 0
-        for _cone, lam in result.certificates:
+        for _piece, _cone, lam in result.certified:
             theta_plus = LaurentPoly.one(lam.rank) - lam
             # the push lifts the identity exactly when lam annihilates
             assert annihilates(LaurentPoly.one(lam.rank) - theta_plus, mod)

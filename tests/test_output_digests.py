@@ -138,10 +138,11 @@ DIGESTS = {
     "group-scalar-r3": "bc35944d5ad952e3cc84b6a1c63d430f991b34a68a720940e8a191e0a6c446b8",
     "sigma-matrix-nondiag": "50c3cd11d845e05ffbdbe89474d37eceef0b645e274f5efca7b77228ff4fa72e",
     "group-matrix-nondiag": "8d25920549d4d3e9764ba40fe12f0973268b8c6c444fe372bca51585488f03c1",
+    # one certificate per sigma piece of a diagonalized direct sum: 9 and 5
     "sigma-matrix-diag-split": (
-        "8ff58dbce567366037c54b76811a91088831b693f7fe2b43a8de8d835e2ac9bc"),
+        "31799698a90009653db66d3da1838556240e08d6484ee5697622f9616f78ae0a"),
     "group-matrix-diag-conjugated": (
-        "a9da4ca6204a46fff64d9dc5d98da6bac1135a0901a3ed1bbf39280a890969ae"),
+        "dcf3fff4f68bd3d29dbf9541f81b22f841c17bf2d765e032ada79b1d37cc856e"),
     "group-cyclic-q-r1": "2fbb6854f680316d740696af3ab4b4837dfa26a46df6eb396a5741ef54c20259",
     "sigma-cyclic-q-r2": "b102f05158dfff4880b2ca5b0160b770eedb665acccaaebb8ee016ded2dc901a",
     "sigma-cyclic-q-r2-two-generators": (

@@ -9,7 +9,8 @@ import sympy
 
 from sigmatrop import linalg, sigma
 from sigmatrop.cli import canonical_json, run
-from sigmatrop.polyhedra import Polyhedron, PolyhedralSet, in_open_hemisphere
+from sigmatrop.polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
+                                in_open_hemisphere)
 from sigmatrop.rings import GF, QQ, ZZ, Character, Direction, LaurentPoly
 from sigmatrop.sigma import (CyclicModule, MatrixAction, ScalarAction,
                              UnsupportedModeError, annihilates, as_matrix_action,
@@ -68,6 +69,18 @@ def test_ideal_membership_examples():
     assert ideal_membership(g1, [g1, g2], QQ)
     with pytest.raises(UnsupportedModeError):
         ideal_membership(poly({(1,): 1}), [poly({(1,): 1, (0,): -6})], ZZ)
+
+
+def test_ideal_membership_of_rational_members_of_integer_generators():
+    # sympy infers ZZ for integer generators; the member 1 + 3/2 y - 1/2 x
+    # raised CoercionFailed before both were taken over QQ
+    g1 = poly({(0, 0): 1, (1, 0): 1, (0, 1): 1}, rank=2, domain=QQ)
+    g2 = poly({(0, 0): 2, (1, 0): -1, (0, 1): 3}, rank=2, domain=QQ)
+    member = poly({(0, 0): 1, (0, 1): Fraction(3, 2), (1, 0): Fraction(-1, 2)},
+                  rank=2, domain=QQ)
+    assert ideal_membership(member, [g1, g2], QQ)
+    assert not ideal_membership(poly({(1, 0): Fraction(1, 2)}, rank=2, domain=QQ),
+                                [g1], QQ)
 
 
 def test_ideal_membership_laurent_units():
@@ -710,3 +723,140 @@ def test_no_module_level_cache_grows():
                MatrixAction.of([[[k, 1], [0, k]]], [[1, 0], [0, 1]]))
         sigma_of_module(mod, box_limit=2)
     assert sizes() == before
+
+
+def _direction_in(piece):
+    """A nonzero point of a homogeneous piece that has a direction: the
+    feasible point of a coordinate halfspace {s * u_i > 0} that meets it."""
+    n = piece.rank
+    for i, sign in itertools.product(range(n), (1, -1)):
+        axis = tuple(sign * int(j == i) for j in range(n))
+        part = piece.intersect(Polyhedron.cone(n, gt=[axis]))
+        if not part.is_empty:
+            return part.feasible_point()
+    raise AssertionError(f"{piece} has no direction")
+
+
+def _checkable(mod):
+    """certificate_valid decides ideal membership over fields only.  A
+    principal ideal over Z with a generator of content 1 has the same
+    members in Z[x^+-1] as the ideal over Q has there (Gauss's lemma), so
+    its certificates are checked over Q."""
+    if isinstance(mod, CyclicModule) and mod.domain == ZZ:
+        assert len(mod.gens) == 1 and sigma._content(mod.gens[0]) == 1
+        return CyclicModule(mod.rank, QQ, tuple(LaurentPoly(mod.rank, QQ, dict(f.terms))
+                                                for f in mod.gens))
+    return mod
+
+
+def _cyclic(rank, domain, *generators):
+    return CyclicModule(rank, domain, tuple(LaurentPoly(rank, domain, terms)
+                                            for terms in generators))
+
+
+# the two diagonalizable matrix jobs whose digests pin one certificate per
+# sigma piece (test_output_digests.py)
+DIAG_SPLIT = MatrixAction.of([[[6, 0], [0, 6]], [[3, 1], [0, 5]]], [[1, 0], [0, 1]])
+DIAG_CONJUGATED = MatrixAction.of(
+    [[[2, 1, -1], [0, 3, -2], [0, 0, 1]],
+     [[1, 4, -4], [0, 5, Fraction(-9, 2)], [0, 0, Fraction(1, 2)]]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def record_cases():
+    """(name, result, modules, disjoint): each record's certificate must be
+    valid for every listed module; disjoint says the record pieces do not
+    overlap, so a direction of a piece finds that piece's own certificate."""
+    scalar = ScalarAction.of(6, Fraction(10, 3))
+    jordan = MatrixAction.of([[[2, 1], [0, 2]], [[3, 0], [0, 3]]], [[1, 0], [0, 1]])
+    q_one = _cyclic(2, QQ, {(0, 0): 1, (1, 0): 2, (0, 1): -3, (1, 1): Fraction(1, 2)})
+    q_two = _cyclic(2, QQ, {(0, 0): 1, (1, 0): 1, (0, 1): 1},
+                    {(0, 0): 2, (1, 0): -1, (0, 1): 3})
+    q_rank1 = _cyclic(1, QQ, {(-1,): -3, (0,): 3, (1,): -1})
+    z_one = _cyclic(2, ZZ, {(0, 0): 1, (1, 0): -2, (0, 1): 3})
+    z_rank1 = _cyclic(1, ZZ, {(0,): 1, (1,): -6})
+    minus_x = _cyclic(2, ZZ, {(1, 0): -1})
+    two_x = _cyclic(1, GF(3), {(1,): 2})
+    other = ScalarAction.of(2, 5)
+    summands = undecided_direct_sum()
+    cases = [(name, sigma_of_module(mod), [mod], name != "cyclic Q, two generators")
+             for name, mod in [("scalar", scalar), ("diagonal split", DIAG_SPLIT),
+                               ("diagonal conjugated", DIAG_CONJUGATED),
+                               ("non-diagonalizable", jordan),
+                               ("cyclic Q, one generator", q_one),
+                               ("cyclic Q, two generators", q_two),
+                               ("cyclic Z", z_one), ("cyclic Z, rank 1", z_rank1),
+                               ("unit over Z", minus_x), ("unit over GF(3)", two_x)]]
+    cases += [
+        ("direct sum of scalars",
+         sigma_direct_sum(sigma_of_module(scalar), sigma_of_module(other)),
+         [direct_sum_module(scalar, other)], True),
+        ("direct sum with an undecided summand", sigma_direct_sum(*summands),
+         [direct_sum_module(jordan, ScalarAction.of(Fraction(1, 3), 5))], True),
+        ("direct sum of cyclic modules over Q",
+         sigma_direct_sum(sigma_of_module(q_one), sigma_of_module(_cyclic(
+             2, QQ, {(0, 0): 1, (1, 0): -1, (0, 1): 2}))),
+         [q_one, _cyclic(2, QQ, {(0, 0): 1, (1, 0): -1, (0, 1): 2})], True),
+        ("direct sum with a unit",
+         sigma_direct_sum(sigma_of_module(q_rank1),
+                          sigma_of_module(_cyclic(1, QQ, {(1,): 2}))),
+         [q_rank1, _cyclic(1, QQ, {(1,): 2})], True),
+    ]
+    return cases
+
+
+def test_every_record_checks_alone():
+    """Each record (piece, cone, lam) is checked on its own, as a verifier
+    would: the piece has a direction, the cone contains it, lam is a valid
+    certificate at a direction of the piece, and certificate_for finds it
+    there.  Every proved sigma piece is a record piece."""
+    cases = record_cases()
+    for name, result, modules, disjoint in cases:
+        rank = result.rank
+        assert result.certified, name
+        assert result.proved_sigma.pieces == tuple(
+            SphericalSet(rank, [p for p, _, _ in result.certified]).pieces), name
+        for piece, cone, lam in result.certified:
+            assert piece.has_direction(), name
+            assert SphericalSet(rank, [piece]).subset_of(SphericalSet(rank, [cone])), name
+            point = _direction_in(piece)
+            chi = Character(tuple(point))
+            for mod in modules:
+                assert certificate_valid(lam, chi, _checkable(mod)), (name, piece)
+            found = result.certificate_for(Direction.from_vector(point))
+            if disjoint:
+                assert found is lam, (name, piece)
+            else:
+                assert all(certificate_valid(found, chi, mod) for mod in modules), name
+    assert len(cases) == 14
+    # one record per sigma piece of the two diagonalized direct sums
+    assert [len(result.certified) for _, result, _, _ in cases[1:3]] == [9, 5]
+
+
+def test_a_unit_is_a_unit_of_the_domain():
+    """A unit generator is one term whose coefficient is a unit of the
+    domain.  2x over Z is not one: ZG/(2x) = ZG/(2) is F_2 G, with empty
+    sigma, which the content rule leaves undecided."""
+    full = SphericalSet.full(2)
+    result = sigma_of_module(_cyclic(2, ZZ, {(1, 0): 2}))
+    assert result.proved_sigma.is_empty and not result.certified
+    assert result.undecided.set_eq(full) and result.proved_complement.is_empty
+    for mod in (_cyclic(2, ZZ, {(1, 0): -1}), _cyclic(2, QQ, {(1, 0): 2}),
+                _cyclic(2, GF(3), {(1, 0): 2})):
+        result = sigma_of_module(mod)
+        assert result.proved_sigma.set_eq(full), mod
+        assert result.undecided.is_empty and result.proved_complement.is_empty
+        (piece, cone, lam), = result.certified
+        assert lam.is_one and piece == cone == Polyhedron.full(2)
+        for d in (Direction.of(1, 0), Direction.of(-2, 3)):
+            assert certificate_valid(lam, d.to_character(), _checkable(mod))
+    with pytest.raises(UnsupportedModeError):
+        sigma_of_module(_cyclic(1, ZZ, {(0,): 2}, {(0,): 1, (1,): 1}))
+
+
+def test_direct_sum_refuses_certificates_over_different_domains():
+    over_q = sigma_of_module(_cyclic(1, QQ, {(0,): 1, (1,): -2}))
+    over_gf3 = sigma_of_module(_cyclic(1, GF(3), {(0,): 1, (1,): 1, (2,): 1}))
+    assert over_q.certified and over_gf3.certified
+    with pytest.raises(UnsupportedModeError, match="different domains"):
+        sigma_direct_sum(over_q, over_gf3)

@@ -69,7 +69,7 @@ def test_angle_bound_needs_a_positive_norm(monkeypatch):
 def test_integer_cover_needs_an_integer_generator():
     f = LaurentPoly(1, QQ, {(1,): 1, (0,): -2})
     with pytest.raises(ValueError):
-        sigma._cover_piece(sigma._multiple_system(f), Polyhedron.full(1), 10, 1, 0)
+        sigma._cover(sigma._multiple_system(f), [Polyhedron.full(1)], 10, 1, 0)
 
 
 def _solve_returns(monkeypatch, solution):
@@ -108,10 +108,10 @@ def test_multiple_certificate_needs_constant_term_one(monkeypatch):
     f = LaurentPoly(1, ZZ, {(0,): 2, (1,): -1})
     piece = Polyhedron.cone(1, gt=[(-1,)])  # where -x is initial: a unit
     system = sigma._multiple_system(f)
-    assert sigma._cover_piece(system, piece, 10, 2, 0)[0]
+    assert sigma._cover(system, [piece], 10, 2, 0)[0]
     _solve_returns(monkeypatch, lambda ncols: [0] * ncols)  # lam = 0
     with pytest.raises(SoundnessError, match="constant term"):
-        sigma._cover_piece(system, piece, 10, 2, 0)
+        sigma._cover(system, [piece], 10, 2, 0)
 
 
 def test_multiple_certificate_must_be_positive_on_its_piece(monkeypatch):
@@ -119,8 +119,8 @@ def test_multiple_certificate_must_be_positive_on_its_piece(monkeypatch):
     f = LaurentPoly(1, ZZ, {(0,): 2, (1,): -1})
     monkeypatch.setattr(sigma, "_strict_dual_test", lambda piece: lambda g: True)
     with pytest.raises(SoundnessError, match="not positive"):
-        sigma._cover_piece(sigma._multiple_system(f), Polyhedron.cone(1, gt=[(1,)]),
-                           10, 2, 0)
+        sigma._cover(sigma._multiple_system(f), [Polyhedron.cone(1, gt=[(1,)])],
+                     10, 2, 0)
 
 
 def test_soundness_checks_survive_python_O():

@@ -7,15 +7,15 @@ import pytest
 from sigmatrop.valuations import (INF, NewtonPolygon, PAdicValuation,
                                   TableValuation, TrivialValuation,
                                   UnknownCoefficientError, newton_polygon,
-                                  padic_valuation, prime_support, value)
+                                  padic_valuation, prime_support)
 
 
 def test_value_examples():
-    assert value(PAdicValuation(2), 6) == 1
-    assert value(PAdicValuation(3), Fraction(1, 9)) == -2
-    assert value(TrivialValuation(), 0) == INF
-    assert value(TrivialValuation(), Fraction(-7, 3)) == 0
-    assert value(PAdicValuation(5), 0) == INF
+    assert PAdicValuation(2).value(6) == 1
+    assert PAdicValuation(3).value(Fraction(1, 9)) == -2
+    assert TrivialValuation().value(0) == INF
+    assert TrivialValuation().value(Fraction(-7, 3)) == 0
+    assert PAdicValuation(5).value(0) == INF
 
 
 def test_padic_prime_checked():
@@ -102,7 +102,7 @@ def test_prime_support_outside_primes_vanish():
     support = prime_support(entries)
     for p in [11, 13, 17]:
         assert p not in support
-        assert all(value(PAdicValuation(p), a) == 0 for a in entries)
+        assert all(PAdicValuation(p).value(a) == 0 for a in entries)
 
 
 def test_newton_polygon_total_length_is_degree_span():

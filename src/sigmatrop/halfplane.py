@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -343,9 +344,16 @@ def verify_zero_obstruction_B(p: int, q, coeff_bound: int, size_bound: int,
     The same enumeration with module="A" is the sanity inversion: module A
     is supported at 0, so a witness is expected there once the coefficient
     bound admits it.
+
+    The sums are exact in integers: every candidate has |k| <= k_max, so
+    its image p^(-2k) (p^(2k) on module A) times the scale p^(2 k_max) is
+    an integer, and a combination maps to 1 exactly when its scaled sum is
+    the scale.
     """
     if coeff_bound < 1 or size_bound < 1 or k_max < 0:
         raise ValueError("need coeff_bound, size_bound >= 1 and k_max >= 0")
+    if module not in ("A", "B"):
+        raise ValueError("module must be 'A' or 'B'")
     q = Fraction(q)
     ball = HoroballSpec(xi=Fraction(0), level_arg=q)
     candidates = []
@@ -357,16 +365,18 @@ def verify_zero_obstruction_B(p: int, q, coeff_bound: int, size_bound: int,
                 if ball.contains(g.act(BASE_POINT)):
                     candidates.append(g)
     candidates = sorted(set(candidates), key=lambda g: (g.k, g.b))
-    eps_values = {g: epsilon(GroupRingElement(p, {g: 1}), module, p)
-                  for g in candidates}
+    sign = 2 if module == "A" else -2
+    scale = p ** (2 * k_max)
+    scaled = {g: p ** (2 * k_max + sign * g.k) for g in candidates}
     checked = 0
     witness = None
     nonzero = [c for c in range(-coeff_bound, coeff_bound + 1) if c]
     for size in range(1, size_bound + 1):
         for subset in itertools.combinations(candidates, size):
+            weights = [scaled[g] for g in subset]
             for coeffs in itertools.product(nonzero, repeat=size):
                 checked += 1
-                if sum(c * eps_values[g] for c, g in zip(coeffs, subset)) == 1:
+                if sum(map(operator.mul, coeffs, weights)) == scale:
                     witness = {g: c for g, c in zip(subset, coeffs)}
                     break
             if witness:

@@ -211,7 +211,8 @@ def _is_zero_matrix(mat) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Ideal membership in the Laurent ring (field coefficients, desk scale).
+# Ideal membership in the Laurent ring (field coefficients or one generator
+# over Z, desk scale).
 
 MEMBERSHIP_RANK_LIMIT = 4
 MEMBERSHIP_DEGREE_LIMIT = 12
@@ -233,17 +234,24 @@ def _to_sympy_poly(f: LaurentPoly, syms):
 
 
 def ideal_membership(lam: LaurentPoly, gens, domain: Domain) -> bool:
-    """Decide lam in (gens) inside the Laurent ring over a field.
+    """Decide lam in (gens) inside the Laurent ring over a field, or over Z
+    for one generator.
 
     Clears monomial units and reduces against a Groebner basis of the ideal
-    saturated at the product of the variables.  Z coefficients are not
-    supported here (see the tropical route for principal ideals over Z).
+    saturated at the product of the variables.  Over Z, Gauss's lemma
+    decides a principal ideal: lam is in (f) exactly when f divides lam over
+    Q and the content of f divides the content of lam.  Several generators
+    over Z raise UnsupportedModeError.
     """
-    if domain.kind == "ZZ":
-        raise UnsupportedModeError("ideal membership needs field coefficients")
     if lam.rank > MEMBERSHIP_RANK_LIMIT:
         raise ValueError(f"rank limited to {MEMBERSHIP_RANK_LIMIT}")
     gens = [g for g in gens if not g.is_zero]
+    if domain.kind == "ZZ":
+        if len(gens) > 1:
+            raise UnsupportedModeError(
+                "ideal membership over Z decides principal ideals only")
+        if gens and _content(lam) % _content(gens[0]):
+            return False
     if lam.is_zero:
         return True
     if not gens:
@@ -260,7 +268,8 @@ def ideal_membership(lam: LaurentPoly, gens, domain: Domain) -> bool:
     for s in syms:
         prod *= s
     basis_polys = [_to_sympy_poly(g, syms) for g in gens] + [prod - 1]
-    # both over one field: over QQ, not the ZZ sympy infers from integer input
+    # both over one field: over QQ (for Z coefficients too), not the ZZ sympy
+    # infers from integer input
     opts = {"modulus": domain.p} if domain.kind == "GF" else {"domain": "QQ"}
     gb = sympy.groebner(basis_polys, *syms, t, order="grevlex", **opts)
     target = sympy.Poly(_to_sympy_poly(lam, syms), *syms, t, **opts)
@@ -678,16 +687,19 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
         if mod.domain.kind == "ZZ":
             complement = global_tropical_Z(f).radial()
             pieces = complement.complement().pieces
-            if _content(f) != 1:
+            content = _content(f)
+            if content != 1:
                 # every f*h has coefficients in cZ for the content c, so no
                 # multiple has constant term 1: the pieces stay undecided
                 certified, failed = [], pieces
+                reason = (f"the generator has content {content}, so no multiple of "
+                          "it has constant term 1; the multiple search was skipped")
             else:
                 certified, failed = _cover(_multiple_system(f), pieces, coeff_bound,
                                            box_limit, 0)
+                reason = f"{len(failed)} pieces exhausted the multiple-search bounds"
             if failed:
-                notes.append(
-                    f"{len(failed)} pieces exhausted the multiple-search bounds")
+                notes.append(reason)
         else:
             complement = trop_hypersurface(f, TrivialValuation()).radial()
             certified, failed = _monomial_certificates(f), []

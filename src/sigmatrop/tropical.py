@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -134,18 +135,33 @@ def amoeba_sample(f: LaurentPoly, s_grid, angles: int) -> AmoebaCloud:
 
     The values that reach the output are computed as a scalar walk of the
     grid computes them, so the cloud is the same, float for float, as with
-    one numpy.roots call per (s, phi): x comes from cmath.exp, x**a from
-    Python's complex power, |y| from numpy.hypot and ln|y| from math.log
-    (numpy's power, abs and log differ in the last bits).  Residuals and
-    weights only meet the threshold and are numpy arrays, except for a root
-    whose residual terms may leave the float range: it takes the scalar
-    expression, which raises OverflowError or ZeroDivisionError where floats
-    run out.  The first failing (s, phi) in grid order sets the exception.
+    one numpy.roots call per (s, phi), |y| from numpy.hypot and ln|y| from
+    math.log (numpy's power, abs and log differ in the last bits).  The
+    coefficient rows are float64 arrays that repeat CPython's complex
+    operations one at a time, so each coefficient has the bits of the scalar
+    row [sum of c * x ** a]: x = cmath.exp(s + i phi) from the math module's
+    exp, cos and sin (e^(s - 1) times e above ln(DBL_MAX / 4), as cmath.exp
+    does), x ** a by binary powering with Python's complex product,
+    1 / x^|a| by Smith's division for a <= 0, and c * z with the 0.0 * z cross
+    terms of (c + 0j) * z; a term with |a| > 100, where CPython switches to
+    a polar formula, takes Python's own power.  These are CPython 3.11's
+    operations (3.14 changes mixed float and complex arithmetic); tests
+    compare the rows bit for bit with the running interpreter's scalar rows,
+    so an interpreter that computes them differently fails those tests
+    instead of changing the output.  Residuals and weights only meet the
+    threshold and are numpy arrays, except for a root whose residual terms
+    may leave the float range: it takes the scalar expression, which raises
+    OverflowError or ZeroDivisionError where floats run out.  The first
+    failing (s, phi) in grid order sets the exception: the rows before it
+    are solved, and then the scalar expression of that (s, phi) raises it.
+    Every s must be finite.
     """
     if f.rank != 2:
         raise DimensionError("amoeba sampling needs a polynomial in two variables")
     if f.is_zero:
         raise ValueError("zero polynomial")
+    if not all(math.isfinite(s) for s in s_grid):
+        raise ValueError("the s grid must be finite")
     ydegs = [g[1] for g in f.terms]
     ymin, ymax = min(ydegs), max(ydegs)
     if ymax == ymin:
@@ -166,22 +182,9 @@ def _sample_block(f: LaurentPoly, ymax: int, span: int, block, phis,
     import numpy as np  # only amoeba jobs pay for its import
 
     terms = [(a, ymax - b, float(c)) for (a, b), c in f.terms.items()]
-    rows: list[tuple[float, complex]] = []
-    coeffs: list[complex] = []
-    failure = None
-    try:
-        for s in block:
-            for phi in phis:
-                x = cmath.exp(complex(s, phi))
-                row = [complex(0)] * (span + 1)
-                for a, col, fc in terms:
-                    row[col] += fc * x ** a
-                rows.append((s, x))
-                coeffs += row
-    except ArithmeticError as exc:
-        failure = exc  # raised after the rows before it
-    n = len(rows)
-    c = np.array(coeffs, dtype=complex).reshape(n, span + 1)
+    xr, xi, c = _coefficient_rows(np, terms, span, block, phis)
+    n = len(c)
+    s_arr = np.repeat(np.array(block, dtype=float), len(phis))[:n]
     with np.errstate(all="ignore"):
         lead = c[:, 0]
         # abs() of a finite complex raises when its modulus overflows
@@ -218,7 +221,6 @@ def _sample_block(f: LaurentPoly, ymax: int, span: int, block, phis,
         yc = np.where(cand, y, 1.0)[:, :, None]
         exps = ymax - np.arange(span + 1)
         resid = np.abs((c[:, None, :] * yc ** exps).sum(axis=2))
-        s_arr = np.array([s for s, _ in rows], dtype=float)
         w = np.zeros((n, span + 1))
         for a, col, fc in terms:
             w[:, col] += abs(fc) * np.exp(a * s_arr)
@@ -235,19 +237,118 @@ def _sample_block(f: LaurentPoly, ymax: int, span: int, block, phis,
     for r, k in zip(*np.nonzero(scalar | ay_raises)):
         yk = complex(y[r, k])
         ay_k = abs(yk)  # raises OverflowError where ay_raises
-        keep[r, k] = not _residual_exceeds(f, rows[r][1], yk, ay_k)
+        keep[r, k] = not _residual_exceeds(f, complex(xr[r], xi[r]), yk, ay_k)
     if cut < n:  # the rows before it raised nothing
         if lead_raises[cut]:
             abs(complex(c[cut, 0]))  # raises OverflowError
         sel, comp = companions[int(deg[cut])]
         np.linalg.eigvals(comp[sel == cut])  # raises LinAlgError
-    if failure is not None:
-        raise failure
+    if n < len(block) * len(phis):  # the next scalar row raises
+        s, phi = block[n // len(phis)], phis[n % len(phis)]
+        x = cmath.exp(complex(s, phi))
+        for a, _, _ in terms:
+            x ** a  # raises OverflowError or ZeroDivisionError
+        raise AssertionError(f"no arithmetic error at s = {s}, phi = {phi}")
     kept = cand & keep
     r_idx = np.nonzero(kept)[0].tolist()
-    points.extend((float(rows[r][0]), math.log(v))
+    points.extend((float(s_arr[r]), math.log(v))
                   for r, v in zip(r_idx, ay[kept].tolist()))
     return int((~live).sum() + (span - deg[live]).sum() + (valid & ~kept).sum())
+
+
+def _coefficient_rows(np, terms, span: int, block, phis):
+    """The coefficient rows of the block's (s, phi) in grid order, up to the
+    first where Python raises, as (real parts of x, imaginary parts of x,
+    rows): each row is Python's [complex(0)] * (span + 1) with
+    row[col] += fc * x ** a for the terms (a, col, fc) in order, and
+    fc * z is (fc + 0j) * z, cross terms 0.0 * z included."""
+    with np.errstate(all="ignore"):
+        xr, xi, raises = _exp_rows(np, block, phis)
+        powers = {}
+        for a, _, _ in terms:
+            if a not in powers:
+                powers[a] = _power(np, xr, xi, a)
+                raises |= powers[a][2]
+        n = int(np.argmax(raises)) if raises.any() else len(raises)
+        c = np.zeros((n, span + 1), dtype=complex)
+        for a, col, fc in terms:
+            pr, pi = powers[a][0][:n], powers[a][1][:n]
+            c.real[:, col] += fc * pr - 0.0 * pi
+            c.imag[:, col] += fc * pi + 0.0 * pr
+    return xr[:n], xi[:n], c
+
+
+# CPython's cmath.exp(z) multiplies e^(re - 1) by e above ln(DBL_MAX / 4),
+# so that e^re cos(im) stays finite where e^re alone is not
+_LN_LARGE = math.log(sys.float_info.max / 4)
+# CPython raises a complex to an integer power of at most this size by
+# binary powering; past it, by a polar formula
+_POWI_LIMIT = 100
+
+
+def _exp_rows(np, block, phis):
+    """cmath.exp(complex(s, phi)) for each s of the block and each phi, in
+    grid order, as (real parts, imaginary parts, raises): the libm exp, cos
+    and sin of the math module and the products cmath.exp forms from them.
+    cmath.exp raises OverflowError where a part is infinite."""
+    ls, ms = [], []
+    for s in block:
+        big = s > _LN_LARGE
+        try:
+            ls.append(math.exp(s - 1.0 if big else s))
+        except OverflowError:
+            ls.append(math.inf)
+        ms.append(math.e if big else 1.0)  # x * 1.0 is x, bit for bit
+    l, m = np.array(ls)[:, None], np.array(ms)[:, None]
+    xr = (l * np.array([math.cos(phi) for phi in phis]) * m).ravel()
+    xi = (l * np.array([math.sin(phi) for phi in phis]) * m).ravel()
+    return xr, xi, np.isinf(xr) | np.isinf(xi)
+
+
+def _power(np, xr, xi, a: int):
+    """Python's x ** a on float arrays of x, as (real parts, imaginary
+    parts, raises).  For |a| <= 100 CPython multiplies by binary powering
+    with its complex product (ac - bd, ad + bc), and for a <= 0 takes
+    1 / x ** -a by Smith's division of 1 + 0j.  A zero divisor raises
+    ZeroDivisionError, an infinite part OverflowError."""
+    if abs(a) > _POWI_LIMIT:
+        return _python_power(np, xr, xi, a)
+    rr, ri = np.ones_like(xr), np.zeros_like(xr)
+    pr, pi = xr, xi
+    k = abs(a)
+    while k:
+        if k & 1:
+            rr, ri = rr * pr - ri * pi, rr * pi + ri * pr
+        k >>= 1
+        if k:
+            pr, pi = pr * pr - pi * pi, pr * pi + pi * pr
+    if a <= 0:
+        by_re = np.abs(rr) >= np.abs(ri)
+        # neither comparison holds for a NaN part: CPython returns Py_NAN
+        nan = ~by_re & ~(np.abs(ri) >= np.abs(rr))
+        zero = by_re & (rr == 0.0)
+        ratio = np.where(by_re, ri / rr, rr / ri)
+        denom = np.where(by_re, rr + ri * ratio, rr * ratio + ri)
+        rr, ri = (np.where(by_re, 1.0 + 0.0 * ratio, 1.0 * ratio + 0.0) / denom,
+                  np.where(by_re, 0.0 - 1.0 * ratio, 0.0 * ratio - 1.0) / denom)
+        rr[nan] = ri[nan] = np.nan
+        return rr, ri, zero | np.isinf(rr) | np.isinf(ri)
+    return rr, ri, np.isinf(rr) | np.isinf(ri)
+
+
+def _python_power(np, xr, xi, a: int):
+    """Python's own x ** a, one x at a time, for |a| > 100: CPython's polar
+    formula through libm's hypot, pow, atan2, cos and sin is not repeated
+    bit for bit by numpy."""
+    out = np.zeros(len(xr), dtype=complex)
+    raises = np.zeros(len(xr), dtype=bool)
+    for i, (re, im) in enumerate(zip(xr.tolist(), xi.tolist())):
+        try:
+            out[i] = complex(re, im) ** a
+        except ArithmeticError:
+            raises[i] = True
+            break  # no row from here on is built
+    return out.real, out.imag, raises
 
 
 def _residual_exceeds(f: LaurentPoly, x: complex, y: complex, ay: float) -> bool:

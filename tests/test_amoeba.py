@@ -4,7 +4,9 @@
 one numpy.roots call per (s, phi), each root's residual evaluated term by
 term.  The batched sampler must give the same points, drop count and max
 radius float for float, and raise the same exception where the reference
-raises.  The work-count and memory tests pin the batching itself.
+raises.  `scalar_rows` builds the coefficient rows as the reference does;
+the array-built rows must have the same bits.  The work-count and memory
+tests pin the batching itself.
 """
 
 import cmath
@@ -20,7 +22,7 @@ import pytest
 from sigmatrop.cli import run
 from sigmatrop.rings import QQ, LaurentPoly
 from sigmatrop.tropical import (AMOEBA_BLOCK, RESIDUAL_TOL, AmoebaCloud,
-                                _residual_exceeds, amoeba_sample)
+                                _coefficient_rows, _residual_exceeds, amoeba_sample)
 
 
 def reference_sample(f, s_grid, angles):
@@ -175,6 +177,127 @@ def test_a_root_with_a_nan_residual_is_dropped_and_counted():
     assert (cloud.points, cloud.dropped) == (want.points, want.dropped)
     assert cloud.dropped >= nan_roots
     assert len(cloud.points) + cloud.dropped == angles * 2
+
+
+def scalar_rows(terms, span, block, phis):
+    """x and the coefficient row of each (s, phi) as Python builds them, up
+    to the first that raises."""
+    xs, rows = [], []
+    try:
+        for s in block:
+            for phi in phis:
+                x = cmath.exp(complex(s, phi))
+                row = [complex(0)] * (span + 1)
+                for a, col, fc in terms:
+                    row[col] += fc * x ** a
+                xs.append(x)
+                rows.append(row)
+    except ArithmeticError:
+        pass
+    return xs, rows
+
+
+def test_coefficient_rows_are_pythons_bit_for_bit():
+    """The array rows repeat Python's complex arithmetic: every x and every
+    coefficient has the same 64-bit pattern (NaNs included), and the rows
+    stop where Python raises."""
+    blocks = [GRID[:AMOEBA_BLOCK], [708.5, 709.0, 709.5, 709.78],
+              [-300.0, -20.0, 40.0, 300.0], [0.0, -400.0, 1.0], [0.5, 710.0, 1.0],
+              [-745.0, -700.0, 0.0]]
+    rng = random.Random(5)
+    stops = set()
+    for f in random_curves(5, 80) + [laurent({(0, 1): 1, (101, 0): -1, (-2, 2): 3})]:
+        ydegs = [b for _, b in f.terms]
+        span = max(ydegs) - min(ydegs)
+        terms = [(a, max(ydegs) - b, float(c)) for (a, b), c in f.terms.items()]
+        angles = rng.choice((1, 4, 7))
+        phis = [2.0 * math.pi * k / angles for k in range(angles)]
+        for block in blocks:
+            xs, rows = scalar_rows(terms, span, block, phis)
+            xr, xi, c = _coefficient_rows(np, terms, span, block, phis)
+            stops.add(len(rows) < len(block) * angles)
+            want_x = np.array(xs, dtype=complex)
+            assert np.array_equal(xr.view(np.uint64), want_x.real.view(np.uint64))
+            assert np.array_equal(xi.view(np.uint64), want_x.imag.view(np.uint64))
+            want = np.array(rows, dtype=complex).reshape(len(rows), span + 1)
+            assert np.array_equal(c.view(np.uint64), want.view(np.uint64)), (f, block)
+    assert stops == {True, False}
+
+
+def test_grids_where_cmath_exp_scales_by_e_match_the_reference():
+    """Above ln(DBL_MAX / 4) = 708.40, cmath.exp(s + i phi) is
+    e^(s - 1) cos(phi) e, which differs in the last bits from e^s cos(phi);
+    up to ln(DBL_MAX) = 709.78 x stays finite."""
+    grid = [708.5, 709.0, 709.5, 709.78]
+    assert math.log(1.7976931348623157e308 / 4) < grid[0]
+    differs = [cmath.exp(complex(s, phi)).real != math.exp(s) * math.cos(phi)
+               for s in grid for phi in (0.5, 1.0, 2.0, 3.0)]
+    assert any(differs)
+    kinds = set()
+    for terms in ({(0, 1): 1, (1, 0): -1},            # y = x, |y| = e^s
+                  {(-1, 1): 1, (0, 0): -3},           # y = 3x, through 1/x
+                  {(0, 2): 1, (1, 1): 2, (1, 0): -1},
+                  {(0, 1): 1, (2, 0): 1}):            # x^2 overflows
+        f = laurent(terms)
+        for angles in (1, 4, 7):
+            want = outcome(reference_sample, f, grid, angles)
+            assert outcome(amoeba_sample, f, grid, angles) == want, (terms, angles)
+            if isinstance(want[0], str):
+                kinds.add(want[0])
+            elif want[0]:
+                kinds.add("cloud")
+                assert min(s for s, _ in want[0]) > 708.4
+    assert {"cloud", "OverflowError"} <= kinds
+
+
+@pytest.mark.parametrize("grid, error", [
+    # x^2 underflows to 0 at s = -400: 1 / x^2 divides by zero
+    ([0.0, 0.5, -400.0, 1.0], "ZeroDivisionError"),
+    # x^2 = e^-720 is subnormal at s = -360: 1 / x^2 overflows
+    ([0.0, 0.5, -360.0, 1.0], "OverflowError"),
+])
+def test_a_negative_exponent_fails_inside_a_block_as_the_reference(grid, error):
+    """Finite rows come before the failing row in the same block: they are
+    solved as the reference solves them before it raises."""
+    f = laurent({(0, 1): 1, (-2, 0): 1, (1, 0): -2})
+    want = outcome(reference_sample, f, grid, 4)
+    assert want[0] == error
+    assert outcome(amoeba_sample, f, grid, 4) == want
+
+
+def test_exponents_past_100_take_pythons_power():
+    """CPython raises to a power |a| > 100 by a polar formula, not by binary
+    powering; those columns come from Python's own complex power."""
+    for terms in ({(0, 1): 1, (101, 0): -1}, {(0, 2): 3, (-120, 1): 1, (1, 0): 2}):
+        f = laurent(terms)
+        for grid in ([-0.5, -0.25, 0.0, 0.125, 0.5], [0.0, 8.0]):
+            want = outcome(reference_sample, f, grid, 7)
+            assert outcome(amoeba_sample, f, grid, 7) == want, (terms, grid)
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_a_grid_value_that_is_not_finite_is_refused(s):
+    with pytest.raises(ValueError, match="finite"):
+        amoeba_sample(laurent({(0, 1): 1, (1, 0): -1}), [0.0, s], 4)
+
+
+def test_only_a_failing_row_calls_cmath_exp(monkeypatch):
+    """The rows are built on arrays; a scalar cmath.exp runs once, at the
+    first (s, phi) where Python raises, to raise its exception."""
+    calls = []
+    exp = cmath.exp
+
+    def counting_exp(z):
+        calls.append(z)
+        return exp(z)
+
+    f = laurent(BIG_TERMS)
+    monkeypatch.setattr(cmath, "exp", counting_exp)
+    cloud = amoeba_sample(f, GRID, 16)
+    assert calls == [] and cloud.points
+    with pytest.raises(OverflowError, match="complex exponentiation"):
+        amoeba_sample(f, GRID + [400.0, 500.0], 16)
+    assert calls == [complex(400.0, 0.0)]
 
 
 # The largest light-mix amoeba shape: 161 s-values, 64 angles, 4 terms of

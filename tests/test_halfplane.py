@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -180,3 +181,47 @@ def test_zero_obstruction_B():
     assert inv.passed and inv.witness is not None
     ((g, c),) = inv.witness.items()
     assert c * Fraction(2) ** (2 * g.k) == 1
+
+
+def reference_zero_obstruction(p, q, coeff_bound, size_bound, k_max, module,
+                               b_num_bound=4):
+    """The enumeration verify_zero_obstruction_B ran before its sums became
+    integers: each combination summed in Fractions and compared with 1.
+    Kept as the oracle for the integer sums."""
+    ball = HoroballSpec(xi=Fraction(0), level_arg=Fraction(q))
+    elements = {GroupElement(p, k, Fraction(m, p ** j))
+                for k in range(-k_max, k_max + 1) for j in range(0, k_max + 1)
+                for m in range(-b_num_bound, b_num_bound + 1)}
+    candidates = sorted((g for g in elements if ball.contains(g.act(BASE_POINT))),
+                        key=lambda g: (g.k, g.b))
+    eps = {g: epsilon(GroupRingElement(p, {g: 1}), module, p) for g in candidates}
+    nonzero = [c for c in range(-coeff_bound, coeff_bound + 1) if c]
+    checked = 0
+    for size in range(1, size_bound + 1):
+        for subset in itertools.combinations(candidates, size):
+            for coeffs in itertools.product(nonzero, repeat=size):
+                checked += 1
+                if sum(c * eps[g] for c, g in zip(coeffs, subset)) == 1:
+                    witness = dict(zip(subset, coeffs))
+                    return len(candidates), checked, module == "A", witness
+    return len(candidates), checked, module == "B", None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 6])
+def test_zero_obstruction_matches_the_fraction_enumeration(p):
+    """Integer sums scaled by p^(2 k_max) give the counts, the verdict and
+    the witness of the Fraction sums, for witnesses found and not found."""
+    outcomes = set()
+    for q in (Fraction(1, 2), 1, 2, 4, 9):
+        for module in ("A", "B"):
+            for coeff_bound, size_bound, k_max in ((2, 2, 1), (1, 2, 2), (3, 1, 0),
+                                                   (2, 1, 2)):
+                rep = verify_zero_obstruction_B(p, q, coeff_bound, size_bound,
+                                                k_max=k_max, module=module)
+                want = reference_zero_obstruction(p, q, coeff_bound, size_bound,
+                                                  k_max, module)
+                assert (rep.qualifying_elements, rep.combinations_checked,
+                        rep.passed, rep.witness) == want, (q, module, coeff_bound,
+                                                            size_bound, k_max)
+                outcomes.add((module, want[3] is None))
+    assert outcomes == {("A", True), ("A", False), ("B", True), ("B", False)}

@@ -67,8 +67,17 @@ def test_ideal_membership_examples():
     g1 = poly({(1, 0): 1, (0, 1): 1, (0, 0): 1}, rank=2, domain=QQ)
     g2 = poly({(1, 0): 1, (0, 1): -1}, rank=2, domain=QQ)
     assert ideal_membership(g1, [g1, g2], QQ)
+    # over Z by Gauss's lemma: f | lam over Q and content(f) | content(lam)
+    two_f = poly({(1,): 2, (0,): -2})
+    assert ideal_membership(poly({(2,): 4, (0,): -4}), [two_f], ZZ)
+    assert ideal_membership(poly({(0,): 6, (-1,): -6}), [two_f], ZZ)
+    # x - 1 is 1/2 (2x - 2) over Q but not a multiple over Z
+    assert not ideal_membership(poly({(1,): 1, (0,): -1}), [two_f], ZZ)
+    assert not ideal_membership(poly({(1,): 2, (0,): -6}), [two_f], ZZ)
+    assert ideal_membership(poly({}), [two_f], ZZ)
+    assert not ideal_membership(poly({(0,): 1}), [], ZZ)
     with pytest.raises(UnsupportedModeError):
-        ideal_membership(poly({(1,): 1}), [poly({(1,): 1, (0,): -6})], ZZ)
+        ideal_membership(poly({(1,): 1}), [two_f, poly({(1,): 1, (0,): -6})], ZZ)
 
 
 def test_ideal_membership_of_rational_members_of_integer_generators():
@@ -425,18 +434,30 @@ def _principal_job_over_z(rng, rank, content):
 def test_content_test_answers_as_the_full_multiple_search(monkeypatch):
     """A generator of content > 1 fails each piece before any integer system
     is built; the full box search, run by making every content read 1, ends
-    in the same output, byte for byte."""
+    in the same output, byte for byte, but for the note that says why the
+    pieces stay undecided."""
     rng = random.Random(12)
+    contents = [content for rank in (1, 2, 3) for content in (2, 3, 6) for _ in range(2)]
     jobs = [_principal_job_over_z(rng, rank, content)
             for rank in (1, 2, 3) for content in (2, 3, 6) for _ in range(2)]
     solves = counting(monkeypatch, linalg, "solve_integer")
-    fast = [canonical_json(run(job)) for job in jobs]
+    fast = [json.loads(canonical_json(run(job))) for job in jobs]
     assert solves == []
     monkeypatch.setattr(sigma, "_content", lambda f: 1)
-    full = [canonical_json(run(job)) for job in jobs]
+    full = [json.loads(canonical_json(run(job))) for job in jobs]
     assert solves
-    assert fast == full
-    assert sum(json.loads(text)["undecided"] for text in fast) >= len(jobs) // 2
+    for content, fast_doc, full_doc in zip(contents, fast, full):
+        fast_notes = fast_doc["result"].pop("notes")
+        full_notes = full_doc["result"].pop("notes")
+        assert fast_doc == full_doc
+        if fast_doc["undecided"]:
+            assert fast_notes[0] == (
+                f"the generator has content {content}, so no multiple of it has "
+                "constant term 1; the multiple search was skipped")
+            assert full_notes[0].endswith(" pieces exhausted the multiple-search bounds")
+            fast_notes, full_notes = fast_notes[1:], full_notes[1:]
+        assert fast_notes == full_notes
+    assert sum(doc["undecided"] for doc in fast) >= len(jobs) // 2
 
 
 def test_sigma_cyclic_multi_generator_outer_bound():
@@ -737,18 +758,6 @@ def _direction_in(piece):
     raise AssertionError(f"{piece} has no direction")
 
 
-def _checkable(mod):
-    """certificate_valid decides ideal membership over fields only.  A
-    principal ideal over Z with a generator of content 1 has the same
-    members in Z[x^+-1] as the ideal over Q has there (Gauss's lemma), so
-    its certificates are checked over Q."""
-    if isinstance(mod, CyclicModule) and mod.domain == ZZ:
-        assert len(mod.gens) == 1 and sigma._content(mod.gens[0]) == 1
-        return CyclicModule(mod.rank, QQ, tuple(LaurentPoly(mod.rank, QQ, dict(f.terms))
-                                                for f in mod.gens))
-    return mod
-
-
 def _cyclic(rank, domain, *generators):
     return CyclicModule(rank, domain, tuple(LaurentPoly(rank, domain, terms)
                                             for terms in generators))
@@ -822,7 +831,7 @@ def test_every_record_checks_alone():
             point = _direction_in(piece)
             chi = Character(tuple(point))
             for mod in modules:
-                assert certificate_valid(lam, chi, _checkable(mod)), (name, piece)
+                assert certificate_valid(lam, chi, mod), (name, piece)
             found = result.certificate_for(Direction.from_vector(point))
             if disjoint:
                 assert found is lam, (name, piece)
@@ -849,7 +858,7 @@ def test_a_unit_is_a_unit_of_the_domain():
         (piece, cone, lam), = result.certified
         assert lam.is_one and piece == cone == Polyhedron.full(2)
         for d in (Direction.of(1, 0), Direction.of(-2, 3)):
-            assert certificate_valid(lam, d.to_character(), _checkable(mod))
+            assert certificate_valid(lam, d.to_character(), mod)
     with pytest.raises(UnsupportedModeError):
         sigma_of_module(_cyclic(1, ZZ, {(0,): 2}, {(0,): 1, (1,): 1}))
 

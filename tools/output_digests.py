@@ -3,19 +3,19 @@
 
 Usage (from the repository root):
 
-    python3 tools/output_digests.py [--seeds 1 2 3]
+    python3 tools/output_digests.py [--seeds 1 2 3] [--workloads light-mix]
 
-Runs every job of the given seeds of the three perfbench workloads
-(sigma-ladder, trop-fans, light-mix) through `sigmatrop.cli.run`, with no
-time cap.  For each workload and seed it prints one line per job (workload,
-seed, job index, job class and the sha256 of the job's `canonical_json`
-text), then one batch line: the number of jobs and the sha256 over their
-texts in batch order.  A job that raises contributes its exception type and
-message instead.  The time each batch took goes to standard error.  Two
-source trees print the same lines exactly when their outputs on these jobs
-are byte-identical; a diff of the two printouts names the jobs that
-changed.  The job generator, perfbench/jobs.py, is imported and not
-changed.
+Runs every job of the given seeds of the given perfbench workloads (by
+default all three: sigma-ladder, trop-fans, light-mix) through
+`sigmatrop.cli.run`, with no time cap.  For each workload and seed it
+prints one line per job (workload, seed, job index, job class and the
+sha256 of the job's `canonical_json` text), then one batch line: the
+number of jobs and the sha256 over their texts in batch order.  A job that
+raises contributes its exception type and message instead.  The time each
+batch took goes to standard error.  Two source trees print the same lines
+exactly when their outputs on these jobs are byte-identical; a diff of the
+two printouts names the jobs that changed.  The job generator,
+perfbench/jobs.py, is imported and not changed.
 """
 
 from __future__ import annotations
@@ -52,8 +52,10 @@ def batch_digest(workload: str, seed: int) -> tuple[int, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--workloads", nargs="+", choices=J.WORKLOADS,
+                        default=list(J.WORKLOADS))
     args = parser.parse_args(argv)
-    for workload in J.WORKLOADS:
+    for workload in args.workloads:
         for seed in args.seeds:
             start = time.perf_counter()
             count, digest = batch_digest(workload, seed)

@@ -13,9 +13,16 @@ from fractions import Fraction
 
 
 def _integer_row(row):
-    """The row scaled by the lcm of its entries' denominators."""
-    den = math.lcm(*(x.denominator for x in row))
-    return [int(x * den) for x in row]
+    """The row scaled by the lcm of its entries' denominators.
+
+    An all-int row is told apart by one math.gcd call, which raises
+    TypeError on a Fraction entry, and is copied as it is."""
+    try:
+        math.gcd(*row)
+    except TypeError:
+        den = math.lcm(*(x.denominator for x in row))
+        return [int(x * den) for x in row]
+    return list(row)
 
 
 def echelon(mat):

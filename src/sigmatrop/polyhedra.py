@@ -18,7 +18,9 @@ row) is never empty: its point is the origin, found with no FM solve.  A
 polyhedron caches its point, dimension and has_direction answer, so each
 is decided at most once per object.
 Rays, lineality spaces and ranks come from linalg's fraction-free integer
-elimination: a ray is the kernel line of n - 1 independent normals.
+elimination.  A cone's rays are enumerated in the coordinates of one basis
+of W, the kernel of its equalities and lineality space: a ray is the kernel
+line of dim W - 1 weak normals reduced to W, mapped back to Z^n.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from operator import mul
 
 from . import linalg
 from .rings import Character, DimensionError, Direction, SoundnessError
@@ -36,14 +39,19 @@ RAY_RANK_LIMIT = 6  # ray enumeration is desk scale only
 def _norm_row(vec, rhs, orient=False):
     """Scale (vec | rhs) to coprime integers; orient makes the sign canonical.
 
-    The row is built as one tuple and rebuilt only when it has a common
-    factor, a negative lead to orient, or rational entries."""
+    The row is built as one tuple.  An all-int row is told apart by one
+    math.gcd call, which raises TypeError on a Fraction entry; only a row
+    with rational entries is scaled by the lcm of its denominators.  The
+    tuple is rebuilt only when it has a common factor or a negative lead to
+    orient."""
     row = (*vec, rhs)
-    if not all(type(x) is int for x in row):
+    try:
+        g = math.gcd(*row)
+    except TypeError:
         fr = [Fraction(x) for x in row]
         den = math.lcm(*(x.denominator for x in fr))
         row = tuple(int(x * den) for x in fr)
-    g = math.gcd(*row)
+        g = math.gcd(*row)
     if orient and next((x for x in row if x), 0) < 0:
         g = -g
     if g not in (0, 1):
@@ -52,7 +60,7 @@ def _norm_row(vec, rhs, orient=False):
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +190,24 @@ def _solve_system(eq_rows, ineq_rows, n):
     return point
 
 
+def _project_out_last(eq_rows, rows, n):
+    """The Polyhedron of rank n - 1 projecting {eq_rows (=), rows (>= or >)},
+    integer (vec, rhs[, strict]) rows, along the last coordinate: the first
+    equality nonzero there is substituted into every other row, and with
+    none the coordinate is eliminated by FM."""
+    pivot = next((row for row in eq_rows if row[0][n - 1] != 0), None)
+    if pivot is not None:
+        eq_rows = [_eliminate(row, pivot, n - 1) for row in eq_rows if row != pivot]
+        rows = [(*_eliminate(row[:2], pivot, n - 1), row[2]) for row in rows]
+    else:
+        rows = _fm_eliminate(rows, n - 1)
+        if rows is None:
+            return Polyhedron.empty(n - 1)
+    return Polyhedron(n - 1, eq=[(v[: n - 1], r) for v, r in eq_rows],
+                      ge=[(v[: n - 1], r) for v, r, s in rows if not s],
+                      gt=[(v[: n - 1], r) for v, r, s in rows if s])
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -195,6 +221,7 @@ class Polyhedron:
     def __init__(self, rank, eq=(), ge=(), gt=()):
         self.rank = rank
         self._empty = None
+        self.is_homogeneous = True
         groups = []
         for rows, kind in ((eq, "eq"), (ge, "ge"), (gt, "gt")):
             sink = set()
@@ -210,10 +237,13 @@ class Polyhedron:
                         self._empty = True
                     continue
                 sink.add((nvec, nrhs))
+                if nrhs:
+                    self.is_homogeneous = False
             groups.append(tuple(sorted(sink)))
         if self._empty:
             # no point meets a constant row: the whole set is stored as 0 >= 1
             groups = [(), (((0,) * rank, 1),), ()]
+            self.is_homogeneous = False
         self.eq, self.ge, self.gt = groups
         self._point = None
         self._dim = None
@@ -235,10 +265,6 @@ class Polyhedron:
                    gt=[(v, 0) for v in gt])
 
     # -- basic structure ----------------------------------------------------
-
-    @property
-    def is_homogeneous(self):
-        return all(r == 0 for _, r in self.eq + self.ge + self.gt)
 
     def _key(self):
         return (self.rank, self.eq, self.ge, self.gt)
@@ -402,36 +428,27 @@ class Polyhedron:
         return Polyhedron.cone(self.rank, eq=eq, ge=ge, gt=gt)
 
     def positive_hull(self) -> "Polyhedron":
-        """Homogeneous cone {mu*u : u in P, mu > 0} via FM projection."""
+        """Homogeneous cone {mu*u : u in P, mu > 0}: the lifted rows
+        (a, -b)*(u, mu) (=, >=, >) 0 and mu > 0, with mu projected out."""
         if self.is_empty:
             return Polyhedron.empty(self.rank)
         if self.is_homogeneous:
             return self
-        def lift(rows):
-            return [(tuple(v) + (-r,), 0) for v, r in rows]
-        lifted = Polyhedron(self.rank + 1, eq=lift(self.eq), ge=lift(self.ge),
-                            gt=lift(self.gt) + [((0,) * self.rank + (1,), 0)])
-        hull = lifted.project_out_last()
+        # P is nonempty, so its equality vectors are distinct and the lifted
+        # equalities keep the sorted order a lifted Polyhedron would give
+        # them: the pivot is the one project_out_last would pick there
+        n = self.rank
+        rows = ([((*v, -r), 0, False) for v, r in self.ge]
+                + [((*v, -r), 0, True) for v, r in self.gt]
+                + [((0,) * n + (1,), 0, True)])
+        hull = _project_out_last([((*v, -r), 0) for v, r in self.eq], rows, n + 1)
         # the projection is exact, so P's point (mu = 1) certifies the hull
         hull._empty, hull._point = False, self._point
         return hull
 
     def project_out_last(self) -> "Polyhedron":
         """Exact projection dropping the last coordinate."""
-        n = self.rank
-        rows = self._ineq_rows()
-        eq_rows = list(self.eq)
-        pivot = next((row for row in eq_rows if row[0][n - 1] != 0), None)
-        if pivot is not None:
-            eq_rows = [_eliminate(row, pivot, n - 1) for row in eq_rows if row != pivot]
-            rows = [(*_eliminate(row[:2], pivot, n - 1), row[2]) for row in rows]
-        else:
-            rows = _fm_eliminate(rows, n - 1)
-            if rows is None:
-                return Polyhedron.empty(n - 1)
-        return Polyhedron(n - 1, eq=[(v[: n - 1], r) for v, r in eq_rows],
-                          ge=[(v[: n - 1], r) for v, r, s in rows if not s],
-                          gt=[(v[: n - 1], r) for v, r, s in rows if s])
+        return _project_out_last(list(self.eq), self._ineq_rows(), self.rank)
 
     # -- ray enumeration ----------------------------------------------------
 
@@ -444,10 +461,13 @@ class Polyhedron:
 
         When the lineality space L is nonzero: rays of closure intersected
         with the orthogonal complement of L, plus +/- a primitive basis of L
-        (documented convention).  The equality normals and L's basis reduce
-        to an independent integer row basis B once; each extreme ray spans
-        the kernel of B and n - 1 - |B| weak normals when that kernel is a
-        line, and is kept in the sign that meets every weak normal.
+        (documented convention).  The rest are found in the coordinates of
+        one primitive basis w_1..w_d of W = ker(equalities and L): the weak
+        normals are reduced to their values on the w_i once, deduplicated up
+        to positive scale, and the zero ones dropped.  Each extreme ray is
+        the kernel line of d - 1 reduced normals, when that kernel is a
+        line, in the sign whose dot products with every reduced normal are
+        >= 0, mapped back to sum(x_i w_i) and made primitive.
         """
         if self.rank > RAY_RANK_LIMIT:
             raise ValueError(f"ray enumeration limited to rank <= {RAY_RANK_LIMIT}")
@@ -455,22 +475,29 @@ class Polyhedron:
             return []
         if not self.is_homogeneous:
             raise ValueError("rays need a homogeneous piece; use positive_hull()")
-        closure = self.closure()
-        lin = closure.lineality_basis()
+        lin = self.lineality_basis()
         result = set(lin) | {tuple(-x for x in l) for l in lin}
-        rows, pivots, _ = linalg.echelon([v for v, _ in closure.eq] + lin)
-        basis = rows[:len(pivots)]
-        normals = sorted({v for v, _ in closure.ge})
-        need = self.rank - 1 - len(basis)
-        if need < 0:
+        basis = linalg.nullspace([v for v, _ in self.eq] + lin, self.rank)
+        if not basis:
             return sorted(result)
-        for combo in combinations(normals, need):
-            line = linalg.nullspace(basis + list(combo), self.rank)
+        reduced = {_norm_row([_dot(v, w) for w in basis], 0)[0]
+                   for v, _ in self.ge + self.gt}
+        normals = sorted(a for a in reduced if any(a))
+        for combo in combinations(normals, len(basis) - 1):
+            line = linalg.nullspace(combo, len(basis))
             if len(line) != 1:
                 continue
-            for cand in (line[0], tuple(-x for x in line[0])):
-                if all(_dot(v, cand) >= 0 for v in normals):
-                    result.add(cand)
+            # all dots 0 would put the line in L, which W meets only in 0,
+            # so at most one sign meets every weak normal
+            dots = [_dot(a, line[0]) for a in normals]
+            if min(dots) >= 0:
+                sign = 1
+            elif max(dots) <= 0:
+                sign = -1
+            else:
+                continue
+            ray = [sign * _dot(line[0], col) for col in zip(*basis)]
+            result.add(_norm_row(ray, 0)[0])
         return sorted(result)
 
 

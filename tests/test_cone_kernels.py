@@ -6,9 +6,12 @@ eliminate over Fractions, `ref_dim` probes every weak row, and `ref_rays`
 tries every subset of weak normals of each size up to the one that can give
 a line, one Fraction nullspace per subset.  The kernels must agree with them
 exactly (kernels up to positive scaling), and the work-count tests pin how
-much less work the fan path does.  The tests at the end check that a closed
-cone's origin point is the point FM returns, and that the fan output's
-`spherical_rays()` equals the `radial().rays()` it replaced.
+much less work the fan path does.  `positive_hull()` is checked against the
+projection of the lifted rank-(n + 1) cone it replaced, and the row
+normalizers against themselves on the same row given as ints and as
+Fractions.  The tests at the end check that a closed cone's origin point
+is the point FM returns, and that the fan output's `spherical_rays()`
+equals the `radial().rays()` it replaced.
 """
 
 import math
@@ -222,6 +225,82 @@ def test_positive_hull_keeps_a_point_of_the_piece():
     assert seen == {True, False}
 
 
+def lifted_hull(p):
+    """The construction positive_hull() replaced: the rank-(n + 1) cone over
+    P, rows (a, -b) and mu > 0, with project_out_last dropping mu."""
+    def lift(rows):
+        return [(tuple(v) + (-r,), 0) for v, r in rows]
+    return Polyhedron(p.rank + 1, eq=lift(p.eq), ge=lift(p.ge),
+                      gt=lift(p.gt) + [((0,) * p.rank + (1,), 0)]).project_out_last()
+
+
+def test_positive_hull_is_the_projected_lifted_cone():
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(600):
+        rank = rng.randint(1, 4)
+
+        def rows(counts, affine=True):
+            return [(rand_vec(rng, rank), rng.randint(-2, 2) if affine else 0)
+                    for _ in range(rng.choice(counts))]
+        eq = rows((0, 0, 1, 2), affine=rng.random() < 0.5)
+        p = Polyhedron(rank, eq=eq, ge=rows((0, 1, 2, 3, 4)), gt=rows((0, 0, 1)))
+        if p.is_empty or p.is_homogeneous:
+            continue
+        hull = p.positive_hull()
+        assert hull == lifted_hull(p), p
+        assert fresh(hull).rays() == ref_rays(fresh(hull)), p
+        # an equality with b != 0 involves mu and is the pivot; otherwise
+        # mu is eliminated by FM
+        seen.add(("pivot" if any(r for _, r in p.eq) else
+                  "fm, equalities" if p.eq else "fm", bool(p.gt),
+                  fresh(hull).has_direction()))
+    assert {kind for kind, _, _ in seen} == {"pivot", "fm, equalities", "fm"}
+    assert {strict for _, strict, _ in seen} == {True, False}
+    # some hulls were {0}: P was the origin cut out by affine rows
+    assert {direction for _, _, direction in seen} == {True, False}
+
+
+ROWS = [
+    (3, -6, 9),       # a common factor
+    (-2, 4, 0, 6),    # a negative lead with a common factor
+    (0, -5, 7),       # a negative lead after a zero
+    (0, 0, 0),        # the zero row
+    (7,),             # one entry
+    (1, 0, -1, 2),    # already primitive
+]
+
+
+@pytest.mark.parametrize("row", ROWS + [
+    # rational entries, against their lcm-scaled int row
+    (Fraction(1, 2), Fraction(-1, 3), 0),
+    (Fraction(-4, 6), 2, Fraction(2, 9)),
+])
+def test_int_and_fraction_rows_normalize_alike(row):
+    den = math.lcm(*(Fraction(x).denominator for x in row))
+    ints = tuple(int(Fraction(x) * den) for x in row)
+    fracs = tuple(Fraction(x) for x in row)
+    for orient in (False, True):
+        want = polyhedra._norm_row(ints[:-1], ints[-1], orient)
+        for same in (row, fracs):
+            got = polyhedra._norm_row(same[:-1], same[-1], orient)
+            assert got == want and all(type(x) is int for x in got[0] + (got[1],))
+    assert linalg.echelon([row]) == linalg.echelon([fracs]) == linalg.echelon([ints])
+
+
+def test_int_and_fraction_matrices_echelon_alike():
+    rng = random.Random(23)
+    for _ in range(500):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:
+            mat[0] = [0] * n
+        want = linalg.echelon([[Fraction(x) for x in row] for row in mat])
+        got = linalg.echelon(mat)
+        assert got == want, mat
+        assert all(type(x) is int for row in got[0] for x in row)
+
+
 def counting(monkeypatch, module, name):
     calls = []
     inner = getattr(module, name)
@@ -244,8 +323,9 @@ def test_rays_and_has_direction_call_no_fraction_kernel(monkeypatch):
         need = p.rank - 1 - ref_rank([list(v) for v, _ in closure.eq] + lin)
         before = len(echelons)
         fresh(p).rays()
-        # the lineality basis, the row basis B, then one kernel per subset of
-        # exactly `need` weak normals
+        # the lineality basis L, the basis of W = ker(equalities and L), then
+        # one kernel in W-coordinates per subset of exactly `need` distinct
+        # nonzero reduced weak normals (at most k of them)
         assert len(echelons) - before <= 2 + (math.comb(k, need) if need >= 0 else 0)
         fresh(p).has_direction()
     assert not dims

@@ -507,7 +507,7 @@ def emit_plot_data(kind, obj, plot_dir: Path) -> list[str]:
         written.append(str(path))
     elif kind == "cloud":
         lines = ["s,ln_abs_y"]
-        for s, lny in obj.points:
+        for s, lny in obj.points.tolist():
             lines.append(f"{s:.12f},{lny:.12f}")
         path = plot_dir / "cloud.csv"
         path.write_text("\n".join(lines) + "\n")

@@ -285,12 +285,17 @@ class Polyhedron:
     # -- predicates ---------------------------------------------------------
 
     def contains(self, point) -> bool:
+        """Exact membership: the point is scaled by the lcm den of its
+        denominators, and each integer row (v, r) compares v * (den point)
+        with r * den."""
         point = [Fraction(x) for x in point]
         if len(point) != self.rank:
             raise DimensionError(f"point has length {len(point)}, expected {self.rank}")
-        return (all(_dot(v, point) == r for v, r in self.eq)
-                and all(_dot(v, point) >= r for v, r in self.ge)
-                and all(_dot(v, point) > r for v, r in self.gt))
+        den = math.lcm(*(x.denominator for x in point))
+        point = [x.numerator * (den // x.denominator) for x in point]
+        return (all(_dot(v, point) == r * den for v, r in self.eq)
+                and all(_dot(v, point) >= r * den for v, r in self.ge)
+                and all(_dot(v, point) > r * den for v, r in self.gt))
 
     def feasible_point(self):
         """A rational point of the set, or None when it is empty; cached.

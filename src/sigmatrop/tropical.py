@@ -13,12 +13,16 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .polyhedra import Polyhedron, PolyhedralSet
 from .rings import DimensionError, LaurentPoly
 from .valuations import PAdicValuation, TrivialValuation, ValuationSpec, prime_support
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -94,23 +98,35 @@ def global_tropical_Z(f: LaurentPoly) -> PolyhedralSet:
 # Amoeba sampling (numeric, rank 2).
 
 
-@dataclass
+@dataclass(eq=False)
 class AmoebaCloud:
-    """Sampled points (ln|x|, ln|y|) of a plane curve, plus drop counters."""
+    """Sampled points (ln|x|, ln|y|) of a plane curve, plus drop counters.
 
-    points: list[tuple[float, float]]
+    `points` is one (n, 2) float64 array, a row per kept root in grid order.
+    The radius of each point is computed once, by math.hypot point by point
+    (numpy's hypot differs from it in the last bits), and kept as `radii`;
+    `max_radius` is the largest, or 0.0 for an empty cloud."""
+
+    points: np.ndarray
     dropped: int = 0
-    max_radius: float = 0.0
+    radii: np.ndarray = field(init=False, repr=False)
+    max_radius: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        if self.points:
-            self.max_radius = max(math.hypot(*p) for p in self.points)
+        import numpy as np
+
+        n = len(self.points)
+        self.radii = np.fromiter(map(math.hypot, self.points[:, 0].tolist(),
+                                     self.points[:, 1].tolist()), float, count=n)
+        if n:
+            self.max_radius = float(self.radii.max())
 
 
 RESIDUAL_TOL = 1e-9
-# s-values per batch of companion matrices: the stacked arrays of a block of
-# AMOEBA_BLOCK * angles rows stay small next to the output cloud.
-AMOEBA_BLOCK = 8
+# (s, phi) rows per batch of companion matrices: a block takes
+# max(1, AMOEBA_ROWS // angles) s-values, and its stacked arrays stay small
+# next to the output cloud.
+AMOEBA_ROWS = 2048
 # ln of a bound below which every intermediate of a root's residual is a
 # finite, normal float (ln of the largest float is 709.8).
 _LN_SAFE = 600.0
@@ -121,7 +137,8 @@ def amoeba_sample(f: LaurentPoly, s_grid, angles: int) -> AmoebaCloud:
     `angles` arguments phi, set x = e^(s+i phi) and record (s, ln|y|) for the
     roots y of f(x, -).
 
-    The grid is solved in blocks of AMOEBA_BLOCK s-values.  For a block, the
+    The grid is solved in blocks of about AMOEBA_ROWS (s, phi) rows, that
+    is max(1, AMOEBA_ROWS // angles) s-values each.  For a block, the
     coefficient rows of all its (s, phi) are built at once, trailing zero
     coefficients are stripped (each is a root y = 0, dropped and counted),
     and the rows are grouped by the degree left.  Each group's companion
@@ -131,21 +148,23 @@ def amoeba_sample(f: LaurentPoly, s_grid, angles: int) -> AmoebaCloud:
     whose leading coefficient is 0 is dropped and counted; a root is dropped
     and counted when |y| is 0 or not finite, or when its relative residual
     is not at most RESIDUAL_TOL (a NaN residual, from terms whose product
-    overflowed, included).
+    overflowed, included).  The kept points of the blocks are concatenated
+    once into the cloud's (n, 2) array; no per-point tuple is built.
 
     The values that reach the output are computed as a scalar walk of the
     grid computes them, so the cloud is the same, float for float, as with
     one numpy.roots call per (s, phi), |y| from numpy.hypot and ln|y| from
-    math.log (numpy's power, abs and log differ in the last bits).  The
-    coefficient rows are float64 arrays that repeat CPython's complex
-    operations one at a time, so each coefficient has the bits of the scalar
-    row [sum of c * x ** a]: x = cmath.exp(s + i phi) from the math module's
-    exp, cos and sin (e^(s - 1) times e above ln(DBL_MAX / 4), as cmath.exp
-    does), x ** a by binary powering with Python's complex product,
-    1 / x^|a| by Smith's division for a <= 0, and c * z with the 0.0 * z cross
-    terms of (c + 0j) * z; a term with |a| > 100, where CPython switches to
-    a polar formula, takes Python's own power.  These are CPython 3.11's
-    operations (3.14 changes mixed float and complex arithmetic); tests
+    math.log mapped over the kept |y| values (numpy's power, abs and log
+    differ in the last bits).  The coefficient rows are float64 arrays that
+    repeat CPython's complex operations one at a time, so each coefficient
+    has the bits of the scalar row [sum of c * x ** a]: x = cmath.exp(s +
+    i phi) from the math module's exp, cos and sin (e^(s - 1) times e above
+    ln(DBL_MAX / 4), as cmath.exp does), x ** a by binary powering with
+    Python's complex product, 1 / x^|a| by Smith's division for a <= 0, and
+    c * z with the 0.0 * z cross terms of (c + 0j) * z; a term with
+    |a| > 100, where CPython switches to a polar formula, takes Python's own
+    power.  These are CPython 3.11's operations (3.14 changes mixed float
+    and complex arithmetic); tests
     compare the rows bit for bit with the running interpreter's scalar rows,
     so an interpreter that computes them differently fails those tests
     instead of changing the output.  Residuals and weights only meet the
@@ -166,21 +185,22 @@ def amoeba_sample(f: LaurentPoly, s_grid, angles: int) -> AmoebaCloud:
     ymin, ymax = min(ydegs), max(ydegs)
     if ymax == ymin:
         raise ValueError("polynomial has y-degree zero; no roots to follow")
-    phis = [2.0 * math.pi * k / angles for k in range(angles)]
-    points: list[tuple[float, float]] = []
-    dropped = 0
-    for i in range(0, len(s_grid), AMOEBA_BLOCK):
-        dropped += _sample_block(f, ymax, ymax - ymin, s_grid[i:i + AMOEBA_BLOCK],
-                                 phis, points)
-    return AmoebaCloud(points=points, dropped=dropped)
-
-
-def _sample_block(f: LaurentPoly, ymax: int, span: int, block, phis,
-                  points) -> int:
-    """Append the kept points of one block of s-values to `points`; return
-    the number of dropped rows and roots."""
     import numpy as np  # only amoeba jobs pay for its import
 
+    phis = [2.0 * math.pi * k / angles for k in range(angles)]
+    step = max(1, AMOEBA_ROWS // angles)
+    parts = [np.empty((0, 2))]
+    dropped = 0
+    for i in range(0, len(s_grid), step):
+        kept, d = _sample_block(np, f, ymax, ymax - ymin, s_grid[i:i + step], phis)
+        parts.append(kept)
+        dropped += d
+    return AmoebaCloud(points=np.concatenate(parts), dropped=dropped)
+
+
+def _sample_block(np, f: LaurentPoly, ymax: int, span: int, block, phis):
+    """The kept points (s, ln|y|) of one block of s-values, as a float64
+    array of two columns, and the number of dropped rows and roots."""
     terms = [(a, ymax - b, float(c)) for (a, b), c in f.terms.items()]
     xr, xi, c = _coefficient_rows(np, terms, span, block, phis)
     n = len(c)
@@ -250,10 +270,10 @@ def _sample_block(f: LaurentPoly, ymax: int, span: int, block, phis,
             x ** a  # raises OverflowError or ZeroDivisionError
         raise AssertionError(f"no arithmetic error at s = {s}, phi = {phi}")
     kept = cand & keep
-    r_idx = np.nonzero(kept)[0].tolist()
-    points.extend((float(s_arr[r]), math.log(v))
-                  for r, v in zip(r_idx, ay[kept].tolist()))
-    return int((~live).sum() + (span - deg[live]).sum() + (valid & ~kept).sum())
+    rows = np.nonzero(kept)[0]
+    lny = np.fromiter(map(math.log, ay[kept].tolist()), float, count=len(rows))
+    return (np.column_stack((s_arr[rows], lny)),
+            int((~live).sum() + (span - deg[live]).sum() + (valid & ~kept).sum()))
 
 
 def _coefficient_rows(np, terms, span: int, block, phis):
@@ -374,25 +394,55 @@ def log_limit_directions(cloud: AmoebaCloud, min_radius: float,
                          angle_bins: int) -> LimitDirections:
     """Bin the reflected far points (norm >= min_radius) into angular bins;
     each populated bin reports the normalized mean direction and the count.
-    A point at the origin has no direction and is skipped."""
-    if not cloud.points:
+    A point at the origin has no direction and is skipped.
+
+    The far points and their reflected unit vectors u = -p / |p| come from
+    array operations on the cloud's radii.  Each angle is math.atan2 of u,
+    point by point (numpy's arctan2 differs in the last bits), taken mod 2 pi
+    by numpy's %, which gives the float of Python's %.  The bin is
+    min(int(angle / (2 pi / angle_bins)), angle_bins - 1), as in a scalar
+    loop.  A bin's mean is its left-to-right float sum from 0.0, by
+    numpy.add.accumulate, over its count: the bits of CPython 3.11's sum(),
+    signed zeros included, whatever the running interpreter's sum() does
+    (from Python 3.12 on it is compensated)."""
+    import numpy as np
+
+    if not len(cloud.points):
         raise ValueError("empty cloud")
-    bins: dict[int, list[tuple[float, float]]] = {}
-    for px, py in cloud.points:
-        r = math.hypot(px, py)
-        if r < min_radius or r == 0:
-            continue
-        ux, uy = -px / r, -py / r
-        angle = math.atan2(uy, ux) % (2.0 * math.pi)
-        idx = min(int(angle / (2.0 * math.pi / angle_bins)), angle_bins - 1)
-        bins.setdefault(idx, []).append((ux, uy))
-    if not bins:
+    r = cloud.radii
+    far = ~_less(np, r, min_radius) & (r != 0)
+    if not far.any():
         return LimitDirections(directions=[], no_far_points=True)
+    p, rf = cloud.points[far], r[far]
+    ux, uy = -p[:, 0] / rf, -p[:, 1] / rf
+    angle = np.fromiter(map(math.atan2, uy.tolist(), ux.tolist()), float,
+                        count=len(ux)) % (2.0 * math.pi)
+    cells = np.trunc(angle / (2.0 * math.pi / angle_bins))
+    rest = np.ones(len(cells), dtype=bool)
     out = []
-    for idx in sorted(bins):
-        vecs = bins[idx]
-        mx = sum(v[0] for v in vecs) / len(vecs)
-        my = sum(v[1] for v in vecs) / len(vecs)
+    while rest.any():  # one bin per pass, in bin order
+        cell = float(cells[rest].min())
+        # every cell from int(cell) = angle_bins - 1 on is the last bin
+        in_bin = rest if cell >= angle_bins - 1 else rest & (cells == cell)
+        rest = rest & ~in_bin
+        count = int(in_bin.sum())
+        mx = _sum_from_zero(np, ux[in_bin]) / count
+        my = _sum_from_zero(np, uy[in_bin]) / count
         norm = math.hypot(mx, my)
-        out.append(((mx / norm, my / norm), len(vecs)))
+        out.append(((mx / norm, my / norm), count))
     return LimitDirections(directions=out)
+
+
+def _less(np, values, bound):
+    """values < bound as Python compares a float with an int or a float: an
+    int bound need not be a float, nor fit in one."""
+    try:
+        b = float(bound)
+    except OverflowError:
+        return np.full(len(values), bound > 0)
+    return (values < b) | ((values == b) & (b < bound))
+
+
+def _sum_from_zero(np, values) -> float:
+    """0.0 + v0 + v1 + ..., added left to right."""
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])

@@ -5,8 +5,9 @@ one numpy.roots call per (s, phi), each root's residual evaluated term by
 term.  The batched sampler must give the same points, drop count and max
 radius float for float, and raise the same exception where the reference
 raises.  `scalar_rows` builds the coefficient rows as the reference does;
-the array-built rows must have the same bits.  The work-count and memory
-tests pin the batching itself.
+the array-built rows must have the same bits.  `reference_limit_directions`
+is the earlier per-point binning of far directions, the oracle of the
+array binning.  The work-count and memory tests pin the batching itself.
 """
 
 import cmath
@@ -21,8 +22,9 @@ import pytest
 
 from sigmatrop.cli import run
 from sigmatrop.rings import QQ, LaurentPoly
-from sigmatrop.tropical import (AMOEBA_BLOCK, RESIDUAL_TOL, AmoebaCloud,
-                                _coefficient_rows, _residual_exceeds, amoeba_sample)
+from sigmatrop.tropical import (AMOEBA_ROWS, RESIDUAL_TOL, AmoebaCloud,
+                                LimitDirections, _coefficient_rows, _residual_exceeds,
+                                amoeba_sample, log_limit_directions)
 
 
 def reference_sample(f, s_grid, angles):
@@ -55,18 +57,20 @@ def reference_sample(f, s_grid, angles):
                     dropped += 1
                     continue
                 points.append((float(s), math.log(ay)))
-    return AmoebaCloud(points=points, dropped=dropped)
+    return AmoebaCloud(points=np.array(points, dtype=float).reshape(-1, 2),
+                       dropped=dropped)
 
 
 def outcome(sample, f, s_grid, angles):
-    """The cloud's fields, or the exception's type and message."""
+    """The cloud's fields, its points as Python floats, or the exception's
+    type and message."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
             cloud = sample(f, s_grid, angles)
         except Exception as exc:  # noqa: BLE001 - compared, not handled
             return type(exc).__name__, str(exc)
-    return cloud.points, cloud.dropped, cloud.max_radius
+    return cloud.points.tolist(), cloud.dropped, cloud.max_radius
 
 
 def laurent(terms):
@@ -97,7 +101,8 @@ def test_matches_the_scalar_reference_on_random_curves():
         angles = rng.choice((1, 4, 7, 16))
         want = reference_sample(f, GRID, angles)
         got = amoeba_sample(f, GRID, angles)
-        assert got.points == want.points, f
+        assert got.points.dtype == np.float64 and got.points.shape == (len(got.points), 2)
+        assert got.points.tolist() == want.points.tolist(), f
         assert got.dropped == want.dropped, f
         assert got.max_radius == want.max_radius, f
 
@@ -114,7 +119,7 @@ def test_fixed_curves_match_the_reference(terms, angles, dropped):
     f = laurent(terms)
     want = reference_sample(f, GRID, angles)
     assert outcome(amoeba_sample, f, GRID, angles) == (
-        want.points, want.dropped, want.max_radius)
+        want.points.tolist(), want.dropped, want.max_radius)
     if dropped is not None:
         assert want.dropped == dropped
 
@@ -174,7 +179,7 @@ def test_a_root_with_a_nan_residual_is_dropped_and_counted():
     assert nan_roots >= 1
     cloud = amoeba_sample(f, [s], angles)
     want = reference_sample(f, [s], angles)
-    assert (cloud.points, cloud.dropped) == (want.points, want.dropped)
+    assert (cloud.points.tolist(), cloud.dropped) == (want.points.tolist(), want.dropped)
     assert cloud.dropped >= nan_roots
     assert len(cloud.points) + cloud.dropped == angles * 2
 
@@ -201,7 +206,7 @@ def test_coefficient_rows_are_pythons_bit_for_bit():
     """The array rows repeat Python's complex arithmetic: every x and every
     coefficient has the same 64-bit pattern (NaNs included), and the rows
     stop where Python raises."""
-    blocks = [GRID[:AMOEBA_BLOCK], [708.5, 709.0, 709.5, 709.78],
+    blocks = [GRID, [708.5, 709.0, 709.5, 709.78],
               [-300.0, -20.0, 40.0, 300.0], [0.0, -400.0, 1.0], [0.5, 710.0, 1.0],
               [-745.0, -700.0, 0.0]]
     rng = random.Random(5)
@@ -294,10 +299,100 @@ def test_only_a_failing_row_calls_cmath_exp(monkeypatch):
     f = laurent(BIG_TERMS)
     monkeypatch.setattr(cmath, "exp", counting_exp)
     cloud = amoeba_sample(f, GRID, 16)
-    assert calls == [] and cloud.points
+    assert calls == [] and len(cloud.points)
     with pytest.raises(OverflowError, match="complex exponentiation"):
         amoeba_sample(f, GRID + [400.0, 500.0], 16)
     assert calls == [complex(400.0, 0.0)]
+
+
+def reference_limit_directions(cloud, min_radius, angle_bins):
+    """The per-point binning, with each bin's sums written as the left-to-right
+    float loop from 0.0 that CPython 3.11's sum() runs."""
+    points = cloud.points.tolist()
+    if not points:
+        raise ValueError("empty cloud")
+    bins = {}
+    for px, py in points:
+        r = math.hypot(px, py)
+        if r < min_radius or r == 0:
+            continue
+        ux, uy = -px / r, -py / r
+        angle = math.atan2(uy, ux) % (2.0 * math.pi)
+        idx = min(int(angle / (2.0 * math.pi / angle_bins)), angle_bins - 1)
+        bins.setdefault(idx, []).append((ux, uy))
+    if not bins:
+        return LimitDirections(directions=[], no_far_points=True)
+    out = []
+    for idx in sorted(bins):
+        vecs = bins[idx]
+        sx = sy = 0.0
+        for vx, vy in vecs:
+            sx += vx
+            sy += vy
+        mx, my = sx / len(vecs), sy / len(vecs)
+        norm = math.hypot(mx, my)
+        out.append(((mx / norm, my / norm), len(vecs)))
+    return LimitDirections(directions=out)
+
+
+def direction_bits(res):
+    """The directions' 64-bit patterns, the counts and the no-far flag."""
+    dirs = np.array([d for d, _ in res.directions], dtype=float).reshape(-1, 2)
+    return (dirs.view(np.uint64).tolist(), [c for _, c in res.directions],
+            res.no_far_points)
+
+
+def test_limit_directions_match_the_per_point_binning_on_random_curves():
+    rng = random.Random(11)
+    grid = [x / 4 for x in range(-80, 81, 3)]
+    far_seen = set()
+    for f in random_curves(11, 60):
+        cloud = amoeba_sample(f, grid, rng.choice((4, 7, 16)))
+        for min_radius in (0, 5.0, 12, 19.5, 40.0):
+            for angle_bins in (1, 4, 7, 72, 360):
+                want = reference_limit_directions(cloud, min_radius, angle_bins)
+                got = log_limit_directions(cloud, min_radius, angle_bins)
+                assert direction_bits(got) == direction_bits(want), (f, min_radius)
+                far_seen.add(want.no_far_points)
+    assert far_seen == {True, False}
+
+
+def cloud_of(points):
+    return AmoebaCloud(points=np.array(points, dtype=float).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("points, min_radius, angle_bins", [
+    # a point at exactly min_radius is far
+    ([(3.0, 4.0), (1.0, 1.0)], 5.0, 8),
+    ([(3.0, 4.0), (1.0, 1.0)], 5, 8),
+    # px == 0 reflects to ux = -0.0: the sum from 0.0 is 0.0, not -0.0
+    ([(0.0, 7.0)], 1.0, 8),
+    ([(0.0, 7.0), (0.0, 9.0), (-0.0, 8.0)], 1.0, 8),
+    ([(-0.0, -7.0), (0.0, -9.0)], 1.0, 4),
+    # angles on bin edges: pi / 2 with 4 bins, pi with 2 bins
+    ([(0.0, -5.0), (5.0, 0.0), (-5.0, -5.0)], 1.0, 4),
+    ([(5.0, 0.0), (-5.0, 1e-300)], 1.0, 2),
+    # atan2 of (1, -1e-20) is -1e-20, and -1e-20 mod 2 pi rounds to 2 pi:
+    # the last bin, next to the angles just below it
+    ([(-1e3, 1e-17), (-1e3, 1.0), (-1e3, -1.0)], 1.0, 72),
+    ([(-1e3, 1e-17)], 1.0, 1),
+    # no far points, the origin alone, a single point
+    ([(1.0, 2.0), (-2.0, 0.5)], 10.0, 72),
+    ([(0.0, 0.0)], 0, 72),
+    ([(0.0, 0.0), (0.0, 0.0), (-3.0, 2.0)], 0, 72),
+    ([(-20.0, 12.5)], 16.0, 72),
+    # an int bound that is no float: 2^53 + 1 > 2^53 = float(2^53 + 1)
+    ([(2.0 ** 53, 0.0), (0.0, 2.0 ** 53 + 2)], 2 ** 53 + 1, 72),
+    ([(2.0 ** 53, 0.0)], 10 ** 400, 72),
+    # bins past 2^53, where the top bin's index is no float either
+    ([(-1e3, 1e-17), (-1e3, -1e-3), (1.0, 1e3)], 1.0, 2 ** 60 + 1),
+])
+def test_limit_directions_edge_cases_match_the_per_point_binning(points, min_radius,
+                                                                  angle_bins):
+    cloud = cloud_of(points)
+    want = reference_limit_directions(cloud, min_radius, angle_bins)
+    got = log_limit_directions(cloud, min_radius, angle_bins)
+    assert direction_bits(got) == direction_bits(want)
 
 
 # The largest light-mix amoeba shape: 161 s-values, 64 angles, 4 terms of
@@ -326,10 +421,12 @@ def test_big_grid_solves_one_stacked_eigvals_per_block_and_degree(monkeypatch):
     monkeypatch.setattr(np, "roots", counting_roots)
     f = laurent(BIG_TERMS)
     cloud = amoeba_sample(f, BIG_JOB["payload"]["s_grid"], 64)
-    # one np.roots call per (s, phi) was 161 * 64 = 10,304 calls
+    # one np.roots call per (s, phi) was 161 * 64 = 10,304 calls; a block
+    # of AMOEBA_ROWS rows holds 2048 // 64 = 32 s-values, so 6 blocks
     assert calls["roots"] == 0
-    assert 0 < calls["eigvals"] <= math.ceil(161 / AMOEBA_BLOCK) * BIG_SPAN
+    assert 0 < calls["eigvals"] <= math.ceil(161 / (AMOEBA_ROWS // 64)) * BIG_SPAN
     assert len(cloud.points) + cloud.dropped == 161 * 64 * BIG_SPAN
+    assert cloud.points.dtype == np.float64 and cloud.points.shape == (len(cloud.points), 2)
 
 
 def test_big_grid_memory_and_wall_budget():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -496,9 +497,13 @@ def test_amoeba_plot_csv(tmp_path):
     code = main(["--job", str(job_file), "--out", str(tmp_path / "o.json"),
                  "--plot", str(tmp_path / "plots")])
     assert code == 0
-    lines = (tmp_path / "plots" / "cloud.csv").read_text().splitlines()
+    data = (tmp_path / "plots" / "cloud.csv").read_bytes()
+    lines = data.decode().splitlines()
     assert lines[0] == "s,ln_abs_y"
-    assert len(lines) > 1
+    assert len(lines) == 1 + 4 * 6
+    # the bytes the per-point writer gave before the cloud became an array
+    assert hashlib.sha256(data).hexdigest() == (
+        "138e0b92762f57f9dd8c628aad50bff7ee41b4819ae9cb0c24e90670ab1ea1c7")
 
 
 def test_console_script_runs(tmp_path):

@@ -83,11 +83,13 @@ def _is_int(x) -> bool:
             or isinstance(x, float) and x.is_integer())
 
 
-def _int(x, minimum=None) -> int:
+def _int(x, minimum=None, maximum=None) -> int:
     if not _is_int(x):
         raise ValueError(f"{x!r} is not of type 'integer'")
     if minimum is not None and x < minimum:
         raise ValueError(f"{x!r} is less than the minimum of {minimum}")
+    if maximum is not None and x > maximum:
+        raise ValueError(f"{x!r} is greater than the maximum of {maximum}")
     return int(x)
 
 
@@ -98,6 +100,14 @@ def _number(x):
             or isinstance(x, float) and not math.isfinite(x)):
         raise ValueError(f"{x!r} is not of type 'number'")
     return x
+
+
+def _float(x) -> float:
+    """A finite number that is a float: an int past the float range is not."""
+    try:
+        return float(_number(x))
+    except OverflowError:
+        raise ValueError("an integer past the float range is not a float") from None
 
 
 def _one_of(x, choices):
@@ -451,26 +461,42 @@ def _run_h2(p, checks):
     return out, False, None
 
 
+# angle_bins runs from 2, where no bin is wide enough for its far directions
+# to cancel, to the most at which every bin index is an exact float
+MAX_ANGLE_BINS = 2 ** 53
+
+
 def _read_amoeba(payload):
     obj = _object(payload, ("poly", "s_grid", "angles"), ("min_radius", "angle_bins"))
     poly = parse_poly(obj["poly"], 2, QQ)
     if len({g[1] for g in poly.terms}) < 2:
         raise ValueError("the polynomial has no roots in y to follow")
-    s_grid = [float(s) for s in _array(obj["s_grid"], _number, non_empty=True)]
-    min_radius = _number(obj["min_radius"]) if "min_radius" in obj else None
+    s_grid = _array(obj["s_grid"], _float, non_empty=True)
+    # x = e^(s + i phi) and each term |c| e^(a s) must be floats; either may
+    # underflow, and each is largest at an end of the grid
+    for a, c in [(1, 1), *((a, c) for (a, _), c in poly.terms.items())]:
+        s = max(s_grid) if a > 0 else min(s_grid)
+        try:
+            fits = math.isfinite(abs(float(c)) * math.exp(a * s))
+        except OverflowError:
+            fits = False
+        if not fits:
+            raise ValueError(f"the term {c}*x^{a} leaves the float range at s = {s!r}")
+    min_radius = _float(obj["min_radius"]) if "min_radius" in obj else None
     return (poly, s_grid, _int(obj["angles"], 1), min_radius,
-            _int(obj.get("angle_bins", 72), 1))
+            _int(obj.get("angle_bins", 72), 2, MAX_ANGLE_BINS))
 
 
 def _run_amoeba(poly, s_grid, angles, min_radius, angle_bins):
     cloud = amoeba_sample(poly, s_grid, angles)
+    # 12 decimals, as cloud.csv writes: a last-bit change moves no byte
     result = {"points": len(cloud.points), "dropped": cloud.dropped,
-              "max_radius": cloud.max_radius}
+              "max_radius": round(cloud.max_radius, 12)}
     if min_radius is not None:
         dirs = log_limit_directions(cloud, min_radius, angle_bins)
         result["limit_directions"] = {
             "no_far_points": dirs.no_far_points,
-            "directions": [{"dir": [dx, dy], "count": c}
+            "directions": [{"dir": [round(dx, 12), round(dy, 12)], "count": c}
                            for (dx, dy), c in dirs.directions],
         }
     return result, False, ("cloud", cloud)

@@ -81,10 +81,6 @@ def t_gen(p: int) -> GroupElement:
     return GroupElement.of(p, 1)
 
 
-def a_gen(p: int) -> GroupElement:
-    return GroupElement.of(p, 0, 1)
-
-
 class GroupRingElement:
     """Finite integer combination of group elements."""
 
@@ -157,12 +153,6 @@ def busemann_arg(xi, z) -> Fraction:
         return im
     xi = Fraction(xi)
     return (1 + xi * xi) * im / ((re - xi) ** 2 + im * im)
-
-
-def busemann(xi, z):
-    """(exact argument, float log) of the Busemann value."""
-    arg = busemann_arg(xi, z)
-    return arg, math.log(arg)
 
 
 @dataclass(frozen=True)

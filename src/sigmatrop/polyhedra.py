@@ -680,10 +680,6 @@ def ray_cone(d: Direction) -> Polyhedron:
 # Named decision procedures.
 
 
-def cone_membership(piece: Polyhedron, chi: Character) -> bool:
-    return piece.contains(chi.values)
-
-
 def local_cone_at_origin(fan: PolyhedralSet) -> PolyhedralSet:
     return fan.local_cone_at([0] * fan.rank)
 

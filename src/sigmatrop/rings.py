@@ -349,18 +349,6 @@ def initial_part(chi: Character, f: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(f.rank, f.domain, {g: c for g, c in f.terms.items() if vals[g] == m})
 
 
-def grading(chi: Character, f: LaurentPoly) -> list[tuple[Fraction, LaurentPoly]]:
-    """Canonical decomposition of f into chi-homogeneous components.
-
-    Returns (value, component) pairs with strictly increasing values; the
-    components sum to f.
-    """
-    buckets: dict[Fraction, dict] = {}
-    for g, c in f.terms.items():
-        buckets.setdefault(chi_value(chi, g), {})[g] = c
-    return [(r, LaurentPoly(f.rank, f.domain, buckets[r])) for r in sorted(buckets)]
-
-
 def poly_matrix_mul(a, b):
     """Product of matrices with LaurentPoly entries."""
     k, m, n = len(a), len(b), len(b[0])

@@ -244,6 +244,17 @@ def test_main_exit_codes(tmp_path):
     ("s_grid", [], "[] should be non-empty"),
     ("min_radius", float("nan"), "nan is not of type 'number'"),
     ("min_radius", float("inf"), "inf is not of type 'number'"),
+    # past the float range: before these were schema errors the sampler
+    # raised OverflowError (exit 1), or an int min_radius was compared as an
+    # int (exit 0), or the bin width raised OverflowError (exit 1)
+    ("s_grid", [0.0, 800.0], "the term 1*x^1 leaves the float range at s = 800.0"),
+    ("s_grid", [-1.0, 10 ** 400], "an integer past the float range is not a float"),
+    ("min_radius", 10 ** 400, "an integer past the float range is not a float"),
+    # one bin is the whole circle, where far directions can cancel out
+    ("angle_bins", 1, "1 is less than the minimum of 2"),
+    ("angle_bins", 2 ** 53 + 1,
+     "9007199254740993 is greater than the maximum of 9007199254740992"),
+    ("angle_bins", 10 ** 400, f"{10 ** 400} is greater than the maximum of {2 ** 53}"),
 ])
 def test_bad_amoeba_payload_is_a_schema_error(tmp_path, capsys, field, value, message):
     job = json.loads(json.dumps(AMOEBA_JOB))
@@ -501,7 +512,7 @@ def test_amoeba_plot_csv(tmp_path):
     lines = data.decode().splitlines()
     assert lines[0] == "s,ln_abs_y"
     assert len(lines) == 1 + 4 * 6
-    # the bytes the per-point writer gave before the cloud became an array
+    # 12 decimals a value: the roots of y = x are e^s up to the last bits
     assert hashlib.sha256(data).hexdigest() == (
         "138e0b92762f57f9dd8c628aad50bff7ee41b4819ae9cb0c24e90670ab1ea1c7")
 

@@ -6,10 +6,14 @@ from fractions import Fraction
 import pytest
 
 from sigmatrop.halfplane import (BASE_POINT, GroupElement, GroupRingElement,
-                                 HoroballSpec, busemann, busemann_arg, epsilon,
-                                 t_gen, a_gen, verify_infinity_obstruction_A,
-                                 verify_push_B, verify_support_at_zero_A,
-                                 verify_zero_obstruction_B)
+                                 HoroballSpec, busemann_arg, epsilon, t_gen,
+                                 verify_infinity_obstruction_A, verify_push_B,
+                                 verify_support_at_zero_A, verify_zero_obstruction_B)
+
+
+def a_gen(p):
+    """The unipotent generator z -> z + 1."""
+    return GroupElement.of(p, 0, 1)
 
 
 def mat_mul2(a, b):
@@ -52,10 +56,8 @@ def test_mobius_action_examples():
 
 
 def test_busemann_examples():
-    arg, val = busemann(None, (0, 4))
-    assert arg == 4 and abs(val - math.log(4)) < 1e-12
-    arg0, val0 = busemann(Fraction(0), (0, Fraction(1, 4)))
-    assert arg0 == 4
+    assert busemann_arg(None, (0, 4)) == 4
+    assert busemann_arg(Fraction(0), (0, Fraction(1, 4))) == 4
     for xi in (None, Fraction(0), Fraction(3, 2)):
         assert busemann_arg(xi, BASE_POINT) == 1
 

@@ -162,7 +162,8 @@ DIGESTS = {
     "trop-global-z-r3": "7e26067d20f4b1f3696d1467c1072113132e34925cb9333f58063ac96d5dae90",
     "trop-trivial-r6": "21ec3eec2e1d3b3002f8329b5eab50e0ccd22c46ea57067d0e2203f232f75d35",
     "trop-trivial-r7": "713c625910728148aa019f861e6479f75961b3ae7a9ca2942c5be43733d36033",
-    "amoeba-span1-far": "2c272cc3602ec563a75b6b37a3ce4fabf85f873a6534716472e3f79318383023",
+    # bins centred on multiples of 45 degrees: the ray at 0 degrees is one bin
+    "amoeba-span1-far": "d11a5308d1194cae17754dbdc6ab622851257703c508da944c5396fe1c9d61a0",
     "amoeba-laurent-span2": (
         "cd6732dad769f08e31395fc8fa72f833d59a2066d2f2981abc11e9ec568bc16e"),
     "dyn-rank2": "60ddd61725d4f49a23c90df45995fac21ef6c2e4f68561fbfeb5b9808e59c90c",

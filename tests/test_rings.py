@@ -5,10 +5,19 @@ from fractions import Fraction
 import pytest
 
 from sigmatrop.rings import (GF, QQ, ZZ, Character, DimensionError, Direction,
-                             LaurentPoly, chi_value, grading, initial_part,
-                             poly_matrix_mul, v_chi)
+                             LaurentPoly, chi_value, initial_part, poly_matrix_mul,
+                             v_chi)
 
 X = LaurentPoly.monomial
+
+
+def grading(chi, f):
+    """f as its chi-homogeneous components: (value, component) pairs with
+    strictly increasing values, which sum to f."""
+    buckets = {}
+    for g, c in f.terms.items():
+        buckets.setdefault(chi_value(chi, g), {})[g] = c
+    return [(r, LaurentPoly(f.rank, f.domain, buckets[r])) for r in sorted(buckets)]
 
 
 def rand_poly(rng, rank, nterms=5, deg=6, domain=ZZ):

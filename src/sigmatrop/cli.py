@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 One JSON job per invocation: {"version": 1, "command": ..., "payload": ...}.
-Commands: trop, sigma, group, dyn, h2, amoeba.  Results are canonical JSON
-(sorted keys, two-space indent, ASCII escapes: the same bytes as
-json.dumps(..., sort_keys=True, indent=2)), so identical jobs produce
+Commands: trop, sigma, group, dyn, h2, amoeba.  Results are canonical JSON,
+the one line json.dumps(doc, sort_keys=True, separators=(",", ":"),
+ensure_ascii=True, allow_nan=False) + "\n", so identical jobs produce
 byte-identical documents; exact rationals travel as "num/den" strings.
 
 Exit codes: 0 success, 1 error (a malformed command line included), 2 result
@@ -20,7 +20,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from . import __version__
@@ -33,7 +32,7 @@ from .rings import GF, QQ, ZZ, Character, Domain, LaurentPoly
 from .sigma import (CyclicModule, MatrixAction, ScalarAction, SigmaResult,
                     fpm_basis, fpm_test, metabelian_fp, metabelian_fp_infinity,
                     sigma_of_module)
-from .tropical import (ValuedPoly, amoeba_sample, global_tropical_Z,
+from .tropical import (AMOEBA_ROWS, ValuedPoly, amoeba_sample, global_tropical_Z,
                        log_limit_directions, trop_hypersurface, trop_prevariety)
 from .valuations import PAdicValuation, TableValuation, TrivialValuation
 
@@ -483,7 +482,7 @@ def _read_amoeba(payload):
         if not fits:
             raise ValueError(f"the term {c}*x^{a} leaves the float range at s = {s!r}")
     min_radius = _float(obj["min_radius"]) if "min_radius" in obj else None
-    return (poly, s_grid, _int(obj["angles"], 1), min_radius,
+    return (poly, s_grid, _int(obj["angles"], 1, AMOEBA_ROWS), min_radius,
             _int(obj.get("angle_bins", 72), 2, MAX_ANGLE_BINS))
 
 
@@ -578,69 +577,12 @@ def run(job: dict, bound_escalation: int | None = None) -> dict:
 
 def canonical_json(doc: dict) -> str:
     """The result document without its "_" keys, as the text
-    json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n".
-
-    Hand-written because json.dumps uses its C encoder only when indent is
-    None: with indent=2 it runs its pure-Python generator encoder.  This one
-    appends string chunks and joins them once, with the C string escaper and
-    json's int and float texts, in about half the time.  Keys must be str
-    (the schema and the result builders make every key one); another key,
-    or a value json.dumps rejects, raises TypeError.
-    """
-    out = []
-    _encode({k: v for k, v in doc.items() if not k.startswith("_")}, out, "\n")
-    out.append("\n")
-    return "".join(out)
-
-
-def _encode(o, out: list, nl: str) -> None:
-    """Append the chunks of o's text to out; nl is a newline followed by the
-    indentation of the line o starts on."""
-    if isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for k in sorted(o):
-            out.append(sep + _encode_str(k) + ": ")
-            _encode(o[k], out, inner)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        if all(type(x) is int for x in o):
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o))
-                       + nl + "]")
-            return
-        sep = "[" + inner
-        for x in o:
-            out.append(sep)
-            _encode(x, out, inner)
-            sep = "," + inner
-        out.append(nl + "]")
-    elif isinstance(o, str):
-        out.append(_encode_str(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        if o != o:
-            out.append("NaN")
-        elif o in (math.inf, -math.inf):
-            out.append("Infinity" if o > 0 else "-Infinity")
-        else:
-            out.append(float.__repr__(o))
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+    allow_nan=False) + "\n": one line, from json's C encoder.  A value json
+    cannot write raises TypeError, and a NaN or infinite float ValueError."""
+    return json.dumps({k: v for k, v in doc.items() if not k.startswith("_")},
+                      sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+                      allow_nan=False) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):

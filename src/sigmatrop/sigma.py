@@ -596,7 +596,8 @@ def sigma_scalar_action_exact(mod: ModulePresentation, box_limit: int = COVER_BO
                                complement.complement().pieces, coeff_bound,
                                box_limit, COVER_SPLIT_DEPTH)
     if failed:
-        notes.append(f"{len(failed)} region pieces exhausted the search bounds "
+        noun = "piece" if len(failed) == 1 else "pieces"
+        notes.append(f"{len(failed)} region {noun} exhausted the search bounds "
                      f"(box {box_limit}, coefficients {coeff_bound})")
     return SigmaResult(
         rank=m.rank,
@@ -697,7 +698,8 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
             else:
                 certified, failed = _cover(_multiple_system(f), pieces, coeff_bound,
                                            box_limit, 0)
-                reason = f"{len(failed)} pieces exhausted the multiple-search bounds"
+                noun = "piece" if len(failed) == 1 else "pieces"
+                reason = f"{len(failed)} {noun} exhausted the multiple-search bounds"
             if failed:
                 notes.append(reason)
         else:

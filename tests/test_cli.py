@@ -11,6 +11,7 @@ import pytest
 import sigmatrop
 from sigmatrop import linalg
 from sigmatrop.cli import canonical_json, main, run, SchemaError
+from sigmatrop.tropical import AMOEBA_ROWS
 
 from test_cone_kernels import counting
 
@@ -255,6 +256,11 @@ def test_main_exit_codes(tmp_path):
     ("angle_bins", 2 ** 53 + 1,
      "9007199254740993 is greater than the maximum of 9007199254740992"),
     ("angle_bins", 10 ** 400, f"{10 ** 400} is greater than the maximum of {2 ** 53}"),
+    # one block of the sampler holds at most AMOEBA_ROWS rows: 2^62 angles
+    # failed in numpy with "array is too big" (exit 1)
+    ("angles", 2 ** 62, f"{2 ** 62} is greater than the maximum of {AMOEBA_ROWS}"),
+    ("angles", AMOEBA_ROWS + 1,
+     f"{AMOEBA_ROWS + 1} is greater than the maximum of {AMOEBA_ROWS}"),
 ])
 def test_bad_amoeba_payload_is_a_schema_error(tmp_path, capsys, field, value, message):
     job = json.loads(json.dumps(AMOEBA_JOB))
@@ -264,6 +270,29 @@ def test_bad_amoeba_payload_is_a_schema_error(tmp_path, capsys, field, value, me
     assert main(["--job", str(job_file)]) == 3
     error = json.loads(capsys.readouterr().out)["error"]
     assert error == {"type": "schema", "message": message}
+
+
+def test_amoeba_rows_angles_answer(tmp_path, capsys):
+    job = json.loads(json.dumps(AMOEBA_JOB))
+    job["payload"]["angles"] = AMOEBA_ROWS
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps(job))
+    assert main(["--job", str(job_file)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    # y = x has one root at each of the 4 s-values times AMOEBA_ROWS angles
+    assert result["points"] + result["dropped"] == 4 * AMOEBA_ROWS
+
+
+def test_a_non_finite_float_in_the_output_is_an_error(tmp_path, capsys):
+    # a key of another module mode is echoed into "job" without being read;
+    # json.loads reads NaN, which the canonical text may not hold
+    job_file = tmp_path / "job.json"
+    job_file.write_text('{"version": 1, "command": "sigma", "payload": {"module": '
+                        '{"mode": "scalar", "rhos": ["2", "3"], "rank": NaN}}}')
+    assert main(["--job", str(job_file)]) == 1
+    out = capsys.readouterr().out
+    assert "NaN" not in out and len(out.splitlines()) == 1
+    assert json.loads(out)["error"]["type"] == "ValueError"
 
 
 # each of these failed inside a handler (KeyError, TypeError, ValueError) with

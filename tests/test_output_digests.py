@@ -132,42 +132,42 @@ JOBS = {
 }
 
 DIGESTS = {
-    "sigma-scalar-r2": "0d9f97ed540ba9c4a92128ddea25ba250bfe69261ea09ad71996589ea8d4fdad",
-    "group-scalar-r2": "de0f3264246e900a400878274ca83f6fa6ec218f1d12afab28446762dcc2c8dc",
-    "sigma-scalar-r3": "c9697d8caedecc4364f3fa0892fefc3f80de0ddcf0a1f37dc3cd70c573907ebd",
-    "group-scalar-r3": "bc35944d5ad952e3cc84b6a1c63d430f991b34a68a720940e8a191e0a6c446b8",
-    "sigma-matrix-nondiag": "50c3cd11d845e05ffbdbe89474d37eceef0b645e274f5efca7b77228ff4fa72e",
-    "group-matrix-nondiag": "8d25920549d4d3e9764ba40fe12f0973268b8c6c444fe372bca51585488f03c1",
+    "sigma-scalar-r2": "7fbfe39e7143a26acebbbf928358f7f3758099781e910d914390a2d1d19853bd",
+    "group-scalar-r2": "d9c5b83313008ed60112106f224024b3ecce19c4cae9b8937efd56d3703e7214",
+    "sigma-scalar-r3": "5440af14731565aaf0f6d5603180d5934f269461529d8d4e02a0981621b09d0d",
+    "group-scalar-r3": "de01441c40c7a6378992f321d60d61b5fc36c8fdae07b393347d2c7c56d3e230",
+    "sigma-matrix-nondiag": "a35df580e9265b209c0dd83f51617790c7047d4069f27ec339507b4c04643729",
+    "group-matrix-nondiag": "2e79f174f2c0cbf78c404392f4cbd884e7300a458e0cce1ffb1f85d5406d5822",
     # one certificate per sigma piece of a diagonalized direct sum: 9 and 5
     "sigma-matrix-diag-split": (
-        "31799698a90009653db66d3da1838556240e08d6484ee5697622f9616f78ae0a"),
+        "490e983b98104327d0af9f964bcc187c37f639f970f4604a45919c4cf16e5202"),
     "group-matrix-diag-conjugated": (
-        "dcf3fff4f68bd3d29dbf9541f81b22f841c17bf2d765e032ada79b1d37cc856e"),
-    "group-cyclic-q-r1": "2fbb6854f680316d740696af3ab4b4837dfa26a46df6eb396a5741ef54c20259",
-    "sigma-cyclic-q-r2": "b102f05158dfff4880b2ca5b0160b770eedb665acccaaebb8ee016ded2dc901a",
+        "fb0a803dca6bded5ec88738644de9f99483533bf33354ca32b6264dfa3c1f06e"),
+    "group-cyclic-q-r1": "0ed222d8cb4af1bdc35c22cbfd1ee54391ae39f84c0944b36bfc91aeb58229fa",
+    "sigma-cyclic-q-r2": "ff639d94e7f2c9141db3563e82c32e3403c99441ce207fea08d898745e508baa",
     "sigma-cyclic-q-r2-two-generators": (
-        "c67ed82dfe10b05de8790b358ae6338824429dca2d88d3c683509ccc5b7b14d2"),
-    "group-cyclic-q-r3": "66841b743bbc192f06fd8580934d7108bea02f66e40d8cee2a4202ba7f9e29a3",
-    "sigma-cyclic-z-r2": "1394d52089cdd71c7660ccbfc33381ed0688298018a89af0e15adc7e10c41731",
-    "group-cyclic-z-r2": "02e8dd27745bcfbc578839415f58d726a737badaa0e9e719a2a5938f9d07350f",
-    "sigma-cyclic-z-r3": "2b999725e6213efeb246d51584c74999f49c9718522a9083408e0acb61dc2efb",
+        "21c51014dc295c86d11df8c3b39721e5c37bf2db661fbfe757d6d1981c5137e2"),
+    "group-cyclic-q-r3": "cc283e32e95e9a2c88659a1e0b2037b431756ca9ea73f2f9c1cf6173419eac70",
+    "sigma-cyclic-z-r2": "dc3d480b640c9e8580802d39c82ed479d708805414cf8c971e544f37c8c8543b",
+    "group-cyclic-z-r2": "30d5da2d8966853d9b6f9410a794e4149aabf5569b945fd65f24184dbe54747b",
+    "sigma-cyclic-z-r3": "ded451b06de7d995fdddf01a35aaa110f6a186687531b033d5a234467cb161d3",
     "group-cyclic-z-r1-undecided": (
-        "7ac11066badd9e9fa7ddf923793d4e5cd256dfb64c303479a1aaa81b506eeb1f"),
-    "trop-padic-r3": "77af228509c35e391a09bad7ac07251ec5380cd1c95b80da834b189a1bb0bc43",
-    "trop-global-z-r2": "f81826013aa0cc334045b5808a706d11e58fd2a5eba2391f7e1b63fcd64dc8bd",
-    "trop-prevariety-r3": "5cc0d81ab0d669d485093fc4bed705daa7b912547d9ec8c6b90fd9715df9aaf9",
-    "trop-table-r2": "f55ed849e0cf3bf1d5b5e36500a6acacaf59e1b57d1723f6d8f62e09550ea1ae",
-    "trop-trivial-r4": "6d0ff6bc870c627a0bca9347b6eef8da4c7353e591e02c8eb1a839bb3d12d311",
-    "trop-padic-r4": "e80ad929837aadcec416ea48f58822d80deefa2e89ce6ce5687934975fa0af80",
-    "trop-global-z-r3": "7e26067d20f4b1f3696d1467c1072113132e34925cb9333f58063ac96d5dae90",
-    "trop-trivial-r6": "21ec3eec2e1d3b3002f8329b5eab50e0ccd22c46ea57067d0e2203f232f75d35",
-    "trop-trivial-r7": "713c625910728148aa019f861e6479f75961b3ae7a9ca2942c5be43733d36033",
+        "a99bb25bbbade770e90a5cb92f9d5c316a0880c4b7b37b64963ad46673e9f4c5"),
+    "trop-padic-r3": "67aa89eb4177a9baa6a4c29ce23668ee9962c6d4faebb4f17f123cefe5dc95e7",
+    "trop-global-z-r2": "1b7ad58650c9da37e6aa2f1b6f5239ed9e613c4ddde52425d94f04f9fcf21b98",
+    "trop-prevariety-r3": "9e9ee6a9c79a6a6a0acb7d1fe0a7144df885fb5334417b17a3a4735e47e02a6b",
+    "trop-table-r2": "ef443db6016e703b5f85e881a079d0f179f5624456990706b496921db300f85f",
+    "trop-trivial-r4": "7f1d5da2165cec3b64cea4f763e4683a9a75bf986ae6e0f2df8f36a3b9b1d9d2",
+    "trop-padic-r4": "af02d7e26bc752fde2a5def39b179468f9fdf23a8347d247165495df137d6bd4",
+    "trop-global-z-r3": "86f535e59a0707a62b7ff200461a589d4b6bed106d63ecec3049f5def465c372",
+    "trop-trivial-r6": "a09d70766600fdbe78be135d7b27279115fab2894b85782b55dfd1a8b85bcf2f",
+    "trop-trivial-r7": "d66239f61972104ab38ad9eecf74e78689bf9166bb8d71cb2fd327b6750c6816",
     # bins centred on multiples of 45 degrees: the ray at 0 degrees is one bin
-    "amoeba-span1-far": "d11a5308d1194cae17754dbdc6ab622851257703c508da944c5396fe1c9d61a0",
+    "amoeba-span1-far": "9270f344acf13bd90d2e431f9d772fddbe97f77e441bbf4bc3c0245b1962a88e",
     "amoeba-laurent-span2": (
-        "cd6732dad769f08e31395fc8fa72f833d59a2066d2f2981abc11e9ec568bc16e"),
-    "dyn-rank2": "60ddd61725d4f49a23c90df45995fac21ef6c2e4f68561fbfeb5b9808e59c90c",
-    "h2-p3": "24bbd38f181851daf0ed0e7591e0c34042b8805ce7259c26b3fbafb0b7f81f4b",
+        "66b7435f5e3f13ce1c08ddf1ba53ed8dcc0e360f253f320989db8f936a521295"),
+    "dyn-rank2": "1c41be3152b844a98a5af061f0d4aee13e240eda5e15841bcace56814a5bd78e",
+    "h2-p3": "45b697a7626cf18fa2fb929379e750f4cbd8a07320c762d3e8f86a44d38dcd8a",
 }
 
 

@@ -454,7 +454,11 @@ def test_content_test_answers_as_the_full_multiple_search(monkeypatch):
             assert fast_notes[0] == (
                 f"the generator has content {content}, so no multiple of it has "
                 "constant term 1; the multiple search was skipped")
-            assert full_notes[0].endswith(" pieces exhausted the multiple-search bounds")
+            # every piece fails, and each is an undecided piece of the result
+            failed = len(full_doc["result"]["undecided"]["pieces"])
+            noun = "piece" if failed == 1 else "pieces"
+            assert full_notes[0] == (
+                f"{failed} {noun} exhausted the multiple-search bounds")
             fast_notes, full_notes = fast_notes[1:], full_notes[1:]
         assert fast_notes == full_notes
     assert sum(doc["undecided"] for doc in fast) >= len(jobs) // 2

@@ -178,15 +178,18 @@ def parse_valuation(x):
     return kind
 
 
-_MODE_KEYS = {"scalar": ("rhos",), "matrix": ("mats", "generators"),
-              "cyclic": ("rank",)}
+# the keys each module mode requires and may take, besides "mode"
+_MODE_KEYS = {"scalar": (("rhos",), ()), "matrix": (("mats", "generators"), ()),
+              "cyclic": (("rank",), ("generators", "domain"))}
 _MODULE_KEYS = ("mode", "rhos", "mats", "generators", "rank", "domain")
 
 
 def parse_module(x):
-    """A scalar action, a matrix action or a cyclic presentation."""
+    """A scalar action, a matrix action or a cyclic presentation.  A key of
+    another mode, which this mode would not read, is not allowed."""
     mode = _one_of(_object(x, ("mode",), _MODULE_KEYS)["mode"], _MODE_KEYS)
-    m = _object(x, _MODE_KEYS[mode], _MODULE_KEYS)
+    required, optional = _MODE_KEYS[mode]
+    m = _object(x, required, ("mode",) + optional)
     if mode == "scalar":
         return ScalarAction(tuple(_fracs(m["rhos"])))
     if mode == "matrix":
@@ -400,11 +403,15 @@ def _read_h2(payload):
         if j_max < k:
             raise ValueError(f"j_max {j_max} is less than k {k}")
         checks["support_at_zero"] = k, j_max
+    # the searches enumerate (2 coeff_bound + 1)^k_max candidates, and up to
+    # C(n, size_bound) (2 coeff_bound)^size_bound combinations of n
+    # candidates that grow with k_max: at these maxima each takes at most
+    # about a second, where k_max 8 or size_bound 3 can take minutes
     if "infinity_obstruction" in obj:
         params = _object(obj["infinity_obstruction"], ("q", "coeff_bound", "k_max"))
         checks["infinity_obstruction"] = (parse_frac(params["q"]),
-                                          _int(params["coeff_bound"], 1),
-                                          _int(params["k_max"], 1))
+                                          _int(params["coeff_bound"], 1, 4),
+                                          _int(params["k_max"], 1, 6))
     if "push" in obj:
         _object(obj["push"])  # takes no keys
         checks["push"] = ()
@@ -412,8 +419,8 @@ def _read_h2(payload):
         params = _object(obj["zero_obstruction"], ("q", "coeff_bound", "size_bound"),
                          ("k_max", "module"))
         checks["zero_obstruction"] = (
-            parse_frac(params["q"]), _int(params["coeff_bound"], 1),
-            _int(params["size_bound"], 1), _int(params.get("k_max", 2), 0),
+            parse_frac(params["q"]), _int(params["coeff_bound"], 1, 4),
+            _int(params["size_bound"], 1, 2), _int(params.get("k_max", 2), 0, 4),
             _one_of(params.get("module", "B"), ("A", "B")))
     return p, checks
 
@@ -495,7 +502,9 @@ def _run_amoeba(poly, s_grid, angles, min_radius, angle_bins):
         dirs = log_limit_directions(cloud, min_radius, angle_bins)
         result["limit_directions"] = {
             "no_far_points": dirs.no_far_points,
-            "directions": [{"dir": [round(dx, 12), round(dy, 12)], "count": c}
+            # + 0.0 turns a -0.0, whose sign is rounding noise, into 0.0
+            "directions": [{"dir": [round(dx, 12) + 0.0, round(dy, 12) + 0.0],
+                            "count": c}
                            for (dx, dy), c in dirs.directions],
         }
     return result, False, ("cloud", cloud)

@@ -118,27 +118,33 @@ class AmoebaCloud:
 
 
 RESIDUAL_TOL = 1e-9
-# (s, phi) rows per batch of companion matrices: a block takes
-# max(1, AMOEBA_ROWS // angles) s-values, and its stacked arrays stay small
-# next to the output cloud.
+# Solved (s, phi) rows per batch of companion matrices: a block takes
+# max(1, AMOEBA_ROWS // (angles // 2 + 1)) s-values, the angles of [0, pi]
+# solved for each, and its stacked arrays stay small next to the output cloud.
 AMOEBA_ROWS = 2048
 
 
 def amoeba_sample(f: LaurentPoly, s_grid, angles: int) -> AmoebaCloud:
     """Sample the amoeba of a rank-2 curve: for each s in s_grid and each of
-    `angles` arguments phi, set x = e^(s+i phi) and record (s, ln|y|) for the
-    roots y of f(x, -).
+    `angles` arguments phi_k = 2 pi k / angles, set x = e^(s+i phi_k) and
+    record (s, ln|y|) for the roots y of f(x, -).
 
-    The grid is solved in blocks of max(1, AMOEBA_ROWS // angles) s-values.
-    A block's coefficient rows [sum of c * x ** a] are numpy arrays; trailing
-    zero coefficients are stripped (each is a root y = 0, dropped and
-    counted), and the rows are grouped by the degree left.  Each group's
-    companion matrices, built as numpy.roots builds them, go to one stacked
-    numpy.linalg.eigvals call.  A row whose leading coefficient is 0, or
-    whose companion entries are not all finite, is dropped and counted
-    once; a root is dropped and counted when |y| is 0 or not finite, or
-    when its relative residual is not at most RESIDUAL_TOL (a NaN residual
-    included).  Every s must be finite, and no finite grid raises.
+    f has real coefficients, so the roots at the conjugate x-bar are the
+    conjugates of the roots at x, with the same ln|y|: only the rows
+    k = 0 ... angles // 2 (phi in [0, pi]) are solved, and row k > angles / 2
+    takes the kept points and the drop count of row angles - k.  The cloud
+    is then gathered in grid order, s-major, a row's roots in eigvals order.
+
+    The grid is solved in blocks of max(1, AMOEBA_ROWS // (angles // 2 + 1))
+    s-values.  A block's coefficient rows [sum of c * x ** a] are numpy
+    arrays; trailing zero coefficients are stripped (each is a root y = 0,
+    dropped and counted), and the rows are grouped by the degree left.  Each
+    group's companion matrices, built as numpy.roots builds them, go to one
+    stacked numpy.linalg.eigvals call.  A row whose leading coefficient is
+    0, or whose companion entries are not all finite, is dropped and
+    counted once; a root is dropped and counted when |y| is 0 or not
+    finite, or when its relative residual is not at most RESIDUAL_TOL (a NaN
+    residual included).  Every s must be finite, and no finite grid raises.
     """
     if f.rank != 2:
         raise DimensionError("amoeba sampling needs a polynomial in two variables")
@@ -153,22 +159,31 @@ def amoeba_sample(f: LaurentPoly, s_grid, angles: int) -> AmoebaCloud:
     import numpy as np  # only amoeba jobs pay for its import
 
     terms = [(a, ymax - b, float(c)) for (a, b), c in f.terms.items()]
-    phis = 2.0 * math.pi * np.arange(angles) / angles
-    step = max(1, AMOEBA_ROWS // angles)
-    parts = [np.empty((0, 2))]
-    dropped = 0
-    for i in range(0, len(s_grid), step):
-        block = np.array(s_grid[i:i + step], dtype=float)
-        kept, d = _sample_block(np, terms, ymax, ymax - ymin,
-                                np.repeat(block, angles), np.tile(phis, len(block)))
-        parts.append(kept)
-        dropped += d
-    return AmoebaCloud(points=np.concatenate(parts), dropped=dropped)
+    grid = np.array(s_grid, dtype=float)
+    span, half = ymax - ymin, angles // 2 + 1
+    phis = 2.0 * math.pi * np.arange(half) / angles
+    step = max(1, AMOEBA_ROWS // half)
+    n = len(grid) * half
+    lny, kept = np.empty((n, span)), np.empty((n, span), dtype=bool)
+    dropped = np.empty(n, dtype=np.int64)
+    for i in range(0, len(grid), step):
+        block = grid[i:i + step]
+        rows = slice(i * half, (i + len(block)) * half)
+        lny[rows], kept[rows], dropped[rows] = _sample_block(
+            np, terms, ymax, span, np.repeat(block, half), np.tile(phis, len(block)))
+    # the solved row of each (s, phi_k): k for k <= angles / 2, else angles - k
+    k = np.arange(angles)
+    solved = (np.arange(len(grid))[:, None] * half + np.minimum(k, angles - k)).ravel()
+    lny, kept = lny[solved], kept[solved]
+    s = grid[np.nonzero(kept)[0] // angles]
+    return AmoebaCloud(points=np.column_stack((s, lny[kept])),
+                       dropped=int(dropped[solved].sum()))
 
 
 def _sample_block(np, terms, ymax: int, span: int, s, phi):
-    """The kept points (s, ln|y|) of the rows (s, phi), as a float64 array of
-    two columns, and the number of dropped rows and roots."""
+    """Per row (s, phi): ln|y| of each root slot, the mask of kept roots (both
+    of shape (rows, span)), and the number of dropped roots, or 1 for a row
+    dropped whole."""
     n = len(s)
     y = np.zeros((n, span), dtype=complex)
     valid = np.zeros((n, span), dtype=bool)
@@ -203,8 +218,8 @@ def _sample_block(np, terms, ymax: int, span: int, s, phi):
         # NaN compares False, so a zero weight or a residual lost to
         # overflow drops the root
         kept = cand & (resid / weight <= RESIDUAL_TOL)
-        points = np.column_stack((s[np.nonzero(kept)[0]], np.log(ay[kept])))
-    return points, int((~live).sum() + (span - deg[live]).sum() + (valid & ~kept).sum())
+        lny = np.log(np.where(kept, ay, 1.0))
+    return lny, kept, np.where(live, span - deg, 1) + (valid & ~kept).sum(axis=1)
 
 
 @dataclass

@@ -2,7 +2,12 @@
 
 `reference_sample` is the earlier implementation, kept here as the oracle:
 one numpy.roots call per (s, phi), each root's residual evaluated term by
-term in Python's complex arithmetic.  The numpy sampler must keep and drop
+term in Python's complex arithmetic.  For k > angles / 2 it takes x as the
+conjugate of e^(s + i 2 pi (angles - k) / angles), as the sampler mirrors
+those rows from the upper half-circle; where a coefficient of y cancels to
+rounding error the float rows at phi and 2 pi - phi are not conjugates, so
+only on well-conditioned curves does the sampler match the reference that
+solves every angle (mirror=False).  The numpy sampler must keep and drop
 the same number of roots; its points, sorted by (s, ln|y|), and its max
 radius agree with the oracle's within POINT_TOL.  `reference_limit_directions`
 bins far points one at a time with the math module, the oracle of the array
@@ -33,36 +38,56 @@ POINT_TOL = 1e-9
 DIRECTION_TOL = 1e-12
 
 
-def reference_sample(f, s_grid, angles):
+def reference_coeffs(f, x):
+    """The coefficients [sum of c * x ** a] of f(x, -), highest power of y
+    first."""
     ydegs = [g[1] for g in f.terms]
     ymin, ymax = min(ydegs), max(ydegs)
+    coeffs = [complex(0)] * (ymax - ymin + 1)
+    for (a, b), c in f.terms.items():
+        coeffs[ymax - b] += float(c) * x ** a
+    return coeffs
+
+
+def reference_row(f, x):
+    """The kept ln|y| of the row x and its number of drops: one numpy.roots
+    call, each root's residual evaluated in Python's complex arithmetic."""
+    coeffs = reference_coeffs(f, x)
+    if abs(coeffs[0]) == 0.0:
+        return [], 1
+    lny, dropped = [], 0
+    for y in sorted(np.roots(coeffs), key=lambda z: (z.real, z.imag)):
+        y = complex(y)
+        ay = abs(y)
+        if ay == 0.0 or not math.isfinite(ay):
+            dropped += 1
+            continue
+        resid = abs(sum(float(c) * x ** a * y ** b for (a, b), c in f.terms.items()))
+        weight = sum(abs(float(c)) * abs(x) ** a * ay ** b
+                     for (a, b), c in f.terms.items())
+        if weight == 0.0 or not resid / weight <= RESIDUAL_TOL:
+            dropped += 1
+            continue
+        lny.append(math.log(ay))
+    return lny, dropped
+
+
+def reference_x(s, k, angles, mirror=True):
+    """x = e^(s + i 2 pi k / angles); with mirror, for k > angles / 2 the
+    conjugate of x at angles - k, as the sampler solves that row."""
+    if mirror and 2 * k > angles:
+        return cmath.exp(complex(s, 2.0 * math.pi * (angles - k) / angles)).conjugate()
+    return cmath.exp(complex(s, 2.0 * math.pi * k / angles))
+
+
+def reference_sample(f, s_grid, angles, mirror=True):
     points = []
     dropped = 0
     for s in s_grid:
         for k in range(angles):
-            phi = 2.0 * math.pi * k / angles
-            x = cmath.exp(complex(s, phi))
-            coeffs = [complex(0)] * (ymax - ymin + 1)
-            for (a, b), c in f.terms.items():
-                coeffs[ymax - b] += float(c) * x ** a
-            if abs(coeffs[0]) == 0.0:
-                dropped += 1
-                continue
-            roots = sorted(np.roots(coeffs), key=lambda z: (z.real, z.imag))
-            for y in roots:
-                y = complex(y)
-                ay = abs(y)
-                if ay == 0.0 or not math.isfinite(ay):
-                    dropped += 1
-                    continue
-                resid = abs(sum(float(c) * x ** a * y ** b
-                                for (a, b), c in f.terms.items()))
-                weight = sum(abs(float(c)) * abs(x) ** a * ay ** b
-                             for (a, b), c in f.terms.items())
-                if weight == 0.0 or not resid / weight <= RESIDUAL_TOL:
-                    dropped += 1
-                    continue
-                points.append((float(s), math.log(ay)))
+            lny, d = reference_row(f, reference_x(s, k, angles, mirror))
+            points += [(float(s), v) for v in lny]
+            dropped += d
     return AmoebaCloud(points=np.array(points, dtype=float).reshape(-1, 2),
                        dropped=dropped)
 
@@ -117,6 +142,55 @@ def test_matches_the_scalar_reference_on_random_curves():
         angles = rng.choice((1, 4, 7, 16))
         assert_matches(amoeba_sample(f, GRID, angles),
                        reference_sample(f, GRID, angles), f)
+
+
+def well_conditioned(f, s_grid, angles):
+    """Whether on every row (s, phi) the coefficients of the highest and the
+    lowest power of y are at least 1e-6 times sum |c| |x|^a, and the roots
+    lie at least 1e-6 |y| apart.  A coefficient cancelled to rounding error,
+    or a double root, moves the roots by far more than the rounding of x."""
+    for s in s_grid:
+        for k in range(angles):
+            x = reference_x(s, k, angles, mirror=False)
+            total = sum(abs(float(c)) * abs(x) ** a for (a, _), c in f.terms.items())
+            coeffs = reference_coeffs(f, x)
+            if min(abs(coeffs[0]), abs(coeffs[-1])) < 1e-6 * total:
+                return False
+            roots = np.roots(coeffs)
+            if any(abs(u - v) < 1e-6 * max(abs(u), abs(v))
+                   for i, u in enumerate(roots) for v in roots[:i]):
+                return False
+    return True
+
+
+def test_matches_the_per_angle_reference_on_well_conditioned_curves():
+    """Where no row is ill-conditioned, the rows phi and 2 pi - phi agree as
+    floats, and the sampler matches the reference that solves every angle."""
+    rng = random.Random(8)
+    checked = 0
+    for f in random_curves(8, 300):
+        angles = rng.choice((1, 4, 7, 16))
+        if well_conditioned(f, GRID, angles):
+            assert_matches(amoeba_sample(f, GRID, angles),
+                           reference_sample(f, GRID, angles, mirror=False), f)
+            checked += 1
+    assert checked >= 250
+
+
+def test_the_row_at_two_pi_minus_phi_is_the_row_at_phi():
+    """At x = i the y^2 coefficient 3x^-2 + 3 of this curve cancels to
+    rounding error, and the float rows at pi / 2 and 3 pi / 2 are not
+    conjugates: their largest ln|y| are 12.115 and 11.749.  The sampler
+    solves pi / 2 only and gives 3 pi / 2 the same points."""
+    f = laurent({(-2, -2): 5, (-2, -1): 2, (-2, 2): 3, (-1, -1): 1, (0, 2): 3})
+    up, _ = reference_row(f, reference_x(0.0, 1, 4))
+    down, _ = reference_row(f, reference_x(0.0, 3, 4, mirror=False))
+    assert round(max(up), 3) == 12.115 and round(max(down), 3) == 11.749
+    cloud = amoeba_sample(f, [0.0], 4)
+    assert (len(cloud.points), cloud.dropped) == (4 * 4, 0)
+    rows = cloud.points[:, 1].reshape(4, 4)
+    assert np.array_equal(rows[1], rows[3])
+    assert np.abs(np.sort(rows[1]) - np.sort(up)).max() <= POINT_TOL
 
 
 @pytest.mark.parametrize("terms, angles, dropped", [
@@ -448,11 +522,12 @@ BIG_JOB = {"version": 1, "command": "amoeba", "payload": {
 
 
 def test_big_grid_solves_one_stacked_eigvals_per_block_and_degree(monkeypatch):
-    calls = {"eigvals": 0, "roots": 0}
+    calls = {"eigvals": 0, "matrices": 0, "roots": 0}
     eigvals, roots = np.linalg.eigvals, np.roots
 
     def counting_eigvals(a):
         calls["eigvals"] += 1
+        calls["matrices"] += len(a)
         return eigvals(a)
 
     def counting_roots(p):
@@ -463,10 +538,12 @@ def test_big_grid_solves_one_stacked_eigvals_per_block_and_degree(monkeypatch):
     monkeypatch.setattr(np, "roots", counting_roots)
     f = laurent(BIG_TERMS)
     cloud = amoeba_sample(f, BIG_JOB["payload"]["s_grid"], 64)
-    # one np.roots call per (s, phi) was 161 * 64 = 10,304 calls; a block
-    # of AMOEBA_ROWS rows holds 2048 // 64 = 32 s-values, so 6 blocks
+    # one np.roots call per (s, phi) was 161 * 64 = 10,304 calls; the angles
+    # of [0, pi] are 64 // 2 + 1 = 33 rows per s-value, and a block of
+    # AMOEBA_ROWS rows holds 2048 // 33 = 62 s-values, so 3 blocks
     assert calls["roots"] == 0
-    assert 0 < calls["eigvals"] <= math.ceil(161 / (AMOEBA_ROWS // 64)) * BIG_SPAN
+    assert 0 < calls["eigvals"] <= math.ceil(161 / (AMOEBA_ROWS // 33)) * BIG_SPAN
+    assert calls["matrices"] <= 161 * 33
     assert len(cloud.points) + cloud.dropped == 161 * 64 * BIG_SPAN
     assert cloud.points.dtype == np.float64 and cloud.points.shape == (len(cloud.points), 2)
 

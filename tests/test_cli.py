@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sigmatrop
-from sigmatrop import linalg
+from sigmatrop import cli, linalg
 from sigmatrop.cli import canonical_json, main, run, SchemaError
 from sigmatrop.tropical import AMOEBA_ROWS
 
@@ -283,16 +283,27 @@ def test_amoeba_rows_angles_answer(tmp_path, capsys):
     assert result["points"] + result["dropped"] == 4 * AMOEBA_ROWS
 
 
-def test_a_non_finite_float_in_the_output_is_an_error(tmp_path, capsys):
-    # a key of another module mode is echoed into "job" without being read;
-    # json.loads reads NaN, which the canonical text may not hold
+def test_a_non_finite_float_in_the_output_is_an_error(tmp_path, capsys, monkeypatch):
+    # the canonical text may not hold NaN, which json.dumps would write
+    monkeypatch.setitem(cli.COMMANDS, "sigma", (
+        cli._read_sigma, lambda *inputs: ({"rank": float("nan")}, False, None)))
     job_file = tmp_path / "job.json"
-    job_file.write_text('{"version": 1, "command": "sigma", "payload": {"module": '
-                        '{"mode": "scalar", "rhos": ["2", "3"], "rank": NaN}}}')
+    job_file.write_text(json.dumps(SIGMA_JOB))
     assert main(["--job", str(job_file)]) == 1
     out = capsys.readouterr().out
     assert "NaN" not in out and len(out.splitlines()) == 1
     assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+def test_a_limit_direction_prints_no_negative_zero():
+    """The far point (1e-13, 46.05) reflects to a direction whose x is
+    -2e-15, which rounds to -0.0: its sign is rounding noise."""
+    job = {"version": 1, "command": "amoeba", "payload": {
+        "poly": {"terms": [{"exp": [0, 1], "coef": 1}, {"exp": [0, 0], "coef": -10 ** 20}]},
+        "s_grid": [1e-13], "angles": 1, "min_radius": 10.0}}
+    text = canonical_json(run(job))
+    assert '"directions":[{"count":1,"dir":[0.0,-1.0]}]' in text
+    assert "-0.0" not in text
 
 
 # each of these failed inside a handler (KeyError, TypeError, ValueError) with
@@ -418,6 +429,27 @@ _SCALAR = {"mode": "scalar", "rhos": ["6"]}
     ("trop", {"rank": True, "valuation": {"kind": "trivial"}, "generators": [_POLY]},
      "True is not of type 'integer'"),
     ("sigma", {"module": _SCALAR, "box": 0.0}, "0.0 is less than the minimum of 1"),
+    # a key of another module mode was echoed into "job" unread; a NaN there
+    # ended in exit 1 when the output was written, naming no key
+    ("sigma", {"module": {"mode": "scalar", "rhos": ["2", "3"], "rank": float("nan")}},
+     "Additional properties are not allowed ('rank' was unexpected)"),
+    ("sigma", {"module": {"mode": "matrix", "mats": [[["2"]]], "generators": [["1"]],
+                          "domain": "Q"}},
+     "Additional properties are not allowed ('domain' was unexpected)"),
+    ("group", {"module": {"mode": "cyclic", "rank": 1, "rhos": ["2"]}},
+     "Additional properties are not allowed ('rhos' was unexpected)"),
+    # h2 searches past these maxima ran for seconds to hours
+    ("h2", {"p": 2, "infinity_obstruction": {"q": "2", "coeff_bound": 5, "k_max": 2}},
+     "5 is greater than the maximum of 4"),
+    ("h2", {"p": 2, "infinity_obstruction": {"q": "2", "coeff_bound": 2, "k_max": 7}},
+     "7 is greater than the maximum of 6"),
+    ("h2", {"p": 2, "zero_obstruction": {"q": 2, "coeff_bound": 5, "size_bound": 1}},
+     "5 is greater than the maximum of 4"),
+    ("h2", {"p": 2, "zero_obstruction": {"q": 2, "coeff_bound": 2, "size_bound": 3}},
+     "3 is greater than the maximum of 2"),
+    ("h2", {"p": 2, "zero_obstruction": {"q": 2, "coeff_bound": 2, "size_bound": 1,
+                                         "k_max": 5}},
+     "5 is greater than the maximum of 4"),
 ])
 def test_module_gaps_are_schema_errors(tmp_path, capsys, command, payload, message):
     job_file = tmp_path / "job.json"
@@ -519,6 +551,18 @@ def test_light_jobs_import_neither_sympy_nor_numpy():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_h2_searches_at_their_maxima_answer(tmp_path, capsys):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps({"version": 1, "command": "h2", "payload": {
+        "p": 2,
+        "infinity_obstruction": {"q": "2", "coeff_bound": 4, "k_max": 6},
+        "zero_obstruction": {"q": 4, "coeff_bound": 4, "size_bound": 2, "k_max": 4}}}))
+    assert main(["--job", str(job_file)]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["infinity_obstruction"]["candidates_checked"] == 9 ** 6
+    assert res["infinity_obstruction"]["passed"] and res["zero_obstruction"]["passed"]
 
 
 def test_h2_job_with_composite_p(tmp_path, capsys):

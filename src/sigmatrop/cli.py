@@ -32,7 +32,7 @@ from .rings import GF, QQ, ZZ, Character, Domain, LaurentPoly
 from .sigma import (CyclicModule, MatrixAction, ScalarAction, SigmaResult,
                     fpm_basis, fpm_test, metabelian_fp, metabelian_fp_infinity,
                     sigma_of_module)
-from .tropical import (AMOEBA_ROWS, ValuedPoly, amoeba_sample, global_tropical_Z,
+from .tropical import (AMOEBA_ROWS, amoeba_sample, global_tropical_Z,
                        log_limit_directions, trop_hypersurface, trop_prevariety)
 from .valuations import PAdicValuation, TableValuation, TrivialValuation
 
@@ -206,8 +206,7 @@ def parse_module(x):
 
 
 def frac_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(Fraction(x))
 
 
 def poly_json(f: LaurentPoly) -> dict:
@@ -294,7 +293,7 @@ def _run_trop(polys, val):
     elif len(polys) == 1:
         fan = trop_hypersurface(polys[0], val)
     else:
-        fan = trop_prevariety([ValuedPoly(p, val) for p in polys])
+        fan = trop_prevariety(polys, val)
     result = {"fan": fan_json(fan),
               "unit_generator": any(len(p.terms) == 1 for p in polys),
               "exact": len(polys) == 1,
@@ -354,7 +353,12 @@ def _read_dyn(payload):
     if chi is not None and chi.rank != rank:
         raise ValueError(f"chi has length {chi.rank}, not the rank {rank}")
     vec = start or [LaurentPoly.one(rank)] + [LaurentPoly.zero(rank)] * (phi.size - 1)
-    return phi, vec, chi, _int(obj.get("iters", 8), 1), _int(obj.get("powers", 5), 1)
+    # the iterates' and powers' supports and coefficients grow with these
+    # keys: on a 3 x 3 rank-2 matrix of two-term entries with exponents in
+    # [-1, 1], iters 32 and powers 20 together take under a second, where
+    # iters 50 or powers 30 alone take 1.4 s
+    return (phi, vec, chi, _int(obj.get("iters", 8), 1, 32),
+            _int(obj.get("powers", 5), 1, 20))
 
 
 def _run_dyn(phi, vec, chi, iters, powers):
@@ -395,11 +399,15 @@ def _read_h2(payload):
     """p and the arguments of each verifier the payload asks for."""
     obj = _object(payload, ("p",), ("support_at_zero", "infinity_obstruction",
                                     "push", "zero_obstruction"))
-    p = _int(obj["p"], 2)
+    # every verifier at its maxima below answers within about a second for
+    # p up to 10^6; a p of 100 digits doubles that and one of 1000 takes 7 s
+    p = _int(obj["p"], 2, 10 ** 6)
     checks = {}
     if "support_at_zero" in obj:
+        # row j prints p^(2j), which keeps j_max 300 under 3,600 digits
+        # (str() refuses integers past 4,300) and the answer under 0.6 MB
         params = _object(obj["support_at_zero"], ("k", "j_max"))
-        k, j_max = _int(params["k"], 0), _int(params["j_max"], 0)
+        k, j_max = _int(params["k"], 0), _int(params["j_max"], 0, 300)
         if j_max < k:
             raise ValueError(f"j_max {j_max} is less than k {k}")
         checks["support_at_zero"] = k, j_max

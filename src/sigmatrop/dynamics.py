@@ -78,13 +78,7 @@ class PushMap:
         """Image of a column vector of ring elements."""
         if len(vec) != self.size:
             raise DimensionError("vector length must match the matrix size")
-        out = []
-        for i in range(self.size):
-            acc = LaurentPoly.zero(self.rank)
-            for j in range(self.size):
-                acc = acc + self.entries[i][j] * vec[j]
-            out.append(acc)
-        return tuple(out)
+        return tuple(row[0] for row in poly_matrix_mul(self.entries, [[v] for v in vec]))
 
 
 class Norm(NamedTuple):

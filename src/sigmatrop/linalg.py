@@ -2,8 +2,9 @@
 
 Matrices are lists of row lists with int or rational entries.  One
 fraction-free elimination, echelon (Bareiss), serves rank, nullspace and
-invert: each row is scaled to integers and every entry stays a minor of the
-integer matrix.  Everything returns fresh lists.
+invert: each row is made a primitive integer row by rings._primitive, and
+every entry stays a minor of that integer matrix.  Everything returns fresh
+lists.
 """
 
 from __future__ import annotations
@@ -11,30 +12,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-
-def _integer_row(row):
-    """The row scaled by the lcm of its entries' denominators.
-
-    An all-int row is told apart by one math.gcd call, which raises
-    TypeError on a Fraction entry, and is copied as it is."""
-    try:
-        math.gcd(*row)
-    except TypeError:
-        den = math.lcm(*(x.denominator for x in row))
-        return [int(x * den) for x in row]
-    return list(row)
+from .rings import _primitive
 
 
 def echelon(mat):
     """Fraction-free reduced row echelon form of a rational matrix.
 
-    Each row is scaled to integers, then columns are eliminated in order by
+    Each row is made primitive, then columns are eliminated in order by
     Gauss-Jordan steps with Bareiss's exact division by the previous pivot
     (every entry stays a minor of the integer matrix).  Returns (rows,
     pivots, den): row r < len(pivots) holds den at pivots[r] and 0 at the
     other pivot columns, and rows[r] / den is row r of the rref.
     """
-    rows = [_integer_row(row) for row in mat]
+    rows = [list(_primitive(row)) for row in mat]
     m = len(rows)
     pivots = []
     den = 1

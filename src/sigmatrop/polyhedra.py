@@ -13,10 +13,11 @@ never enters one, and the set algebra it inherits returns SphericalSets.
 Feasibility, emptiness, dimension, containment, and point extraction are
 decided exactly by Fourier-Motzkin elimination with strictness tracking,
 after equality rows are eliminated on primitive integer rows; Fraction
-appears only in a returned point.  A closed cone (homogeneous, no strict
-row) is never empty: its point is the origin, found with no FM solve.  A
-polyhedron caches its point, dimension and has_direction answer, so each
-is decided at most once per object.
+appears only in a returned point.  A rational row (through _norm_row), a
+point under test and a ray become integer in rings._primitive.  A closed
+cone (homogeneous, no strict row) is never empty: its point is the origin,
+found with no FM solve.  A polyhedron caches its point, dimension and
+has_direction answer, so each is decided at most once per object.
 Rays, lineality spaces and ranks come from linalg's fraction-free integer
 elimination.  A cone's rays are enumerated in the coordinates of one basis
 of W, the kernel of its equalities and lineality space: a ray is the kernel
@@ -25,37 +26,22 @@ line of dim W - 1 weak normals reduced to W, mapped back to Z^n.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from operator import mul
 
 from . import linalg
-from .rings import Character, DimensionError, Direction, SoundnessError
+from .rings import Character, DimensionError, Direction, SoundnessError, _primitive
 
 RAY_RANK_LIMIT = 6  # ray enumeration is desk scale only
 
 
 def _norm_row(vec, rhs, orient=False):
-    """Scale (vec | rhs) to coprime integers; orient makes the sign canonical.
-
-    The row is built as one tuple.  An all-int row is told apart by one
-    math.gcd call, which raises TypeError on a Fraction entry; only a row
-    with rational entries is scaled by the lcm of its denominators.  The
-    tuple is rebuilt only when it has a common factor or a negative lead to
-    orient."""
-    row = (*vec, rhs)
-    try:
-        g = math.gcd(*row)
-    except TypeError:
-        fr = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in fr))
-        row = tuple(int(x * den) for x in fr)
-        g = math.gcd(*row)
+    """(vec | rhs) as a primitive integer row; orient makes its first
+    nonzero entry positive."""
+    row = _primitive((*vec, rhs))
     if orient and next((x for x in row if x), 0) < 0:
-        g = -g
-    if g not in (0, 1):
-        row = tuple(x // g for x in row)
+        row = tuple(-x for x in row)
     return row[:-1], row[-1]
 
 
@@ -285,14 +271,12 @@ class Polyhedron:
     # -- predicates ---------------------------------------------------------
 
     def contains(self, point) -> bool:
-        """Exact membership: the point is scaled by the lcm den of its
-        denominators, and each integer row (v, r) compares v * (den point)
-        with r * den."""
-        point = [Fraction(x) for x in point]
+        """Exact membership: rings._primitive makes (point | 1) the integer
+        row (den point | den) with den > 0, and each integer row (v, r)
+        compares v * (den point) with r * den."""
+        *point, den = _primitive((*point, 1))
         if len(point) != self.rank:
             raise DimensionError(f"point has length {len(point)}, expected {self.rank}")
-        den = math.lcm(*(x.denominator for x in point))
-        point = [x.numerator * (den // x.denominator) for x in point]
         return (all(_dot(v, point) == r * den for v, r in self.eq)
                 and all(_dot(v, point) >= r * den for v, r in self.ge)
                 and all(_dot(v, point) > r * den for v, r in self.gt))
@@ -485,7 +469,7 @@ class Polyhedron:
         basis = linalg.nullspace([v for v, _ in self.eq] + lin, self.rank)
         if not basis:
             return sorted(result)
-        reduced = {_norm_row([_dot(v, w) for w in basis], 0)[0]
+        reduced = {_primitive([_dot(v, w) for w in basis])
                    for v, _ in self.ge + self.gt}
         normals = sorted(a for a in reduced if any(a))
         for combo in combinations(normals, len(basis) - 1):
@@ -502,7 +486,7 @@ class Polyhedron:
             else:
                 continue
             ray = [sign * _dot(line[0], col) for col in zip(*basis)]
-            result.add(_norm_row(ray, 0)[0])
+            result.add(_primitive(ray))
         return sorted(result)
 
 
@@ -662,18 +646,10 @@ def _ray_union(cones):
 
 
 def ray_cone(d: Direction) -> Polyhedron:
-    """The open ray {lambda * d : lambda > 0} as a homogeneous piece."""
-    n = d.rank
-    v = d.vector
-    eqs = []
-    # u parallel to d, via the 2x2 minors of (u ; d)
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = [0] * n
-            row[i], row[j] = v[j], -v[i]
-            if any(row):
-                eqs.append(tuple(row))
-    return Polyhedron.cone(n, eq=eqs, gt=[v])
+    """The open ray {lambda * d : lambda > 0} as a homogeneous piece: u is
+    orthogonal to the n - 1 kernel vectors of d, so parallel to d."""
+    return Polyhedron.cone(d.rank, eq=linalg.nullspace([d.vector], d.rank),
+                           gt=[d.vector])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ is a finite map from monomials to nonzero coefficients.  Characters are
 exact rational vectors.  The minimum convention is used throughout: the
 initial part of f at chi collects the terms of minimal chi-value.  All
 values are immutable; every operation is a pure function.
+
+_primitive is the one place where a rational vector becomes integer: it
+scales by the lcm of the denominators and divides by the gcd, keeping the
+sign.  Directions, polyhedron rows, rays and points under test, and the
+rows that linalg eliminates are all made primitive by it.
 """
 
 from __future__ import annotations
@@ -66,6 +71,22 @@ QQ = Domain("QQ")
 
 def GF(p: int) -> Domain:
     return Domain("GF", p)
+
+
+def _primitive(vec) -> tuple:
+    """The rational vector as coprime integers with the same signs, a tuple.
+
+    An all-int vector is told apart by one math.gcd call, which raises
+    TypeError on a Fraction entry; only then is it scaled by the lcm of its
+    denominators.  The zero vector stays zero."""
+    try:
+        g = math.gcd(*vec)
+    except TypeError:
+        fr = [Fraction(x) for x in vec]
+        den = math.lcm(*(x.denominator for x in fr))
+        vec = [x.numerator * (den // x.denominator) for x in fr]
+        g = math.gcd(*vec)
+    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
 
 _VAR_NAMES = ("x", "y", "z", "w")
@@ -179,13 +200,18 @@ class LaurentPoly:
     def _mod(self):
         return self.domain.p if self.domain.kind == "GF" else None
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._compat(other)
+    def _with_terms(self, terms) -> "LaurentPoly":
+        """A polynomial of this rank and domain holding a clean term map
+        (normalized coefficients, no zeros) as it is."""
         out = LaurentPoly.__new__(LaurentPoly)
         object.__setattr__(out, "rank", self.rank)
         object.__setattr__(out, "domain", self.domain)
-        object.__setattr__(out, "terms", _term_add(self.terms, other.terms, self._mod))
+        object.__setattr__(out, "terms", terms)
         return out
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        self._compat(other)
+        return self._with_terms(_term_add(self.terms, other.terms, self._mod))
 
     def __neg__(self) -> "LaurentPoly":
         return self.scale(-1)
@@ -195,11 +221,7 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._compat(other)
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "rank", self.rank)
-        object.__setattr__(out, "domain", self.domain)
-        object.__setattr__(out, "terms", _term_mul(self.terms, other.terms, self._mod))
-        return out
+        return self._with_terms(_term_mul(self.terms, other.terms, self._mod))
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -215,11 +237,7 @@ class LaurentPoly:
 
     def scale(self, c) -> "LaurentPoly":
         c = self.domain.normalize(c)
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "rank", self.rank)
-        object.__setattr__(out, "domain", self.domain)
-        object.__setattr__(out, "terms", _term_scale(self.terms, c, self._mod))
-        return out
+        return self._with_terms(_term_scale(self.terms, c, self._mod))
 
     def shift(self, g) -> "LaurentPoly":
         """Multiply by the monomial x^g (g may have negative entries)."""
@@ -303,13 +321,10 @@ class Direction:
 
     @classmethod
     def from_vector(cls, v) -> "Direction":
-        nums = [Fraction(e) for e in v]
-        if all(e == 0 for e in nums):
+        vector = _primitive(v)
+        if not any(vector):
             raise ValueError("a direction must be nonzero")
-        den = math.lcm(*(e.denominator for e in nums))
-        ints = [int(e * den) for e in nums]
-        g = math.gcd(*(abs(e) for e in ints))
-        return cls(tuple(e // g for e in ints))
+        return cls(vector)
 
     @property
     def rank(self) -> int:

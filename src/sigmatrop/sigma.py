@@ -20,7 +20,7 @@ from .polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
                         has_antipodal_pair, in_open_hemisphere, ray_cone)
 from .rings import (ZZ, Character, DimensionError, Direction, Domain,
                     LaurentPoly, SoundnessError, chi_value, initial_part, v_chi)
-from .tropical import ValuedPoly, global_tropical_Z, trop_hypersurface, trop_prevariety
+from .tropical import global_tropical_Z, trop_hypersurface, trop_prevariety
 from .valuations import PAdicValuation, TrivialValuation, prime_support
 
 
@@ -153,37 +153,32 @@ def direct_sum_module(a: ModulePresentation, b: ModulePresentation) -> MatrixAct
 
 
 class _ActionCache:
-    """Monomial-to-matrix evaluation for one MatrixAction, scoped to one call."""
+    """Monomial-to-matrix evaluation for one MatrixAction, scoped to one call.
+
+    The cache starts with the identity at 0.  A new monomial g costs one
+    product: the cached matrix of the monomial one step nearer 0 in g's
+    last nonzero coordinate i, times matrix i or its inverse."""
 
     def __init__(self, mod: MatrixAction):
         self.mod = mod
         self.d = mod.dim
-        self.mats = [[list(r) for r in m] for m in mod.mats]
-        self.inverses = [linalg.invert(m) for m in self.mats]
-        self.identity = [[Fraction(int(i == j)) for j in range(self.d)]
-                         for i in range(self.d)]
-        self.powers: dict[tuple, list] = {}
-        self.cache: dict[tuple, list] = {}
-
-    def power(self, i, e):
-        """Matrix i to the nonzero power e: one product with the power one
-        step nearer 0, which is cached too."""
-        if (i, e) not in self.powers:
-            step = 1 if e > 0 else -1
-            prev = self.identity if e == step else self.power(i, e - step)
-            base = self.mats[i] if e > 0 else self.inverses[i]
-            self.powers[(i, e)] = linalg.mat_mul(prev, base)
-        return self.powers[(i, e)]
+        # steps[i] = (matrix i, its inverse)
+        self.steps = [(m, linalg.invert(m)) for m in mod.mats]
+        self.cache: dict[tuple, list] = {
+            (0,) * mod.rank: [[Fraction(int(i == j)) for j in range(self.d)]
+                              for i in range(self.d)]}
 
     def monomial_matrix(self, g):
         g = tuple(g)
-        if g not in self.cache:
-            out = self.identity
-            for i, e in enumerate(g):
-                if e:
-                    out = linalg.mat_mul(out, self.power(i, e))
-            self.cache[g] = out
-        return self.cache[g]
+        path = []  # the monomials from g down to the first cached one
+        while g not in self.cache:
+            i = max(i for i, e in enumerate(g) if e)
+            path.append((g, i))
+            g = g[:i] + (g[i] - 1 if g[i] > 0 else g[i] + 1,) + g[i + 1:]
+        out = self.cache[g]
+        for h, i in reversed(path):
+            out = self.cache[h] = linalg.mat_mul(out, self.steps[i][h[i] < 0])
+        return out
 
     def evaluate(self, lam: LaurentPoly):
         d = self.d
@@ -722,7 +717,7 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
     if mod.domain.kind == "ZZ":
         raise UnsupportedModeError(
             "cyclic mode over Z supports principal ideals only")
-    prevariety = trop_prevariety([ValuedPoly(g, TrivialValuation()) for g in gens])
+    prevariety = trop_prevariety(gens, TrivialValuation())
     return SigmaResult(
         rank=rank,
         proved_complement=SphericalSet.empty(rank),
@@ -876,8 +871,12 @@ def metabelian_fp_infinity(mod_or_result, **kw):
 
 def fpm_test(mod_or_result, m: int, **kw):
     """Conjectural FP_m criterion: every m-point subset of the complement
-    lies in an open hemisphere (theorem-backed for m in {1, 2})."""
+    lies in an open hemisphere (theorem-backed for m in {1, 2}).  Two
+    directions share an open hemisphere unless they are antipodal, so m = 2
+    is metabelian_fp's predicate and is answered by it."""
     r = _resolve(mod_or_result, **kw)
+    if m == 2:
+        return metabelian_fp(r)
     if not r.undecided.is_empty:
         return None
     dirs = r.proved_complement.finite_directions()

@@ -23,12 +23,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class ValuedPoly:
-    poly: LaurentPoly
-    valuation: ValuationSpec
-
-
 def trop_hypersurface(f: LaurentPoly, v: ValuationSpec) -> PolyhedralSet:
     """Exact tropical hypersurface of f with respect to v.
 
@@ -60,21 +54,17 @@ def _coeff_as_rational(f: LaurentPoly, g) -> Fraction:
     return Fraction(c)
 
 
-def trop_prevariety(gens: list[ValuedPoly]) -> PolyhedralSet:
-    """Intersection of the generators' hypersurfaces (a sound outer bound:
-    it contains the tropical variety and may strictly contain it)."""
+def trop_prevariety(gens: list[LaurentPoly], v: ValuationSpec) -> PolyhedralSet:
+    """Intersection of the generators' hypersurfaces with respect to v (a
+    sound outer bound: it contains the tropical variety and may strictly
+    contain it)."""
     if not gens:
         raise ValueError("need at least one generator")
-    rank = gens[0].poly.rank
-    v = gens[0].valuation
+    if any(g.rank != gens[0].rank for g in gens):
+        raise DimensionError("generators must share one rank")
+    out = trop_hypersurface(gens[0], v)
     for g in gens[1:]:
-        if g.poly.rank != rank:
-            raise DimensionError("generators must share one rank")
-        if g.valuation != v:
-            raise ValueError("generators must share one valuation")
-    out = trop_hypersurface(gens[0].poly, v)
-    for g in gens[1:]:
-        out = out.intersect(trop_hypersurface(g.poly, v))
+        out = out.intersect(trop_hypersurface(g, v))
     return out
 
 

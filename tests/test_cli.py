@@ -450,6 +450,16 @@ _SCALAR = {"mode": "scalar", "rhos": ["6"]}
     ("h2", {"p": 2, "zero_obstruction": {"q": 2, "coeff_bound": 2, "size_bound": 1,
                                          "k_max": 5}},
      "5 is greater than the maximum of 4"),
+    # j_max 1000 at p 1000 printed an integer past str()'s 4,300 digits (exit
+    # 1); a p of 1000 digits, iters 50 and powers 30 each ran for seconds
+    ("h2", {"p": 10 ** 6 + 1, "push": {}},
+     "1000001 is greater than the maximum of 1000000"),
+    ("h2", {"p": 2, "support_at_zero": {"k": 0, "j_max": 301}},
+     "301 is greater than the maximum of 300"),
+    ("dyn", {"rank": 1, "matrix": [[_POLY]], "iters": 33},
+     "33 is greater than the maximum of 32"),
+    ("dyn", {"rank": 1, "matrix": [[_POLY]], "powers": 21},
+     "21 is greater than the maximum of 20"),
 ])
 def test_module_gaps_are_schema_errors(tmp_path, capsys, command, payload, message):
     job_file = tmp_path / "job.json"
@@ -563,6 +573,16 @@ def test_h2_searches_at_their_maxima_answer(tmp_path, capsys):
     res = json.loads(capsys.readouterr().out)["result"]
     assert res["infinity_obstruction"]["candidates_checked"] == 9 ** 6
     assert res["infinity_obstruction"]["passed"] and res["zero_obstruction"]["passed"]
+
+
+def test_support_at_zero_at_its_maxima_answers(tmp_path, capsys):
+    # the last row prints p^600, 3,601 digits
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps({"version": 1, "command": "h2", "payload": {
+        "p": 10 ** 6, "support_at_zero": {"k": 0, "j_max": 300}}}))
+    assert main(["--job", str(job_file)]) == 0
+    rows = json.loads(capsys.readouterr().out)["result"]["support_at_zero"]["rows"]
+    assert len(rows) == 301 and rows[-1]["busemann_arg"] == str(10 ** 3600)
 
 
 def test_h2_job_with_composite_p(tmp_path, capsys):

@@ -25,8 +25,7 @@ from sigmatrop import linalg, polyhedra
 from sigmatrop.cli import run
 from sigmatrop.polyhedra import RAY_RANK_LIMIT, PolyhedralSet, Polyhedron
 from sigmatrop.rings import ZZ, LaurentPoly
-from sigmatrop.tropical import (ValuedPoly, global_tropical_Z, trop_hypersurface,
-                                trop_prevariety)
+from sigmatrop.tropical import global_tropical_Z, trop_hypersurface, trop_prevariety
 from sigmatrop.valuations import PAdicValuation, TrivialValuation
 
 from reference_linalg import rref
@@ -436,8 +435,8 @@ def random_fans():
             yield trop_hypersurface(f, TrivialValuation())
             yield trop_hypersurface(f, PAdicValuation(rng.choice((2, 3))))
             yield global_tropical_Z(f)
-            gens = [ValuedPoly(rand_poly(rng, rank), PAdicValuation(2)) for _ in range(2)]
-            yield trop_prevariety(gens)
+            gens = [rand_poly(rng, rank) for _ in range(2)]
+            yield trop_prevariety(gens, PAdicValuation(2))
             yield PolyhedralSet(rank, [
                 Polyhedron(rank, eq=[(rand_vec(rng, rank), rng.randint(-2, 2))
                                      for _ in range(rng.choice((0, 0, 1)))],

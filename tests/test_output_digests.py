@@ -137,7 +137,7 @@ DIGESTS = {
     "sigma-scalar-r3": "5440af14731565aaf0f6d5603180d5934f269461529d8d4e02a0981621b09d0d",
     "group-scalar-r3": "de01441c40c7a6378992f321d60d61b5fc36c8fdae07b393347d2c7c56d3e230",
     "sigma-matrix-nondiag": "a35df580e9265b209c0dd83f51617790c7047d4069f27ec339507b4c04643729",
-    "group-matrix-nondiag": "2e79f174f2c0cbf78c404392f4cbd884e7300a458e0cce1ffb1f85d5406d5822",
+    "group-matrix-nondiag": "08e82a5fa6f2b3038f305fdc25887fded670f101f6e73bf15752cd0c42ddc4f3",
     # one certificate per sigma piece of a diagonalized direct sum: 9 and 5
     "sigma-matrix-diag-split": (
         "490e983b98104327d0af9f964bcc187c37f639f970f4604a45919c4cf16e5202"),
@@ -147,9 +147,9 @@ DIGESTS = {
     "sigma-cyclic-q-r2": "ff639d94e7f2c9141db3563e82c32e3403c99441ce207fea08d898745e508baa",
     "sigma-cyclic-q-r2-two-generators": (
         "21c51014dc295c86d11df8c3b39721e5c37bf2db661fbfe757d6d1981c5137e2"),
-    "group-cyclic-q-r3": "cc283e32e95e9a2c88659a1e0b2037b431756ca9ea73f2f9c1cf6173419eac70",
+    "group-cyclic-q-r3": "190112299fe1fe5f53f6e9717841ca420c61c1094664b027eddf7edaba0a8b35",
     "sigma-cyclic-z-r2": "dc3d480b640c9e8580802d39c82ed479d708805414cf8c971e544f37c8c8543b",
-    "group-cyclic-z-r2": "30d5da2d8966853d9b6f9410a794e4149aabf5569b945fd65f24184dbe54747b",
+    "group-cyclic-z-r2": "6d0523f38d6c31cadac48b6a31eb8b85607d4bdce45a54fb59bc245055158d01",
     "sigma-cyclic-z-r3": "ded451b06de7d995fdddf01a35aaa110f6a186687531b033d5a234467cb161d3",
     "group-cyclic-z-r1-undecided": (
         "a99bb25bbbade770e90a5cb92f9d5c316a0880c4b7b37b64963ad46673e9f4c5"),

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -69,6 +70,25 @@ def test_ray_cone_membership():
     assert r.contains((2, 3)) and r.contains((4, 6))
     assert not r.contains((-2, -3)) and not r.contains((0, 0))
     assert not r.contains((2, 4))
+
+
+def test_ray_cone_is_the_parallel_test():
+    # u is on the ray iff every 2x2 minor of (u ; d) vanishes and u * d > 0
+    rng = random.Random(3)
+    for rank in (3, 4):
+        for _ in range(12):
+            d = [rng.randint(-2, 2) for _ in range(rank)]
+            d[rng.randrange(rank)] = 0
+            if not any(d):
+                continue
+            cone = ray_cone(Direction.from_vector(d))
+            assert len(cone.eq) == rank - 1
+            for u in itertools.chain(itertools.product(range(-2, 3), repeat=rank),
+                                     [tuple(3 * x for x in d)]):
+                parallel = all(u[i] * d[j] == u[j] * d[i]
+                               for i, j in itertools.combinations(range(rank), 2))
+                on_ray = parallel and sum(a * b for a, b in zip(u, d)) > 0
+                assert cone.contains(u) == on_ray, (d, u)
 
 
 def test_local_cone_at_origin_examples():

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from sigmatrop.rings import (GF, QQ, ZZ, Character, DimensionError, Direction,
-                             LaurentPoly, chi_value, initial_part, poly_matrix_mul,
-                             v_chi)
+                             LaurentPoly, _primitive, chi_value, initial_part,
+                             poly_matrix_mul, v_chi)
 
 X = LaurentPoly.monomial
 
@@ -151,6 +151,22 @@ def test_poly_matrix_mul_checks_shapes():
     assert poly_matrix_mul([[one, t]], [[t], [one]]) == [[t + t]]
     with pytest.raises(DimensionError):
         poly_matrix_mul([[one, t]], [[t, one]])
+
+
+@pytest.mark.parametrize("vec", [(3, -6, 9), (-2, 4, 0, 6), (0, -5, 7), (0, 0, 0),
+                                 (7,), (-7,), (1, 0, -1, 2)])
+def test_primitive_keeps_sign_and_ignores_scale(vec):
+    # int and Fraction copies, and positive rational multiples, agree
+    got = _primitive(vec)
+    for scale in (1, 2, Fraction(1, 3), Fraction(10, 4)):
+        assert _primitive([Fraction(x) * scale for x in vec]) == got
+    assert all(type(x) is int for x in got)
+    if any(vec):
+        assert math.gcd(*got) == 1
+        ratio = next(Fraction(x, y) for x, y in zip(vec, got) if y)
+        assert ratio > 0 and tuple(ratio * y for y in got) == vec
+    else:
+        assert got == vec
 
 
 def test_direction_primitivity():

@@ -517,6 +517,70 @@ def test_metabelian_predicates():
     assert metabelian_fp_infinity(both) is False
 
 
+def seeded_commuting_actions():
+    """MatrixActions P C_i P^-1 with C_i = a_i I + b_i N (N the superdiagonal
+    shift, so the C_i commute and need not be diagonalizable) or diagonal."""
+    rng = random.Random(29)
+    for _ in range(8):
+        rank, d = rng.randint(1, 3), rng.randint(1, 3)
+        p = None
+        while p is None or linalg.invert(p) is None:
+            p = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        jordan = rng.random() < 0.5
+        mats = []
+        for _ in range(rank):
+            a = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+                 for _ in range(d)]
+            b = rng.randint(-2, 2)
+            core = [[(a[0] if jordan else a[i]) if i == j
+                     else b if jordan and j == i + 1 else 0
+                     for j in range(d)] for i in range(d)]
+            mats.append(linalg.mat_mul(linalg.mat_mul(p, core), linalg.invert(p)))
+        yield MatrixAction.of(mats, [[int(i == j) for j in range(d)] for i in range(d)])
+
+
+def test_monomial_matrix_is_one_product_per_monomial(monkeypatch):
+    rng = random.Random(30)
+    for m in seeded_commuting_actions():
+        d = m.dim
+        want = {}
+        for g in itertools.product(range(-3, 4), repeat=m.rank):
+            out = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+            for mat, e in zip(m.mats, g):
+                step = mat if e > 0 else linalg.invert(mat)
+                for _ in range(abs(e)):
+                    out = linalg.mat_mul(out, step)
+            want[g] = out
+        cache = sigma._ActionCache(m)
+        with monkeypatch.context() as patch:
+            products = counting(patch, linalg, "mat_mul")
+            box = list(want)
+            rng.shuffle(box)
+            for g in box:
+                assert cache.monomial_matrix(g) == want[g], (m, g)
+            assert len(products) == len(box) - 1
+            for g in box:
+                cache.monomial_matrix(g)
+            assert len(products) == len(box) - 1
+
+
+@pytest.mark.parametrize("module", [
+    {"mode": "scalar", "rhos": ["2", "1/3"]},
+    {"mode": "matrix", "mats": [[["1", "1"], ["0", "1"]], [["2", "0"], ["0", "2"]]],
+     "generators": [["1", "0"], ["0", "1"]]},
+    # ZG/(1 + x + y + z) over Q
+    {"mode": "cyclic", "rank": 3, "domain": "Q", "generators": [{"terms": [
+        {"exp": e, "coef": 1} for e in ([0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1])]}]},
+    {"mode": "cyclic", "rank": 2, "domain": "Z", "generators": [{"terms": [
+        {"exp": [0, 0], "coef": 2}, {"exp": [1, 0], "coef": -1},
+        {"exp": [1, 1], "coef": 3}]}]},
+])
+def test_fpm_2_is_finitely_presented(module):
+    result = run({"version": 1, "command": "group",
+                  "payload": {"module": module, "fpm": [2]}})["result"]
+    assert result["fpm"]["2"]["value"] == result["finitely_presented"] != "undecided"
+
+
 def test_fpm_examples():
     r = sigma_of_module(ScalarAction.of(2, 3))
     assert fpm_test(r, 2) is True
@@ -536,12 +600,12 @@ def test_hemisphere_complement_consistency():
 
 def test_sigma_complement_inside_prevariety():
     # consistency with the tropical bound for the matching cyclic presentation
-    from sigmatrop.tropical import ValuedPoly, trop_prevariety
+    from sigmatrop.tropical import trop_prevariety
     from sigmatrop.valuations import TrivialValuation
 
     f = LaurentPoly(2, QQ, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
     result = sigma_cyclic_field(CyclicModule(2, QQ, (f,)))
-    bound = trop_prevariety([ValuedPoly(f, TrivialValuation())]).radial()
+    bound = trop_prevariety([f], TrivialValuation()).radial()
     assert result.proved_complement.subset_of(bound)
 
 

@@ -7,8 +7,9 @@ import pytest
 
 from sigmatrop.polyhedra import (balanceable_at, local_cone_at_infinity,
                                  local_cone_at_origin, pure_dimension)
-from sigmatrop.rings import GF, QQ, ZZ, Character, Direction, LaurentPoly, chi_value
-from sigmatrop.tropical import (ValuedPoly, amoeba_sample, global_tropical_Z,
+from sigmatrop.rings import (GF, QQ, ZZ, Character, DimensionError, Direction, LaurentPoly,
+                             chi_value)
+from sigmatrop.tropical import (amoeba_sample, global_tropical_Z,
                                 log_limit_directions, trop_hypersurface,
                                 trop_prevariety)
 from sigmatrop.valuations import PAdicValuation, TrivialValuation
@@ -98,27 +99,27 @@ def test_hypersurface_pure_dimension_and_balancing():
 
 
 def test_prevariety_examples():
-    f = ValuedPoly(tropical_line(), TRIV)
-    g = ValuedPoly(X((1, 0)) - X((0, 1)), TRIV)
-    single = trop_prevariety([ValuedPoly(X((1,)) - X((0,), 6), TRIV)])
+    f = tropical_line()
+    g = X((1, 0)) - X((0, 1))
+    single = trop_prevariety([X((1,)) - X((0,), 6)], TRIV)
     assert single.set_eq(trop_hypersurface(X((1,)) - X((0,), 6), TRIV))
 
-    both = trop_prevariety([f, g])
+    both = trop_prevariety([f, g], TRIV)
     # the diagonal ray towards (-1,-1), including the origin
     assert both.contains((0, 0)) and both.contains((-2, -2))
     assert not both.contains((1, 1)) and not both.contains((-1, 0))
 
-    with_unit = trop_prevariety([f, ValuedPoly(X((1, 1), 3), TRIV)])
+    with_unit = trop_prevariety([f, X((1, 1), 3)], TRIV)
     assert with_unit.is_empty
 
 
 def test_prevariety_guards():
-    f = ValuedPoly(tropical_line(), TRIV)
-    h = ValuedPoly(X((1,)) - X((0,), 6), TRIV)
-    with pytest.raises(Exception):
-        trop_prevariety([f, h])
+    f = tropical_line()
+    h = X((1,)) - X((0,), 6)
+    with pytest.raises(DimensionError):
+        trop_prevariety([f, h], TRIV)
     with pytest.raises(ValueError):
-        trop_prevariety([])
+        trop_prevariety([], TRIV)
 
 
 def test_global_tropical_examples():

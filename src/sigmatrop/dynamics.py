@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .polyhedra import Polyhedron, PolyhedralSet
 from .rings import (ZZ, Character, DimensionError, Direction, LaurentPoly,
-                    SoundnessError, chi_value, poly_matrix_mul)
+                    SoundnessError, poly_matrix_mul)
 
 INF = math.inf
 
@@ -100,17 +101,17 @@ def gsh(phi: PushMap, chi: Character):
 
     Equivariance and the ultrametric rules make the infimum over the whole
     free module equal the minimum over basis images; a zero column shifts by
-    +inf.  The value is for chi as given (not unit-normalized).
+    +inf.  The value is for chi as given (not unit-normalized); the minimum is
+    taken over integers, chi scaled by the common denominator of its values.
     """
     if chi.rank != phi.rank:
         raise DimensionError("direction rank does not match the map")
-    best = INF
-    for j in range(phi.size):
-        for g in phi.column_support(j):
-            val = chi_value(chi, g)
-            if val < best:
-                best = val
-    return best
+    # chi(g) = (den chi)(g) / den, an integer dot product over one denominator
+    den = math.lcm(*(v.denominator for v in chi.values))
+    scaled = [v.numerator * (den // v.denominator) for v in chi.values]
+    best = min((sum(map(mul, scaled, g))
+                for row in phi.entries for f in row for g in f.terms), default=None)
+    return INF if best is None else Fraction(best, den)
 
 
 def sigma_of_push(phi: PushMap) -> PolyhedralSet:

@@ -3,10 +3,14 @@ group generated by t = diag(p, 1/p) and the unipotents over Z[1/p], the two
 rank-one modules on which t acts by p^2 and p^-2, and the membership and
 obstruction checks for the boundary points 0 and infinity.
 
-All geometry is kept in exact rationals via "log arguments": a Busemann
-value is stored as the rational whose natural log it is, and comparisons of
-sums of logs are comparisons of products of rationals.  Floats appear only
-for display.
+The geometry API (`GroupElement`, `busemann_arg`, `HoroballSpec`) keeps
+exact rationals via "log arguments": a Busemann value is stored as the
+rational whose natural log it is, and comparisons of sums of logs are
+comparisons of products of rationals.  The search loops of
+`verify_zero_obstruction_B` and `verify_push_B` run in plain integers: an
+element of Z[1/p] is the canonical pair (n, e) meaning n / p^e, a group
+element the triple (k, n, e), and each rational comparison is the same
+inequality cleared of its powers of p.  Floats appear only for display.
 """
 
 from __future__ import annotations
@@ -27,6 +31,36 @@ def _strip_power(den: int, p: int) -> int:
         den //= g
         g = math.gcd(den, p)
     return den
+
+
+def _canonical(p: int, n: int, e: int) -> tuple:
+    """The pair (n', e') with n' / p^e' = n / p^e and e' >= 0 least; p
+    divides no n' with e' > 0, so equal numbers get equal pairs."""
+    if e < 0:
+        return n * p ** -e, 0
+    while e and n % p == 0:
+        n //= p
+        e -= 1
+    return n, e
+
+
+def _triple_mul(p: int, g: tuple, h: tuple) -> tuple:
+    """The group law on triples (k, n, e), the matrix [[p^k, n/p^e], [0, p^-k]]:
+    (k1, b1)(k2, b2) = (k1 + k2, p^k1 b2 + p^-k2 b1)."""
+    (k1, n1, e1), (k2, n2, e2) = g, h
+    e_left, e_right = e2 - k1, e1 + k2  # p^k1 b2 = n2 / p^e_left, p^-k2 b1 = n1 / p^e_right
+    top = max(e_left, e_right)
+    return (k1 + k2, *_canonical(p, n2 * p ** (top - e_left) + n1 * p ** (top - e_right), top))
+
+
+def _in_ball_at_zero(p: int, k: int, n: int, e: int, q) -> bool:
+    """Whether g.i = (p^k b, p^(2k)) lies in the horoball at 0 of level q,
+    for g = [[p^k, b], [0, p^-k]] and b = n / p^e.  busemann_arg(0, g.i) is
+    1 / (b^2 + p^(2k)), so this is q (b^2 + p^(2k)) <= 1 times the
+    denominators q.denominator p^(2e + 2 max(0, -k))."""
+    s = max(0, -k)
+    return (q.numerator * (n * n * p ** (2 * s) + p ** (2 * (e + k + s)))
+            <= q.denominator * p ** (2 * (e + s)))
 
 
 @dataclass(frozen=True)
@@ -238,18 +272,22 @@ def verify_infinity_obstruction_A(p: int, q, coeff_bound: int,
     Symbolic part: for q > 1 any reduced element sum m_k t^k over the
     horoball has all k >= 1, so its image lies in p^2 Z and cannot be 1.
     Brute-force part: exhaustive search over bounded coefficients confirms
-    sum m_k p^(2k) = 1 has no solution.
+    sum m_k p^(2k) = 1 has no solution.  For q <= 1 the identity (k = 0,
+    Im i = 1 >= q) lies over the horoball and maps to 1: the witness
+    {0: 1}, the coefficient of each power of t, and the check fails.
     """
     if coeff_bound < 1 or k_max < 1:
         raise ValueError("need coeff_bound >= 1 and k_max >= 1: an empty search")
     q = Fraction(q)
-    applies = q > 1
-    symbolic_pass = False
-    if applies:
-        # Im(t^k . i) = p^(2k) >= q > 1 forces k >= 1; each summand m_k p^(2k)
-        # is then divisible by p^2, so the total is never 1
-        symbolic_pass = all((p ** (2 * k)) % (p * p) == 0
-                            for k in range(1, k_max + 1))
+    if q <= 1:
+        return InfinityObstructionReport(
+            p=p, q=q, symbolic_applies=False, symbolic_pass=False,
+            candidates_checked=1, witness={0: 1}, passed=False,
+            note="threshold q <= 1 admits k = 0: the identity lies over the "
+                 "horoball and maps to 1")
+    # Im(t^k . i) = p^(2k) >= q > 1 forces k >= 1; each summand m_k p^(2k)
+    # is then divisible by p^2, so the total is never 1
+    symbolic_pass = all((p ** (2 * k)) % (p * p) == 0 for k in range(1, k_max + 1))
     weights = [p ** (2 * k) for k in range(1, k_max + 1)]
     witness = None
     checked = 0
@@ -257,17 +295,14 @@ def verify_infinity_obstruction_A(p: int, q, coeff_bound: int,
     for coeffs in itertools.product(span, repeat=k_max):
         checked += 1
         if sum(m * w for m, w in zip(coeffs, weights)) == 1:
-            witness = coeffs
+            witness = {k: m for k, m in enumerate(coeffs, 1) if m}
             break
-    passed = (symbolic_pass if applies else True) and witness is None
     return InfinityObstructionReport(
-        p=p, q=q, symbolic_applies=applies, symbolic_pass=symbolic_pass,
-        candidates_checked=checked, witness=witness, passed=passed,
-        note=("divisibility convention: each admissible term m_k p^(2k) with "
-              "k >= 1 is divisible by p^2, so the total cannot be 1"
-              if applies else
-              "threshold q <= 1 admits k = 0, so the divisibility argument "
-              "is inconclusive here"))
+        p=p, q=q, symbolic_applies=True, symbolic_pass=symbolic_pass,
+        candidates_checked=checked, witness=witness,
+        passed=symbolic_pass and witness is None,
+        note="divisibility convention: each admissible term m_k p^(2k) with "
+             "k >= 1 is divisible by p^2, so the total cannot be 1")
 
 
 @dataclass
@@ -280,12 +315,26 @@ class PushBReport:
     passed: bool
 
 
+def _epsilon_B(p: int, terms: dict) -> tuple:
+    """Image in module B of sum c g over triples g = (k, n, e), t acting by
+    p^-2: the canonical pair of sum c p^(-2k)."""
+    top = max((k for k, _, _ in terms), default=0)
+    return _canonical(p, sum(c * p ** (2 * (top - k)) for (k, _, _), c in terms.items()),
+                      2 * top)
+
+
 def verify_push_B(p: int, trials: int = 20, seed: int = 0) -> PushBReport:
     """Right multiplication by p^2 t fixes the module-B image of every ring
     element and raises every control point's imaginary part by the factor
-    p^2, i.e. it shifts by exactly 2 ln p towards infinity."""
+    p^2, i.e. it shifts by exactly 2 ln p towards infinity.
+
+    Each random element g = [[p^k, m/p^j], [0, p^-k]] is the integer triple
+    of `_triple_mul`, and every number compared is a canonical pair.
+    """
+    if p < 2:
+        raise ValueError("the scale parameter must be at least 2")
     rng = random.Random(seed)
-    shift_el = t_gen(p)
+    shift_el = (1, 0, 0)  # t
     preserved = True
     ratio_ok = True
     for _ in range(trials):
@@ -294,21 +343,22 @@ def verify_push_B(p: int, trials: int = 20, seed: int = 0) -> PushBReport:
             k = rng.randint(-3, 3)
             j = rng.randint(0, 2)
             m = rng.randint(-4, 4)
-            g = GroupElement(p, k, Fraction(m, p ** j))
+            g = (k, *_canonical(p, m, j))
             c = rng.randint(-5, 5)
             if c:
                 terms[g] = terms.get(g, 0) + c
-        lam = GroupRingElement(p, terms)
-        pushed = lam.right_mul(p * p, shift_el)
-        if epsilon(pushed, "B", p) != epsilon(lam, "B", p):
+        lam = {g: c for g, c in terms.items() if c}
+        pushed = {_triple_mul(p, g, shift_el): c * p * p for g, c in lam.items()}
+        if _epsilon_B(p, pushed) != _epsilon_B(p, lam):
             preserved = False
-        for g in lam.support():
-            before = g.act(BASE_POINT)
-            after = (g * shift_el).act(BASE_POINT)
-            if after[1] / before[1] != Fraction(p) ** 2:
+        for g in lam:
+            # Im(g.i) = p^(2k) = 1 / p^(-2k); the push multiplies it by p^2
+            before = _canonical(p, 1, -2 * g[0])
+            after = _canonical(p, 1, -2 * _triple_mul(p, g, shift_el)[0])
+            if after != _canonical(p, before[0], before[1] - 2):
                 ratio_ok = False
-    ratio = Fraction(p) ** 2
-    return PushBReport(p=p, epsilon_preserved=preserved, shift_arg_ratio=ratio,
+    return PushBReport(p=p, epsilon_preserved=preserved,
+                       shift_arg_ratio=Fraction(p * p),
                        shift_value=2 * math.log(p),
                        shift_is_two_log_p=ratio_ok,
                        passed=preserved and ratio_ok)
@@ -338,26 +388,30 @@ def verify_zero_obstruction_B(p: int, q, coeff_bound: int, size_bound: int,
     The sums are exact in integers: every candidate has |k| <= k_max, so
     its image p^(-2k) (p^(2k) on module A) times the scale p^(2 k_max) is
     an integer, and a combination maps to 1 exactly when its scaled sum is
-    the scale.
+    the scale.  Candidates are integer keys, and ball membership is the
+    integer test of `_in_ball_at_zero`; only a witness is built as
+    `GroupElement`s.
     """
+    if p < 2:
+        raise ValueError("the scale parameter must be at least 2")
     if coeff_bound < 1 or size_bound < 1 or k_max < 0:
         raise ValueError("need coeff_bound, size_bound >= 1 and k_max >= 0")
     if module not in ("A", "B"):
         raise ValueError("module must be 'A' or 'B'")
     q = Fraction(q)
-    ball = HoroballSpec(xi=Fraction(0), level_arg=q)
-    candidates = []
+    # candidate (k, n) is [[p^k, n / p^k_max], [0, p^-k]]; n = m p^(k_max - j)
+    # for b = m / p^j, so equal b give equal keys
+    candidates = set()
     for k in range(-k_max, k_max + 1):
         for j in range(0, k_max + 1):
             for m in range(-b_num_bound, b_num_bound + 1):
-                b = Fraction(m, p ** j)
-                g = GroupElement(p, k, b)
-                if ball.contains(g.act(BASE_POINT)):
-                    candidates.append(g)
-    candidates = sorted(set(candidates), key=lambda g: (g.k, g.b))
+                key = (k, m * p ** (k_max - j))
+                if key not in candidates and _in_ball_at_zero(p, *key, k_max, q):
+                    candidates.add(key)
+    candidates = sorted(candidates)
     sign = 2 if module == "A" else -2
     scale = p ** (2 * k_max)
-    scaled = {g: p ** (2 * k_max + sign * g.k) for g in candidates}
+    scaled = {g: p ** (2 * k_max + sign * g[0]) for g in candidates}
     checked = 0
     witness = None
     nonzero = [c for c in range(-coeff_bound, coeff_bound + 1) if c]
@@ -367,7 +421,8 @@ def verify_zero_obstruction_B(p: int, q, coeff_bound: int, size_bound: int,
             for coeffs in itertools.product(nonzero, repeat=size):
                 checked += 1
                 if sum(map(operator.mul, coeffs, weights)) == scale:
-                    witness = {g: c for g, c in zip(subset, coeffs)}
+                    witness = {GroupElement(p, k, Fraction(n, p ** k_max)): c
+                               for (k, n), c in zip(subset, coeffs)}
                     break
             if witness:
                 break

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 INF = math.inf
 
@@ -115,7 +116,7 @@ def _term_mul(a, b, p):
     out = {}
     for ga, ca in a.items():
         for gb, cb in b.items():
-            g = tuple(x + y for x, y in zip(ga, gb))
+            g = tuple(map(add, ga, gb))
             s = out.get(g, 0) + ca * cb
             if p is not None:
                 s %= p

@@ -848,3 +848,12 @@ def test_rank_seven_sigma_job_stops_at_the_ray_rank_guard(tmp_path, capsys):
     assert code == 1
     assert error["type"] == "ValueError" and "rank <= 6" in error["message"]
     assert elapsed < 10.0, f"{elapsed:.2f}s"
+
+
+def test_h2_infinity_obstruction_at_q_at_most_one():
+    # Im i = 1 >= 1/3: the identity lies over the horoball and maps to 1 in A
+    res = run({"version": 1, "command": "h2", "payload": {
+        "p": 3, "infinity_obstruction": {"q": "1/3", "coeff_bound": 2, "k_max": 2}}})
+    inf = res["result"]["infinity_obstruction"]
+    assert not inf["passed"] and inf["witness"] == [[0, 1]]
+    assert inf["candidates_checked"] == 1 and not inf["symbolic_applies"]

@@ -7,7 +7,7 @@ import pytest
 from sigmatrop.dynamics import (INF, PushMap, check_angle_bound,
                                 compose_gsh_check, gsh, lambda_of_push_estimate,
                                 norm, sigma_of_push)
-from sigmatrop.rings import ZZ, Character, Direction, LaurentPoly
+from sigmatrop.rings import ZZ, Character, Direction, LaurentPoly, chi_value
 
 X = LaurentPoly.monomial
 
@@ -46,6 +46,33 @@ def test_gsh_examples():
     assert gsh(mult_by({(1,): 1, (3,): 1}), Character.of(1)) == 1
     assert gsh(mult_by({(0,): 1, (-2,): -36}), Character.of(-1)) == 0
     assert gsh(PushMap.multiplication_by(LaurentPoly.zero(1)), Character.of(1)) == INF
+
+
+def reference_gsh(phi, chi):
+    """The guaranteed shift as the Fraction minimum of chi_value over the
+    column supports, as gsh computed it before its dot products became
+    integers."""
+    values = [chi_value(chi, g) for j in range(phi.size) for g in phi.column_support(j)]
+    return min(values) if values else INF
+
+
+def test_gsh_matches_the_fraction_minimum():
+    rng = random.Random(61)
+    kinds = set()
+    for _ in range(200):
+        rank, size = rng.randint(1, 3), rng.randint(1, 3)
+        phi = rand_push(rng, rank, size)
+        if rng.random() < 0.25:  # zero columns, sometimes all of them
+            zero = LaurentPoly.zero(rank)
+            cols = {j for j in range(size) if rng.random() < 0.6}
+            phi = PushMap.of([[zero if j in cols else e for j, e in enumerate(row)]
+                              for row in phi.entries])
+        chi = Character.of(*(Fraction(rng.randint(-6, 6), rng.randint(1, 12))
+                             for _ in range(rank)))
+        got, want = gsh(phi, chi), reference_gsh(phi, chi)
+        assert got == want and type(got) is type(want), (phi, chi)
+        kinds.add("inf" if want == INF else "int" if want.denominator == 1 else "frac")
+    assert kinds == {"inf", "int", "frac"}
 
 
 def test_sigma_of_push_examples():

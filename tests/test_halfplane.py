@@ -5,10 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from sigmatrop import halfplane
 from sigmatrop.halfplane import (BASE_POINT, GroupElement, GroupRingElement,
-                                 HoroballSpec, busemann_arg, epsilon, t_gen,
+                                 HoroballSpec, _in_ball_at_zero,
+                                 _triple_mul, busemann_arg, epsilon, t_gen,
                                  verify_infinity_obstruction_A, verify_push_B,
                                  verify_support_at_zero_A, verify_zero_obstruction_B)
+from sigmatrop.rings import Direction
+from sigmatrop.sigma import ScalarAction, sigma_of_module
 
 
 def a_gen(p):
@@ -227,3 +231,126 @@ def test_zero_obstruction_matches_the_fraction_enumeration(p):
                                                             size_bound, k_max)
                 outcomes.add((module, want[3] is None))
     assert outcomes == {("A", True), ("A", False), ("B", True), ("B", False)}
+
+
+def test_infinity_obstruction_fails_at_q_at_most_one():
+    # Im i = 1 >= q: the identity lies over the horoball and maps to 1 in A
+    for p, q in ((3, "1/3"), (2, 1), (5, 0), (6, -2), (2, Fraction(1, 2))):
+        rep = verify_infinity_obstruction_A(p, q, coeff_bound=2, k_max=2)
+        assert not rep.passed and not rep.symbolic_applies
+        assert rep.witness == {0: 1} and rep.candidates_checked == 1
+        assert epsilon(GroupRingElement(p, {GroupElement.of(p, 0): 1}), "A", p) == 1
+        assert HoroballSpec(None, Fraction(q)).contains(BASE_POINT)
+    assert verify_infinity_obstruction_A(3, Fraction(10, 9), 2, 2).passed
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 6])
+def test_h2_verdicts_are_sigma_classes_of_the_scalar_modules(p):
+    """Module A of the half-plane lab is the scalar module rho = p^2 and
+    module B is rho = p^-2; the boundary points 0 and infinity are the
+    directions -1 and +1.  A point is in the horospherical limit set exactly
+    when its direction is in sigma, and the divisibility by p^2 that
+    obstructs a point is the p-adic witness of the complement direction."""
+    inversion = verify_zero_obstruction_B(p, 4, coeff_bound=p * p, size_bound=1,
+                                          k_max=1, module="A")
+    infinity_a = verify_infinity_obstruction_A(p, 2, coeff_bound=2, k_max=2)
+    in_limit_set = {
+        ("A", 0): verify_support_at_zero_A(p, 0, 3).passed and inversion.passed,
+        ("A", None): not infinity_a.passed,
+        ("B", 0): not verify_zero_obstruction_B(p, 4, coeff_bound=3, size_bound=2).passed,
+        ("B", None): verify_push_B(p).passed,
+    }
+    assert in_limit_set == {("A", 0): True, ("A", None): False,
+                            ("B", 0): False, ("B", None): True}
+    modules = {"A": sigma_of_module(ScalarAction.of(p * p)),
+               "B": sigma_of_module(ScalarAction.of(Fraction(1, p * p)))}
+    direction = {0: Direction.of(-1), None: Direction.of(1)}
+    for (module, xi), inside in in_limit_set.items():
+        assert modules[module].classify(direction[xi]) == (
+            "sigma" if inside else "complement"), (module, xi)
+    assert infinity_a.symbolic_pass
+    for module, obstructed in (("A", direction[None]), ("B", direction[0])):
+        witnesses = modules[module].witnesses
+        assert witnesses and all(w.kind == "p-adic" and p % w.prime == 0
+                                 and w.direction == obstructed for w in witnesses)
+
+
+def test_ball_membership_matches_the_fraction_geometry():
+    outcomes = set()
+    for p in (2, 3, 4, 6):
+        for k in range(-3, 4):
+            for j in range(0, 4):
+                for m in range(-6, 7):
+                    g = GroupElement(p, k, Fraction(m, p ** j))
+                    point = g.act(BASE_POINT)
+                    # the level of g.i itself lies on the boundary, where a
+                    # rounded power of p would decide wrongly
+                    level = busemann_arg(Fraction(0), point)
+                    for q in (-1, 0, Fraction(1, 9), Fraction(1, 3), 1, 2, 4,
+                              Fraction(25, 4), 9, 100, level,
+                              level * Fraction(10 ** 9 + 1, 10 ** 9)):
+                        ball = HoroballSpec(xi=Fraction(0), level_arg=Fraction(q))
+                        inside = _in_ball_at_zero(p, k, m, j, Fraction(q))
+                        assert inside == ball.contains(point), (p, q, k, j, m)
+                        outcomes.add(inside)
+    assert outcomes == {True, False}
+
+
+def reference_push_B(p, trials=20, seed=0):
+    """verify_push_B before its numbers became integer pairs: GroupElements,
+    epsilon and the Moebius action in Fractions on the same draws."""
+    rng = random.Random(seed)
+    shift_el = t_gen(p)
+    preserved = ratio_ok = True
+    for _ in range(trials):
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            k = rng.randint(-3, 3)
+            j = rng.randint(0, 2)
+            m = rng.randint(-4, 4)
+            g = GroupElement(p, k, Fraction(m, p ** j))
+            c = rng.randint(-5, 5)
+            if c:
+                terms[g] = terms.get(g, 0) + c
+        lam = GroupRingElement(p, terms)
+        pushed = lam.right_mul(p * p, shift_el)
+        preserved = preserved and epsilon(pushed, "B", p) == epsilon(lam, "B", p)
+        for g in lam.support():
+            ratio = (g * shift_el).act(BASE_POINT)[1] / g.act(BASE_POINT)[1]
+            ratio_ok = ratio_ok and ratio == p * p
+    return preserved, ratio_ok
+
+
+def as_triple(g):
+    """g as the integer triple (k, n, e) with b = n / p^e and e least."""
+    e = 0
+    while (g.b * g.p ** e).denominator != 1:
+        e += 1
+    return g.k, int(g.b * g.p ** e), e
+
+
+def test_push_matches_the_fraction_check():
+    rng = random.Random(23)
+    for p in (2, 3, 4, 5, 6, 10):
+        for _ in range(200):
+            g, h = rand_element(rng, p), rand_element(rng, p)
+            assert _triple_mul(p, as_triple(g), as_triple(h)) == as_triple(g * h)
+        for seed in range(5):
+            rep = verify_push_B(p, seed=seed)
+            want = reference_push_B(p, seed=seed)
+            assert (rep.epsilon_preserved, rep.shift_is_two_log_p) == want == (True, True)
+            assert rep.passed and rep.shift_arg_ratio == p * p
+
+
+def test_push_fails_under_a_wrong_group_law(monkeypatch):
+    good = halfplane._triple_mul
+
+    def t_acts_as_its_inverse(p, g, h):
+        k, n, e = good(p, g, h)
+        return k - 2 * h[0], n, e
+
+    monkeypatch.setattr(halfplane, "_triple_mul", t_acts_as_its_inverse)
+    for p in (2, 3, 6):
+        rep = verify_push_B(p)
+        assert not rep.epsilon_preserved and not rep.shift_is_two_log_p
+        assert not rep.passed

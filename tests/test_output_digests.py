@@ -123,6 +123,8 @@ JOBS = {
         "matrix": [[poly([((1, 0), 1), ((0, 1), 1)]), poly([((0, 0), 2)])],
                    [poly([((0, 0), -1)]), poly([((1, 1), 1), ((0, -1), 3)])]],
         "chi": ["1", "-1/2"], "iters": 5, "powers": 3}),
+    # q = 1/3 <= 1 admits the identity over the horoball at infinity: the
+    # infinity obstruction fails with the witness [[0, 1]]
     "h2-p3": ("h2", {
         "p": 3,
         "support_at_zero": {"k": 1, "j_max": 4},
@@ -167,7 +169,7 @@ DIGESTS = {
     "amoeba-laurent-span2": (
         "66b7435f5e3f13ce1c08ddf1ba53ed8dcc0e360f253f320989db8f936a521295"),
     "dyn-rank2": "1c41be3152b844a98a5af061f0d4aee13e240eda5e15841bcace56814a5bd78e",
-    "h2-p3": "45b697a7626cf18fa2fb929379e750f4cbd8a07320c762d3e8f86a44d38dcd8a",
+    "h2-p3": "1cd65881d13a1f48eafdeb9ba247e1e9e71cf798bac6fc842264c33391890ca2",
 }
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .dynamics import (INF, PushMap, check_angle_bound, compose_gsh_check, gsh,
+from .dynamics import (INF, PushMap, check_angle_bound, compose_gsh_check,
                        lambda_of_push_estimate, norm, sigma_of_push)
 from .halfplane import (verify_infinity_obstruction_A, verify_push_B,
                         verify_support_at_zero_A, verify_zero_obstruction_B)
@@ -231,7 +231,7 @@ def fan_json(fan: PolyhedralSet) -> dict:
 def spherical_json(s: SphericalSet) -> dict:
     out = {"rank": s.rank, "pieces": [piece_json(p) for p in s.pieces],
            "empty": bool(s.is_empty)}
-    fd = s.finite_directions() if s.rank <= RAY_RANK_LIMIT else None
+    fd = s.finite_directions if s.rank <= RAY_RANK_LIMIT else None
     if fd is not None:
         out["directions"] = [list(d.vector) for d in fd]
     return out
@@ -375,16 +375,16 @@ def _run_dyn(phi, vec, chi, iters, powers):
         "steps": orbit.steps,
     }
     if chi is not None:
-        g = gsh(phi, chi)
-        result["gsh"] = "inf" if g == INF else frac_str(g)
         comp = compose_gsh_check(phi, phi, chi, powers)
+        g = comp.gsh_first
+        result["gsh"] = "inf" if g == INF else frac_str(g)
         result["compose_check"] = {
             "additive_ok": comp.additive_ok,
             "power_ok": comp.power_ok,
             "passed": comp.passed,
         }
         if g != INF and g > 0 and orbit.directions:
-            rep = check_angle_bound(phi, chi, orbit.directions)
+            rep = check_angle_bound(chi, g, nrm.squared, orbit.directions)
             result["angle_bound"] = {
                 "bound_degrees": rep.bound_degrees,
                 "passed": rep.passed,

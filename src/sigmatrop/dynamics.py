@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import NamedTuple
 
@@ -49,31 +50,16 @@ class PushMap:
     def size(self) -> int:
         return len(self.entries)
 
-    def column_support(self, j: int) -> set:
-        out = set()
-        for i in range(self.size):
-            out.update(self.entries[i][j].terms)
-        return out
-
-    def total_support(self) -> set:
-        out = set()
-        for j in range(self.size):
-            out |= self.column_support(j)
-        return out
+    @cached_property
+    def support(self) -> tuple:
+        """The sorted support monomials of all entries, formed once."""
+        return tuple(sorted({g for row in self.entries for f in row for g in f.terms}))
 
     def compose(self, other: "PushMap") -> "PushMap":
         if self.size != other.size or self.rank != other.rank:
             raise DimensionError("size mismatch in composition")
         return PushMap(self.rank, tuple(
             tuple(row) for row in poly_matrix_mul(self.entries, other.entries)))
-
-    def power(self, k: int) -> "PushMap":
-        out = PushMap.of([[LaurentPoly.one(self.rank) if i == j
-                           else LaurentPoly.zero(self.rank)
-                           for j in range(self.size)] for i in range(self.size)])
-        for _ in range(k):
-            out = self.compose(out)
-        return out
 
     def apply(self, vec):
         """Image of a column vector of ring elements."""
@@ -90,9 +76,7 @@ class Norm(NamedTuple):
 def norm(phi: PushMap) -> Norm:
     """Largest displacement of a basis point: max Euclidean length over the
     support monomials (exact square plus a float companion)."""
-    best = 0
-    for g in phi.total_support():
-        best = max(best, sum(e * e for e in g))
+    best = max((sum(e * e for e in g) for g in phi.support), default=0)
     return Norm(Fraction(best), math.sqrt(best))
 
 
@@ -116,8 +100,7 @@ def gsh(phi: PushMap, chi: Character):
 
 def sigma_of_push(phi: PushMap) -> PolyhedralSet:
     """The open cone of directions with positive guaranteed shift."""
-    support = sorted(phi.total_support())
-    piece = Polyhedron.cone(phi.rank, gt=support)
+    piece = Polyhedron.cone(phi.rank, gt=phi.support)
     return PolyhedralSet(phi.rank, [] if piece.is_empty else [piece])
 
 
@@ -131,7 +114,7 @@ class PushOrbitReport:
 def lambda_of_push_estimate(phi: PushMap, start, iters: int) -> PushOrbitReport:
     """Far-direction estimate: iterate phi on the start vector exactly and
     cluster the nonzero support monomials of the last three iterates into
-    primitive directions."""
+    primitive directions, each distinct monomial once."""
     vec = tuple(start)
     history = []
     died_out = False
@@ -146,11 +129,8 @@ def lambda_of_push_estimate(phi: PushMap, start, iters: int) -> PushOrbitReport:
             died_out = True
             break
         history.append(supp)
-    dirs = set()
-    for supp in history[-3:]:
-        for g in supp:
-            if any(g):
-                dirs.add(Direction.from_vector(g).vector)
+    dirs = {Direction.from_vector(g).vector
+            for g in set().union(*history[-3:]) if any(g)}
     return PushOrbitReport(directions=[Direction(v) for v in sorted(dirs)],
                            died_out=died_out, steps=steps)
 
@@ -174,14 +154,14 @@ class AngleBoundReport:
 ANGLE_SLACK = 1e-6
 
 
-def check_angle_bound(phi: PushMap, chi: Character, dirs) -> AngleBoundReport:
+def check_angle_bound(chi: Character, g, nsq: Fraction, dirs) -> AngleBoundReport:
     """Verify every estimated far direction lies within the shift/norm angle
-    bound of chi: angle(chi, e) <= arccos(gsh_unit / norm) (+1e-6 slack for
-    float comparisons; the primary test is exact on squared cosines)."""
-    g = gsh(phi, chi)
+    bound of chi: angle(chi, e) <= arccos(gsh_unit / norm), for a map's
+    shift g = gsh(phi, chi) and squared norm nsq.  A direction passes by the
+    exact test on squared cosines alone; its float angle within 1e-6 of the
+    bound is reported as within_slack and decides nothing."""
     if g == INF or g <= 0:
         raise ValueError("the angle bound needs a strictly positive shift")
-    nsq = norm(phi).squared
     if nsq <= 0:
         raise SoundnessError("a positive shift forces a positive norm")
     chin = sum(v * v for v in chi.values)
@@ -190,7 +170,6 @@ def check_angle_bound(phi: PushMap, chi: Character, dirs) -> AngleBoundReport:
     # exact test is a*|phi| >= g*|e| with a = chi*e, squared once signs allow
     bound = math.acos(min(1.0, math.sqrt(float((g * g) / (chin * nsq)))))
     checks = []
-    ok_all = True
     for d in dirs:
         vec = d.vector if isinstance(d, Direction) else tuple(d)
         a = sum(Fraction(v) * e for v, e in zip(chi.values, vec))
@@ -201,10 +180,9 @@ def check_angle_bound(phi: PushMap, chi: Character, dirs) -> AngleBoundReport:
         checks.append(AngleCheck(direction=Direction(tuple(vec)),
                                  cos_ok_exact=bool(exact),
                                  within_slack=bool(within)))
-        ok_all = ok_all and (exact or within)
     return AngleBoundReport(gsh_value=g, norm_squared=nsq,
                             bound_degrees=math.degrees(bound), checks=checks,
-                            passed=ok_all)
+                            passed=all(c.cos_ok_exact for c in checks))
 
 
 @dataclass
@@ -219,9 +197,14 @@ class ComposeShiftReport:
 
 def compose_gsh_check(phi: PushMap, psi: PushMap, chi: Character,
                       max_power: int = 5) -> ComposeShiftReport:
-    """Exact superadditivity of the shift under composition and powers."""
+    """Exact superadditivity of the shift under composition and powers:
+    gsh(phi psi) >= gsh(phi) + gsh(psi), and gsh(phi^k) >= k gsh(phi) for
+    k = 2, ..., max_power unless gsh(phi) is +inf.  Each power is built once,
+    as phi times the one before, up to the first that fails.  When psi is
+    phi, gsh(psi) is gsh(phi) and phi psi is phi^2, so max_power powers take
+    max(1, max_power - 1) products and one shift per distinct map."""
     g_phi = gsh(phi, chi)
-    g_psi = gsh(psi, chi)
+    g_psi = g_phi if psi is phi else gsh(psi, chi)
     composed = phi.compose(psi)
     g_comp = gsh(composed, chi)
     additive_ok = g_comp >= g_phi + g_psi
@@ -229,8 +212,8 @@ def compose_gsh_check(phi: PushMap, psi: PushMap, chi: Character,
     if g_phi != INF:
         acc = phi
         for k in range(2, max_power + 1):
-            acc = phi.compose(acc)
-            if gsh(acc, chi) < k * g_phi:
+            acc = composed if k == 2 and psi is phi else phi.compose(acc)
+            if (g_comp if acc is composed else gsh(acc, chi)) < k * g_phi:
                 power_ok = False
                 break
     return ComposeShiftReport(gsh_first=g_phi, gsh_second=g_psi,

@@ -9,6 +9,7 @@ disjoint pieces.  A SphericalSet is a PolyhedralSet of homogeneous pieces
 read as a set of ray classes: its constructor keeps only the pieces with a
 direction (a nonzero point), so a piece that is only the origin, or empty,
 never enters one, and the set algebra it inherits returns SphericalSets.
+A SphericalSet keeps its finite direction list once it is read.
 
 Feasibility, emptiness, dimension, containment, and point extraction are
 decided exactly by Fourier-Motzkin elimination with strictness tracking,
@@ -27,6 +28,7 @@ line of dim W - 1 weak normals reduced to W, mapped back to Z^n.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from operator import mul
 
@@ -623,8 +625,10 @@ class SphericalSet(PolyhedralSet):
         """Sorted extreme rays of the closures of all pieces."""
         return _ray_union(self.pieces)
 
+    @cached_property
     def finite_directions(self):
-        """The direction list when every piece is at most a ray, else None."""
+        """The sorted tuple of directions when every piece is at most a ray,
+        else None; computed once."""
         dirs = set()
         for p in self.pieces:
             if p.dim() > 1:
@@ -633,7 +637,7 @@ class SphericalSet(PolyhedralSet):
                 d = Direction(r)
                 if self.contains(d):
                     dirs.add(d)
-        return sorted(dirs, key=lambda d: d.vector)
+        return tuple(sorted(dirs, key=lambda d: d.vector))
 
     def __repr__(self):
         return f"SphericalSet(rank={self.rank}, pieces={len(self.pieces)})"

@@ -425,6 +425,25 @@ class SigmaResult:
     def proved_sigma(self) -> SphericalSet:
         return SphericalSet(self.rank, [piece for piece, _, _ in self.certified])
 
+    @cached_property
+    def finitely_presented(self):
+        """metabelian_fp's answer, by at most two antipodal scans."""
+        lower = not has_antipodal_pair(self.proved_complement.union(self.undecided))
+        if self.undecided.is_empty:
+            return lower
+        upper = not has_antipodal_pair(self.proved_complement)
+        return lower if lower == upper else None
+
+    @cached_property
+    def complement_in_hemisphere(self):
+        """Whether the proved complement is finitely many directions in one
+        open hemisphere (true when it is empty), by one hemisphere test;
+        None when a proved piece is more than a ray."""
+        dirs = self.proved_complement.finite_directions
+        if dirs is None:
+            return None
+        return not dirs or in_open_hemisphere(dirs).in_hemisphere
+
     def certificate_for(self, direction: Direction):
         for piece, _, lam in self.certified:
             if piece.contains(direction.vector):
@@ -702,7 +721,7 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
             certified, failed = _monomial_certificates(f), []
         witnesses = tuple(ComplementWitness(direction=d, kind="tropical",
                                             vector=tuple(d.vector))
-                          for d in complement.finite_directions() or ())
+                          for d in complement.finite_directions or ())
         return SigmaResult(
             rank=rank,
             proved_complement=complement,
@@ -835,60 +854,48 @@ def sigma_of_module(mod: ModulePresentation, box_limit: int = COVER_BOX_LIMIT,
 # Metabelian finiteness predicates.
 
 
-def _resolve(mod_or_result, **kw) -> SigmaResult:
-    if isinstance(mod_or_result, SigmaResult):
-        return mod_or_result
-    return sigma_of_module(mod_or_result, **kw)
-
-
-def metabelian_fp(mod_or_result, **kw):
+def metabelian_fp(r: SigmaResult):
     """Finite presentability of the metabelian extension: the invariant and
     its antipodal set must cover the sphere: no direction outside it has its
     antipode outside too.  None when undecided regions could change the
     answer.  Relies on proved_sigma, proved_complement and undecided
     partitioning the sphere, as every SigmaResult built here does, so the
     outside is read off the partition and no set complement is taken."""
-    r = _resolve(mod_or_result, **kw)
-    lower = not has_antipodal_pair(r.proved_complement.union(r.undecided))
-    if r.undecided.is_empty:
-        return lower
-    upper = not has_antipodal_pair(r.proved_complement)
-    return lower if lower == upper else None
+    return r.finitely_presented
 
 
-def metabelian_fp_infinity(mod_or_result, **kw):
+def metabelian_fp_infinity(r: SigmaResult):
     """FP-infinity: the complement must be finite and inside an open hemisphere."""
-    r = _resolve(mod_or_result, **kw)
-    dirs = r.proved_complement.finite_directions()
-    if dirs is None:
-        return False  # a positive-dimensional proved piece is already infinite
-    if dirs:
-        hemi = in_open_hemisphere(dirs)
-        if not hemi.in_hemisphere:
-            return False
+    if not r.complement_in_hemisphere:
+        return False  # infinite (a proved piece wider than a ray) or in no hemisphere
     return True if r.undecided.is_empty else None
 
 
-def fpm_test(mod_or_result, m: int, **kw):
+def fpm_test(r: SigmaResult, m: int):
     """Conjectural FP_m criterion: every m-point subset of the complement
-    lies in an open hemisphere (theorem-backed for m in {1, 2}).  Two
-    directions share an open hemisphere unless they are antipodal, so m = 2
-    is metabelian_fp's predicate and is answered by it."""
-    r = _resolve(mod_or_result, **kw)
+    lies in an open hemisphere (theorem-backed for m in {1, 2}).  m = 2 is
+    metabelian_fp's answer: two directions share an open hemisphere unless
+    they are antipodal.  Else None while a piece is undecided or a proved
+    piece is more than a ray; true for m = 1; and for m > rank, or m at least
+    the complement's size, the hemisphere test of the whole complement (by
+    Caratheodory, when finitely many directions share no open hemisphere,
+    some rank + 1 of them already share none).  Only for 3 <= m <= rank are
+    the m-subsets tried, of at most 12 directions."""
     if m == 2:
-        return metabelian_fp(r)
+        return r.finitely_presented
     if not r.undecided.is_empty:
         return None
-    dirs = r.proved_complement.finite_directions()
+    dirs = r.proved_complement.finite_directions
     if dirs is None:
         return None
+    if m == 1:
+        return True
+    if m > r.rank or len(dirs) <= m:
+        return r.complement_in_hemisphere
     if len(dirs) > 12:
         raise ValueError("combinatorial guard: complement size <= 12")
-    if not dirs:
-        return True
-    size = min(m, len(dirs))
     return all(in_open_hemisphere(sub).in_hemisphere
-               for sub in itertools.combinations(dirs, size))
+               for sub in itertools.combinations(dirs, m))
 
 
 def fpm_basis(m: int) -> str:

@@ -80,7 +80,7 @@ def test_criterion_2_scalar_action_6():
     m6 = ScalarAction.of(6)
     result = sigma_of_module(m6)
     assert result.undecided.is_empty
-    comp = result.proved_complement.finite_directions()
+    comp = result.proved_complement.finite_directions
     assert [d.vector for d in comp] == [(1,)]
     assert result.proved_sigma.contains(Direction.of(-1))
     assert not result.proved_sigma.contains(Direction.of(1))
@@ -206,11 +206,12 @@ def test_criterion_6_dynamics():
         if orbit.died_out or not orbit.directions:
             continue
         angle_cases += 1
-        rep = check_angle_bound(phi, chi, orbit.directions)
+        rep = check_angle_bound(chi, gsh(phi, chi), norm(phi).squared,
+                                orbit.directions)
         assert rep.passed, (terms, chi.values,
-                            [c for c in rep.checks if not (c.cos_ok_exact
-                                                           or c.within_slack)])
-    neg = check_angle_bound(PushMap.of([[X((1,))]]), Character.of(1),
+                            [c for c in rep.checks if not c.cos_ok_exact])
+    # multiplication by x: shift 1 and norm 1 towards chi = 1
+    neg = check_angle_bound(Character.of(1), Fraction(1), Fraction(1),
                             [Direction.of(-1)])
     assert not neg.passed
     report(6, True, "200 membership/shift agreements, 30 composition checks, "

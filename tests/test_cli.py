@@ -857,3 +857,23 @@ def test_h2_infinity_obstruction_at_q_at_most_one():
     inf = res["result"]["infinity_obstruction"]
     assert not inf["passed"] and inf["witness"] == [[0, 1]]
     assert inf["candidates_checked"] == 1 and not inf["symbolic_applies"]
+
+
+def test_fpm_of_sixteen_complement_directions_answers(tmp_path, capsys):
+    # coefficient 1 on the 16 lattice points of x^2 + y^2 = 65: the
+    # complement is the 16 normal rays of a 16-gon, more than the 12 the
+    # subset loop takes.  m = 1 and m = 3 > rank need no subsets; they
+    # exited 1 with "combinatorial guard: complement size <= 12".
+    points = sorted({(s * a, t * b) for a, b in ((1, 8), (8, 1), (4, 7), (7, 4))
+                     for s in (1, -1) for t in (1, -1)})
+    module = _cyclic(2, "Q", [(g, 1) for g in points])
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps({"version": 1, "command": "group", "payload": {
+        "module": module, "fpm": [1, 2, 3, 4]}}))
+    out_file = tmp_path / "out.json"
+    assert main(["--job", str(job_file), "--out", str(out_file)]) == 0
+    result = json.loads(out_file.read_text())["result"]
+    assert len(result["sigma"]["proved_complement"]["directions"]) == 16
+    assert {m: v["value"] for m, v in result["fpm"].items()} == {
+        "1": True, "2": False, "3": False, "4": False}
+    assert result["finitely_presented"] is False

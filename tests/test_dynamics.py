@@ -50,9 +50,9 @@ def test_gsh_examples():
 
 def reference_gsh(phi, chi):
     """The guaranteed shift as the Fraction minimum of chi_value over the
-    column supports, as gsh computed it before its dot products became
+    support monomials, as gsh computed it before its dot products became
     integers."""
-    values = [chi_value(chi, g) for j in range(phi.size) for g in phi.column_support(j)]
+    values = [chi_value(chi, g) for g in phi.support]
     return min(values) if values else INF
 
 
@@ -104,7 +104,7 @@ def test_sigma_of_push_matches_gsh_sign():
 
 
 def _total_empty(phi):
-    return not phi.total_support()
+    return not phi.support
 
 
 def test_sigma_of_push_is_open():
@@ -131,23 +131,38 @@ def test_lambda_estimate_examples():
     assert rep3.died_out and rep3.steps == 1 and rep3.directions == []
 
 
+def angle_bound(phi, chi, dirs):
+    return check_angle_bound(chi, gsh(phi, chi), norm(phi).squared, dirs)
+
+
 def test_angle_bound_examples():
     phi = mult_by({(1,): 1})
     rep = lambda_of_push_estimate(phi, [LaurentPoly.one(1)], 5)
-    out = check_angle_bound(phi, Character.of(1), rep.directions)
+    out = angle_bound(phi, Character.of(1), rep.directions)
     assert out.passed and out.bound_degrees == 0.0
 
     phi2 = mult_by({(1, 0): 1, (0, 1): 1}, rank=2)
     rep2 = lambda_of_push_estimate(phi2, [LaurentPoly.one(2)], 8)
-    out2 = check_angle_bound(phi2, Character.of(1, 1), rep2.directions)
+    out2 = angle_bound(phi2, Character.of(1, 1), rep2.directions)
     assert out2.passed
     assert all(c.cos_ok_exact for c in out2.checks)
 
-    fake = check_angle_bound(phi, Character.of(1), [Direction.of(-1)])
+    fake = angle_bound(phi, Character.of(1), [Direction.of(-1)])
     assert not fake.passed
 
     with pytest.raises(ValueError):
-        check_angle_bound(mult_by({(-1,): 1}), Character.of(1), [])
+        angle_bound(mult_by({(-1,): 1}), Character.of(1), [])
+
+
+def test_angle_bound_passes_on_the_exact_test_alone():
+    # x + xy towards chi = (1, 0): shift 1, norm sqrt 2, a 45 degree bound;
+    # (10^6, 10^6 + 1) lies just outside it, within the float slack
+    phi = mult_by({(1, 0): 1, (1, 1): 1}, rank=2)
+    out = angle_bound(phi, Character.of(1, 0), [(10 ** 6, 10 ** 6 + 1)])
+    (check,) = out.checks
+    assert check.within_slack and not check.cos_ok_exact
+    assert not out.passed
+    assert angle_bound(phi, Character.of(1, 0), [(1, 1), (2, 1)]).passed
 
 
 def test_compose_examples():

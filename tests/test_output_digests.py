@@ -25,8 +25,8 @@ def sigma(module):
     return "sigma", {"module": module}
 
 
-def group(module):
-    return "group", {"module": module, "fpm": [2]}
+def group(module, fpm=(2,)):
+    return "group", {"module": module, "fpm": list(fpm)}
 
 
 def trop(rank, valuation, *generators, domain="Z"):
@@ -47,6 +47,9 @@ JOBS = {
     "group-scalar-r2": group({"mode": "scalar", "rhos": ["4/9", "5"]}),
     "sigma-scalar-r3": sigma({"mode": "scalar", "rhos": ["2", "3", "5"]}),
     "group-scalar-r3": group({"mode": "scalar", "rhos": ["2", "3/7", "7"]}),
+    # m = 1, m = 3 = rank (the complement has 3 directions) and m = 4 > rank
+    "group-scalar-r3-fpm": group({"mode": "scalar", "rhos": ["2", "3/7", "7"]},
+                                 fpm=(1, 2, 3, 4)),
     "sigma-matrix-nondiag": sigma({
         "mode": "matrix", "mats": [[["2", "1"], ["0", "2"]], [["3", "0"], ["0", "3"]]],
         "generators": [["1", "0"], ["0", "1"]]}),
@@ -80,6 +83,10 @@ JOBS = {
     # content 1, yet one piece exhausts the multiple search and stays undecided
     "group-cyclic-z-r1-undecided": group(cyclic(1, "Z", [((-1,), 1), ((0,), 2),
                                                          ((1,), -2), ((2,), 1)])),
+    # every fpm answer but m = 2 is undecided while a piece is
+    "group-cyclic-z-r1-undecided-fpm": group(
+        cyclic(1, "Z", [((-1,), 1), ((0,), 2), ((1,), -2), ((2,), 1)]),
+        fpm=(1, 2, 3, 4)),
     "trop-padic-r3": trop(3, {"kind": "p-adic", "p": 2},
                           [((0, 0, 0), 4), ((1, 0, 0), -3), ((0, 1, 0), 6),
                            ((0, 0, 1), "1/2"), ((1, 1, 1), 1)], domain="Q"),
@@ -123,6 +130,10 @@ JOBS = {
         "matrix": [[poly([((1, 0), 1), ((0, 1), 1)]), poly([((0, 0), 2)])],
                    [poly([((0, 0), -1)]), poly([((1, 1), 1), ((0, -1), 3)])]],
         "chi": ["1", "-1/2"], "iters": 5, "powers": 3}),
+    # a positive shift, so the orbit's directions meet the angle bound
+    "dyn-positive-shift": ("dyn", {
+        "rank": 2, "matrix": [[poly([((1, 0), 1), ((1, 1), 1)])]],
+        "chi": ["1", "0"], "powers": 5}),
     # q = 1/3 <= 1 admits the identity over the horoball at infinity: the
     # infinity obstruction fails with the witness [[0, 1]]
     "h2-p3": ("h2", {
@@ -138,6 +149,8 @@ DIGESTS = {
     "group-scalar-r2": "d9c5b83313008ed60112106f224024b3ecce19c4cae9b8937efd56d3703e7214",
     "sigma-scalar-r3": "5440af14731565aaf0f6d5603180d5934f269461529d8d4e02a0981621b09d0d",
     "group-scalar-r3": "de01441c40c7a6378992f321d60d61b5fc36c8fdae07b393347d2c7c56d3e230",
+    "group-scalar-r3-fpm": (
+        "4df6d5055ca823fc720fa23a77a02f6b3fb1050479d1b888a90f38e7dde898f2"),
     "sigma-matrix-nondiag": "a35df580e9265b209c0dd83f51617790c7047d4069f27ec339507b4c04643729",
     "group-matrix-nondiag": "08e82a5fa6f2b3038f305fdc25887fded670f101f6e73bf15752cd0c42ddc4f3",
     # one certificate per sigma piece of a diagonalized direct sum: 9 and 5
@@ -155,6 +168,8 @@ DIGESTS = {
     "sigma-cyclic-z-r3": "ded451b06de7d995fdddf01a35aaa110f6a186687531b033d5a234467cb161d3",
     "group-cyclic-z-r1-undecided": (
         "a99bb25bbbade770e90a5cb92f9d5c316a0880c4b7b37b64963ad46673e9f4c5"),
+    "group-cyclic-z-r1-undecided-fpm": (
+        "53c8754118d67517ebdb118797382cb11a757933d52df397a206d3fdc5ae072f"),
     "trop-padic-r3": "67aa89eb4177a9baa6a4c29ce23668ee9962c6d4faebb4f17f123cefe5dc95e7",
     "trop-global-z-r2": "1b7ad58650c9da37e6aa2f1b6f5239ed9e613c4ddde52425d94f04f9fcf21b98",
     "trop-prevariety-r3": "9e9ee6a9c79a6a6a0acb7d1fe0a7144df885fb5334417b17a3a4735e47e02a6b",
@@ -169,6 +184,8 @@ DIGESTS = {
     "amoeba-laurent-span2": (
         "66b7435f5e3f13ce1c08ddf1ba53ed8dcc0e360f253f320989db8f936a521295"),
     "dyn-rank2": "1c41be3152b844a98a5af061f0d4aee13e240eda5e15841bcace56814a5bd78e",
+    "dyn-positive-shift": (
+        "06a458a7f6368fe9bff005523bcb762616d452f9a1dedb4496d376d5f7b1f6cf"),
     "h2-p3": "1cd65881d13a1f48eafdeb9ba247e1e9e71cf798bac6fc842264c33391890ca2",
 }
 

@@ -270,10 +270,10 @@ def test_spherical_scale_invariance():
 
 def test_finite_directions():
     s = SphericalSet.from_directions([Direction.of(1, 0), Direction.of(0, 1)])
-    assert [d.vector for d in s.finite_directions()] == [(0, 1), (1, 0)]
-    assert SphericalSet.full(2).finite_directions() is None
+    assert [d.vector for d in s.finite_directions] == [(0, 1), (1, 0)]
+    assert SphericalSet.full(2).finite_directions is None
     line = SphericalSet(1, [Polyhedron.full(1)])
-    assert [d.vector for d in line.finite_directions()] == [(-1,), (1,)]
+    assert [d.vector for d in line.finite_directions] == [(-1,), (1,)]
 
 
 def test_feasible_point_prefers_strict_bounds():

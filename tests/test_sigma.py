@@ -205,7 +205,7 @@ def test_sigma_scalar_action_6():
 def test_sigma_scalar_action_rank2():
     result = sigma_scalar_action_exact(ScalarAction.of(2, 3))
     assert result.undecided.is_empty
-    fd = result.proved_complement.finite_directions()
+    fd = result.proved_complement.finite_directions
     assert [d.vector for d in fd] == [(0, 1), (1, 0)]
     for vec in [(-1, 0), (0, -1), (1, 1), (-1, 2), (2, -1), (-3, -4)]:
         d = Direction.of(*vec)
@@ -227,7 +227,7 @@ def test_sigma_matrix_action_diagonalizable():
     m = MatrixAction.of([[[2, 0], [0, 3]]], [[1, 0], [0, 1]])
     result = sigma_scalar_action_exact(m)
     assert result.undecided.is_empty
-    fd = result.proved_complement.finite_directions()
+    fd = result.proved_complement.finite_directions
     assert [d.vector for d in fd] == [(1,)]
     assert result.proved_sigma.contains(Direction.of(-1))
     assert any("diagonalized" in n for n in result.notes)
@@ -372,7 +372,7 @@ def test_sigma_cyclic_field_principal():
     f = LaurentPoly(2, QQ, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
     result = sigma_cyclic_field(CyclicModule(2, QQ, (f,)))
     assert result.undecided.is_empty
-    fd = result.proved_complement.finite_directions()
+    fd = result.proved_complement.finite_directions
     assert [d.vector for d in fd] == [(-1, -1), (0, 1), (1, 0)]
     for vec in [(1, 1), (-1, 0), (0, -1), (1, 2), (-2, -1)]:
         d = Direction.of(*vec)
@@ -500,17 +500,18 @@ def test_sigma_direct_sum_examples():
 
 
 def test_metabelian_predicates():
-    assert metabelian_fp(ScalarAction.of(6)) is True
-    assert metabelian_fp_infinity(ScalarAction.of(6)) is True
+    r6 = sigma_of_module(ScalarAction.of(6))
+    assert metabelian_fp(r6) is True
+    assert metabelian_fp_infinity(r6) is True
 
-    lamplighter = CyclicModule(1, GF(2), ())
+    lamplighter = sigma_of_module(CyclicModule(1, GF(2), ()))
     assert metabelian_fp(lamplighter) is False
     assert metabelian_fp_infinity(lamplighter) is False
 
-    assert metabelian_fp(ScalarAction.of(1)) is True
-    assert metabelian_fp_infinity(ScalarAction.of(1)) is True
+    trivial = sigma_of_module(ScalarAction.of(1))
+    assert metabelian_fp(trivial) is True
+    assert metabelian_fp_infinity(trivial) is True
 
-    r6 = sigma_of_module(ScalarAction.of(6))
     r16 = sigma_of_module(ScalarAction.of(Fraction(1, 6)))
     both = sigma_direct_sum(r6, r16)
     assert metabelian_fp(both) is False
@@ -592,9 +593,57 @@ def test_fpm_examples():
     assert fpm_basis(2) == "theorem" and fpm_basis(5) == "conjecture"
 
 
+def subset_fpm(r, m):
+    """Reference: fpm_test as decided for every m by trying the
+    min(m, size)-subsets of the complement."""
+    dirs = r.proved_complement.finite_directions
+    size = min(m, len(dirs))
+    return not dirs or all(in_open_hemisphere(sub).in_hemisphere
+                           for sub in itertools.combinations(dirs, size))
+
+
+def seeded_fpm_modules():
+    """Cyclic modules over Q of rank 1 and 2, whose complements are the
+    normal rays of a Newton polytope, and scalar actions of rank 1 to 3."""
+    rng = random.Random(27)
+    for _ in range(30):
+        rank = rng.randint(1, 2)
+        terms = {tuple(rng.randint(-3, 3) for _ in range(rank)): rng.choice((-2, -1, 1, 3))
+                 for _ in range(rng.randint(2, 9))}
+        yield CyclicModule(rank, QQ, (poly(terms, rank, QQ),))
+    for _ in range(10):
+        yield ScalarAction(tuple(Fraction(rng.choice((1, 2, 3, 5)), rng.choice((1, 2, 3, 5)))
+                                 for _ in range(rng.randint(1, 3))))
+
+
+def test_fpm_above_the_rank_is_the_hemisphere_test():
+    answers = set()
+    for mod in seeded_fpm_modules():
+        r = sigma_of_module(mod)
+        assert r.undecided.is_empty, mod
+        dirs = r.proved_complement.finite_directions
+        hemisphere = not dirs or in_open_hemisphere(dirs).in_hemisphere
+        assert fpm_test(r, 1) is True
+        for m in range(r.rank + 1, r.rank + 4):
+            assert fpm_test(r, m) is hemisphere is subset_fpm(r, m), (mod, m)
+        answers.add((hemisphere, len(dirs) > r.rank + 1))
+    # both answers, and complements in no open hemisphere with more than
+    # rank + 1 directions, where the m-subsets of m > rank could differ
+    assert {(True, False), (False, True)} <= answers
+
+
+def test_fpm_tries_subsets_up_to_the_rank():
+    # the four p-adic directions of (2/7, 3/7, 5/7): any three share an
+    # open hemisphere, all four do not
+    dirs = [Direction.of(*v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))]
+    r = sigma.SigmaResult(3, SphericalSet.from_directions(dirs), SphericalSet.empty(3))
+    assert [fpm_test(r, m) for m in (1, 2, 3, 4, 5)] == [True, True, True, False, False]
+    assert [subset_fpm(r, m) for m in (3, 4, 5)] == [True, False, False]
+
+
 def test_hemisphere_complement_consistency():
     r = sigma_of_module(ScalarAction.of(2, 3))
-    dirs = r.proved_complement.finite_directions()
+    dirs = r.proved_complement.finite_directions
     assert in_open_hemisphere(dirs).in_hemisphere
 
 

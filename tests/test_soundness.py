@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import sigmatrop
-from sigmatrop import dynamics, linalg, polyhedra, sigma
-from sigmatrop.dynamics import Norm, PushMap, check_angle_bound
+from sigmatrop import linalg, polyhedra, sigma
+from sigmatrop.dynamics import check_angle_bound
 from sigmatrop.polyhedra import HemisphereCertificate, Polyhedron, in_open_hemisphere
 from sigmatrop.rings import QQ, ZZ, Character, LaurentPoly, SoundnessError
 from sigmatrop.sigma import (CyclicModule, ScalarAction, certificate_search,
@@ -58,12 +58,10 @@ def test_hemisphere_certificate_needs_exactly_one_part():
         HemisphereCertificate(witness=Character.of(1), combination=(Fraction(1),))
 
 
-def test_angle_bound_needs_a_positive_norm(monkeypatch):
-    phi = PushMap.multiplication_by(LaurentPoly.monomial((1,)))
-    assert check_angle_bound(phi, Character.of(1), []).passed
-    monkeypatch.setattr(dynamics, "norm", lambda phi: Norm(Fraction(0), 0.0))
+def test_angle_bound_needs_a_positive_norm():
+    assert check_angle_bound(Character.of(1), Fraction(1), Fraction(1), []).passed
     with pytest.raises(SoundnessError):
-        check_angle_bound(phi, Character.of(1), [])
+        check_angle_bound(Character.of(1), Fraction(1), Fraction(0), [])
 
 
 def test_integer_cover_needs_an_integer_generator():

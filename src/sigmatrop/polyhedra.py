@@ -13,8 +13,10 @@ A SphericalSet keeps its finite direction list once it is read.
 
 Feasibility, emptiness, dimension, containment, and point extraction are
 decided exactly by Fourier-Motzkin elimination with strictness tracking,
-after equality rows are eliminated on primitive integer rows; Fraction
-appears only in a returned point.  A rational row (through _norm_row), a
+after equality rows are eliminated on primitive integer rows.  The point is
+back-substituted as integers over one common denominator, its bounds
+compared by cross-multiplication, so Fraction appears only in a returned
+point, one per coordinate.  A rational row (through _norm_row), a
 point under test and a ray become integer in rings._primitive.  A closed
 cone (homogeneous, no strict row) is never empty: its point is the origin,
 found with no FM solve.  A polyhedron caches its point, dimension and
@@ -27,6 +29,7 @@ line of dim W - 1 weak normals reduced to W, mapped back to Z^n.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
@@ -88,13 +91,25 @@ def _fm_eliminate(rows, var):
 
 
 def _fm_point(rows, n):
-    """A rational point satisfying the inequality rows, or None."""
+    """A rational point satisfying the inequality rows, or None.
+
+    The point is returned as (nums, den): integers over one common
+    denominator den > 0, with gcd(nums, den) = 1.  Back-substitution gives
+    the variables values in reverse elimination order.  With the point so
+    far at nums/den, a row with coefficient c at var bounds var by
+    rest/(c den), rest = rhs den - vec*nums, held as the integer pair
+    (rest, c den), both signs flipped when c < 0; bounds are compared by
+    cross-multiplication.  At
+    equal bound values the strict row binds.  The value is lo + 1 (hi - 1)
+    when only a lower (upper) bound binds and it is strict, that bound when
+    it is weak, lo when lo = hi, else the midpoint, and 0 when no row
+    bounds var."""
     for vec, rhs, strict in rows:
         if not any(vec) and (rhs > 0 or (rhs == 0 and strict)):
             return None
     rows = _dedupe_ineqs([r for r in rows if any(r[0])])
     if n == 0:
-        return []
+        return [], 1
     stages = []  # (var, rows before eliminating var)
     remaining = list(range(n))
     while remaining:
@@ -107,31 +122,51 @@ def _fm_point(rows, n):
         if rows is None:
             return None
         remaining.remove(var)
-    point = [None] * n
+    nums, den = [0] * n, 1  # a variable not yet given a value is 0 in nums
     for var, stage_rows in reversed(stages):
-        lows, highs = [], []
+        lo = hi = None  # (p, q, strict): the bound p/q, q > 0
         for vec, rhs, strict in stage_rows:
             c = vec[var]
             if c == 0:
                 continue
-            rest = rhs - sum(vec[j] * point[j] for j in range(n)
-                             if j != var and point[j] is not None)
-            (lows if c > 0 else highs).append((Fraction(rest, c), strict))
-        # at equal bound values the strict row is the binding one
-        lo = max(lows) if lows else None
-        hi = min(highs, key=lambda t: (t[0], not t[1])) if highs else None
+            rest = rhs * den - _dot(vec, nums)
+            # at equal bound values the strict row is the binding one
+            if c > 0:
+                p, q = rest, c * den
+                if lo is None or (p * lo[1], strict) > (lo[0] * q, lo[2]):
+                    lo = p, q, strict
+            else:
+                p, q = -rest, -c * den
+                if hi is None or (p * hi[1], not strict) < (hi[0] * q, not hi[2]):
+                    hi = p, q, strict
         if lo is None and hi is None:
-            val = Fraction(0)
-        elif hi is None:
-            val = lo[0] + 1 if lo[1] else lo[0]
+            continue  # the value 0, which nums[var] holds
+        if hi is None:
+            p, q, strict = lo
+            p += q if strict else 0
         elif lo is None:
-            val = hi[0] - 1 if hi[1] else hi[0]
-        elif lo[0] == hi[0]:
-            val = lo[0]
+            p, q, strict = hi
+            p -= q if strict else 0
+        elif lo[0] * hi[1] == hi[0] * lo[1]:
+            p, q = lo[:2]
         else:
-            val = (lo[0] + hi[0]) / 2
-        point[var] = val
-    return point
+            p, q = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        den = _put(nums, den, var, p, q)
+    return nums, den
+
+
+def _put(nums, den, var, p, q):
+    """Give coordinate var of the point nums/den the value p/q (q > 0) and
+    return the new common denominator: den times the part of q's reduced
+    denominator it lacks, by which every other numerator is scaled."""
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    scale = q // math.gcd(den, q)
+    if scale > 1:
+        nums[:] = [x * scale for x in nums]
+        den *= scale
+    nums[var] = p * (den // q)
+    return den
 
 
 def _eliminate(row, pivot, var):
@@ -152,30 +187,34 @@ def _solve_system(eq_rows, ineq_rows, n):
     Equalities are eliminated on primitive integer rows, column by column,
     pivoting on the first remaining equality nonzero there (rref's pivot
     columns), so each inequality handed to FM is a positive multiple of its
-    rref substitution; pivot coordinates are back-substituted afterwards."""
-    if not eq_rows:
-        return _fm_point(list(ineq_rows), n)
-    eqs = [_norm_row(vec, rhs) for vec, rhs in eq_rows]
-    rows = [(*_norm_row(vec, rhs), strict) for vec, rhs, strict in ineq_rows]
-    pivots = []
-    for var in range(n):
-        k = next((i for i, (vec, _) in enumerate(eqs) if vec[var]), None)
-        if k is None:
-            continue
-        pivot = eqs.pop(k)
-        pivots.append((var, pivot))
-        eqs = [_eliminate(r, pivot, var) if r[0][var] else r for r in eqs]
-        rows = [(*_eliminate(r[:2], pivot, var), r[2]) if r[0][var] else r
-                for r in rows]
-    if any(rhs for _, rhs in eqs):
-        return None  # an equality reduced to 0 = b with b != 0
+    rref substitution.  FM's point comes as integers over one common
+    denominator, the pivot coordinates are back-substituted on that pair,
+    and the n Fractions of the returned point are built once, at the end."""
+    pivots, rows = [], list(ineq_rows)
+    if eq_rows:
+        eqs = [_norm_row(vec, rhs) for vec, rhs in eq_rows]
+        rows = [(*_norm_row(vec, rhs), strict) for vec, rhs, strict in rows]
+        for var in range(n):
+            k = next((i for i, (vec, _) in enumerate(eqs) if vec[var]), None)
+            if k is None:
+                continue
+            pivot = eqs.pop(k)
+            pivots.append((var, pivot))
+            eqs = [_eliminate(r, pivot, var) if r[0][var] else r for r in eqs]
+            rows = [(*_eliminate(r[:2], pivot, var), r[2]) if r[0][var] else r
+                    for r in rows]
+        if any(rhs for _, rhs in eqs):
+            return None  # an equality reduced to 0 = b with b != 0
     point = _fm_point(rows, n)
     if point is None:
         return None
+    nums, den = point
     for var, (vec, rhs) in reversed(pivots):
-        rest = rhs - sum(a * x for j, (a, x) in enumerate(zip(vec, point)) if j != var)
-        point[var] = Fraction(rest, vec[var])
-    return point
+        # no FM row involves a pivot column, so nums[var] is still 0
+        c = vec[var]
+        rest = rhs * den - _dot(vec, nums)
+        den = _put(nums, den, var, rest if c > 0 else -rest, abs(c) * den)
+    return [Fraction(x, den) for x in nums]
 
 
 def _project_out_last(eq_rows, rows, n):

@@ -8,8 +8,9 @@ values are immutable; every operation is a pure function.
 
 _primitive is the one place where a rational vector becomes integer: it
 scales by the lcm of the denominators and divides by the gcd, keeping the
-sign.  Directions, polyhedron rows, rays and points under test, and the
-rows that linalg eliminates are all made primitive by it.
+sign.  Directions, polyhedron rows, rays and points under test, the rows
+that linalg eliminates and sigma's action matrices over their common
+denominator are all made primitive by it.
 """
 
 from __future__ import annotations
@@ -79,13 +80,13 @@ def _primitive(vec) -> tuple:
 
     An all-int vector is told apart by one math.gcd call, which raises
     TypeError on a Fraction entry; only then is it scaled by the lcm of its
-    denominators.  The zero vector stays zero."""
+    denominators, read off its int and Fraction entries with no Fraction
+    built.  The zero vector stays zero."""
     try:
         g = math.gcd(*vec)
     except TypeError:
-        fr = [Fraction(x) for x in vec]
-        den = math.lcm(*(x.denominator for x in fr))
-        vec = [x.numerator * (den // x.denominator) for x in fr]
+        den = math.lcm(*(x.denominator for x in vec))
+        vec = [x.numerator * (den // x.denominator) for x in vec]
         g = math.gcd(*vec)
     return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 

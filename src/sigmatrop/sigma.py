@@ -19,7 +19,8 @@ from . import linalg
 from .polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
                         has_antipodal_pair, in_open_hemisphere, ray_cone)
 from .rings import (ZZ, Character, DimensionError, Direction, Domain,
-                    LaurentPoly, SoundnessError, chi_value, initial_part, v_chi)
+                    LaurentPoly, SoundnessError, _primitive, chi_value,
+                    initial_part, v_chi)
 from .tropical import global_tropical_Z, trop_hypersurface, trop_prevariety
 from .valuations import PAdicValuation, TrivialValuation, prime_support
 
@@ -155,40 +156,59 @@ def direct_sum_module(a: ModulePresentation, b: ModulePresentation) -> MatrixAct
 class _ActionCache:
     """Monomial-to-matrix evaluation for one MatrixAction, scoped to one call.
 
-    The cache starts with the identity at 0.  A new monomial g costs one
-    product: the cached matrix of the monomial one step nearer 0 in g's
-    last nonzero coordinate i, times matrix i or its inverse."""
+    Each matrix is kept as a pair (integer matrix, den), the rational matrix
+    times den, with den > 0 and the gcd of den and the entries 1.  The cache
+    starts with (I, 1) at 0.  A new monomial g costs one integer product:
+    the cached pair of the monomial one step nearer 0 in g's last nonzero
+    coordinate i, times the pair of matrix i or its inverse, reduced by the
+    gcd."""
 
     def __init__(self, mod: MatrixAction):
         self.mod = mod
         self.d = mod.dim
-        # steps[i] = (matrix i, its inverse)
-        self.steps = [(m, linalg.invert(m)) for m in mod.mats]
-        self.cache: dict[tuple, list] = {
-            (0,) * mod.rank: [[Fraction(int(i == j)) for j in range(self.d)]
-                              for i in range(self.d)]}
+        # steps[i] = (matrix i, its inverse), each an (integer matrix, den) pair
+        self.steps = [(_integer_pair(m), _integer_pair(linalg.invert(m)))
+                      for m in mod.mats]
+        self.cache: dict[tuple, tuple] = {
+            (0,) * mod.rank: ([[int(i == j) for j in range(self.d)]
+                               for i in range(self.d)], 1)}
 
     def monomial_matrix(self, g):
+        """action(g) as its (integer matrix, den) pair."""
         g = tuple(g)
         path = []  # the monomials from g down to the first cached one
         while g not in self.cache:
             i = max(i for i, e in enumerate(g) if e)
             path.append((g, i))
             g = g[:i] + (g[i] - 1 if g[i] > 0 else g[i] + 1,) + g[i + 1:]
-        out = self.cache[g]
+        mat, den = self.cache[g]
         for h, i in reversed(path):
-            out = self.cache[h] = linalg.mat_mul(out, self.steps[i][h[i] < 0])
-        return out
+            step, sden = self.steps[i][h[i] < 0]
+            mat, den = self.cache[h] = _integer_pair(linalg.mat_mul(mat, step),
+                                                    den * sden)
+        return mat, den
 
     def evaluate(self, lam: LaurentPoly):
+        """lam at the action, exactly, as a pair (matrix, den) over the lcm
+        of its monomials' dens; the matrix is integer when lam is."""
         d = self.d
-        out = [[Fraction(0)] * d for _ in range(d)]
-        for g, c in lam.terms.items():
-            mg = self.monomial_matrix(g)
+        pairs = [(c, *self.monomial_matrix(g)) for g, c in lam.terms.items()]
+        den = math.lcm(*(mden for _, _, mden in pairs))
+        out = [[0] * d for _ in range(d)]
+        for c, mg, mden in pairs:
+            c *= den // mden
             for i in range(d):
                 for j in range(d):
-                    out[i][j] += Fraction(c) * mg[i][j]
-        return out
+                    out[i][j] += c * mg[i][j]
+        return out, den
+
+
+def _integer_pair(mat, den=1):
+    """The square matrix mat / den as (integer matrix, den), den > 0 and the
+    gcd of den and the entries 1, made by rings._primitive."""
+    *flat, den = _primitive((*itertools.chain(*mat), den))
+    d = len(mat)
+    return [list(flat[i * d:(i + 1) * d]) for i in range(d)], den
 
 
 def annihilates(lam: LaurentPoly, mod: ModulePresentation) -> bool:
@@ -198,7 +218,7 @@ def annihilates(lam: LaurentPoly, mod: ModulePresentation) -> bool:
     m = as_matrix_action(mod)
     if lam.rank != m.rank:
         raise DimensionError(f"lam has rank {lam.rank}, module has rank {m.rank}")
-    return _is_zero_matrix(_ActionCache(m).evaluate(lam))
+    return _is_zero_matrix(_ActionCache(m).evaluate(lam)[0])
 
 
 def _is_zero_matrix(mat) -> bool:
@@ -303,10 +323,10 @@ def matrix_certificate_valid(theta, chi: Character, mod: ModulePresentation) -> 
     for i in range(k):
         acc = [Fraction(0)] * d
         for j in range(k):
-            mat = cache.evaluate(theta[i][j])
+            mat, den = cache.evaluate(theta[i][j])
             vec = m.generators[j]
             for r in range(d):
-                acc[r] += sum(mat[r][c] * vec[c] for c in range(d))
+                acc[r] += Fraction(sum(mat[r][c] * vec[c] for c in range(d)), den)
         if any(x != 0 for x in acc):
             return False
     vals = [v_chi(chi, e) for row in theta for e in row if not e.is_zero]
@@ -342,8 +362,10 @@ def determinant_reduction(theta) -> LaurentPoly:
 def _matrix_system(cache: _ActionCache):
     """Certificate system of a matrix action for `_cover`: lam =
     1 + sum c_g x^g over the strict-dual monomials g != 0 of [-k, k]^n, with
-    sum c_g action(g) = -I as one integer row per matrix entry.  Each lam it
-    returns is re-checked to annihilate the module."""
+    sum c_g action(g) = -I as one integer row per matrix entry: the entry's
+    values over all g, scaled by the lcm of their reduced denominators, read
+    off the (integer matrix, den) pairs.  Each lam it returns is re-checked
+    to annihilate the module."""
     d, rank = cache.d, cache.mod.rank
 
     def system(in_strict_dual, k):
@@ -353,16 +375,16 @@ def _matrix_system(cache: _ActionCache):
         cols = [cache.monomial_matrix(g) for g in monos]
         rows, rhs = [], []
         for i, j in itertools.product(range(d), repeat=2):
-            row = [c[i][j] for c in cols]
-            den = math.lcm(*(x.denominator for x in row), 1)
-            rows.append({t: int(x * den) for t, x in enumerate(row) if x})
-            rhs.append(-den if i == j else 0)
+            row = [(mat[i][j], den) for mat, den in cols]
+            scale = math.lcm(*(den // math.gcd(x, den) for x, den in row))
+            rows.append({t: x * scale // den for t, (x, den) in enumerate(row) if x})
+            rhs.append(-scale if i == j else 0)
 
         def to_lam(sol):
             terms = {(0,) * rank: 1}
             terms.update((g, c) for g, c in zip(monos, sol) if c)
             lam = LaurentPoly(rank, ZZ, terms)
-            if not _is_zero_matrix(cache.evaluate(lam)):
+            if not _is_zero_matrix(cache.evaluate(lam)[0]):
                 raise SoundnessError("searched certificate does not annihilate "
                                      "the module")
             return lam

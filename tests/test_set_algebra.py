@@ -3,9 +3,10 @@ and of the spherical sets built on them.
 
 The references are the earlier implementations: the overlapping complement
 (one piece per broken row, intersected as a product over the pieces),
-Fourier-Motzkin over `Fraction` rows, and equality rows substituted from a
-`Fraction` reduced row echelon form.  A spherical set is checked against
-the same set with its pieces unfiltered.
+Fourier-Motzkin over `Fraction` rows, FM back-substitution in `Fraction`,
+and equality rows substituted from a `Fraction` reduced row echelon form.
+A spherical set is checked against the same set with its pieces
+unfiltered.
 """
 
 import math
@@ -153,6 +154,62 @@ def fraction_feasible(rows, n):
     return True
 
 
+def fraction_fm_point(rows, n):
+    """The FM point of the integer elimination, back-substituted in Fraction:
+    each bound is the Fraction rest/c, the strict row binds at equal bound
+    values, and the value is lo + 1, hi - 1, the weak bound, lo when
+    lo = hi, the midpoint, or 0 with no bound."""
+    for vec, rhs, strict in rows:
+        if not any(vec) and (rhs > 0 or (rhs == 0 and strict)):
+            return None
+    rows = _dedupe_ineqs([r for r in rows if any(r[0])])
+    if n == 0:
+        return []
+    stages = []
+    remaining = list(range(n))
+    while remaining:
+        var = min(remaining,
+                  key=lambda v: (sum(1 for r in rows if r[0][v] > 0)
+                                 * sum(1 for r in rows if r[0][v] < 0), v))
+        stages.append((var, rows))
+        rows = _fm_eliminate(rows, var)
+        if rows is None:
+            return None
+        remaining.remove(var)
+    point = [None] * n
+    for var, stage_rows in reversed(stages):
+        lows, highs = [], []
+        for vec, rhs, strict in stage_rows:
+            c = vec[var]
+            if c == 0:
+                continue
+            rest = rhs - sum(vec[j] * point[j] for j in range(n)
+                             if j != var and point[j] is not None)
+            (lows if c > 0 else highs).append((Fraction(rest, c), strict))
+        lo = max(lows) if lows else None
+        hi = min(highs, key=lambda t: (t[0], not t[1])) if highs else None
+        if lo is None and hi is None:
+            val = Fraction(0)
+        elif hi is None:
+            val = lo[0] + 1 if lo[1] else lo[0]
+        elif lo is None:
+            val = hi[0] - 1 if hi[1] else hi[0]
+        elif lo[0] == hi[0]:
+            val = lo[0]
+        else:
+            val = (lo[0] + hi[0]) / 2
+        point[var] = val
+    return point
+
+
+def as_fractions(point):
+    """The Fractions of an (integers, den) point, checking its form: den > 0
+    and the gcd of den and the integers 1."""
+    nums, den = point
+    assert den > 0 and math.gcd(den, *nums) == 1, point
+    return [Fraction(x, den) for x in nums]
+
+
 def rand_ineqs(rng, n, rational):
     def entry():
         return (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rational
@@ -177,8 +234,11 @@ def test_integer_fm_matches_fraction_reference(rational):
         n = rng.randint(1, 4)
         rows = rand_ineqs(rng, n, rational)
         point = _fm_point(rows, n)
-        assert (point is not None) == fraction_feasible(rows, n), rows
+        want = fraction_fm_point(rows, n)
+        assert (point is not None) == (want is not None) == fraction_feasible(rows, n), rows
         if point is not None:
+            point = as_fractions(point)
+            assert point == want, (rows, point, want)
             assert satisfies(rows, point), (rows, point)
         outcomes.add(point is not None)
     assert outcomes == {True, False}
@@ -206,7 +266,7 @@ def test_fraction_rows_through_hemisphere_and_balance(monkeypatch):
         point = real_fm_point(rows, n)
         assert (point is not None) == fraction_feasible(rows, n), rows
         if point is not None:
-            assert satisfies(rows, point), (rows, point)
+            assert satisfies(rows, as_fractions(point)), (rows, point)
         seen["fraction_rows"] += any(type(x) is Fraction
                                      for vec, rhs, _ in rows for x in vec + (rhs,))
         seen[point is not None] += 1
@@ -235,7 +295,7 @@ def test_fraction_rows_through_hemisphere_and_balance(monkeypatch):
 
 def rref_solve_system(eq_rows, ineq_rows, n):
     if not eq_rows:
-        return _fm_point(list(ineq_rows), n)
+        return fraction_fm_point(list(ineq_rows), n)
     aug = [[Fraction(x) for x in vec] + [Fraction(rhs)] for vec, rhs in eq_rows]
     red, pivots = rref(aug)
     if n in pivots:
@@ -252,7 +312,7 @@ def rref_solve_system(eq_rows, ineq_rows, n):
                 for f in free:
                     coef[f] -= vec[pc] * red[r][f]
         sub_rows.append((tuple(coef[f] for f in free), Fraction(rhs) - const, strict))
-    y = _fm_point(sub_rows, len(free))
+    y = fraction_fm_point(sub_rows, len(free))
     if y is None:
         return None
     point = [Fraction(0)] * n

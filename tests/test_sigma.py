@@ -558,7 +558,9 @@ def test_monomial_matrix_is_one_product_per_monomial(monkeypatch):
             box = list(want)
             rng.shuffle(box)
             for g in box:
-                assert cache.monomial_matrix(g) == want[g], (m, g)
+                mat, den = cache.monomial_matrix(g)
+                assert den > 0 and math.gcd(den, *itertools.chain(*mat)) == 1, (m, g)
+                assert [[Fraction(x, den) for x in row] for row in mat] == want[g], (m, g)
             assert len(products) == len(box) - 1
             for g in box:
                 cache.monomial_matrix(g)

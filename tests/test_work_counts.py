@@ -1,6 +1,7 @@
 """Work counts: the integer verifiers build a fixed number of Fractions,
-however many candidates, trials or support monomials they go through, and
-the group and dyn commands derive each reported quantity once."""
+however many candidates, trials or support monomials they go through, the
+exact kernels build Fractions only for their answers, and the group and dyn
+commands derive each reported quantity once."""
 
 import json
 from fractions import Fraction
@@ -9,9 +10,9 @@ from functools import cached_property
 from sigmatrop import cli, dynamics, sigma
 from sigmatrop.dynamics import PushMap, gsh
 from sigmatrop.halfplane import verify_push_B, verify_zero_obstruction_B
-from sigmatrop.polyhedra import SphericalSet
+from sigmatrop.polyhedra import SphericalSet, _solve_system, ray_cone
 from sigmatrop.rings import ZZ, Character, Direction, LaurentPoly
-from sigmatrop.sigma import SigmaResult
+from sigmatrop.sigma import MatrixAction, SigmaResult
 
 from test_cone_kernels import counting
 from test_output_digests import JOBS, cyclic, poly
@@ -55,6 +56,42 @@ def test_verifiers_build_a_fixed_number_of_fractions(monkeypatch):
         terms = {(a, b): 1 for a in range(-width, width + 1) for b in (-1, 1)}
         phi = PushMap.of([[LaurentPoly(2, ZZ, terms)] * 2] * 2)
         assert built_during(count, lambda: gsh(phi, chi)) == 1
+
+
+def test_solve_system_builds_only_its_point(monkeypatch):
+    """Rational rows, equality pivots and strict rows: one Fraction per
+    coordinate of the returned point, none in the elimination or the
+    back-substitution."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    eqs = [((1, half, 0, -1), third), ((0, 3, 2, 0), 1)]
+    ineqs = [((1, 0, 0, 0), -half, True), ((0, 0, 1, 1), 2, False),
+             ((Fraction(2, 3), 0, -1, 0), 0, True), ((0, -1, 0, third), -5, True),
+             ((-1, 0, 0, 0), -4, False)]
+    count = fractions_built(monkeypatch)
+    got = []
+    assert built_during(count, lambda: got.append(_solve_system(eqs, ineqs, 4))) == 4
+    (point,) = got
+    assert any(x.denominator > 1 for x in point)
+    for vec, rhs in eqs:
+        assert sum(a * x for a, x in zip(vec, point)) == rhs
+    for vec, rhs, strict in ineqs:
+        lhs = sum(a * x for a, x in zip(vec, point))
+        assert lhs > rhs if strict else lhs >= rhs
+
+
+def test_matrix_system_builds_no_fraction(monkeypatch):
+    """The certificate rows of a rational matrix action are read off the
+    cached (integer matrix, den) pairs, with no Fraction built."""
+    m = MatrixAction.of([[["1/2", "1"], ["0", "1/2"]], [["3", "1/3"], ["0", "3"]]],
+                        [["1", "0"], ["0", "1"]])
+    system = sigma._matrix_system(sigma._ActionCache(m))
+    in_strict_dual = sigma._strict_dual_test(ray_cone(Direction((2, 1))))
+    count = fractions_built(monkeypatch)
+    got = []
+    assert built_during(count, lambda: got.append(system(in_strict_dual, 2))) == 0
+    rows, rhs, ncols, _ = got[0]
+    assert ncols == 11 and len(rows) == len(rhs) == 4
+    assert all(type(x) is int for row in rows for x in row.values())
 
 
 def test_dyn_takes_the_norm_once(monkeypatch):

@@ -13,14 +13,19 @@ A SphericalSet keeps its finite direction list once it is read.
 
 Feasibility, emptiness, dimension, containment, and point extraction are
 decided exactly by Fourier-Motzkin elimination with strictness tracking,
-after equality rows are eliminated on primitive integer rows.  The point is
-back-substituted as integers over one common denominator, its bounds
-compared by cross-multiplication, so Fraction appears only in a returned
-point, one per coordinate.  A rational row (through _norm_row), a
-point under test and a ray become integer in rings._primitive.  A closed
-cone (homogeneous, no strict row) is never empty: its point is the origin,
-found with no FM solve.  A polyhedron caches its point, dimension and
-has_direction answer, so each is decided at most once per object.
+after equality rows are eliminated on primitive integer rows.  A point is
+the integer pair (nums, den), the vector nums/den with den > 0: FM
+back-substitutes it on that pair, its bounds compared by
+cross-multiplication, and the polyhedron keeps it so; no Fraction is built
+for it.  A rational row (through _norm_row) and a point under test become
+integer in rings._primitive.  A closed cone (homogeneous, no strict row) is
+never empty: its point is the origin, found with no FM solve.  A point
+already known to lie in a new polyhedron decides it with no FM solve
+either: intersect hands its result an operand's point, and a caller a
+point it knows, and the point is taken only after an integer check against
+every row (_take_point); one that breaks a row leaves the polyhedron to
+FM.  A polyhedron caches its point, dimension and has_direction answer, so
+each is decided at most once per object.
 Rays, lineality spaces and ranks come from linalg's fraction-free integer
 elimination.  A cone's rays are enumerated in the coordinates of one basis
 of W, the kernel of its equalities and lineality space: a ray is the kernel
@@ -63,10 +68,10 @@ def _dot(a, b):
 def _dedupe_ineqs(rows):
     best = {}
     for vec, rhs, strict in rows:
-        key = _norm_row(vec, rhs)
+        key = _primitive((*vec, rhs))
         cur = best.get(key)
         if cur is None or (strict and not cur[2]):
-            best[key] = (key[0], key[1], strict)
+            best[key] = (key[:-1], key[-1], strict)
     return list(best.values())
 
 
@@ -95,12 +100,15 @@ def _fm_point(rows, n):
 
     The point is returned as (nums, den): integers over one common
     denominator den > 0, with gcd(nums, den) = 1.  Back-substitution gives
-    the variables values in reverse elimination order.  With the point so
-    far at nums/den, a row with coefficient c at var bounds var by
-    rest/(c den), rest = rhs den - vec*nums, held as the integer pair
-    (rest, c den), both signs flipped when c < 0; bounds are compared by
-    cross-multiplication.  At
-    equal bound values the strict row binds.  The value is lo + 1 (hi - 1)
+    the variables values in reverse elimination order.  Each stage counts
+    the signs of every variable's coefficients in one pass and eliminates
+    the variable with the fewest row pairs; one that occurs with one sign
+    only just drops its rows, and one that occurs in no row is skipped and
+    keeps the value 0.  With the point so far at nums/den, a row with
+    coefficient c at var bounds var by rest/(c den), rest = rhs den -
+    vec*nums, held as the integer pair (rest, c den), both signs flipped
+    when c < 0; bounds are compared by cross-multiplication.  At equal
+    bound values the strict row binds.  The value is lo + 1 (hi - 1)
     when only a lower (upper) bound binds and it is strict, that bound when
     it is weak, lo when lo = hi, else the midpoint, and 0 when no row
     bounds var."""
@@ -113,15 +121,26 @@ def _fm_point(rows, n):
     stages = []  # (var, rows before eliminating var)
     remaining = list(range(n))
     while remaining:
+        pos, neg = [0] * n, [0] * n
+        for vec, _, _ in rows:
+            for v, c in enumerate(vec):
+                if c > 0:
+                    pos[v] += 1
+                elif c < 0:
+                    neg[v] += 1
         # cheapest variable first keeps the row blowup down
-        var = min(remaining,
-                  key=lambda v: (sum(1 for r in rows if r[0][v] > 0)
-                                 * sum(1 for r in rows if r[0][v] < 0), v))
-        stages.append((var, rows))
-        rows = _fm_eliminate(rows, var)
-        if rows is None:
-            return None
+        var = min(remaining, key=lambda v: (pos[v] * neg[v], v))
         remaining.remove(var)
+        if not (pos[var] or neg[var]):
+            continue  # no row bounds var: it keeps the value 0
+        stages.append((var, rows))
+        if pos[var] and neg[var]:
+            rows = _fm_eliminate(rows, var)
+            if rows is None:
+                return None
+        else:
+            # one sign only: every row with var holds for var large enough
+            rows = [r for r in rows if not r[0][var]]
     nums, den = [0] * n, 1  # a variable not yet given a value is 0 in nums
     for var, stage_rows in reversed(stages):
         lo = hi = None  # (p, q, strict): the bound p/q, q > 0
@@ -182,14 +201,15 @@ def _eliminate(row, pivot, var):
 
 
 def _solve_system(eq_rows, ineq_rows, n):
-    """Point satisfying equality pairs and strict-flagged inequality rows, or None.
+    """Point satisfying equality pairs and strict-flagged inequality rows,
+    as the integer pair (nums, den) with nums a tuple, or None.
 
-    Equalities are eliminated on primitive integer rows, column by column,
-    pivoting on the first remaining equality nonzero there (rref's pivot
-    columns), so each inequality handed to FM is a positive multiple of its
-    rref substitution.  FM's point comes as integers over one common
-    denominator, the pivot coordinates are back-substituted on that pair,
-    and the n Fractions of the returned point are built once, at the end."""
+    The one FM entry.  Equalities are eliminated on primitive integer rows,
+    column by column, pivoting on the first remaining equality nonzero there
+    (rref's pivot columns), so each inequality handed to FM is a positive
+    multiple of its rref substitution.  FM's point comes as integers over
+    one common denominator, and the pivot coordinates are back-substituted
+    on that pair; no Fraction is built."""
     pivots, rows = [], list(ineq_rows)
     if eq_rows:
         eqs = [_norm_row(vec, rhs) for vec, rhs in eq_rows]
@@ -214,7 +234,7 @@ def _solve_system(eq_rows, ineq_rows, n):
         c = vec[var]
         rest = rhs * den - _dot(vec, nums)
         den = _put(nums, den, var, rest if c > 0 else -rest, abs(c) * den)
-    return [Fraction(x, den) for x in nums]
+    return tuple(nums), den
 
 
 def _project_out_last(eq_rows, rows, n):
@@ -246,10 +266,7 @@ class Polyhedron:
     """
 
     def __init__(self, rank, eq=(), ge=(), gt=()):
-        self.rank = rank
-        self._empty = None
-        self.is_homogeneous = True
-        groups = []
+        empty, homogeneous, groups = None, True, []
         for rows, kind in ((eq, "eq"), (ge, "ge"), (gt, "gt")):
             sink = set()
             for vec, rhs in rows:
@@ -261,17 +278,25 @@ class Polyhedron:
                     if (kind == "eq" and nrhs != 0) or \
                        (kind == "ge" and nrhs > 0) or \
                        (kind == "gt" and nrhs >= 0):
-                        self._empty = True
+                        empty = True
                     continue
                 sink.add((nvec, nrhs))
                 if nrhs:
-                    self.is_homogeneous = False
-            groups.append(tuple(sorted(sink)))
-        if self._empty:
+                    homogeneous = False
+            groups.append(sink)
+        if empty:
             # no point meets a constant row: the whole set is stored as 0 >= 1
-            groups = [(), (((0,) * rank, 1),), ()]
-            self.is_homogeneous = False
-        self.eq, self.ge, self.gt = groups
+            groups, homogeneous = [(), (((0,) * rank, 1),), ()], False
+        self._store(rank, *groups, homogeneous, empty)
+
+    def _store(self, rank, eq, ge, gt, homogeneous, empty=None):
+        """Store rows that are already primitive, equalities oriented and
+        none constant (or the single row 0 >= 1), each kind sorted; nothing
+        is decided yet unless empty is True."""
+        self.rank = rank
+        self.eq, self.ge, self.gt = map(tuple, map(sorted, (eq, ge, gt)))
+        self.is_homogeneous = homogeneous
+        self._empty = empty
         self._point = None
         self._dim = None
         self._direction = None
@@ -318,24 +343,42 @@ class Polyhedron:
         *point, den = _primitive((*point, 1))
         if len(point) != self.rank:
             raise DimensionError(f"point has length {len(point)}, expected {self.rank}")
-        return (all(_dot(v, point) == r * den for v, r in self.eq)
-                and all(_dot(v, point) >= r * den for v, r in self.ge)
-                and all(_dot(v, point) > r * den for v, r in self.gt))
+        return self._holds(point, den)
+
+    def _holds(self, nums, den) -> bool:
+        """Whether the point nums/den (integers, den > 0) meets every row."""
+        return (all(_dot(v, nums) == r * den for v, r in self.eq)
+                and all(_dot(v, nums) >= r * den for v, r in self.ge)
+                and all(_dot(v, nums) > r * den for v, r in self.gt))
 
     def feasible_point(self):
-        """A rational point of the set, or None when it is empty; cached.
+        """A point of the set as the integer pair (nums, den), the vector
+        nums/den with nums a tuple and den > 0, or None when the set is
+        empty; cached.
 
+        A point taken from a known one (_take_point) is returned as it is.
         A closed cone (homogeneous, no strict row) holds the origin, which
-        is the point FM would return, so it takes no FM solve."""
+        is the point FM would return, so it takes no FM solve.  Every other
+        point is FM's, from _solve_system."""
         if self._empty is not None:
             return self._point
         if not self.gt and self.is_homogeneous:
-            pt = [Fraction(0)] * self.rank
+            pt = ((0,) * self.rank, 1)
         else:
             pt = _solve_system(list(self.eq), self._ineq_rows(), self.rank)
         self._empty = pt is None
-        self._point = tuple(pt) if pt is not None else None
-        return self._point
+        self._point = pt
+        return pt
+
+    def _take_point(self, point) -> bool:
+        """Take point, an integer pair (nums, den) or None, as the set's
+        point when nothing is decided yet and the point meets every row;
+        returns whether it was taken.  A taken point decides the set
+        nonempty with no FM solve; a refused one leaves it to FM."""
+        if point is None or self._empty is not None or not self._holds(*point):
+            return False
+        self._empty, self._point = False, point
+        return True
 
     @property
     def is_empty(self) -> bool:
@@ -357,14 +400,16 @@ class Polyhedron:
             return self._dim
         eqs = [v for v, _ in self.eq]
         rows = self._ineq_rows()
-        tight = [(v, r) for v, r in self.ge if _dot(v, self._point) == r]
+        nums, den = self._point
+        tight = [(v, r) for v, r in self.ge if _dot(v, nums) == r * den]
         while tight:
             vec, rhs = tight.pop()
             point = _solve_system(list(self.eq), rows + [(vec, rhs, True)], self.rank)
             if point is None:
                 eqs.append(vec)
             else:
-                tight = [(v, r) for v, r in tight if _dot(v, point) == r]
+                nums, den = point
+                tight = [(v, r) for v, r in tight if _dot(v, nums) == r * den]
         self._dim = self.rank - linalg.rank(eqs)
         return self._dim
 
@@ -406,10 +451,22 @@ class Polyhedron:
                           gt=flip(self.gt))
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
+        """The meet, which takes the point of an operand when the other
+        operand holds it too.
+
+        The operands' rows are already primitive, with equalities oriented,
+        so the meet's rows of each kind are their sorted union, as the
+        constructor would store them, with no row normalized again.  An
+        operand stored as the empty set (the row 0 >= 1) gives that set."""
         if self.rank != other.rank:
             raise DimensionError("rank mismatch in intersection")
-        return Polyhedron(self.rank, eq=self.eq + other.eq, ge=self.ge + other.ge,
-                          gt=self.gt + other.gt)
+        if any(p.ge and not any(p.ge[0][0]) for p in (self, other)):
+            return Polyhedron.empty(self.rank)
+        meet = Polyhedron.__new__(Polyhedron)
+        meet._store(self.rank, {*self.eq, *other.eq}, {*self.ge, *other.ge},
+                    {*self.gt, *other.gt}, self.is_homogeneous and other.is_homogeneous)
+        meet._take_point(self._point) or meet._take_point(other._point)
+        return meet
 
     def complement_pieces(self):
         """Pairwise-disjoint pieces whose union is the complement.
@@ -589,7 +646,8 @@ class PolyhedralSet:
         for piece in self.pieces:
             if piece.is_empty:
                 continue
-            out = [q.intersect(c) for q in out for c in piece.complement_pieces()]
+            parts = piece.complement_pieces()
+            out = [q.intersect(c) for q in out for c in parts]
             out = [q for q in out if not q.is_empty]
         return type(self)(self.rank, out)
 
@@ -690,9 +748,12 @@ def _ray_union(cones):
 
 def ray_cone(d: Direction) -> Polyhedron:
     """The open ray {lambda * d : lambda > 0} as a homogeneous piece: u is
-    orthogonal to the n - 1 kernel vectors of d, so parallel to d."""
-    return Polyhedron.cone(d.rank, eq=linalg.nullspace([d.vector], d.rank),
-                           gt=[d.vector])
+    orthogonal to the n - 1 kernel vectors of d, so parallel to d.  It
+    takes d as its point."""
+    ray = Polyhedron.cone(d.rank, eq=linalg.nullspace([d.vector], d.rank),
+                          gt=[d.vector])
+    ray._take_point((d.vector, 1))
+    return ray
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +795,8 @@ def in_open_hemisphere(dirs) -> HemisphereCertificate:
     # chi * u >= 1 for all u is scale-equivalent to chi * u > 0
     point = _solve_system([], [(u, 1, False) for u in dirs], n)
     if point is not None:
-        chi = Character(tuple(point))
+        nums, den = point
+        chi = Character(tuple(Fraction(x, den) for x in nums))
         if not all(_dot(chi.values, u) > 0 for u in dirs):
             raise SoundnessError("hemisphere witness fails a direction")
         return HemisphereCertificate(witness=chi)
@@ -742,9 +804,11 @@ def in_open_hemisphere(dirs) -> HemisphereCertificate:
     eqs = [(tuple(dirs[j][i] for j in range(k)), 0) for i in range(n)]
     eqs.append(((1,) * k, 1))
     nonneg = [(tuple(int(j == i) for j in range(k)), 0, False) for i in range(k)]
-    lam = _solve_system(eqs, nonneg, k)
-    if lam is None:
+    point = _solve_system(eqs, nonneg, k)
+    if point is None:
         raise SoundnessError("hemisphere alternative failed to produce a certificate")
+    nums, den = point
+    lam = [Fraction(x, den) for x in nums]
     if not (sum(lam) == 1 and all(x >= 0 for x in lam)
             and all(sum(l * u[i] for l, u in zip(lam, dirs)) == 0
                     for i in range(n))):

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from . import linalg
 from .polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
@@ -502,24 +503,36 @@ def _strict_dual_test(piece: Polyhedron):
     iff F = {0} (no r with g*r = 0) or one strict row annihilates every r
     with g*r = 0.  This is the predicate `_check_searched` decides by one
     Fourier-Motzkin solve per monomial, here at a few integer dot products
-    per g.  Ray enumeration raises ValueError above RAY_RANK_LIMIT (6).
+    per g.  Each g is answered once per piece (`_in_strict_dual`) and its
+    answer kept, so the boxes [-k, k]^n of the search, each holding the
+    last, test each monomial once across all box sizes.  Ray enumeration
+    raises ValueError above RAY_RANK_LIMIT (6).
     """
     gens = piece.rays()
     strict = [h for h, _ in piece.gt]
+    answers = {}
 
     def in_strict_dual(g):
-        on_face = []
-        for r in gens:
-            s = sum(a * b for a, b in zip(g, r))
-            if s < 0:
-                return False
-            if s == 0:
-                on_face.append(r)
-        return not on_face or any(
-            all(sum(a * b for a, b in zip(h, r)) == 0 for r in on_face)
-            for h in strict)
+        answer = answers.get(g)
+        if answer is None:
+            answer = answers[g] = _in_strict_dual(g, gens, strict)
+        return answer
 
     return in_strict_dual
+
+
+def _in_strict_dual(g, gens, strict) -> bool:
+    """`_strict_dual_test`'s predicate at g, for closure generators gens and
+    strict row normals strict."""
+    on_face = []
+    for r in gens:
+        s = sum(map(mul, g, r))
+        if s < 0:
+            return False
+        if s == 0:
+            on_face.append(r)
+    return not on_face or any(
+        all(sum(map(mul, h, r)) == 0 for r in on_face) for h in strict)
 
 
 def _check_searched(lam: LaurentPoly, piece: Polyhedron):
@@ -560,7 +573,10 @@ def _cover(system, pieces, coeff_bound: int, box_limit: int, depth: int):
             lam = to_lam(sol)
             _check_searched(lam, piece)
             support = [g for g in lam.terms if any(g)]
-            certified.append((piece, Polyhedron.cone(piece.rank, gt=support), lam))
+            # every monomial of the support is positive on the piece
+            cone = Polyhedron.cone(piece.rank, gt=support)
+            cone._take_point(piece._point)
+            certified.append((piece, cone, lam))
             break
         else:
             parts = _sign_split(piece) if depth > 0 else []

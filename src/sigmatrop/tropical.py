@@ -29,6 +29,9 @@ def trop_hypersurface(f: LaurentPoly, v: ValuationSpec) -> PolyhedralSet:
     A single-monomial f is a unit: its hypersurface is empty.  The result is
     the union over monomial pairs (g, h) of
     {chi : v(c_g) + chi*g = v(c_h) + chi*h <= v(c_k) + chi*k for all k}.
+    A point where several monomials are minimal lies in the piece of every
+    pair of them, so a pair first tries the points of the earlier pieces
+    and is solved only when none of them has g and h both minimal.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no tropical hypersurface")
@@ -36,13 +39,16 @@ def trop_hypersurface(f: LaurentPoly, v: ValuationSpec) -> PolyhedralSet:
     monos = sorted(vals)
     if len(monos) == 1:
         return PolyhedralSet.empty(f.rank)
-    pieces = []
+    pieces, known = [], []
     for i, g in enumerate(monos):
         for h in monos[i + 1:]:
             eq = [(tuple(a - b for a, b in zip(g, h)), vals[h] - vals[g])]
             ge = [(tuple(a - b for a, b in zip(k, g)), vals[g] - vals[k])
                   for k in monos if k != g and k != h]
-            pieces.append(Polyhedron(f.rank, eq=eq, ge=ge))
+            piece = Polyhedron(f.rank, eq=eq, ge=ge)
+            if not any(map(piece._take_point, known)) and not piece.is_empty:
+                known.append(piece.feasible_point())
+            pieces.append(piece)
     return PolyhedralSet(f.rank, [p for p in pieces if not p.is_empty])
 
 

@@ -13,6 +13,8 @@ from sigmatrop.tropical import (amoeba_sample, log_limit_directions,
 from sigmatrop.valuations import TrivialValuation
 from sigmatrop.rings import LaurentPoly
 
+from test_cone_kernels import as_fractions
+
 X = LaurentPoly.monomial
 
 EPS = Fraction(1, 2 ** 14)  # below every slack/derivative ratio at this scale
@@ -55,6 +57,7 @@ def test_germ_cone_matches_small_step_oracle():
         base = p.closure().feasible_point()
         if base is None:
             continue
+        base = as_fractions(base)
         germ = p.germ_cone_at(base)
         for _ in range(10):
             d = tuple(rng.randint(-3, 3) for _ in range(rank))
@@ -92,7 +95,7 @@ def test_rays_reconstruct_pointed_cones():
             point = tuple(sum(c * r[i] for c, r in zip(coeffs, rays))
                           for i in range(rank))
             assert cone.contains(point)
-        sample = cone.feasible_point()
+        sample = as_fractions(cone.feasible_point())
         k = len(rays)
         eqs = [(tuple(Fraction(rays[j][i]) for j in range(k)),
                 Fraction(sample[i])) for i in range(rank)]
@@ -165,6 +168,7 @@ def test_recession_directions_stay_inside():
         base = p.closure().feasible_point()
         if base is None:
             continue
+        base = as_fractions(base)
         done += 1
         rec = p.recession()
         closure = p.closure()

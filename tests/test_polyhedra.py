@@ -10,6 +10,8 @@ from sigmatrop.polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
                                  in_open_hemisphere, local_cone_at_infinity,
                                  local_cone_at_origin, pure_dimension, ray_cone)
 
+from test_cone_kernels import as_fractions
+
 
 def halfplane(rank, normal, strict=False):
     return (Polyhedron.cone(rank, gt=[normal]) if strict
@@ -29,10 +31,10 @@ def test_feasibility_with_strict_rows():
     p = Polyhedron(1, ge=[((1,), 0)], gt=[((-1,), 0)])  # u >= 0 and u < 0
     assert p.is_empty
     q = Polyhedron(1, gt=[((1,), 0), ((-1,), -1)])      # 0 < u < 1
-    pt = q.feasible_point()
-    assert pt is not None and 0 < pt[0] < 1
+    pt = as_fractions(q.feasible_point())
+    assert 0 < pt[0] < 1
     r = Polyhedron(2, eq=[((1, 1), 1)], gt=[((1, -1), 0)])
-    pt = r.feasible_point()
+    pt = as_fractions(r.feasible_point())
     assert pt[0] + pt[1] == 1 and pt[0] > pt[1]
 
 
@@ -282,11 +284,11 @@ def test_feasible_point_prefers_strict_bounds():
     p = Polyhedron(2, ge=[((0, 1), 0), ((-1, -1), -1)], gt=[((-2, -1), -2)])
     pt = p.feasible_point()
     assert pt is not None
-    assert p.contains(pt)
+    assert p.contains(as_fractions(pt))
     # the same with the strict row rewritten to tie exactly at x = 1
     q = Polyhedron(2, ge=[((0, 1), 0), ((-1, -1), -1)], gt=[((-1, -1), -1)])
     pt_q = q.feasible_point()
-    assert pt_q is not None and q.contains(pt_q)
+    assert pt_q is not None and q.contains(as_fractions(pt_q))
 
 
 def test_feasible_points_always_contained():
@@ -302,7 +304,7 @@ def test_feasible_points_always_contained():
         pt = p.feasible_point()
         if pt is not None:
             found += 1
-            assert p.contains(pt)
+            assert p.contains(as_fractions(pt))
     assert found > 50
 
 

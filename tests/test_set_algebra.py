@@ -13,18 +13,21 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 import pytest
 
-from sigmatrop import polyhedra
+from sigmatrop import polyhedra, sigma
 from sigmatrop.polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
                                  _dedupe_ineqs, _fm_eliminate, _fm_point,
                                  _solve_system, balanceable_at,
                                  in_open_hemisphere, ray_cone)
-from sigmatrop.rings import Direction
+from sigmatrop.rings import ZZ, Direction, LaurentPoly
+from sigmatrop.tropical import trop_hypersurface
+from sigmatrop.valuations import PAdicValuation
 
 from reference_linalg import rref
-from test_cone_kernels import counting, fresh
+from test_cone_kernels import as_fractions, counting, fresh, rand_vec
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +203,6 @@ def fraction_fm_point(rows, n):
             val = (lo[0] + hi[0]) / 2
         point[var] = val
     return point
-
-
-def as_fractions(point):
-    """The Fractions of an (integers, den) point, checking its form: den > 0
-    and the gcd of den and the integers 1."""
-    nums, den = point
-    assert den > 0 and math.gcd(den, *nums) == 1, point
-    return [Fraction(x, den) for x in nums]
 
 
 def rand_ineqs(rng, n, rational):
@@ -394,6 +389,8 @@ def test_integer_elimination_matches_rref_reference(monkeypatch):
         want = rref_solve_system(eqs, ineqs, n)
         handed.clear()
         got = _solve_system(eqs, ineqs, n)
+        if got is not None:
+            got = as_fractions(got)
         assert got == want, (eqs, ineqs, got, want)
         if eqs:
             assert all(type(x) is int
@@ -477,3 +474,116 @@ def test_has_direction_is_decided_once(monkeypatch):
         before = len(solves)
         assert p.has_direction() == first
         assert len(solves) == before, p
+
+
+# ---------------------------------------------------------------------------
+# Known points: a polyhedron that takes a point it is handed decides as FM
+# does, and a point that breaks one row is refused and left to FM.
+
+
+def rand_mixed(rng, rank):
+    """Equality, weak and strict rows, homogeneous or affine."""
+    affine = rng.random() < 0.5
+    return Polyhedron(rank, eq=rand_rows(rng, rank, rng.choice((0, 0, 1)), affine),
+                      ge=rand_rows(rng, rank, rng.randint(0, 3), affine),
+                      gt=rand_rows(rng, rank, rng.randint(0, 2), affine))
+
+
+def rand_valued_poly(rng, rank):
+    terms = {}
+    while len(terms) < rng.randint(2, 5):
+        terms[tuple(rng.randint(-1, 2) for _ in range(rank))] = rng.choice(
+            (1, -1, 2, 3, 4, 6, 9, -12))
+    return LaurentPoly(rank, ZZ, terms)
+
+
+def test_known_points_decide_as_fm_does(monkeypatch):
+    """Every polyhedron that takes a known point (meets, complement
+    candidates, sign-split parts, hypersurface pairs, ray cones) contains it and
+    answers is_empty, dim() and has_direction() as a fresh copy decided by
+    FM does."""
+    took = []
+    take = Polyhedron._take_point
+
+    def recording_take(p, point):
+        taken = take(p, point)
+        if taken:
+            took.append(p)
+        return taken
+
+    monkeypatch.setattr(Polyhedron, "_take_point", recording_take)
+    rng = random.Random(251)
+    for _ in range(150):
+        rank = rng.randint(1, 4)
+        a, b = rand_mixed(rng, rank), rand_mixed(rng, rank)
+        a.is_empty, b.is_empty  # noqa: B018 - decided operands hold a point
+        a.intersect(b), b.intersect(a)
+        PolyhedralSet(rank, [a, b]).complement()
+        cone = Polyhedron.cone(rank, ge=[v for v, _ in a.ge], gt=[v for v, _ in b.gt])
+        if cone.has_direction():
+            sigma._sign_split(cone)
+        trop_hypersurface(rand_valued_poly(rng, rank),
+                          PAdicValuation(rng.choice((2, 3))))
+        ray_cone(Direction.from_vector(rand_vec(rng, rank)))
+    kinds = set()
+    for p in took:
+        assert p.contains(as_fractions(p.feasible_point())), p
+        ref = fresh(p)
+        assert p.is_empty is ref.is_empty is False, p
+        assert p.dim() == ref.dim(), p
+        assert p.has_direction() == fresh(p).has_direction(), p
+        kinds.update(kind for kind, rows in (("eq", p.eq), ("ge", p.ge), ("gt", p.gt))
+                     if rows)
+        kinds.add("affine" if not p.is_homogeneous else "cone")
+    assert len(took) > 500 and kinds == {"eq", "ge", "gt", "affine", "cone"}
+
+
+def test_a_point_that_breaks_one_row_is_refused(monkeypatch):
+    """A point of P is refused by P plus one row it breaks: a strict row it
+    meets with equality, or an equality off by one.  The polyhedron stays
+    undecided, and FM decides it as a fresh copy."""
+    solves = counting(monkeypatch, polyhedra, "_solve_system")
+    rng = random.Random(257)
+    refused = {"gt": 0, "eq": 0}
+    while min(refused.values()) < 40:
+        rank = rng.randint(1, 4)
+        p = rand_mixed(rng, rank)
+        point = p.feasible_point()
+        if point is None:
+            continue
+        nums, den = point
+        v = rand_vec(rng, rank)
+        vec, rhs = tuple(den * x for x in v), sum(map(mul, v, nums))  # vec*point = rhs
+        for kind, row in (("gt", (vec, rhs)), ("eq", (vec, rhs + rng.choice((-1, 1))))):
+            rows = {"eq": p.eq, "ge": p.ge, "gt": p.gt}
+            rows[kind] += (row,)
+            q = Polyhedron(rank, **rows)
+            assert not q._take_point(point), (q, point)
+            meet = p.intersect(Polyhedron(rank, **{kind: [row]}))
+            assert meet == q
+            want = fresh(q).is_empty
+            for r in (q, meet):
+                assert r._empty is None and r._point is None, r
+                before = len(solves)
+                assert r.is_empty == want, r
+                assert len(solves) == before + 1, r  # decided by FM
+            refused[kind] += 1
+
+
+def test_intersect_stores_the_rows_the_constructor_would():
+    """intersect merges its operands' primitive rows without normalizing
+    them again; the meet equals the polyhedron built from all the rows,
+    homogeneity and the stored empty set included."""
+    rng = random.Random(263)
+    stored_empty = 0
+    for _ in range(2000):
+        rank = rng.randint(1, 4)
+        a, b = rand_mixed(rng, rank), rand_mixed(rng, rank)
+        if rng.random() < 0.05:
+            a, b = b, Polyhedron.empty(rank)
+        meet = a.intersect(b)
+        ref = Polyhedron(rank, eq=a.eq + b.eq, ge=a.ge + b.ge, gt=a.gt + b.gt)
+        assert meet == ref and meet.is_homogeneous == ref.is_homogeneous, (a, b)
+        assert (meet._empty is True) == (ref._empty is True), (a, b)
+        stored_empty += ref._empty is True
+    assert stored_empty

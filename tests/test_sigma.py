@@ -22,7 +22,7 @@ from sigmatrop.sigma import (CyclicModule, MatrixAction, ScalarAction,
                              sigma_scalar_action_exact)
 
 from reference_linalg import mat_vec, rref
-from test_cone_kernels import counting
+from test_cone_kernels import as_fractions, counting
 
 X = LaurentPoly.monomial
 
@@ -873,7 +873,7 @@ def _direction_in(piece):
         axis = tuple(sign * int(j == i) for j in range(n))
         part = piece.intersect(Polyhedron.cone(n, gt=[axis]))
         if not part.is_empty:
-            return part.feasible_point()
+            return as_fractions(part.feasible_point())
     raise AssertionError(f"{piece} has no direction")
 
 

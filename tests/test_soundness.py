@@ -33,7 +33,7 @@ def test_certificate_search_rejects_an_invalid_certificate(monkeypatch):
 
 def test_hemisphere_witness_is_rechecked(monkeypatch):
     monkeypatch.setattr(polyhedra, "_solve_system",
-                        lambda eqs, rows, n: [Fraction(0)] * n)
+                        lambda eqs, rows, n: ((0,) * n, 1))
     with pytest.raises(SoundnessError):
         in_open_hemisphere([(1, 0), (0, 1)])
 
@@ -45,7 +45,7 @@ def test_hemisphere_alternative_must_produce_a_certificate(monkeypatch):
 
 
 def test_hemisphere_combination_is_rechecked(monkeypatch):
-    answers = iter([None, [Fraction(1), Fraction(1)]])  # sums to 2, not 1
+    answers = iter([None, ((1, 1), 1)])  # sums to 2, not 1
     monkeypatch.setattr(polyhedra, "_solve_system", lambda *args: next(answers))
     with pytest.raises(SoundnessError):
         in_open_hemisphere([(1,), (-1,)])

@@ -14,6 +14,8 @@ from sigmatrop.tropical import (amoeba_sample, global_tropical_Z,
                                 trop_prevariety)
 from sigmatrop.valuations import PAdicValuation, TrivialValuation
 
+from test_cone_kernels import as_fractions
+
 X = LaurentPoly.monomial
 TRIV = TrivialValuation()
 
@@ -94,7 +96,7 @@ def test_hypersurface_pure_dimension_and_balancing():
     fan_g = trop_hypersurface(g, TRIV)
     assert pure_dimension(fan_g) == 1
     for piece in fan_g.pieces:
-        pt = piece.feasible_point()
+        pt = as_fractions(piece.feasible_point())
         assert balanceable_at(fan_g, pt)
 
 

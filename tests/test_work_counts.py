@@ -4,13 +4,14 @@ exact kernels build Fractions only for their answers, and the group and dyn
 commands derive each reported quantity once."""
 
 import json
+import math
 from fractions import Fraction
 from functools import cached_property
 
-from sigmatrop import cli, dynamics, sigma
+from sigmatrop import cli, dynamics, polyhedra, sigma
 from sigmatrop.dynamics import PushMap, gsh
 from sigmatrop.halfplane import verify_push_B, verify_zero_obstruction_B
-from sigmatrop.polyhedra import SphericalSet, _solve_system, ray_cone
+from sigmatrop.polyhedra import Polyhedron, SphericalSet, _solve_system, ray_cone
 from sigmatrop.rings import ZZ, Character, Direction, LaurentPoly
 from sigmatrop.sigma import MatrixAction, SigmaResult
 
@@ -59,9 +60,9 @@ def test_verifiers_build_a_fixed_number_of_fractions(monkeypatch):
 
 
 def test_solve_system_builds_only_its_point(monkeypatch):
-    """Rational rows, equality pivots and strict rows: one Fraction per
-    coordinate of the returned point, none in the elimination or the
-    back-substitution."""
+    """Rational rows, equality pivots and strict rows: the point comes back
+    as the integer pair (nums, den), and no Fraction is built in the
+    elimination, the back-substitution or the point."""
     half, third = Fraction(1, 2), Fraction(1, 3)
     eqs = [((1, half, 0, -1), third), ((0, 3, 2, 0), 1)]
     ineqs = [((1, 0, 0, 0), -half, True), ((0, 0, 1, 1), 2, False),
@@ -69,14 +70,15 @@ def test_solve_system_builds_only_its_point(monkeypatch):
              ((-1, 0, 0, 0), -4, False)]
     count = fractions_built(monkeypatch)
     got = []
-    assert built_during(count, lambda: got.append(_solve_system(eqs, ineqs, 4))) == 4
-    (point,) = got
-    assert any(x.denominator > 1 for x in point)
+    assert built_during(count, lambda: got.append(_solve_system(eqs, ineqs, 4))) == 0
+    ((nums, den),) = got
+    assert all(type(x) is int for x in nums) and type(den) is int
+    assert den > 1 and math.gcd(den, *nums) == 1
     for vec, rhs in eqs:
-        assert sum(a * x for a, x in zip(vec, point)) == rhs
+        assert sum(a * x for a, x in zip(vec, nums)) == rhs * den
     for vec, rhs, strict in ineqs:
-        lhs = sum(a * x for a, x in zip(vec, point))
-        assert lhs > rhs if strict else lhs >= rhs
+        lhs = sum(a * x for a, x in zip(vec, nums))
+        assert lhs > rhs * den if strict else lhs >= rhs * den
 
 
 def test_matrix_system_builds_no_fraction(monkeypatch):
@@ -92,6 +94,38 @@ def test_matrix_system_builds_no_fraction(monkeypatch):
     rows, rhs, ncols, _ = got[0]
     assert ncols == 11 and len(rows) == len(rhs) == 4
     assert all(type(x) is int for row in rows for x in row.values())
+
+
+def test_complement_candidates_holding_a_known_point_take_no_solve(monkeypatch):
+    """The complement of three rays of rank 3 (scalar (2, 3, 5)) meets its
+    pieces' complement parts in 75 candidates; a candidate that holds the
+    point of the piece it came from takes that point, so only 63 are
+    solved."""
+    s = SphericalSet.from_directions([Direction(v) for v in
+                                      ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+    candidates = counting(monkeypatch, Polyhedron, "intersect")
+    solves = counting(monkeypatch, polyhedra, "_solve_system")
+    assert len(s.complement().pieces) == 15
+    assert len(solves) < len(candidates)
+    assert (len(candidates), len(solves)) == (75, 63)
+
+
+def test_failing_piece_tests_each_box_monomial_once(monkeypatch):
+    """Both undecided pieces of a matrix action with no rational joint
+    eigenbasis fail the search at every box size 1..6; each tests each of
+    the 13^2 - 1 nonzero monomials of [-6, 6]^2 once, not once per box."""
+    m = MatrixAction.of([[["2", "1"], ["0", "2"]], [["3", "0"], ["0", "3"]]],
+                        [["1", "0"], ["0", "1"]])
+    pieces = sigma.sigma_of_module(m).undecided.pieces
+    assert len(pieces) == 2
+    tested = counting(monkeypatch, sigma, "_in_strict_dual")
+    for piece in pieces:
+        del tested[:]
+        certified, failed = sigma._cover(sigma._matrix_system(sigma._ActionCache(m)),
+                                         [piece], 10 ** 6, sigma.COVER_BOX_LIMIT, 0)
+        assert not certified and failed == [piece]
+        monomials = [g for g, _, _ in tested]
+        assert len(monomials) == len(set(monomials)) == 13 ** 2 - 1
 
 
 def test_dyn_takes_the_norm_once(monkeypatch):

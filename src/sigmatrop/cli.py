@@ -400,10 +400,6 @@ def _read_h2(payload):
     """p and the arguments of each verifier the payload asks for."""
     obj = _object(payload, ("p",), ("support_at_zero", "infinity_obstruction",
                                     "push", "zero_obstruction"))
-    # every verifier at its maxima below answers within about a second for
-    # p up to 10^6 (infinity search 0.6-1.1 s, zero-obstruction search 0.5 s,
-    # push 1 ms); a p of 100 digits about doubles that and one of 1000
-    # digits takes 8 s
     p = _int(obj["p"], 2, 10 ** 6)
     checks = {}
     if "support_at_zero" in obj:
@@ -414,10 +410,12 @@ def _read_h2(payload):
         if j_max < k:
             raise ValueError(f"j_max {j_max} is less than k {k}")
         checks["support_at_zero"] = k, j_max
-    # the searches enumerate (2 coeff_bound + 1)^k_max candidates, and up to
-    # C(n, size_bound) (2 coeff_bound)^size_bound combinations of n
-    # candidates that grow with k_max: at these maxima each takes at most
-    # about a second, where k_max 8 or size_bound 3 can take minutes
+    # the obstructions print the size of the family their certificate
+    # covers, (2 coeff_bound + 1)^k_max and up to C(n, size_bound)
+    # (2 coeff_bound)^size_bound for n elements that grow with k_max: these
+    # maxima keep each count under 600,000 (9^6 = 531,441 candidates, and
+    # at most 554,400 combinations of 132 elements), where unbounded ones
+    # could pass the 4,300 digits str() prints
     if "infinity_obstruction" in obj:
         params = _object(obj["infinity_obstruction"], ("q", "coeff_bound", "k_max"))
         checks["infinity_obstruction"] = (parse_frac(params["q"]),
@@ -428,11 +426,10 @@ def _read_h2(payload):
         checks["push"] = ()
     if "zero_obstruction" in obj:
         params = _object(obj["zero_obstruction"], ("q", "coeff_bound", "size_bound"),
-                         ("k_max", "module"))
+                         ("k_max",))
         checks["zero_obstruction"] = (
             parse_frac(params["q"]), _int(params["coeff_bound"], 1, 4),
-            _int(params["size_bound"], 1, 2), _int(params.get("k_max", 2), 0, 4),
-            _one_of(params.get("module", "B"), ("A", "B")))
+            _int(params["size_bound"], 1, 2), _int(params.get("k_max", 2), 0, 4))
     return p, checks
 
 
@@ -466,12 +463,11 @@ def _run_h2(p, checks):
             "shift_value": rep.shift_value,
         }
     if "zero_obstruction" in checks:
-        q, coeff_bound, size_bound, k_max, module = checks["zero_obstruction"]
-        rep = verify_zero_obstruction_B(p, q, coeff_bound, size_bound,
-                                        k_max=k_max, module=module)
+        q, coeff_bound, size_bound, k_max = checks["zero_obstruction"]
+        rep = verify_zero_obstruction_B(p, q, coeff_bound, size_bound, k_max=k_max)
         out["zero_obstruction"] = {
             "passed": rep.passed,
-            "module": rep.module,
+            "module": "B",
             "qualifying_elements": rep.qualifying_elements,
             "combinations_checked": rep.combinations_checked,
             "witness_found": rep.witness is not None,

@@ -1,36 +1,27 @@
 """Exact verifier for the upper half-plane examples: the solvable matrix
-group generated by t = diag(p, 1/p) and the unipotents over Z[1/p], the two
-rank-one modules on which t acts by p^2 and p^-2, and the membership and
-obstruction checks for the boundary points 0 and infinity.
+group generated by t = diag(p, 1/p) and the unipotents over Z[1/p], the
+rank-one modules A and B on which t acts by p^2 and p^-2, and the
+membership and obstruction checks for the boundary points 0 and infinity.
 
-The geometry API (`GroupElement`, `busemann_arg`, `HoroballSpec`) keeps
-exact rationals via "log arguments": a Busemann value is stored as the
-rational whose natural log it is, and comparisons of sums of logs are
-comparisons of products of rationals.  The search loops of
-`verify_zero_obstruction_B` and `verify_push_B` run in plain integers: an
-element of Z[1/p] is the canonical pair (n, e) meaning n / p^e, a group
-element the triple (k, n, e), and each rational comparison is the same
-inequality cleared of its powers of p.  Floats appear only for display.
+Everything runs in integers: n / p^e in Z[1/p] is the canonical pair
+(n, e), a group element [[p^k, b], [0, p^-k]] the triple (k, n, e), and a
+rational comparison is the same inequality cleared of its denominators.
+Each obstruction is answered by its certificate (p^2 divides the image of
+every element over the horoball, so no combination maps to 1) or by an
+element of image 1 over it; its count is the size of the bounded family
+the certificate covers.  Floats appear only for display.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .rings import SoundnessError
 
-def _strip_power(den: int, p: int) -> int:
-    """den with every prime factor of p divided out: 1 exactly when den
-    divides a power of p, also for composite p."""
-    g = math.gcd(den, p)
-    while g != 1:
-        den //= g
-        g = math.gcd(den, p)
-    return den
+B_NUM_BOUND = 4  # numerators m of the elements b = m / p^j the zero obstruction enumerates
 
 
 def _canonical(p: int, n: int, e: int) -> tuple:
@@ -53,175 +44,25 @@ def _triple_mul(p: int, g: tuple, h: tuple) -> tuple:
     return (k1 + k2, *_canonical(p, n2 * p ** (top - e_left) + n1 * p ** (top - e_right), top))
 
 
-def _in_ball_at_zero(p: int, k: int, n: int, e: int, q) -> bool:
-    """Whether g.i = (p^k b, p^(2k)) lies in the horoball at 0 of level q,
-    for g = [[p^k, b], [0, p^-k]] and b = n / p^e.  busemann_arg(0, g.i) is
-    1 / (b^2 + p^(2k)), so this is q (b^2 + p^(2k)) <= 1 times the
-    denominators q.denominator p^(2e + 2 max(0, -k))."""
+def _level_at_zero(p: int, k: int, n: int, e: int) -> tuple:
+    """The Busemann level at 0 of g.i = (p^k b, p^(2k)) for g = [[p^k, b],
+    [0, p^-k]] and b = n / p^e: 1 / (b^2 + p^(2k)) as the integer pair
+    (num, den), both sides times p^(2e + 2 max(0, -k))."""
     s = max(0, -k)
-    return (q.numerator * (n * n * p ** (2 * s) + p ** (2 * (e + k + s)))
-            <= q.denominator * p ** (2 * (e + s)))
+    return p ** (2 * (e + s)), n * n * p ** (2 * s) + p ** (2 * (e + k + s))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """The matrix [[p^k, b], [0, p^-k]] with b in Z[1/p]."""
-
-    p: int
-    k: int
-    b: Fraction
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("the scale parameter must be at least 2")
-        if _strip_power(self.b.denominator, self.p) != 1:
-            raise ValueError(f"{self.b} is not a p-power denominator rational")
-
-    @classmethod
-    def of(cls, p: int, k: int, b=0) -> "GroupElement":
-        return cls(p, k, Fraction(b))
-
-    def matrix(self):
-        pk = Fraction(self.p) ** self.k
-        return ((pk, self.b), (Fraction(0), 1 / pk))
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if self.p != other.p:
-            raise ValueError("elements of different groups")
-        k = self.k + other.k
-        b = Fraction(self.p) ** self.k * other.b + Fraction(self.p) ** (-other.k) * self.b
-        return GroupElement(self.p, k, b)
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.p, -self.k, -self.b)
-
-    @property
-    def identity_like(self) -> bool:
-        return self.k == 0 and self.b == 0
-
-    def act(self, z):
-        """Moebius action z -> p^(2k) z + p^k b on the open upper half-plane."""
-        re, im = Fraction(z[0]), Fraction(z[1])
-        if im <= 0:
-            raise ValueError("the action is defined on positive imaginary parts")
-        scale = Fraction(self.p) ** (2 * self.k)
-        return (scale * re + Fraction(self.p) ** self.k * self.b, scale * im)
-
-
-BASE_POINT = (Fraction(0), Fraction(1))  # the point i
-
-
-def t_gen(p: int) -> GroupElement:
-    return GroupElement.of(p, 1)
-
-
-class GroupRingElement:
-    """Finite integer combination of group elements."""
-
-    __slots__ = ("p", "terms")
-
-    def __init__(self, p: int, terms=()):
-        clean = {}
-        for g, c in dict(terms).items():
-            if g.p != p:
-                raise ValueError("mixed groups in one ring element")
-            c = int(c)
-            if c:
-                clean[g] = c
-        self.p = p
-        self.terms = clean
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def support(self):
-        return sorted(self.terms, key=lambda g: (g.k, g.b))
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            out[g] = out.get(g, 0) + c
-        return GroupRingElement(self.p, out)
-
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out: dict = {}
-        for g, c in self.terms.items():
-            for h, d in other.terms.items():
-                gh = g * h
-                out[gh] = out.get(gh, 0) + c * d
-        return GroupRingElement(self.p, out)
-
-    def scale(self, c: int) -> "GroupRingElement":
-        return GroupRingElement(self.p, {g: v * c for g, v in self.terms.items()})
-
-    def right_mul(self, c: int, g: GroupElement) -> "GroupRingElement":
-        return GroupRingElement(self.p, {h * g: v * c for h, v in self.terms.items()})
-
-    def control_image(self):
-        """The finite set of points g.i for g in the support."""
-        return [g.act(BASE_POINT) for g in self.support()]
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupRingElement) and self.p == other.p
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        return f"GroupRingElement(p={self.p}, {len(self.terms)} terms)"
-
-
-# ---------------------------------------------------------------------------
-# Busemann functions, normalized to vanish at the base point i.
-
-
-def busemann_arg(xi, z) -> Fraction:
-    """exp of the Busemann value at z for the boundary point xi (None = inf).
-
-    xi = inf: Im z; real xi: (1 + xi^2) Im z / |z - xi|^2.  Both equal 1 at
-    the base point i, matching the chosen normalization.
-    """
-    re, im = Fraction(z[0]), Fraction(z[1])
-    if im <= 0:
-        raise ValueError("Busemann functions live on the open half-plane")
-    if xi is None:
-        return im
-    xi = Fraction(xi)
-    return (1 + xi * xi) * im / ((re - xi) ** 2 + im * im)
-
-
-@dataclass(frozen=True)
-class HoroballSpec:
-    """Horoball at xi of Busemann level ln(level_arg); membership is the
-    exact comparison busemann_arg(xi, z) >= level_arg."""
-
-    xi: object  # Fraction or None for infinity
-    level_arg: Fraction
-
-    def contains(self, z) -> bool:
-        return busemann_arg(self.xi, z) >= self.level_arg
-
-
-def epsilon(c: GroupRingElement, module: str, p: int) -> Fraction:
-    """Augmentation onto the module: unipotents map to 1 and t to p^2 on
-    module "A", to p^-2 on module "B"."""
-    if module not in ("A", "B"):
-        raise ValueError("module must be 'A' or 'B'")
-    sign = 2 if module == "A" else -2
-    total = Fraction(0)
-    for g, m in c.terms.items():
-        total += m * Fraction(p) ** (sign * g.k)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Reports.
+def _in_ball_at_zero(p: int, k: int, n: int, e: int, q) -> bool:
+    """Whether g.i lies in the horoball at 0 of level q (a Fraction)."""
+    num, den = _level_at_zero(p, k, n, e)
+    return q.numerator * den <= q.denominator * num
 
 
 @dataclass
 class SupportAtZeroReport:
     p: int
     k: int
-    rows: list  # (j, epsilon_ok, busemann_arg)
+    rows: list  # (j, epsilon_ok, Busemann level at 0)
     strictly_increasing: bool
     passed: bool
 
@@ -238,16 +79,14 @@ def verify_support_at_zero_A(p: int, k: int, j_max: int) -> SupportAtZeroReport:
     rows = []
     prev = None
     increasing = True
-    target = Fraction(p) ** (2 * k)
     for j in range(k, j_max + 1):
-        cj = GroupRingElement(p, {GroupElement.of(p, -j): p ** (2 * (k + j))})
-        eps_ok = epsilon(cj, "A", p) == target
-        (point,) = cj.control_image()
-        barg = busemann_arg(Fraction(0), point)
-        if prev is not None and barg <= prev:
+        # the image p^(2(k+j)) p^(-2j) equals p^(2k), both sides times p^(2j)
+        eps_ok = p ** (2 * (k + j)) == p ** (2 * k) * p ** (2 * j)
+        level, _ = _level_at_zero(p, -j, 0, 0)  # t^-j.i = p^(-2j) i: p^(2j) over 1
+        if prev is not None and level <= prev:
             increasing = False
-        prev = barg
-        rows.append((j, eps_ok, barg))
+        prev = level
+        rows.append((j, eps_ok, level))
     passed = increasing and all(ok for _, ok, _ in rows)
     return SupportAtZeroReport(p=p, k=k, rows=rows,
                                strictly_increasing=increasing, passed=passed)
@@ -269,13 +108,15 @@ def verify_infinity_obstruction_A(p: int, q, coeff_bound: int,
                                   k_max: int) -> InfinityObstructionReport:
     """No ring element supported over {Im >= q} maps to 1 in module A.
 
-    Symbolic part: for q > 1 any reduced element sum m_k t^k over the
-    horoball has all k >= 1, so its image lies in p^2 Z and cannot be 1.
-    Brute-force part: exhaustive search over bounded coefficients confirms
-    sum m_k p^(2k) = 1 has no solution.  For q <= 1 the identity (k = 0,
-    Im i = 1 >= q) lies over the horoball and maps to 1: the witness
-    {0: 1}, the coefficient of each power of t, and the check fails.
+    For q > 1 each term m_k t^k over the horoball has Im(t^k i) = p^(2k)
+    >= q, so k >= 1 and p^2 divides its image: the sum cannot be 1.
+    `candidates_checked` counts the (2 coeff_bound + 1)^k_max vectors
+    |m_k| <= coeff_bound, k = 1..k_max, that this certificate covers.  For
+    q <= 1 the identity lies over the horoball and maps to 1: the witness
+    {0: 1} (power of t: coefficient), and the check fails.
     """
+    if p < 2:
+        raise ValueError("the scale parameter must be at least 2")
     if coeff_bound < 1 or k_max < 1:
         raise ValueError("need coeff_bound >= 1 and k_max >= 1: an empty search")
     q = Fraction(q)
@@ -285,22 +126,11 @@ def verify_infinity_obstruction_A(p: int, q, coeff_bound: int,
             candidates_checked=1, witness={0: 1}, passed=False,
             note="threshold q <= 1 admits k = 0: the identity lies over the "
                  "horoball and maps to 1")
-    # Im(t^k . i) = p^(2k) >= q > 1 forces k >= 1; each summand m_k p^(2k)
-    # is then divisible by p^2, so the total is never 1
     symbolic_pass = all((p ** (2 * k)) % (p * p) == 0 for k in range(1, k_max + 1))
-    weights = [p ** (2 * k) for k in range(1, k_max + 1)]
-    witness = None
-    checked = 0
-    span = range(-coeff_bound, coeff_bound + 1)
-    for coeffs in itertools.product(span, repeat=k_max):
-        checked += 1
-        if sum(m * w for m, w in zip(coeffs, weights)) == 1:
-            witness = {k: m for k, m in enumerate(coeffs, 1) if m}
-            break
     return InfinityObstructionReport(
         p=p, q=q, symbolic_applies=True, symbolic_pass=symbolic_pass,
-        candidates_checked=checked, witness=witness,
-        passed=symbolic_pass and witness is None,
+        candidates_checked=(2 * coeff_bound + 1) ** k_max, witness=None,
+        passed=symbolic_pass,
         note="divisibility convention: each admissible term m_k p^(2k) with "
              "k >= 1 is divisible by p^2, so the total cannot be 1")
 
@@ -368,7 +198,6 @@ def verify_push_B(p: int, trials: int = 20, seed: int = 0) -> PushBReport:
 class ZeroObstructionReport:
     p: int
     q: Fraction
-    module: str
     qualifying_elements: int
     combinations_checked: int
     witness: object
@@ -376,60 +205,46 @@ class ZeroObstructionReport:
 
 
 def verify_zero_obstruction_B(p: int, q, coeff_bound: int, size_bound: int,
-                              k_max: int = 2, b_num_bound: int = 4,
-                              module: str = "B") -> ZeroObstructionReport:
-    """Brute-force check that no bounded ring element supported inside the
-    horoball at 0 of level ln(q) maps to 1 in module B.
+                              k_max: int = 2) -> ZeroObstructionReport:
+    """No ring element supported inside the horoball at 0 of level ln(q)
+    maps to 1 in module B.
 
-    The same enumeration with module="A" is the sanity inversion: module A
-    is supported at 0, so a witness is expected there once the coefficient
-    bound admits it.
-
-    The sums are exact in integers: every candidate has |k| <= k_max, so
-    its image p^(-2k) (p^(2k) on module A) times the scale p^(2 k_max) is
-    an integer, and a combination maps to 1 exactly when its scaled sum is
-    the scale.  Candidates are integer keys, and ball membership is the
-    integer test of `_in_ball_at_zero`; only a witness is built as
-    `GroupElement`s.
+    `qualifying_elements` counts the [[p^k, m / p^j], [0, p^-k]] with
+    |k| <= k_max, 0 <= j <= k_max and |m| <= B_NUM_BOUND whose g.i lies in
+    the ball.  One with k = 0 maps to 1: the first in (k, b) order is the
+    witness, and `combinations_checked` counts the combinations of at most
+    `size_bound` of them, coefficients 0 < |c| <= `coeff_bound`, up to it
+    in that order.  Otherwise p^2 divides every image p^(-2k), k <= -1,
+    and the count is the whole family that certificate covers.
     """
     if p < 2:
         raise ValueError("the scale parameter must be at least 2")
     if coeff_bound < 1 or size_bound < 1 or k_max < 0:
         raise ValueError("need coeff_bound, size_bound >= 1 and k_max >= 0")
-    if module not in ("A", "B"):
-        raise ValueError("module must be 'A' or 'B'")
     q = Fraction(q)
-    # candidate (k, n) is [[p^k, n / p^k_max], [0, p^-k]]; n = m p^(k_max - j)
+    # element (k, n) is [[p^k, n / p^k_max], [0, p^-k]]; n = m p^(k_max - j)
     # for b = m / p^j, so equal b give equal keys
-    candidates = set()
+    keys = set()
     for k in range(-k_max, k_max + 1):
         for j in range(0, k_max + 1):
-            for m in range(-b_num_bound, b_num_bound + 1):
+            for m in range(-B_NUM_BOUND, B_NUM_BOUND + 1):
                 key = (k, m * p ** (k_max - j))
-                if key not in candidates and _in_ball_at_zero(p, *key, k_max, q):
-                    candidates.add(key)
-    candidates = sorted(candidates)
-    sign = 2 if module == "A" else -2
-    scale = p ** (2 * k_max)
-    scaled = {g: p ** (2 * k_max + sign * g[0]) for g in candidates}
-    checked = 0
-    witness = None
-    nonzero = [c for c in range(-coeff_bound, coeff_bound + 1) if c]
-    for size in range(1, size_bound + 1):
-        for subset in itertools.combinations(candidates, size):
-            weights = [scaled[g] for g in subset]
-            for coeffs in itertools.product(nonzero, repeat=size):
-                checked += 1
-                if sum(map(operator.mul, coeffs, weights)) == scale:
-                    witness = {GroupElement(p, k, Fraction(n, p ** k_max)): c
-                               for (k, n), c in zip(subset, coeffs)}
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    passed = witness is None if module == "B" else witness is not None
-    return ZeroObstructionReport(p=p, q=q, module=module,
-                                 qualifying_elements=len(candidates),
+                if key not in keys and _in_ball_at_zero(p, *key, k_max, q):
+                    keys.add(key)
+    keys = sorted(keys)
+    units = [n for k, n in keys if k == 0]
+    if units:
+        # each earlier key has k < 0, and none of its 2 coeff_bound multiples
+        # of p^(-2k) > 1 is 1; the first unit then takes -coeff_bound..-1, 1
+        witness = {(0, *_canonical(p, units[0], k_max)): 1}
+        checked = sum(1 for k, _ in keys if k < 0) * 2 * coeff_bound + coeff_bound + 1
+    elif any(k > -1 for k, _ in keys):
+        raise SoundnessError("an element of the horoball at 0 has an image "
+                             "that p^2 does not divide")
+    else:
+        witness = None
+        checked = sum(math.comb(len(keys), size) * (2 * coeff_bound) ** size
+                      for size in range(1, size_bound + 1))
+    return ZeroObstructionReport(p=p, q=q, qualifying_elements=len(keys),
                                  combinations_checked=checked,
-                                 witness=witness, passed=passed)
+                                 witness=witness, passed=witness is None)

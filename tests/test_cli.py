@@ -438,7 +438,8 @@ _SCALAR = {"mode": "scalar", "rhos": ["6"]}
      "Additional properties are not allowed ('domain' was unexpected)"),
     ("group", {"module": {"mode": "cyclic", "rank": 1, "rhos": ["2"]}},
      "Additional properties are not allowed ('rhos' was unexpected)"),
-    # h2 searches past these maxima ran for seconds to hours
+    # h2 maxima: past them a printed count of the family an obstruction's
+    # certificate covers could grow past the 4,300 digits str() prints
     ("h2", {"p": 2, "infinity_obstruction": {"q": "2", "coeff_bound": 5, "k_max": 2}},
      "5 is greater than the maximum of 4"),
     ("h2", {"p": 2, "infinity_obstruction": {"q": "2", "coeff_bound": 2, "k_max": 7}},
@@ -460,6 +461,11 @@ _SCALAR = {"mode": "scalar", "rhos": ["6"]}
      "33 is greater than the maximum of 32"),
     ("dyn", {"rank": 1, "matrix": [[_POLY]], "powers": 21},
      "21 is greater than the maximum of 20"),
+    # module A's zero-obstruction search is gone: the support at zero shows
+    # its witnesses
+    ("h2", {"p": 2, "zero_obstruction": {"q": 2, "coeff_bound": 2, "size_bound": 1,
+                                         "module": "A"}},
+     "Additional properties are not allowed ('module' was unexpected)"),
 ])
 def test_module_gaps_are_schema_errors(tmp_path, capsys, command, payload, message):
     job_file = tmp_path / "job.json"
@@ -563,7 +569,7 @@ def test_light_jobs_import_neither_sympy_nor_numpy():
     assert proc.stdout == "[]\n"
 
 
-def test_h2_searches_at_their_maxima_answer(tmp_path, capsys):
+def test_h2_obstructions_at_their_maxima_answer(tmp_path, capsys):
     job_file = tmp_path / "job.json"
     job_file.write_text(json.dumps({"version": 1, "command": "h2", "payload": {
         "p": 2,
@@ -572,6 +578,8 @@ def test_h2_searches_at_their_maxima_answer(tmp_path, capsys):
     assert main(["--job", str(job_file)]) == 0
     res = json.loads(capsys.readouterr().out)["result"]
     assert res["infinity_obstruction"]["candidates_checked"] == 9 ** 6
+    # 34 elements qualify: 34 singles and C(34, 2) = 561 pairs, 8 coefficients each
+    assert res["zero_obstruction"]["combinations_checked"] == 34 * 8 + 561 * 64
     assert res["infinity_obstruction"]["passed"] and res["zero_obstruction"]["passed"]
 
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,13 +5,21 @@ from fractions import Fraction
 import pytest
 
 from sigmatrop import halfplane
-from sigmatrop.halfplane import (BASE_POINT, GroupElement, GroupRingElement,
-                                 HoroballSpec, _in_ball_at_zero,
-                                 _triple_mul, busemann_arg, epsilon, t_gen,
+from sigmatrop.halfplane import (_in_ball_at_zero, _level_at_zero, _triple_mul,
                                  verify_infinity_obstruction_A, verify_push_B,
                                  verify_support_at_zero_A, verify_zero_obstruction_B)
-from sigmatrop.rings import Direction
+from sigmatrop.rings import Direction, SoundnessError
 from sigmatrop.sigma import ScalarAction, sigma_of_module
+
+from reference_halfplane import (BASE_POINT, GroupElement, GroupRingElement,
+                                 HoroballSpec, busemann_arg, epsilon,
+                                 reference_infinity_obstruction,
+                                 reference_zero_obstruction, t_gen)
+
+# the levels q of the oracle grids: below, at and above the identity's
+# level 1 at both boundary points, and past p^2 for p = 2
+LEVELS = (-2, 0, Fraction(1, 9), Fraction(1, 2), 1, Fraction(10, 9), Fraction(3, 2),
+          2, 4, 9)
 
 
 def a_gen(p):
@@ -132,6 +139,14 @@ def test_group_ring_arithmetic():
     assert (lam + lam.scale(-1)).is_zero
 
 
+def as_triple(g):
+    """g as the integer triple (k, n, e) with b = n / p^e and e least."""
+    e = 0
+    while (g.b * g.p ** e).denominator != 1:
+        e += 1
+    return g.k, int(g.b * g.p ** e), e
+
+
 def test_support_at_zero_A():
     rep = verify_support_at_zero_A(2, 0, 5)
     assert rep.passed and rep.strictly_increasing
@@ -143,6 +158,19 @@ def test_support_at_zero_A():
     for k, j_max in ((2, 1), (-2, 3)):
         with pytest.raises(ValueError):
             verify_support_at_zero_A(2, k, j_max)
+
+
+def test_support_rows_match_the_fraction_geometry():
+    for p in (2, 3, 5, 6):
+        for k in range(0, 4):
+            rep = verify_support_at_zero_A(p, k, k + 4)
+            want = []
+            for j in range(k, k + 5):
+                g = GroupElement.of(p, -j)
+                image = epsilon(GroupRingElement(p, {g: p ** (2 * (k + j))}), "A", p)
+                want.append((j, image == p ** (2 * k),
+                             busemann_arg(Fraction(0), g.act(BASE_POINT))))
+            assert rep.rows == want and rep.passed
 
 
 def test_infinity_obstruction_A():
@@ -161,6 +189,29 @@ def test_infinity_obstruction_A():
     for coeff_bound, k_max in ((-1, 2), (0, 2), (3, 0), (3, -2)):
         with pytest.raises(ValueError):
             verify_infinity_obstruction_A(2, 2, coeff_bound=coeff_bound, k_max=k_max)
+
+    # divisibility by p^2 certifies nothing below p = 2: p = 1 "found" the
+    # witness {1: -1, 2: 2}, p = 0 divided by zero and p = -3 passed
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError):
+            verify_infinity_obstruction_A(p, 2, coeff_bound=2, k_max=2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 6])
+def test_infinity_obstruction_matches_the_enumeration(p):
+    """The certificate's count (2 coeff_bound + 1)^k_max and verdict equal
+    the search's, at every level, for the search that finds nothing and
+    for the identity witness."""
+    outcomes = set()
+    for q in LEVELS:
+        for coeff_bound in range(1, 5):
+            for k_max in range(1, 5):
+                rep = verify_infinity_obstruction_A(p, q, coeff_bound, k_max)
+                want = reference_infinity_obstruction(p, q, coeff_bound, k_max)
+                assert (rep.candidates_checked, rep.passed, rep.witness) == want, (
+                    q, coeff_bound, k_max)
+                outcomes.add(rep.passed)
+    assert outcomes == {True, False}
 
 
 def test_push_B():
@@ -182,55 +233,38 @@ def test_zero_obstruction_B():
             verify_zero_obstruction_B(2, 4, coeff_bound=coeff_bound,
                                       size_bound=size_bound, k_max=k_max)
 
-    # sanity inversion: module A is supported over the horoball at 0
-    inv = verify_zero_obstruction_B(2, 4, coeff_bound=5, size_bound=1, module="A")
-    assert inv.passed and inv.witness is not None
-    ((g, c),) = inv.witness.items()
-    assert c * Fraction(2) ** (2 * g.k) == 1
+    # the identity lies in every horoball at 0 of level q <= 1 and maps to 1
+    low = verify_zero_obstruction_B(3, 1, coeff_bound=2, size_bound=2)
+    assert not low.passed and low.witness == {(0, 0, 0): 1}
 
 
-def reference_zero_obstruction(p, q, coeff_bound, size_bound, k_max, module,
-                               b_num_bound=4):
-    """The enumeration verify_zero_obstruction_B ran before its sums became
-    integers: each combination summed in Fractions and compared with 1.
-    Kept as the oracle for the integer sums."""
-    ball = HoroballSpec(xi=Fraction(0), level_arg=Fraction(q))
-    elements = {GroupElement(p, k, Fraction(m, p ** j))
-                for k in range(-k_max, k_max + 1) for j in range(0, k_max + 1)
-                for m in range(-b_num_bound, b_num_bound + 1)}
-    candidates = sorted((g for g in elements if ball.contains(g.act(BASE_POINT))),
-                        key=lambda g: (g.k, g.b))
-    eps = {g: epsilon(GroupRingElement(p, {g: 1}), module, p) for g in candidates}
-    nonzero = [c for c in range(-coeff_bound, coeff_bound + 1) if c]
-    checked = 0
-    for size in range(1, size_bound + 1):
-        for subset in itertools.combinations(candidates, size):
-            for coeffs in itertools.product(nonzero, repeat=size):
-                checked += 1
-                if sum(c * eps[g] for c, g in zip(coeffs, subset)) == 1:
-                    witness = dict(zip(subset, coeffs))
-                    return len(candidates), checked, module == "A", witness
-    return len(candidates), checked, module == "B", None
+def test_zero_obstruction_refuses_an_image_p_squared_does_not_divide(monkeypatch):
+    # a ball that admitted t but not the identity would void the certificate
+    monkeypatch.setattr(halfplane, "_in_ball_at_zero", lambda p, k, n, e, q: k > 0)
+    with pytest.raises(SoundnessError):
+        verify_zero_obstruction_B(2, 4, coeff_bound=2, size_bound=1)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 6])
 def test_zero_obstruction_matches_the_fraction_enumeration(p):
-    """Integer sums scaled by p^(2 k_max) give the counts, the verdict and
-    the witness of the Fraction sums, for witnesses found and not found."""
+    """The closed-form counts, the verdict and the witness equal those of
+    the search over Fraction images, for witnesses found and not found."""
     outcomes = set()
-    for q in (Fraction(1, 2), 1, 2, 4, 9):
-        for module in ("A", "B"):
-            for coeff_bound, size_bound, k_max in ((2, 2, 1), (1, 2, 2), (3, 1, 0),
-                                                   (2, 1, 2)):
-                rep = verify_zero_obstruction_B(p, q, coeff_bound, size_bound,
-                                                k_max=k_max, module=module)
-                want = reference_zero_obstruction(p, q, coeff_bound, size_bound,
-                                                  k_max, module)
-                assert (rep.qualifying_elements, rep.combinations_checked,
-                        rep.passed, rep.witness) == want, (q, module, coeff_bound,
-                                                            size_bound, k_max)
-                outcomes.add((module, want[3] is None))
-    assert outcomes == {("A", True), ("A", False), ("B", True), ("B", False)}
+    for q in LEVELS:
+        for coeff_bound in range(1, 5):
+            for size_bound in (1, 2):
+                for k_max in range(0, 5):
+                    rep = verify_zero_obstruction_B(p, q, coeff_bound, size_bound,
+                                                    k_max=k_max)
+                    n, checked, passed, witness = reference_zero_obstruction(
+                        p, q, coeff_bound, size_bound, k_max)
+                    if witness is not None:
+                        witness = {as_triple(g): c for g, c in witness.items()}
+                    assert (rep.qualifying_elements, rep.combinations_checked,
+                            rep.passed, rep.witness) == (n, checked, passed, witness), (
+                        q, coeff_bound, size_bound, k_max)
+                    outcomes.add(passed)
+    assert outcomes == {True, False}
 
 
 def test_infinity_obstruction_fails_at_q_at_most_one():
@@ -251,11 +285,9 @@ def test_h2_verdicts_are_sigma_classes_of_the_scalar_modules(p):
     directions -1 and +1.  A point is in the horospherical limit set exactly
     when its direction is in sigma, and the divisibility by p^2 that
     obstructs a point is the p-adic witness of the complement direction."""
-    inversion = verify_zero_obstruction_B(p, 4, coeff_bound=p * p, size_bound=1,
-                                          k_max=1, module="A")
     infinity_a = verify_infinity_obstruction_A(p, 2, coeff_bound=2, k_max=2)
     in_limit_set = {
-        ("A", 0): verify_support_at_zero_A(p, 0, 3).passed and inversion.passed,
+        ("A", 0): verify_support_at_zero_A(p, 0, 3).passed,
         ("A", None): not infinity_a.passed,
         ("B", 0): not verify_zero_obstruction_B(p, 4, coeff_bound=3, size_bound=2).passed,
         ("B", None): verify_push_B(p).passed,
@@ -286,6 +318,7 @@ def test_ball_membership_matches_the_fraction_geometry():
                     # the level of g.i itself lies on the boundary, where a
                     # rounded power of p would decide wrongly
                     level = busemann_arg(Fraction(0), point)
+                    assert Fraction(*_level_at_zero(p, k, m, j)) == level
                     for q in (-1, 0, Fraction(1, 9), Fraction(1, 3), 1, 2, 4,
                               Fraction(25, 4), 9, 100, level,
                               level * Fraction(10 ** 9 + 1, 10 ** 9)):
@@ -319,14 +352,6 @@ def reference_push_B(p, trials=20, seed=0):
             ratio = (g * shift_el).act(BASE_POINT)[1] / g.act(BASE_POINT)[1]
             ratio_ok = ratio_ok and ratio == p * p
     return preserved, ratio_ok
-
-
-def as_triple(g):
-    """g as the integer triple (k, n, e) with b = n / p^e and e least."""
-    e = 0
-    while (g.b * g.p ** e).denominator != 1:
-        e += 1
-    return g.k, int(g.b * g.p ** e), e
 
 
 def test_push_matches_the_fraction_check():

@@ -10,7 +10,8 @@ from functools import cached_property
 
 from sigmatrop import cli, dynamics, polyhedra, sigma
 from sigmatrop.dynamics import PushMap, gsh
-from sigmatrop.halfplane import verify_push_B, verify_zero_obstruction_B
+from sigmatrop.halfplane import (verify_infinity_obstruction_A, verify_push_B,
+                                 verify_zero_obstruction_B)
 from sigmatrop.polyhedra import Polyhedron, SphericalSet, _solve_system, ray_cone
 from sigmatrop.rings import ZZ, Character, Direction, LaurentPoly
 from sigmatrop.sigma import MatrixAction, SigmaResult
@@ -42,12 +43,15 @@ def built_during(count, call):
 def test_verifiers_build_a_fixed_number_of_fractions(monkeypatch):
     count = fractions_built(monkeypatch)
     small = built_during(count, lambda: verify_zero_obstruction_B(2, 2, 1, 1, k_max=1))
-    # 405 elements enumerated, 52 candidates, 85,280 combinations
+    # at the CLI maxima: 405 elements enumerated, 52 qualify, 85,280
+    # combinations covered by the certificate
     large = built_during(count, lambda: verify_zero_obstruction_B(2, 2, 4, 2, k_max=4))
-    assert small == large == 1  # q
-    # a witness is built as GroupElements: one b per term
-    assert built_during(count, lambda: verify_zero_obstruction_B(
-        3, 4, 9, 1, module="A")) == 2
+    # q <= 1: the identity is the witness, an integer triple
+    witnessed = built_during(count, lambda: verify_zero_obstruction_B(3, 1, 4, 2, k_max=4))
+    assert small == large == witnessed == 1  # q
+    for q in (2, "1/3"):
+        assert built_during(count, lambda: verify_infinity_obstruction_A(2, q, 1, 1)) == 1
+        assert built_during(count, lambda: verify_infinity_obstruction_A(10 ** 6, q, 4, 6)) == 1
 
     assert built_during(count, lambda: verify_push_B(6, trials=1)) == 1
     assert built_during(count, lambda: verify_push_B(6, trials=400)) == 1

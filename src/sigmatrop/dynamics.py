@@ -18,8 +18,8 @@ from operator import mul
 from typing import NamedTuple
 
 from .polyhedra import Polyhedron, PolyhedralSet
-from .rings import (ZZ, Character, DimensionError, Direction, LaurentPoly,
-                    SoundnessError, poly_matrix_mul)
+from .rings import (ZZ, Character, DimensionError, Direction, SoundnessError,
+                    poly_matrix_mul)
 
 INF = math.inf
 
@@ -41,10 +41,6 @@ class PushMap:
                 if e.rank != rank or e.domain != ZZ:
                     raise DimensionError("entries must share one rank over Z")
         return cls(rank, rows)
-
-    @classmethod
-    def multiplication_by(cls, lam: LaurentPoly) -> "PushMap":
-        return cls.of([[lam]])
 
     @property
     def size(self) -> int:

@@ -438,11 +438,6 @@ class Polyhedron:
 
     # -- transforms ----------------------------------------------------------
 
-    def closure(self):
-        if not self.gt:
-            return self
-        return Polyhedron(self.rank, eq=self.eq, ge=self.ge + self.gt)
-
     def negate(self):
         """Image under u -> -u (antipodal reflection)."""
         def flip(rows):
@@ -523,7 +518,7 @@ class Polyhedron:
             return self
         # P is nonempty, so its equality vectors are distinct and the lifted
         # equalities keep the sorted order a lifted Polyhedron would give
-        # them: the pivot is the one project_out_last would pick there
+        # them: the pivot is the one _project_out_last would pick there
         n = self.rank
         rows = ([((*v, -r), 0, False) for v, r in self.ge]
                 + [((*v, -r), 0, True) for v, r in self.gt]
@@ -532,10 +527,6 @@ class Polyhedron:
         # the projection is exact, so P's point (mu = 1) certifies the hull
         hull._empty, hull._point = False, self._point
         return hull
-
-    def project_out_last(self) -> "Polyhedron":
-        """Exact projection dropping the last coordinate."""
-        return _project_out_last(list(self.eq), self._ineq_rows(), self.rank)
 
     # -- ray enumeration ----------------------------------------------------
 
@@ -792,6 +783,8 @@ def in_open_hemisphere(dirs) -> HemisphereCertificate:
     if not dirs:
         raise ValueError("need at least one direction")
     n = len(dirs[0])
+    if any(len(u) != n for u in dirs):
+        raise DimensionError("directions of different lengths")
     # chi * u >= 1 for all u is scale-equivalent to chi * u > 0
     point = _solve_system([], [(u, 1, False) for u in dirs], n)
     if point is not None:

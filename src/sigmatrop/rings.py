@@ -189,9 +189,6 @@ class LaurentPoly:
         """Monomials with nonzero coefficient, sorted lexicographically."""
         return sorted(self.terms)
 
-    def coefficient(self, g) -> object:
-        return self.terms.get(tuple(g), 0)
-
     def _compat(self, other: "LaurentPoly"):
         if self.rank != other.rank:
             raise DimensionError(f"rank mismatch: {self.rank} vs {other.rank}")
@@ -331,9 +328,6 @@ class Direction:
     @property
     def rank(self) -> int:
         return len(self.vector)
-
-    def to_character(self) -> Character:
-        return Character(tuple(Fraction(e) for e in self.vector))
 
     def __neg__(self) -> "Direction":
         return Direction(tuple(-e for e in self.vector))

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import mul, sub
 
 from . import linalg
 from .polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
@@ -360,39 +360,24 @@ def determinant_reduction(theta) -> LaurentPoly:
 # -- search ------------------------------------------------------------------
 
 
-def _matrix_system(cache: _ActionCache):
-    """Certificate system of a matrix action for `_cover`: lam =
-    1 + sum c_g x^g over the strict-dual monomials g != 0 of [-k, k]^n, with
+def _box_rows(cache: _ActionCache, in_strict_dual, k: int):
+    """The certificate system of a matrix action on the box [-k, k]^n: lam =
+    1 + sum c_g x^g over the strict-dual monomials g != 0 of the box, with
     sum c_g action(g) = -I as one integer row per matrix entry: the entry's
     values over all g, scaled by the lcm of their reduced denominators, read
-    off the (integer matrix, den) pairs.  Each lam it returns is re-checked
-    to annihilate the module."""
-    d, rank = cache.d, cache.mod.rank
-
-    def system(in_strict_dual, k):
-        # product() runs through the box in lexicographic order
-        monos = [g for g in itertools.product(range(-k, k + 1), repeat=rank)
-                 if any(g) and in_strict_dual(g)]
-        cols = [cache.monomial_matrix(g) for g in monos]
-        rows, rhs = [], []
-        for i, j in itertools.product(range(d), repeat=2):
-            row = [(mat[i][j], den) for mat, den in cols]
-            scale = math.lcm(*(den // math.gcd(x, den) for x, den in row))
-            rows.append({t: x * scale // den for t, (x, den) in enumerate(row) if x})
-            rhs.append(-scale if i == j else 0)
-
-        def to_lam(sol):
-            terms = {(0,) * rank: 1}
-            terms.update((g, c) for g, c in zip(monos, sol) if c)
-            lam = LaurentPoly(rank, ZZ, terms)
-            if not _is_zero_matrix(cache.evaluate(lam)[0]):
-                raise SoundnessError("searched certificate does not annihilate "
-                                     "the module")
-            return lam
-
-        return rows, rhs, len(monos), to_lam
-
-    return system
+    off the (integer matrix, den) pairs.  Returns (monos, rows, rhs), the
+    sparse rows {column: int} with one column per monomial of monos."""
+    # product() runs through the box in lexicographic order
+    monos = [g for g in itertools.product(range(-k, k + 1), repeat=cache.mod.rank)
+             if any(g) and in_strict_dual(g)]
+    cols = [cache.monomial_matrix(g) for g in monos]
+    rows, rhs = [], []
+    for i, j in itertools.product(range(cache.d), repeat=2):
+        row = [(mat[i][j], den) for mat, den in cols]
+        scale = math.lcm(*(den // math.gcd(x, den) for x, den in row))
+        rows.append({t: x * scale // den for t, (x, den) in enumerate(row) if x})
+        rhs.append(-scale if i == j else 0)
+    return monos, rows, rhs
 
 
 def certificate_search(mod: ModulePresentation, chi: Character, box: int,
@@ -412,7 +397,7 @@ def certificate_search(mod: ModulePresentation, chi: Character, box: int,
     if chi.rank != m.rank:
         raise DimensionError("direction rank does not match the module")
     ray = ray_cone(Direction.from_vector(chi.values))
-    certified, _ = _cover(_matrix_system(_ActionCache(m)), [ray], coeff_bound, box, 0)
+    certified, _ = _cover(_ActionCache(m), [ray], coeff_bound, box, 0)
     return certified[0][2] if certified else None
 
 
@@ -536,10 +521,11 @@ def _in_strict_dual(g, gens, strict) -> bool:
 
 
 def _check_searched(lam: LaurentPoly, piece: Polyhedron):
-    """Re-check a searched certificate on its piece, outside the search: its
-    constant term is 1 and every other support monomial is positive on the
-    piece, each by its own Fourier-Motzkin solve, so its initial part is 1
-    at every direction of the piece."""
+    """Re-check a certificate on its piece, apart from the box search or the
+    unit vertex that found it: its constant term is 1 and every other
+    support monomial is positive on the piece, each by its own
+    Fourier-Motzkin solve, so its initial part is 1 at every direction of
+    the piece."""
     if lam.terms.get((0,) * lam.rank) != 1:
         raise SoundnessError("searched certificate does not have constant term 1")
     for g in lam.terms:
@@ -551,36 +537,45 @@ def _check_searched(lam: LaurentPoly, piece: Polyhedron):
                                  "that is not positive on its piece")
 
 
-def _cover(system, pieces, coeff_bound: int, box_limit: int, depth: int):
-    """Certify region pieces, splitting a piece on coordinate signs when its
-    search fails, at most depth times.
+def _record(lam: LaurentPoly, piece: Polyhedron):
+    """(piece, validity cone, lam) for a lam `_check_searched` passes; the
+    cone, where lam's non-constant monomials are positive, takes its point."""
+    _check_searched(lam, piece)
+    cone = Polyhedron.cone(piece.rank, gt=[g for g in lam.terms if any(g)])
+    cone._take_point(piece._point)
+    return piece, cone, lam
 
-    At each box size k, system(in_strict_dual, k) gives the module's sparse
-    rows {column: int}, right-hand side, column count and solution-to-lam
-    map.  Returns (certified, failed): certified is a list of
-    (sub-piece, validity cone, certificate) records, failed the pieces
-    left uncertified."""
+
+def _cover(cache: _ActionCache, pieces, coeff_bound: int, box_limit: int, depth: int):
+    """Certify region pieces of a matrix action, splitting a piece on
+    coordinate signs when its search fails, at most depth times.
+
+    At each box size k, `_box_rows` gives the integer system of lam = 1 +
+    sum c_g x^g; its first solution within coeff_bound is re-checked to
+    annihilate the module and by `_check_searched`.  Returns (certified,
+    failed): certified is a list of (sub-piece, validity cone, certificate)
+    records, failed the pieces left uncertified."""
     certified, failed = [], []
     for piece in pieces:
         in_strict_dual = _strict_dual_test(piece)
         for k in range(1, box_limit + 1):
-            rows, rhs, ncols, to_lam = system(in_strict_dual, k)
-            if not ncols:
+            monos, rows, rhs = _box_rows(cache, in_strict_dual, k)
+            if not monos:
                 continue
-            sol = linalg.solve_integer(rows, rhs, ncols)
+            sol = linalg.solve_integer(rows, rhs, len(monos))
             if sol is None or any(abs(c) > coeff_bound for c in sol):
                 continue
-            lam = to_lam(sol)
-            _check_searched(lam, piece)
-            support = [g for g in lam.terms if any(g)]
-            # every monomial of the support is positive on the piece
-            cone = Polyhedron.cone(piece.rank, gt=support)
-            cone._take_point(piece._point)
-            certified.append((piece, cone, lam))
+            terms = {(0,) * piece.rank: 1}
+            terms.update((g, c) for g, c in zip(monos, sol) if c)
+            lam = LaurentPoly(piece.rank, ZZ, terms)
+            if not _is_zero_matrix(cache.evaluate(lam)[0]):
+                raise SoundnessError("searched certificate does not annihilate "
+                                     "the module")
+            certified.append(_record(lam, piece))
             break
         else:
             parts = _sign_split(piece) if depth > 0 else []
-            c, f = (_cover(system, parts, coeff_bound, box_limit, depth - 1)
+            c, f = (_cover(cache, parts, coeff_bound, box_limit, depth - 1)
                     if parts else ([], [piece]))
             certified += c
             failed += f
@@ -644,9 +639,8 @@ def sigma_scalar_action_exact(mod: ModulePresentation, box_limit: int = COVER_BO
                                                    prime=p, vector=vec))
         complement = SphericalSet.from_directions(dirs, rank=m.rank)
 
-    certified, failed = _cover(_matrix_system(_ActionCache(m)),
-                               complement.complement().pieces, coeff_bound,
-                               box_limit, COVER_SPLIT_DEPTH)
+    certified, failed = _cover(_ActionCache(m), complement.complement().pieces,
+                               coeff_bound, box_limit, COVER_SPLIT_DEPTH)
     if failed:
         noun = "piece" if len(failed) == 1 else "pieces"
         notes.append(f"{len(failed)} region {noun} exhausted the search bounds "
@@ -691,23 +685,23 @@ def _rational_eigentuples(m: MatrixAction):
     return [eigs for eigs, _, _ in live]
 
 
-def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
-                       coeff_bound: int = 10 ** 6) -> SigmaResult:
+def sigma_cyclic_field(mod: CyclicModule) -> SigmaResult:
     """Sigma invariant for cyclic presentations.
 
-    Exact for principal ideals: over a field the complement is the radial
-    projection of the trivial-valuation hypersurface; over Z it is the
-    projection of the global tropical variety.  The zero ideal is the free
-    module: the complement is the whole sphere.  A unit generator, one term
-    whose coefficient is a unit of the domain (so +-x^g over Z), makes the
-    module zero: sigma is the whole sphere.  Over a field no set
-    complement is taken.  At a direction either one monomial of a generator
-    is minimal, and the direction lies in its open vertex cone, which carries
-    a certificate, or several are, and it lies on the hypersurface (the
-    normal fan of the Newton polytope is complete).  So one generator leaves
-    nothing undecided; for several, what is left is the prevariety (the
-    intersection of the hypersurfaces), an outer candidate for the
-    complement, reported as undecided.
+    Exact for principal ideals over a field: the complement is the radial
+    projection of the trivial-valuation hypersurface.  Over Z it is the
+    projection of the global tropical variety, and each piece of the rest
+    is certified by its unit vertex (`_vertex_certificates`) or left
+    undecided.  The zero ideal is the free module: the complement is the
+    whole sphere.  A unit generator, one term whose coefficient is a unit
+    of the domain (so +-x^g over Z), makes the module zero: sigma is the
+    whole sphere.  Over a field no set complement is taken.  At a direction
+    either one monomial of a generator is minimal, and the direction lies
+    in its open vertex cone, which carries a certificate, or several are,
+    and it lies on the hypersurface (the normal fan of the Newton polytope
+    is complete).  So one generator leaves nothing undecided; for several,
+    what is left is the prevariety (the intersection of the hypersurfaces),
+    an outer candidate for the complement, reported as undecided.
     """
     rank = mod.rank
     gens = [g for g in mod.gens if not g.is_zero]
@@ -739,21 +733,13 @@ def sigma_cyclic_field(mod: CyclicModule, box_limit: int = COVER_BOX_LIMIT,
         notes = []
         if mod.domain.kind == "ZZ":
             complement = global_tropical_Z(f).radial()
-            pieces = complement.complement().pieces
-            content = _content(f)
-            if content != 1:
-                # every f*h has coefficients in cZ for the content c, so no
-                # multiple has constant term 1: the pieces stay undecided
-                certified, failed = [], pieces
-                reason = (f"the generator has content {content}, so no multiple of "
-                          "it has constant term 1; the multiple search was skipped")
-            else:
-                certified, failed = _cover(_multiple_system(f), pieces, coeff_bound,
-                                           box_limit, 0)
-                noun = "piece" if len(failed) == 1 else "pieces"
-                reason = f"{len(failed)} {noun} exhausted the multiple-search bounds"
+            certified, failed = _vertex_certificates(
+                f, complement.complement().pieces)
             if failed:
-                notes.append(reason)
+                verb = "piece lies" if len(failed) == 1 else "pieces lie"
+                notes.append(f"{len(failed)} {verb} in no open vertex cone of a "
+                             "monomial with coefficient +-1, so no multiple of the "
+                             "generator has initial part 1 on a whole piece")
         else:
             complement = trop_hypersurface(f, TrivialValuation()).radial()
             certified, failed = _monomial_certificates(f), []
@@ -803,6 +789,32 @@ def _monomial_certificates(f: LaurentPoly):
     return out
 
 
+def _vertex_certificates(f: LaurentPoly, pieces):
+    """Certify each region piece of ZG/(f) over Z by its unit vertex: a
+    monomial g0 of f with coefficient c = +-1 whose open vertex cone
+    {chi*(g - g0) > 0 for the other monomials g} holds the whole piece, as
+    `_strict_dual_test` finds on the differences g - g0.  Its certificate
+    c x^(-g0) f goes through `_check_searched`.  A multiple f*h certifies a
+    piece P only then: in_chi(f*h) = in_chi(f) in_chi(h) = 1 on P forces
+    in_chi(f) = +-x^g0, and the open, disjoint vertex cones meet P minus 0,
+    connected as P is no line, in one g0.  With no coefficient +-1 (every
+    content c > 1 among them) no ray is enumerated.  Returns (certified,
+    failed) as `_cover` does."""
+    units = [(g0, c) for g0, c in sorted(f.terms.items()) if abs(c) == 1]
+    if not units:
+        return [], list(pieces)
+    certified, failed = [], []
+    for piece in pieces:
+        in_strict_dual = _strict_dual_test(piece)
+        for g0, c in units:
+            if all(in_strict_dual(tuple(map(sub, g, g0))) for g in f.terms if g != g0):
+                certified.append(_record(f.shift(tuple(-e for e in g0)).scale(c), piece))
+                break
+        else:
+            failed.append(piece)
+    return certified, failed
+
+
 def _field_inverse(c, domain: Domain):
     if domain.kind == "GF":
         return pow(int(c), domain.p - 2, domain.p)
@@ -812,43 +824,6 @@ def _field_inverse(c, domain: Domain):
 def _content(f: LaurentPoly) -> int:
     """The gcd of the coefficients of f, a polynomial over ZZ."""
     return math.gcd(*(int(c) for c in f.terms.values()))
-
-
-def _multiple_system(f: LaurentPoly):
-    """Certificate system of the principal ideal (f) over Z for
-    `_cover`: lam = f*h with one integer unknown per monomial h of
-    [-k, k]^n, one row per monomial of f*h outside the strict dual (its
-    coefficient is 0) and the constant-term row (its coefficient is 1)."""
-    if f.domain.kind != "ZZ":
-        raise ValueError("integer certificates need a generator over ZZ")
-    rank = f.rank
-    zero = (0,) * rank
-    f_terms = [(g, int(c)) for g, c in sorted(f.terms.items())]
-
-    def system(in_strict_dual, k):
-        hsupp = list(itertools.product(range(-k, k + 1), repeat=rank))
-        # column h holds f's coefficient c_g in the row of msum = g + h
-        columns = [[(tuple(a + b for a, b in zip(g, h)), c) for g, c in f_terms]
-                   for h in hsupp]
-        row_of = {}
-        for msum in sorted({msum for col in columns for msum, _ in col}):
-            if msum != zero and not in_strict_dual(msum):
-                row_of[msum] = len(row_of)
-        row_of[zero] = len(row_of)  # the constant term, which must be 1
-        rows = [{} for _ in row_of]
-        for j, col in enumerate(columns):
-            for msum, c in col:
-                r = row_of.get(msum)
-                if r is not None:
-                    rows[r][j] = c
-        rhs = [0] * (len(rows) - 1) + [1]
-
-        def to_lam(sol):
-            return f * LaurentPoly(rank, ZZ, {h: c for h, c in zip(hsupp, sol) if c})
-
-        return rows, rhs, len(hsupp), to_lam
-
-    return system
 
 
 def sigma_direct_sum(r1: SigmaResult, r2: SigmaResult) -> SigmaResult:
@@ -884,7 +859,7 @@ def sigma_direct_sum(r1: SigmaResult, r2: SigmaResult) -> SigmaResult:
 def sigma_of_module(mod: ModulePresentation, box_limit: int = COVER_BOX_LIMIT,
                     coeff_bound: int = 10 ** 6) -> SigmaResult:
     if isinstance(mod, CyclicModule):
-        return sigma_cyclic_field(mod, box_limit, coeff_bound)
+        return sigma_cyclic_field(mod)
     return sigma_scalar_action_exact(mod, box_limit, coeff_bound)
 
 

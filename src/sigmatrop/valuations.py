@@ -72,15 +72,6 @@ class TableValuation:
 
     kind = "table"
 
-    @classmethod
-    def from_dict(cls, d) -> "TableValuation":
-        items = []
-        for a, v in d.items():
-            a = Fraction(a)
-            v = INF if v == INF else Fraction(v)
-            items.append((a, v))
-        return cls(tuple(sorted(items)))
-
     def __post_init__(self):
         d = dict(self.table)
         if len(d) != len(self.table):

@@ -776,8 +776,8 @@ def test_frontier_rank_four_cyclic_over_q_answers():
 
 def test_frontier_cyclic_over_z_answers_undecided(monkeypatch):
     # every coefficient of f is even, so every f*h has even coefficients and
-    # no certificate with constant term 1 exists: nothing is proved in sigma,
-    # and the multiple search builds no integer system
+    # no certificate with constant term 1 exists: no coefficient is +-1,
+    # nothing is proved in sigma, and no integer system is built
     solves = counting(monkeypatch, linalg, "solve_integer")
     module = _cyclic(2, "Z", [((0, 0), 2), ((1, 0), -2), ((1, 2), -2),
                               ((2, 1), -2)])
@@ -787,8 +787,9 @@ def test_frontier_cyclic_over_z_answers_undecided(monkeypatch):
     result = doc["result"]
     assert result["proved_sigma"]["empty"] is True
     assert len(result["undecided"]["pieces"]) == 12
-    assert result["notes"][0] == ("the generator has content 2, so no multiple of it "
-                                  "has constant term 1; the multiple search was skipped")
+    assert result["notes"][0] == (
+        "12 pieces lie in no open vertex cone of a monomial with coefficient +-1, "
+        "so no multiple of the generator has initial part 1 on a whole piece")
     assert doc["undecided"] is True
     assert solves == []
     assert elapsed < FRONTIER_BUDGET_S, f"{elapsed:.2f}s"

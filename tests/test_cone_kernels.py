@@ -23,7 +23,8 @@ import pytest
 
 from sigmatrop import linalg, polyhedra
 from sigmatrop.cli import run
-from sigmatrop.polyhedra import RAY_RANK_LIMIT, PolyhedralSet, Polyhedron
+from sigmatrop.polyhedra import (RAY_RANK_LIMIT, PolyhedralSet, Polyhedron,
+                                _project_out_last)
 from sigmatrop.rings import ZZ, LaurentPoly
 from sigmatrop.tropical import global_tropical_Z, trop_hypersurface, trop_prevariety
 from sigmatrop.valuations import PAdicValuation, TrivialValuation
@@ -71,7 +72,7 @@ def ref_dim(p):
 def ref_rays(p):
     if p.is_empty:
         return []
-    closure = p.closure()
+    closure = Polyhedron(p.rank, eq=p.eq, ge=p.ge + p.gt)
     normals = [list(v) for v, _ in closure.eq + closure.ge]
     lin = ([ref_primitive(b) for b in ref_nullspace(normals)] if normals else
            [tuple(int(i == j) for j in range(p.rank)) for i in range(p.rank)])
@@ -234,11 +235,12 @@ def test_positive_hull_keeps_a_point_of_the_piece():
 
 def lifted_hull(p):
     """The construction positive_hull() replaced: the rank-(n + 1) cone over
-    P, rows (a, -b) and mu > 0, with project_out_last dropping mu."""
+    P, rows (a, -b) and mu > 0, with _project_out_last dropping mu."""
     def lift(rows):
         return [(tuple(v) + (-r,), 0) for v, r in rows]
-    return Polyhedron(p.rank + 1, eq=lift(p.eq), ge=lift(p.ge),
-                      gt=lift(p.gt) + [((0,) * p.rank + (1,), 0)]).project_out_last()
+    lifted = Polyhedron(p.rank + 1, eq=lift(p.eq), ge=lift(p.ge),
+                        gt=lift(p.gt) + [((0,) * p.rank + (1,), 0)])
+    return _project_out_last(list(lifted.eq), lifted._ineq_rows(), lifted.rank)
 
 
 def test_positive_hull_is_the_projected_lifted_cone():
@@ -323,7 +325,7 @@ def test_rays_and_has_direction_call_no_fraction_kernel(monkeypatch):
     echelons = counting(monkeypatch, linalg, "echelon")
     dims = counting(monkeypatch, Polyhedron, "dim")
     for p in list(random_cones())[::7]:
-        closure = p.closure()
+        closure = Polyhedron(p.rank, eq=p.eq, ge=p.ge + p.gt)
         k = len(set(closure.ge))
         # a zero row makes the kernel of no normals the whole space
         lin = ref_nullspace([list(v) for v, _ in closure.eq + closure.ge] + [[0] * p.rank])

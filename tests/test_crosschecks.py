@@ -54,7 +54,7 @@ def test_germ_cone_matches_small_step_oracle():
     while checked < 40:
         rank = rng.randint(1, 3)
         p = rand_polyhedron(rng, rank)
-        base = p.closure().feasible_point()
+        base = Polyhedron(p.rank, eq=p.eq, ge=p.ge + p.gt).feasible_point()
         if base is None:
             continue
         base = as_fractions(base)
@@ -75,7 +75,8 @@ def test_rays_reconstruct_pointed_cones():
     done = 0
     while done < 30:
         rank = rng.randint(1, 3)
-        cone = rand_polyhedron(rng, rank, affine=False).closure()
+        p = rand_polyhedron(rng, rank, affine=False)
+        cone = Polyhedron(rank, eq=p.eq, ge=p.ge + p.gt)
         if cone.is_empty or cone.lineality_basis():
             continue
         done += 1
@@ -165,13 +166,13 @@ def test_recession_directions_stay_inside():
     while done < 25:
         rank = rng.randint(1, 3)
         p = rand_polyhedron(rng, rank)
-        base = p.closure().feasible_point()
+        base = Polyhedron(p.rank, eq=p.eq, ge=p.ge + p.gt).feasible_point()
         if base is None:
             continue
         base = as_fractions(base)
         done += 1
         rec = p.recession()
-        closure = p.closure()
+        closure = Polyhedron(p.rank, eq=p.eq, ge=p.ge + p.gt)
         for _ in range(8):
             d = tuple(rng.randint(-2, 2) for _ in range(rank))
             if rec.contains(d):

@@ -13,7 +13,7 @@ X = LaurentPoly.monomial
 
 
 def mult_by(terms, rank=1):
-    return PushMap.multiplication_by(LaurentPoly(rank, ZZ, terms))
+    return PushMap.of([[LaurentPoly(rank, ZZ, terms)]])
 
 
 def rand_push(rng, rank, size=1, max_terms=4):
@@ -36,16 +36,16 @@ def test_norm_examples():
     assert norm(mult_by({(1,): 1})) == (1, 1.0)
     phi = mult_by({(1, 0): 1, (0, 2): 1}, rank=2)
     assert norm(phi).squared == 4 and norm(phi).value == 2.0
-    ident = PushMap.multiplication_by(LaurentPoly.one(1))
+    ident = PushMap.of([[LaurentPoly.one(1)]])
     assert norm(ident).squared == 0
-    assert norm(PushMap.multiplication_by(LaurentPoly.zero(1))).squared == 0
+    assert norm(PushMap.of([[LaurentPoly.zero(1)]])).squared == 0
 
 
 def test_gsh_examples():
     assert gsh(mult_by({(1,): 1}), Character.of(1)) == 1
     assert gsh(mult_by({(1,): 1, (3,): 1}), Character.of(1)) == 1
     assert gsh(mult_by({(0,): 1, (-2,): -36}), Character.of(-1)) == 0
-    assert gsh(PushMap.multiplication_by(LaurentPoly.zero(1)), Character.of(1)) == INF
+    assert gsh(PushMap.of([[LaurentPoly.zero(1)]]), Character.of(1)) == INF
 
 
 def reference_gsh(phi, chi):
@@ -126,7 +126,7 @@ def test_lambda_estimate_examples():
     vecs = {d.vector for d in rep2.directions}
     assert (1, 0) in vecs and (0, 1) in vecs and (1, 1) in vecs
 
-    rep3 = lambda_of_push_estimate(PushMap.multiplication_by(LaurentPoly.zero(1)),
+    rep3 = lambda_of_push_estimate(PushMap.of([[LaurentPoly.zero(1)]]),
                                    [LaurentPoly.one(1)], 4)
     assert rep3.died_out and rep3.steps == 1 and rep3.directions == []
 
@@ -205,7 +205,7 @@ def test_push_respects_module_sigma():
             theta_plus = LaurentPoly.one(lam.rank) - lam
             # the push lifts the identity exactly when lam annihilates
             assert annihilates(LaurentPoly.one(lam.rank) - theta_plus, mod)
-            cone = sigma_of_push(PushMap.multiplication_by(theta_plus))
+            cone = sigma_of_push(PushMap.of([[theta_plus]]))
             assert cone.radial().subset_of(result.proved_sigma)
             checked += 1
         assert checked >= 1

@@ -80,7 +80,8 @@ JOBS = {
                                                ((1, 1), 3)])),
     "sigma-cyclic-z-r3": sigma(cyclic(3, "Z", [((0, 0, 0), 1), ((1, 0, 0), 2),
                                                ((0, 1, 0), -1), ((0, 0, 1), 3)])),
-    # content 1, yet one piece exhausts the multiple search and stays undecided
+    # content 1, yet its one region piece, the whole line, meets the vertex
+    # cones of x^-1 and x^2, so it stays undecided
     "group-cyclic-z-r1-undecided": group(cyclic(1, "Z", [((-1,), 1), ((0,), 2),
                                                          ((1,), -2), ((2,), 1)])),
     # every fpm answer but m = 2 is undecided while a piece is
@@ -167,9 +168,9 @@ DIGESTS = {
     "group-cyclic-z-r2": "6d0523f38d6c31cadac48b6a31eb8b85607d4bdce45a54fb59bc245055158d01",
     "sigma-cyclic-z-r3": "ded451b06de7d995fdddf01a35aaa110f6a186687531b033d5a234467cb161d3",
     "group-cyclic-z-r1-undecided": (
-        "a99bb25bbbade770e90a5cb92f9d5c316a0880c4b7b37b64963ad46673e9f4c5"),
+        "8264156660a66d42213848b1be82ae6db4066166c9b1fd926bac8920a45a0ad9"),
     "group-cyclic-z-r1-undecided-fpm": (
-        "53c8754118d67517ebdb118797382cb11a757933d52df397a206d3fdc5ae072f"),
+        "1040a562723760d2ec8168a53c437d2eb7f475afea9f7624f5539a3af00f67cd"),
     "trop-padic-r3": "67aa89eb4177a9baa6a4c29ce23668ee9962c6d4faebb4f17f123cefe5dc95e7",
     "trop-global-z-r2": "1b7ad58650c9da37e6aa2f1b6f5239ed9e613c4ddde52425d94f04f9fcf21b98",
     "trop-prevariety-r3": "9e9ee6a9c79a6a6a0acb7d1fe0a7144df885fb5334417b17a3a4735e47e02a6b",

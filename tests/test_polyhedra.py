@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from sigmatrop.rings import Character, Direction
+from sigmatrop.rings import Character, DimensionError, Direction
 from sigmatrop.polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
+                                 _project_out_last,
                                  balanceable_at, has_antipodal_pair,
                                  in_open_hemisphere, local_cone_at_infinity,
                                  local_cone_at_origin, pure_dimension, ray_cone)
@@ -162,6 +163,12 @@ def test_in_open_hemisphere_examples():
     assert res.combination == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 
 
+def test_in_open_hemisphere_refuses_directions_of_mixed_length():
+    for dirs in ([(1, 0), (-1,)], [(1,), (-1, 5)]):
+        with pytest.raises(DimensionError):
+            in_open_hemisphere(dirs)
+
+
 def test_antipodal_pair_examples():
     two_points = SphericalSet.from_directions([Direction.of(1, 0), Direction.of(0, 1)])
     assert not has_antipodal_pair(two_points)
@@ -315,7 +322,9 @@ def emptied_polyhedra():
 
 
 @pytest.mark.parametrize("transform", [
-    Polyhedron.closure, Polyhedron.project_out_last, Polyhedron.negate,
+    lambda p: Polyhedron(p.rank, eq=p.eq, ge=p.ge + p.gt),
+    lambda p: _project_out_last(list(p.eq), p._ineq_rows(), p.rank),
+    Polyhedron.negate,
     Polyhedron.positive_hull, Polyhedron.recession,
     lambda p: p.intersect(Polyhedron.full(p.rank)),
     lambda p: Polyhedron.full(p.rank).intersect(p),

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import random
 from fractions import Fraction
@@ -8,7 +7,7 @@ import pytest
 import sympy
 
 from sigmatrop import linalg, sigma
-from sigmatrop.cli import canonical_json, run
+from sigmatrop.cli import run
 from sigmatrop.polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
                                 in_open_hemisphere)
 from sigmatrop.rings import GF, QQ, ZZ, Character, Direction, LaurentPoly
@@ -20,8 +19,10 @@ from sigmatrop.sigma import (CyclicModule, MatrixAction, ScalarAction,
                              metabelian_fp, metabelian_fp_infinity,
                              sigma_cyclic_field, sigma_direct_sum, sigma_of_module,
                              sigma_scalar_action_exact)
+from sigmatrop.tropical import global_tropical_Z
 
 from reference_linalg import mat_vec, rref
+from reference_multiple import multiple_cover
 from test_cone_kernels import as_fractions, counting
 
 X = LaurentPoly.monomial
@@ -212,7 +213,7 @@ def test_sigma_scalar_action_rank2():
         assert result.proved_sigma.contains(d), vec
         lam = result.certificate_for(d)
         assert lam is not None
-        assert certificate_valid(lam, d.to_character(), ScalarAction.of(2, 3))
+        assert certificate_valid(lam, Character.of(*d.vector), ScalarAction.of(2, 3))
 
 
 def test_sigma_trivial_action():
@@ -379,7 +380,7 @@ def test_sigma_cyclic_field_principal():
         assert result.proved_sigma.contains(d)
         lam = result.certificate_for(d)
         assert lam is not None
-        assert certificate_valid(lam, d.to_character(),
+        assert certificate_valid(lam, Character.of(*d.vector),
                                  CyclicModule(2, QQ, (f,)))
 
 
@@ -417,51 +418,91 @@ def test_sigma_cyclic_over_Z_principal():
     assert result_q.proved_sigma.contains(Direction.of(-1))
 
 
-def _principal_job_over_z(rng, rank, content):
-    """A seeded sigma job on ZG/(f) over Z whose f has the given content."""
+def _principal_over_z(rng, rank, content, unit):
+    """A seeded generator over Z of 2-4 terms (2-3 at rank 3 and 4) with the
+    given content: content times coefficients whose gcd is 1, one of them
+    +-1 when unit is true and none when it is false.  Exponents lie in
+    [-2, 2]^rank, [-1, 1]^rank from rank 3 on."""
+    span = 2 if rank < 3 else 1
+    n = rng.randint(2, 4 if rank < 3 else 3)
     exps = set()
-    while len(exps) < rng.randint(2, 4 if rank < 3 else 3):
-        exps.add(tuple(rng.randint(-2, 2) for _ in range(rank)))
-    coefs = [content] + [content * rng.choice([-3, -2, -1, 1, 2, 3])
-                         for _ in range(len(exps) - 1)]
-    terms = [{"exp": list(e), "coef": c}
-             for e, c in zip(sorted(exps), rng.sample(coefs, len(coefs)))]
-    return {"version": 1, "command": "sigma", "payload": {
-        "box": 2, "module": {"mode": "cyclic", "rank": rank, "domain": "Z",
-                             "generators": [{"terms": terms}]}}}
+    while len(exps) < n:
+        exps.add(tuple(rng.randint(-span, span) for _ in range(rank)))
+    first = [rng.choice((-1, 1))] if unit else [rng.choice((-2, 2)), rng.choice((-3, 3))]
+    pool = (-3, -2, -1, 1, 2, 3, 5) if unit else (-3, -2, 2, 3, 4, 5)
+    coefs = first + [rng.choice(pool) for _ in range(n - len(first))]
+    rng.shuffle(coefs)
+    return LaurentPoly(rank, ZZ, {g: content * c for g, c in zip(sorted(exps), coefs)})
 
 
-def test_content_test_answers_as_the_full_multiple_search(monkeypatch):
-    """A generator of content > 1 fails each piece before any integer system
-    is built; the full box search, run by making every content read 1, ends
-    in the same output, byte for byte, but for the note that says why the
-    pieces stay undecided."""
-    rng = random.Random(12)
-    contents = [content for rank in (1, 2, 3) for content in (2, 3, 6) for _ in range(2)]
-    jobs = [_principal_job_over_z(rng, rank, content)
-            for rank in (1, 2, 3) for content in (2, 3, 6) for _ in range(2)]
+def _region_pieces(f):
+    return global_tropical_Z(f).radial().complement().pieces
+
+
+def test_vertex_certificates_match_the_multiple_search():
+    """On seeded principal ideals over Z of rank 1-4, with and without a
+    coefficient +-1 and of content 1, 2, 3 and 6, the unit-vertex rule
+    certifies the same pieces as the multiple search, with the same
+    certificate and cone, and leaves the same pieces undecided.  Exponents
+    lie in [-2, 2]^n, [-1, 1]^n from rank 3 on, so the search's box 3, box 2
+    from rank 3 on, holds every h = +-x^(-g0) and one size more."""
+    rng = random.Random(31)
+    cases = [(rank, content, _principal_over_z(rng, rank, content, unit))
+             for rank, draws in ((1, 4), (2, 6), (3, 3), (4, 2))
+             for content in (1, 2, 3, 6) for unit in (True, False)
+             for _ in range(draws)]
+    # seed-1 sigma-ladder job 31: its one piece, the whole line, meets the
+    # vertex cones of x^-1 and x^2
+    cases.append((1, 1, poly({(-1,): 1, (0,): 2, (1,): -2, (2,): 1})))
+    certified, failed = set(), 0
+    for rank, content, f in cases:
+        assert sigma._content(f) == content, f
+        pieces = _region_pieces(f)
+        got = sigma._vertex_certificates(f, pieces)
+        assert got == multiple_cover(f, pieces, box=3 if rank < 3 else 2), f
+        certified |= {(rank, content)} if got[0] else set()
+        failed += len(got[1])
+    # certified pieces appear at every rank, and only for content 1
+    assert certified == {(rank, 1) for rank in (1, 2, 3, 4)}
+    assert failed > 100
+
+
+def test_vertex_rule_reaches_past_the_search_box():
+    """ZG/(x^-7 + 2): the 2-adic point puts -1 in the complement, and +1 lies
+    in the vertex cone of x^-7, coefficient 1.  The search's box [-6, 6]
+    does not hold h = x^7, so it leaves +1 undecided; the rule certifies it
+    with lam = 1 + 2x^7 whatever the box."""
+    f = poly({(-7,): 1, (0,): 2})
+    pieces = _region_pieces(f)
+    assert [p.contains((1,)) for p in pieces] == [True]
+    certified, failed = multiple_cover(f, pieces)
+    assert not certified and failed == list(pieces)
+    result = sigma_cyclic_field(CyclicModule(1, ZZ, (f,)))
+    assert result.undecided.is_empty and not result.notes[:-1]
+    assert result.proved_complement.contains(Direction.of(-1))
+    assert result.certificate_for(Direction.of(1)) == poly({(0,): 1, (7,): 2})
+    for box in (1, 6):
+        assert sigma_of_module(CyclicModule(1, ZZ, (f,)), box_limit=box).certified == \
+            result.certified
+
+
+def test_content_two_leaves_every_piece_undecided_unsearched(monkeypatch):
+    """A generator of content 2 has no coefficient +-1: every region piece
+    stays undecided under one note, and deciding them enumerates no ray and
+    solves no integer system."""
+    f = poly({(0, 0): 2, (1, 0): -2, (1, 2): -2, (2, 1): 4}, rank=2)
+    result = sigma_cyclic_field(CyclicModule(2, ZZ, (f,)))
+    assert result.proved_sigma.is_empty and not result.certified
+    pieces = _region_pieces(f)
+    assert result.undecided.pieces == SphericalSet(2, pieces).pieces
+    assert result.notes[0] == (
+        f"{len(pieces)} pieces lie in no open vertex cone of a monomial with "
+        "coefficient +-1, so no multiple of the generator has initial part 1 "
+        "on a whole piece")
     solves = counting(monkeypatch, linalg, "solve_integer")
-    fast = [json.loads(canonical_json(run(job))) for job in jobs]
-    assert solves == []
-    monkeypatch.setattr(sigma, "_content", lambda f: 1)
-    full = [json.loads(canonical_json(run(job))) for job in jobs]
-    assert solves
-    for content, fast_doc, full_doc in zip(contents, fast, full):
-        fast_notes = fast_doc["result"].pop("notes")
-        full_notes = full_doc["result"].pop("notes")
-        assert fast_doc == full_doc
-        if fast_doc["undecided"]:
-            assert fast_notes[0] == (
-                f"the generator has content {content}, so no multiple of it has "
-                "constant term 1; the multiple search was skipped")
-            # every piece fails, and each is an undecided piece of the result
-            failed = len(full_doc["result"]["undecided"]["pieces"])
-            noun = "piece" if failed == 1 else "pieces"
-            assert full_notes[0] == (
-                f"{failed} {noun} exhausted the multiple-search bounds")
-            fast_notes, full_notes = fast_notes[1:], full_notes[1:]
-        assert fast_notes == full_notes
-    assert sum(doc["undecided"] for doc in fast) >= len(jobs) // 2
+    rays = counting(monkeypatch, Polyhedron, "rays")
+    assert sigma._vertex_certificates(f, pieces) == ([], list(pieces))
+    assert solves == [] and rays == []
 
 
 def test_sigma_cyclic_multi_generator_outer_bound():
@@ -812,7 +853,7 @@ def test_results_partition_the_sphere_and_metabelian_fp_reads_it(monkeypatch):
              if isinstance(mod, CyclicModule) and mod.domain.kind != "ZZ"]
     assert {mod.domain.kind for mod, _, _ in field} == {"QQ", "GF"}
     for mod, box, r in field:
-        assert parts(sigma_cyclic_field(mod, box_limit=box)) == parts(r), mod
+        assert parts(sigma_cyclic_field(mod)) == parts(r), mod
     assert parts(sigma_direct_sum(*summands)) == parts(direct_sum)
 
 
@@ -977,7 +1018,7 @@ def test_a_unit_is_a_unit_of_the_domain():
         (piece, cone, lam), = result.certified
         assert lam.is_one and piece == cone == Polyhedron.full(2)
         for d in (Direction.of(1, 0), Direction.of(-2, 3)):
-            assert certificate_valid(lam, d.to_character(), mod)
+            assert certificate_valid(lam, Character.of(*d.vector), mod)
     with pytest.raises(UnsupportedModeError):
         sigma_of_module(_cyclic(1, ZZ, {(0,): 2}, {(0,): 1, (1,): 1}))
 

@@ -18,7 +18,7 @@ import sigmatrop
 from sigmatrop import linalg, polyhedra, sigma
 from sigmatrop.dynamics import check_angle_bound
 from sigmatrop.polyhedra import HemisphereCertificate, Polyhedron, in_open_hemisphere
-from sigmatrop.rings import QQ, ZZ, Character, LaurentPoly, SoundnessError
+from sigmatrop.rings import ZZ, Character, LaurentPoly, SoundnessError
 from sigmatrop.sigma import (CyclicModule, ScalarAction, certificate_search,
                              sigma_of_module)
 
@@ -64,12 +64,6 @@ def test_angle_bound_needs_a_positive_norm():
         check_angle_bound(Character.of(1), Fraction(1), Fraction(0), [])
 
 
-def test_integer_cover_needs_an_integer_generator():
-    f = LaurentPoly(1, QQ, {(1,): 1, (0,): -2})
-    with pytest.raises(ValueError):
-        sigma._cover(sigma._multiple_system(f), [Polyhedron.full(1)], 10, 1, 0)
-
-
 def _solve_returns(monkeypatch, solution):
     """Make every integer system the search builds return solution(ncols)."""
     monkeypatch.setattr(linalg, "solve_integer",
@@ -83,15 +77,12 @@ def test_searched_certificate_must_annihilate(monkeypatch):
         sigma_of_module(ScalarAction.of(6))
 
 
-def test_searched_certificate_needs_constant_term_one(monkeypatch):
-    # a matrix system fixes the constant term to 1, so the check is reached
-    # through the ideal's system: h = 1, the middle column of the box, gives
-    # lam = f = 2 - x, whose constant term is 2
-    f = LaurentPoly(1, ZZ, {(0,): 2, (1,): -1})
-    _solve_returns(monkeypatch, lambda ncols: [int(j == ncols // 2)
-                                               for j in range(ncols)])
+def test_searched_certificate_needs_constant_term_one():
+    # no job path emits lam = 2 - x (a matrix system fixes the constant term
+    # to 1, and a unit vertex gives c_g0^2 = 1), so the check is called alone
+    lam = LaurentPoly(1, ZZ, {(0,): 2, (1,): -1})
     with pytest.raises(SoundnessError, match="constant term"):
-        sigma_of_module(CyclicModule(1, ZZ, (f,)))
+        sigma._check_searched(lam, Polyhedron.cone(1, gt=[(-1,)]))
 
 
 def test_searched_certificate_must_be_positive_on_its_piece(monkeypatch):
@@ -102,23 +93,27 @@ def test_searched_certificate_must_be_positive_on_its_piece(monkeypatch):
         sigma_of_module(ScalarAction.of(1))
 
 
-def test_multiple_certificate_needs_constant_term_one(monkeypatch):
-    f = LaurentPoly(1, ZZ, {(0,): 2, (1,): -1})
-    piece = Polyhedron.cone(1, gt=[(-1,)])  # where -x is initial: a unit
-    system = sigma._multiple_system(f)
-    assert sigma._cover(system, [piece], 10, 2, 0)[0]
-    _solve_returns(monkeypatch, lambda ncols: [0] * ncols)  # lam = 0
-    with pytest.raises(SoundnessError, match="constant term"):
-        sigma._cover(system, [piece], 10, 2, 0)
+def test_multiple_certificate_needs_constant_term_one():
+    # x^-1 (2 - x) = 2x^-1 - 1 and 0: the vertex -x taken without its sign,
+    # and no certificate at all
+    piece = Polyhedron.cone(1, gt=[(-1,)])
+    for lam in (LaurentPoly(1, ZZ, {(-1,): 2, (0,): -1}), LaurentPoly.zero(1)):
+        with pytest.raises(SoundnessError, match="constant term"):
+            sigma._check_searched(lam, piece)
 
 
 def test_multiple_certificate_must_be_positive_on_its_piece(monkeypatch):
-    # with every monomial allowed, (2 - x) * (-x^-1) = 1 - 2x^-1 is found
-    f = LaurentPoly(1, ZZ, {(0,): 2, (1,): -1})
+    # every coefficient of 1 - x - y is +-1, and its region pieces share
+    # three certificates, one per vertex; with every difference passing the
+    # vertex-cone test, the rule takes the first vertex, 0, on each piece,
+    # and lam = 1 - x - y is not positive on the pieces of the other two
+    f = LaurentPoly(2, ZZ, {(0, 0): 1, (1, 0): -1, (0, 1): -1})
+    result = sigma_of_module(CyclicModule(2, ZZ, (f,)))
+    assert result.undecided.is_empty
+    assert len({lam for _, _, lam in result.certified}) == 3
     monkeypatch.setattr(sigma, "_strict_dual_test", lambda piece: lambda g: True)
     with pytest.raises(SoundnessError, match="not positive"):
-        sigma._cover(sigma._multiple_system(f), [Polyhedron.cone(1, gt=[(1,)])],
-                     10, 2, 0)
+        sigma_of_module(CyclicModule(2, ZZ, (f,)))
 
 
 def test_soundness_checks_survive_python_O():

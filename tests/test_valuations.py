@@ -24,7 +24,8 @@ def test_padic_prime_checked():
 
 
 def test_table_valuation():
-    t = TableValuation.from_dict({2: 1, 3: 0, 1: 0})
+    t = TableValuation(((Fraction(1), Fraction(0)), (Fraction(2), Fraction(1)),
+                        (Fraction(3), Fraction(0))))
     assert t.value(2) == 1
     assert t.value(12) == 2          # 2^2 * 3, extended multiplicatively
     assert t.value(Fraction(1, 2)) == -1
@@ -32,9 +33,10 @@ def test_table_valuation():
     with pytest.raises(UnknownCoefficientError):
         t.value(5)
     with pytest.raises(ValueError):
-        TableValuation.from_dict({2: 1, 4: 3})  # not multiplicative
+        # not multiplicative
+        TableValuation(((Fraction(2), Fraction(1)), (Fraction(4), Fraction(3))))
     with pytest.raises(ValueError):
-        TableValuation.from_dict({3: INF})
+        TableValuation(((Fraction(3), INF),))
 
 
 def test_newton_polygon_examples():
@@ -146,4 +148,5 @@ def test_trivial_and_padic_values_are_ints():
             want = newton_polygon(coeffs, AsFraction(v))
             assert got.slopes == want.slopes and got.hull == want.hull
             assert all(type(s) is Fraction for s, _ in got.slopes)
-    assert type(TableValuation.from_dict({2: 1, 3: 0}).value(6)) is Fraction
+    table = TableValuation(((Fraction(2), Fraction(1)), (Fraction(3), Fraction(0))))
+    assert type(table.value(6)) is Fraction

@@ -90,13 +90,14 @@ def test_matrix_system_builds_no_fraction(monkeypatch):
     cached (integer matrix, den) pairs, with no Fraction built."""
     m = MatrixAction.of([[["1/2", "1"], ["0", "1/2"]], [["3", "1/3"], ["0", "3"]]],
                         [["1", "0"], ["0", "1"]])
-    system = sigma._matrix_system(sigma._ActionCache(m))
+    cache = sigma._ActionCache(m)
     in_strict_dual = sigma._strict_dual_test(ray_cone(Direction((2, 1))))
     count = fractions_built(monkeypatch)
     got = []
-    assert built_during(count, lambda: got.append(system(in_strict_dual, 2))) == 0
-    rows, rhs, ncols, _ = got[0]
-    assert ncols == 11 and len(rows) == len(rhs) == 4
+    assert built_during(count, lambda: got.append(
+        sigma._box_rows(cache, in_strict_dual, 2))) == 0
+    monos, rows, rhs = got[0]
+    assert len(monos) == 11 and len(rows) == len(rhs) == 4
     assert all(type(x) is int for row in rows for x in row.values())
 
 
@@ -125,8 +126,8 @@ def test_failing_piece_tests_each_box_monomial_once(monkeypatch):
     tested = counting(monkeypatch, sigma, "_in_strict_dual")
     for piece in pieces:
         del tested[:]
-        certified, failed = sigma._cover(sigma._matrix_system(sigma._ActionCache(m)),
-                                         [piece], 10 ** 6, sigma.COVER_BOX_LIMIT, 0)
+        certified, failed = sigma._cover(sigma._ActionCache(m), [piece], 10 ** 6,
+                                         sigma.COVER_BOX_LIMIT, 0)
         assert not certified and failed == [piece]
         monomials = [g for g, _, _ in tested]
         assert len(monomials) == len(set(monomials)) == 13 ** 2 - 1

@@ -129,14 +129,17 @@ def amoeba_sample(f: LaurentPoly, s_grid, angles: int) -> AmoebaCloud:
     conjugates of the roots at x, with the same ln|y|: only the rows
     k = 0 ... angles // 2 (phi in [0, pi]) are solved, and row k > angles / 2
     takes the kept points and the drop count of row angles - k.  The cloud
-    is then gathered in grid order, s-major, a row's roots in eigvals order.
+    is then gathered in grid order, s-major, a row's roots in the order
+    _companion_roots gives them: r1 then r2 at degree 2, eigvals order from
+    degree 3.
 
     The grid is solved in blocks of max(1, AMOEBA_ROWS // (angles // 2 + 1))
     s-values.  A block's coefficient rows [sum of c * x ** a] are numpy
     arrays; trailing zero coefficients are stripped (each is a root y = 0,
-    dropped and counted), and the rows are grouped by the degree left.  Each
-    group's companion matrices, built as numpy.roots builds them, go to one
-    stacked numpy.linalg.eigvals call.  A row whose leading coefficient is
+    dropped and counted), and the rows are grouped by the degree left.  A
+    group of degree 1 or 2 is solved in closed form, and a group of degree 3
+    or more by one stacked numpy.linalg.eigvals call on companion matrices
+    built as numpy.roots builds them.  A row whose leading coefficient is
     0, or whose companion entries are not all finite, is dropped and
     counted once; a root is dropped and counted when |y| is 0 or not
     finite, or when its relative residual is not at most RESIDUAL_TOL (a NaN
@@ -192,14 +195,12 @@ def _sample_block(np, terms, ymax: int, span: int, s, phi):
         deg = span - np.argmax(c[:, ::-1] != 0, axis=1)
         for d in range(1, span + 1):
             sel = np.flatnonzero(live & (deg == d))
-            comp = np.zeros((len(sel), d, d), dtype=complex)
-            comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-            comp[:, 0, :] = -c[sel, 1:d + 1] / c[sel, :1]
-            finite = np.isfinite(comp).all(axis=(1, 2))
+            top = -c[sel, 1:d + 1] / c[sel, :1]  # the companion matrices' first rows
+            finite = np.isfinite(top).all(axis=1)
             live[sel[~finite]] = False
             sel = sel[finite]
             if len(sel):
-                y[sel, :d] = np.linalg.eigvals(comp[finite])
+                y[sel, :d] = _companion_roots(np, top[finite])
                 valid[sel, :d] = True
         ay = np.abs(y)
         cand = valid & (ay != 0.0) & np.isfinite(ay)
@@ -216,6 +217,32 @@ def _sample_block(np, terms, ymax: int, span: int, s, phi):
         kept = cand & (resid / weight <= RESIDUAL_TOL)
         lny = np.log(np.where(kept, ay, 1.0))
     return lny, kept, np.where(live, span - deg, 1) + (valid & ~kept).sum(axis=1)
+
+
+def _companion_roots(np, top):
+    """The roots of each row y^d - top[0] y^(d-1) - ... - top[d-1], whose
+    last entry is nonzero, that is the eigenvalues of its companion matrix.
+    Degree 1 is the row's entry, -c1/c0 for c0 y + c1.  Degree 2, y^2 + b y + c, takes the quadratic
+    formula scaled by m = max(|b|, sqrt|c|), so that b^2 and 4c cannot
+    overflow, with the sign of the square root that avoids cancellation for
+    r1 and r2 = c / r1: the roots in the order r1, r2.  Higher degrees go to
+    one stacked numpy.linalg.eigvals call on the companion matrices, built
+    as numpy.roots builds them."""
+    n, d = top.shape
+    if d == 1:
+        return top
+    if d == 2:
+        b, c = -top[:, 0], -top[:, 1]
+        m = np.maximum(np.abs(b), np.sqrt(np.abs(c)))
+        bs = b / m
+        root = np.sqrt(bs * bs - 4.0 * (c / m / m))
+        root[bs.real * root.real + bs.imag * root.imag < 0] *= -1
+        r1 = -0.5 * m * (bs + root)
+        return np.column_stack((r1, c / r1))
+    comp = np.zeros((n, d, d), dtype=complex)
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    comp[:, 0, :] = top
+    return np.linalg.eigvals(comp)
 
 
 @dataclass

@@ -12,8 +12,9 @@ the same number of roots; its points, sorted by (s, ln|y|), and its max
 radius agree with the oracle's within POINT_TOL.  `reference_limit_directions`
 bins far points one at a time with the math module, the oracle of the array
 binning: the same counts, directions within DIRECTION_TOL.  Grids whose
-terms leave the float range are refused when the job is read.  The
-work-count and memory tests pin the batching itself.
+terms leave the float range are refused when the job is read.  The roots
+of y-degree 1 and 2, found in closed form, are checked against chosen
+roots.  The work-count and memory tests pin the batching itself.
 """
 
 import cmath
@@ -28,8 +29,10 @@ import pytest
 
 from sigmatrop.cli import SchemaError, run
 from sigmatrop.rings import QQ, LaurentPoly
+from sigmatrop import tropical
 from sigmatrop.tropical import (AMOEBA_ROWS, RESIDUAL_TOL, AmoebaCloud,
-                                LimitDirections, amoeba_sample, log_limit_directions)
+                                LimitDirections, _companion_roots, amoeba_sample,
+                                log_limit_directions)
 
 # The roots of both samplers are eigenvalues of companion matrices whose
 # entries differ in the last bits (numpy's and Python's complex power and
@@ -384,6 +387,109 @@ def test_seeded_curves_let_no_runtime_warning_escape():
     assert answered > 60
 
 
+# Rows y^2 + b y + c built from chosen roots, b = -(r1 + r2) and c = r1 r2,
+# each root returned within ROOT_TOL of its chosen value (relative).
+ROOT_TOL = 1e-13
+ROOT_PAIRS = [
+    (1.0, 2.0), (3 - 4j, 0.5j), (1e150, 1e-150), (1e-150, 1e-140),
+    (2.5e10, -1.0), (1e12 + 1j, 3e-3), (7.0, -7.0), (1e100j, -1e100j),
+    (2 + 3j, 2 - 3j), (-1e-120 + 1e-120j, -1e-120 - 1e-120j),
+    # b^2 overflows without scaling; then 4c too
+    (1e200, 1e-200), (-3e180j, 2e-150), (1e250 + 1e250j, 1.0),
+    (3e154, 3e153), (-1e154 + 1e154j, 5e153 + 5e153j),
+]
+
+
+def root_pair_rows(pairs):
+    """The first companion rows [-b, -c] of y^2 + b y + c with these roots."""
+    return np.array([[r1 + r2, -(r1 * r2)] for r1, r2 in pairs], dtype=complex)
+
+
+def assert_roots_near(got, pairs, tol):
+    for (u, v), (r1, r2) in zip(got.tolist(), pairs):
+        if abs(u - r1) > abs(u - r2):
+            u, v = v, u
+        assert abs(u - r1) <= tol * abs(r1) and abs(v - r2) <= tol * abs(r2), \
+            ((r1, r2), (u, v))
+
+
+def test_quadratic_roots_are_the_chosen_roots():
+    """Magnitudes from 1e-150 to 1e250, |r1| >> |r2| (where the other sign of
+    the square root cancels), r1 = -r2 (b = 0), complex and conjugate pairs,
+    and rows whose b^2 or 4c leave the float range unless scaled."""
+    assert_roots_near(_companion_roots(np, root_pair_rows(ROOT_PAIRS)), ROOT_PAIRS,
+                      ROOT_TOL)
+
+
+def test_quadratic_roots_of_random_separated_pairs():
+    rng = random.Random(5)
+    pairs = []
+    while len(pairs) < 2000:
+        r1, r2 = (cmath.rect(10.0 ** rng.uniform(-150, 150), rng.uniform(-math.pi, math.pi))
+                  for _ in range(2))
+        # a root moves by about eps |r1 + r2| / |r1 - r2| of itself
+        if abs(r1 - r2) >= 1e-2 * max(abs(r1), abs(r2)):
+            pairs.append((r1, r2))
+    assert_roots_near(_companion_roots(np, root_pair_rows(pairs)), pairs, ROOT_TOL)
+
+
+def test_a_double_root_is_found_to_about_the_square_root_of_eps():
+    """A double root r is a zero discriminant; the rounding of c = r^2 makes
+    it about eps |r|^2, which moves each root by about sqrt(eps) |r|.  The
+    bound is 8 sqrt(eps) = 1.2e-7 of |r|."""
+    pairs = [(r, r) for r in (1.0, -3.0, 1e150j, 1e-140 + 1e-140j, 0.1 + 0.7j, 1e154)]
+    assert_roots_near(_companion_roots(np, root_pair_rows(pairs)), pairs,
+                      8 * math.sqrt(np.finfo(float).eps))
+
+
+def test_a_linear_root_is_minus_c1_over_c0_exactly():
+    c = np.array([[2 + 1j, 3 - 5j], [1e-300, 7.0], [-4.0, 1e300j]])
+    top = -c[:, 1:] / c[:, :1]
+    assert np.array_equal(_companion_roots(np, top), top)
+
+
+def test_a_span_4_job_solves_rows_of_degree_1_and_2_in_closed_form(monkeypatch):
+    """f = y^4 + y^3 + (x - 2) y^2 + (x - 1)(x - 2) (y + 1): at x = 1 the two
+    lowest coefficients vanish (degree 2, two roots y = 0 dropped), at x = 2
+    the three lowest (degree 1, three dropped), and e^(ln 2) is 2.0 exactly.
+    Every degree meets the reference's numpy.roots."""
+    f = laurent({(0, 4): 1, (0, 3): 1, (1, 2): 1, (0, 2): -2, (2, 1): 1, (1, 1): -3,
+                 (0, 1): 2, (2, 0): 1, (1, 0): -3, (0, 0): 2})
+    degrees = []
+    solve = tropical._companion_roots
+
+    def recording(np_, top):
+        degrees.append(top.shape[1])
+        return solve(np_, top)
+
+    monkeypatch.setattr(tropical, "_companion_roots", recording)
+    grid = [-1.0, 0.0, 0.5, math.log(2.0), 1.5]
+    cloud = amoeba_sample(f, grid, 4)
+    assert sorted(degrees) == [1, 2, 4]
+    assert_matches(cloud, reference_sample(f, grid, 4))
+
+
+def test_the_small_root_of_a_far_row_is_kept():
+    """f = -y - x / y + 2 x^-3, that is y^2 - 2 x^-3 y + x = 0: the roots are
+    y1 ~ 2 x^-3 and y2 = x / y1 ~ x^4 / 2.  At s = -173.33, ln|y2| = -694.03.
+    Stacked eigvals lost y2 on such rows (the residual test dropped it, on
+    27 solved rows of the 31-value grid over [-200, 200]); the closed form
+    keeps both roots of every row, y1 y2 = x, and for s <= -100 |y1| is
+    2 |x|^-3 to the last digits."""
+    f = laurent({(0, 1): -1, (1, -1): -1, (-3, 0): 2})
+    # the 31-value grid less s = -200 and -186.7, where |y2| underflows
+    grid = [-200.0 + 400.0 * i / 30 for i in range(2, 31)]
+    angles = 16
+    cloud = amoeba_sample(f, grid, angles)
+    assert cloud.dropped == 0 and len(cloud.points) == len(grid) * angles * 2
+    s, lny = cloud.points.reshape(len(grid), angles, 2, 2).transpose(3, 0, 1, 2)
+    large, small = lny.max(axis=2), lny.min(axis=2)
+    assert np.abs(small - (s[:, :, 0] - large)).max() <= 1e-9
+    far = s[:, 0, 0] <= -100.0
+    assert np.abs(large[far] - (math.log(2.0) - 3.0 * s[far, :, 0])).max() <= 1e-9
+    assert np.round(small[0], 2).tolist() == [-694.03] * angles
+
+
 def reference_limit_directions(cloud, min_radius, angle_bins):
     """The per-point binning: bin k holds the angles within half a bin width
     of k * 2 pi / angle_bins."""
@@ -515,19 +621,23 @@ def test_an_angle_just_below_two_pi_falls_in_bin_0():
 # y-degree span 2.
 BIG_TERMS = {(0, 0): 1, (1, 0): -2, (2, 1): 1, (1, 2): 2}
 BIG_SPAN = 2
+BIG_TERMS_SPAN_4 = {**BIG_TERMS, (0, 4): -1, (-1, 3): 3}
 BIG_JOB = {"version": 1, "command": "amoeba", "payload": {
     "poly": {"terms": [{"exp": list(e), "coef": c} for e, c in BIG_TERMS.items()]},
     "s_grid": [round(-20.0 + 40.0 * i / 160, 6) for i in range(161)],
     "angles": 64, "min_radius": 16.0, "angle_bins": 72}}
 
 
-def test_big_grid_solves_one_stacked_eigvals_per_block_and_degree(monkeypatch):
-    calls = {"eigvals": 0, "matrices": 0, "roots": 0}
+def count_solver_calls(monkeypatch, terms, span):
+    """Sample the big grid of BIG_JOB for this curve, counting numpy.roots
+    and numpy.linalg.eigvals calls and the sizes of the matrices passed."""
+    calls = {"eigvals": 0, "matrices": 0, "sizes": set(), "roots": 0}
     eigvals, roots = np.linalg.eigvals, np.roots
 
     def counting_eigvals(a):
         calls["eigvals"] += 1
         calls["matrices"] += len(a)
+        calls["sizes"].add(a.shape[-1])
         return eigvals(a)
 
     def counting_roots(p):
@@ -536,16 +646,29 @@ def test_big_grid_solves_one_stacked_eigvals_per_block_and_degree(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     monkeypatch.setattr(np, "roots", counting_roots)
-    f = laurent(BIG_TERMS)
-    cloud = amoeba_sample(f, BIG_JOB["payload"]["s_grid"], 64)
-    # one np.roots call per (s, phi) was 161 * 64 = 10,304 calls; the angles
-    # of [0, pi] are 64 // 2 + 1 = 33 rows per s-value, and a block of
-    # AMOEBA_ROWS rows holds 2048 // 33 = 62 s-values, so 3 blocks
+    cloud = amoeba_sample(laurent(terms), BIG_JOB["payload"]["s_grid"], 64)
+    # one np.roots call per (s, phi) was 161 * 64 = 10,304 calls
     assert calls["roots"] == 0
-    assert 0 < calls["eigvals"] <= math.ceil(161 / (AMOEBA_ROWS // 33)) * BIG_SPAN
-    assert calls["matrices"] <= 161 * 33
-    assert len(cloud.points) + cloud.dropped == 161 * 64 * BIG_SPAN
+    assert len(cloud.points) + cloud.dropped == 161 * 64 * span
     assert cloud.points.dtype == np.float64 and cloud.points.shape == (len(cloud.points), 2)
+    return calls
+
+
+def test_big_grid_of_span_2_makes_no_eigvals_call(monkeypatch):
+    """Rows of y-degree 1 and 2, all that light-mix samples, are solved in
+    closed form."""
+    assert count_solver_calls(monkeypatch, BIG_TERMS, BIG_SPAN)["eigvals"] == 0
+
+
+def test_big_grid_solves_one_stacked_eigvals_per_block_and_degree(monkeypatch):
+    """At y-degree span 4, rows of degree 3 and 4 go to numpy.linalg.eigvals:
+    the angles of [0, pi] are 64 // 2 + 1 = 33 rows per s-value, and a block
+    of AMOEBA_ROWS rows holds 2048 // 33 = 62 s-values, so 3 blocks, each
+    with at most one stacked call per degree >= 3."""
+    calls = count_solver_calls(monkeypatch, BIG_TERMS_SPAN_4, 4)
+    assert 0 < calls["eigvals"] <= math.ceil(161 / (AMOEBA_ROWS // 33)) * (4 - 2)
+    assert calls["sizes"] <= {3, 4}
+    assert calls["matrices"] <= 161 * 33
 
 
 def test_big_grid_memory_and_wall_budget():

@@ -504,7 +504,7 @@ def _read_amoeba(payload):
 def _run_amoeba(poly, s_grid, angles, min_radius, angle_bins):
     cloud = amoeba_sample(poly, s_grid, angles)
     # 12 decimals, as cloud.csv writes: a last-bit change moves no byte
-    result = {"points": len(cloud.points), "dropped": cloud.dropped,
+    result = {"points": cloud.count, "dropped": cloud.dropped,
               "max_radius": round(cloud.max_radius, 12)}
     if min_radius is not None:
         dirs = log_limit_directions(cloud, min_radius, angle_bins)
@@ -549,7 +549,7 @@ def emit_plot_data(kind, obj, plot_dir: Path) -> list[str]:
         written.append(str(path))
     elif kind == "cloud":
         lines = ["s,ln_abs_y"]
-        for s, lny in obj.points.tolist():
+        for s, lny in obj.grid_points().tolist():
             lines.append(f"{s:.12f},{lny:.12f}")
         path = plot_dir / "cloud.csv"
         path.write_text("\n".join(lines) + "\n")

@@ -94,29 +94,69 @@ def global_tropical_Z(f: LaurentPoly) -> PolyhedralSet:
 
 @dataclass(eq=False)
 class AmoebaCloud:
-    """Sampled points (ln|x|, ln|y|) of a plane curve, plus drop counters.
+    """Sampled points (ln|x|, ln|y|) of a plane curve, each standing for one
+    or two points of the grid, plus the drop count.
 
-    `points` is one (n, 2) float64 array, a row per kept root in grid order;
-    `radii` holds the norm of each point and `max_radius` the largest, or
-    0.0 for an empty cloud."""
+    `points` is one (n, 2) float64 array, a row per kept root of the solved
+    rows (s, phi_k), s-major and k = 0 ... angles // 2, and `row_sizes` the
+    number of kept roots of each solved row.  Row k stands for itself and,
+    unless k = 0 or k = angles / 2, for row angles - k as well: `weights`
+    gives each point the weight 1 or 2 of its row, and `count` is their sum,
+    the points of the whole grid.  `dropped` counts the roots of the whole
+    grid too.  A cloud given only its points has one row per point, each of
+    weight 1.  `radii` holds the norm of each point and `max_radius` the
+    largest, or 0.0 for an empty cloud."""
 
     points: np.ndarray
     dropped: int = 0
+    row_sizes: np.ndarray | None = None
+    angles: int = 1
+    weights: np.ndarray = field(init=False, repr=False)
+    count: int = field(init=False, default=0)
     radii: np.ndarray = field(init=False, repr=False)
     max_radius: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         import numpy as np
 
+        if self.row_sizes is None:
+            self.row_sizes = np.ones(len(self.points), dtype=np.int64)
+        half = _row_weights(np, self.angles)
+        self.weights = np.repeat(np.tile(half, len(self.row_sizes) // len(half)),
+                                 self.row_sizes)
+        self.count = int(self.weights.sum())
         self.radii = np.hypot(self.points[:, 0], self.points[:, 1])
         if len(self.radii):
             self.max_radius = float(self.radii.max())
+
+    def grid_points(self) -> np.ndarray:
+        """The `count` points of the whole grid in grid order: s-major, then
+        k = 0 ... angles - 1, where row k > angles / 2 repeats the points of
+        row angles - k, and a row's points in the order they were solved."""
+        import numpy as np
+
+        half = self.angles // 2 + 1
+        k = np.arange(self.angles)
+        rows = (np.arange(len(self.row_sizes) // half)[:, None] * half
+                + np.minimum(k, self.angles - k)).ravel()
+        sizes = self.row_sizes[rows]
+        firsts = np.cumsum(self.row_sizes) - self.row_sizes
+        ends = np.cumsum(sizes)
+        return self.points[np.repeat(firsts[rows] - ends + sizes, sizes)
+                           + np.arange(self.count)]
+
+
+def _row_weights(np, angles: int):
+    """The weight of the solved rows k = 0 ... angles // 2: 2, as row k also
+    stands for row angles - k, except 1 at k = 0 and at k = angles / 2."""
+    k = np.arange(angles // 2 + 1)
+    return np.where((k == 0) | (2 * k == angles), 1, 2)
 
 
 RESIDUAL_TOL = 1e-9
 # Solved (s, phi) rows per batch of companion matrices: a block takes
 # max(1, AMOEBA_ROWS // (angles // 2 + 1)) s-values, the angles of [0, pi]
-# solved for each, and its stacked arrays stay small next to the output cloud.
+# solved for each, and its (rows, span) arrays stay small next to the cloud.
 AMOEBA_ROWS = 2048
 
 
@@ -127,23 +167,15 @@ def amoeba_sample(f: LaurentPoly, s_grid, angles: int) -> AmoebaCloud:
 
     f has real coefficients, so the roots at the conjugate x-bar are the
     conjugates of the roots at x, with the same ln|y|: only the rows
-    k = 0 ... angles // 2 (phi in [0, pi]) are solved, and row k > angles / 2
-    takes the kept points and the drop count of row angles - k.  The cloud
-    is then gathered in grid order, s-major, a row's roots in the order
+    k = 0 ... angles // 2 (phi in [0, pi]) are solved, and the cloud holds
+    their kept points, weighted 2 where row k also stands for row
+    angles - k (see AmoebaCloud).  A row's roots come in the order
     _companion_roots gives them: r1 then r2 at degree 2, eigvals order from
     degree 3.
 
     The grid is solved in blocks of max(1, AMOEBA_ROWS // (angles // 2 + 1))
-    s-values.  A block's coefficient rows [sum of c * x ** a] are numpy
-    arrays; trailing zero coefficients are stripped (each is a root y = 0,
-    dropped and counted), and the rows are grouped by the degree left.  A
-    group of degree 1 or 2 is solved in closed form, and a group of degree 3
-    or more by one stacked numpy.linalg.eigvals call on companion matrices
-    built as numpy.roots builds them.  A row whose leading coefficient is
-    0, or whose companion entries are not all finite, is dropped and
-    counted once; a root is dropped and counted when |y| is 0 or not
-    finite, or when its relative residual is not at most RESIDUAL_TOL (a NaN
-    residual included).  Every s must be finite, and no finite grid raises.
+    s-values; see _sample_block for the roots and the drop rules.  Every s
+    must be finite, and no finite grid raises.
     """
     if f.rank != 2:
         raise DimensionError("amoeba sampling needs a polynomial in two variables")
@@ -169,54 +201,98 @@ def amoeba_sample(f: LaurentPoly, s_grid, angles: int) -> AmoebaCloud:
         block = grid[i:i + step]
         rows = slice(i * half, (i + len(block)) * half)
         lny[rows], kept[rows], dropped[rows] = _sample_block(
-            np, terms, ymax, span, np.repeat(block, half), np.tile(phis, len(block)))
-    # the solved row of each (s, phi_k): k for k <= angles / 2, else angles - k
-    k = np.arange(angles)
-    solved = (np.arange(len(grid))[:, None] * half + np.minimum(k, angles - k)).ravel()
-    lny, kept = lny[solved], kept[solved]
-    s = grid[np.nonzero(kept)[0] // angles]
-    return AmoebaCloud(points=np.column_stack((s, lny[kept])),
-                       dropped=int(dropped[solved].sum()))
+            np, terms, ymax, span, block, phis)
+    s = grid[np.nonzero(kept)[0] // half]
+    dropped = int((dropped.reshape(-1, half) @ _row_weights(np, angles)).sum())
+    return AmoebaCloud(points=np.column_stack((s, lny[kept])), dropped=dropped,
+                       row_sizes=kept.sum(axis=1), angles=angles)
 
 
 def _sample_block(np, terms, ymax: int, span: int, s, phi):
-    """Per row (s, phi): ln|y| of each root slot, the mask of kept roots (both
-    of shape (rows, span)), and the number of dropped roots, or 1 for a row
-    dropped whole."""
-    n = len(s)
+    """Solve the rows (s, phi) of s-values s and angles phi, s-major.  Per
+    row: ln|y| of each root slot, the mask of kept roots (both of shape
+    (rows, span)), and the number of dropped roots, or 1 for a row dropped
+    whole.
+
+    The coefficient rows [sum of c * x ** a] are complex arrays; trailing
+    zero coefficients are stripped (each is a root y = 0, dropped and
+    counted), and the rows are grouped by the degree left and solved by
+    _companion_roots.  A row whose leading coefficient is 0, or whose
+    companion entries are not all finite, is dropped and counted once.  A
+    root is dropped and counted when |y| is 0 or not finite, or when its
+    relative residual |f(x, y)| / sum |c| |x|^a |y|^b is not at most
+    RESIDUAL_TOL (a NaN residual included).  Both sums are evaluated at the
+    polynomial's own y-exponents b, by Horner in y over b >= 0 and in 1/y
+    over b < 0, so that no power of y is taken past the largest |b| of f;
+    the weight's columns |c| e^(a s) are formed once per s-value.  A term
+    whose |c| e^(a s) underflows below the normal floats adds its rounding
+    error |c| 2^-1074 |y|^b to the residual."""
+    n = len(s) * len(phi)
     y = np.zeros((n, span), dtype=complex)
-    valid = np.zeros((n, span), dtype=bool)
     with np.errstate(all="ignore"):
-        x = np.exp(s + 1j * phi)
+        x = np.exp(np.add.outer(s, 1j * phi).ravel())
         c = np.zeros((n, span + 1), dtype=complex)
         for a, col, fc in terms:
-            c[:, col] += fc * x ** a
+            # x ** 1 and x ** 0 are x and 1, which numpy's complex power
+            # returns only through its general loop
+            c[:, col] += fc * (x if a == 1 else x ** a if a else 1.0)
         live = c[:, 0] != 0
-        deg = span - np.argmax(c[:, ::-1] != 0, axis=1)
+        deg = np.full(n, span)  # less the trailing zero coefficients
+        for j in range(span, 0, -1):
+            deg[(deg == j) & (c[:, j] == 0)] = j - 1
+        # the companion matrices' first rows; a row of degree d uses d entries
+        top = -c[:, 1:] / c[:, :1]
+        for j in range(span):
+            live &= np.isfinite(top[:, j]) | (deg <= j)
+        valid = live[:, None] & (np.arange(span) < deg[:, None])
         for d in range(1, span + 1):
             sel = np.flatnonzero(live & (deg == d))
-            top = -c[sel, 1:d + 1] / c[sel, :1]  # the companion matrices' first rows
-            finite = np.isfinite(top).all(axis=1)
-            live[sel[~finite]] = False
-            sel = sel[finite]
             if len(sel):
-                y[sel, :d] = _companion_roots(np, top[finite])
-                valid[sel, :d] = True
+                y[sel, :d] = _companion_roots(np, top[sel, :d])
         ay = np.abs(y)
         cand = valid & (ay != 0.0) & np.isfinite(ay)
-        # residual |sum_j c_j y^(ymax-j)|, weight sum_t |c_t| |x|^a_t |y|^b_t
-        yc = np.where(cand, y, 1.0)[:, :, None]
-        exps = ymax - np.arange(span + 1)
-        resid = np.abs((c[:, None, :] * yc ** exps).sum(axis=2))
-        w = np.zeros((n, span + 1))
+        w, lost, tiny = np.zeros((len(s), span + 1)), [], np.finfo(float).tiny
         for a, col, fc in terms:
-            w[:, col] += abs(fc) * np.exp(a * s)
-        weight = (w[:, None, :] * np.abs(yc) ** exps).sum(axis=2)
+            m = abs(fc) * np.exp(a * s)
+            w[:, col] += m
+            if (m < tiny).any():
+                lost.append((ymax - col, abs(fc), np.repeat(m < tiny, len(phi))))
+        ay1 = np.where(cand, ay, 1.0)
+        resid = np.abs(_at_own_exponents(c, np.where(cand, y, 1.0), ymax))
+        # a term c x^a whose |c| e^(a s) is below the normal floats is known
+        # to |c| 2^-1074 only: that error times |y|^b joins the residual, as
+        # e^(ln(|c| 2^-1074) + b ln|y|), which no power of y can overflow
+        for b, fc, rows in lost:
+            resid[rows] += np.exp(np.log(fc) - 1074 * np.log(2.0) + b * np.log(ay1[rows]))
+        weight = _at_own_exponents(np.repeat(w, len(phi), axis=0), ay1, ymax)
         # NaN compares False, so a zero weight or a residual lost to
         # overflow drops the root
         kept = cand & (resid / weight <= RESIDUAL_TOL)
         lny = np.log(np.where(kept, ay, 1.0))
     return lny, kept, np.where(live, span - deg, 1) + (valid & ~kept).sum(axis=1)
+
+
+def _at_own_exponents(coef, y, ymax: int):
+    """sum over j of coef[:, j] * y ** (ymax - j) for each column of y: by
+    Horner in y over the exponents ymax ... 0 and in 1/y over the exponents
+    -1 ... ymin = ymax - span, never through a power y ** (ymax - ymin)."""
+    ymin = ymax - coef.shape[1] + 1
+
+    def col(e):
+        return coef[:, ymax - e, None]
+
+    out = 0.0
+    if ymax >= 0:
+        out = col(ymax)
+        for e in range(ymax - 1, -1, -1):
+            out = out * y + col(e) if e >= ymin else out * y
+    if ymin < 0:
+        z = 1.0 / y
+        low = col(ymin)
+        for e in range(ymin + 1, 0):
+            low = low * z + col(e) if e <= ymax else low * z
+        out = out + low * z
+    return out
 
 
 def _companion_roots(np, top):
@@ -259,8 +335,10 @@ def log_limit_directions(cloud: AmoebaCloud, min_radius: float,
                          angle_bins: int) -> LimitDirections:
     """Bin the reflected far points (norm >= min_radius) into angular bins;
     each populated bin, in bin order, reports the normalized mean direction
-    and the count.  A point at the origin has no direction and is skipped;
-    an empty cloud has no far points.
+    and the count, both weighted by the cloud's weights: a bin's count is
+    the sum of its points' weights, and its mean the weighted mean of their
+    unit directions.  A point at the origin has no direction and is
+    skipped; an empty cloud has no far points.
 
     Bin k holds the angles within half a bin width w = 2 pi / angle_bins of
     k w, so its edges lie at (k + 1/2) w and an angle just below 2 pi falls
@@ -277,10 +355,10 @@ def log_limit_directions(cloud: AmoebaCloud, min_radius: float,
     cells = np.floor(np.arctan2(u[:, 1], u[:, 0]) / (2.0 * math.pi / angle_bins)
                      + 0.5) % angle_bins
     order = np.argsort(cells, kind="stable")
-    cells, u = cells[order], u[order]
+    cells, u, w = cells[order], u[order], cloud.weights[far][order]
     starts = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1])))
-    counts = np.diff(np.append(starts, len(cells)))
-    means = np.add.reduceat(u, starts) / counts[:, None]
+    counts = np.add.reduceat(w, starts)
+    means = np.add.reduceat(u * w[:, None], starts) / counts[:, None]
     norms = np.hypot(means[:, 0], means[:, 1])
     if not norms.all():  # only a single bin, the whole circle, can hold opposites
         raise ValueError("the far directions of a bin cancel out")

@@ -7,14 +7,18 @@ conjugate of e^(s + i 2 pi (angles - k) / angles), as the sampler mirrors
 those rows from the upper half-circle; where a coefficient of y cancels to
 rounding error the float rows at phi and 2 pi - phi are not conjugates, so
 only on well-conditioned curves does the sampler match the reference that
-solves every angle (mirror=False).  The numpy sampler must keep and drop
-the same number of roots; its points, sorted by (s, ln|y|), and its max
-radius agree with the oracle's within POINT_TOL.  `reference_limit_directions`
-bins far points one at a time with the math module, the oracle of the array
-binning: the same counts, directions within DIRECTION_TOL.  Grids whose
-terms leave the float range are refused when the job is read.  The roots
-of y-degree 1 and 2, found in closed form, are checked against chosen
-roots.  The work-count and memory tests pin the batching itself.
+solves every angle (mirror=False).  The sampler's cloud holds the solved
+rows only, each point weighted by the rows it stands for; expanded to the
+whole grid (`grid_points`), it must keep and drop the same number of roots,
+and its points, sorted by (s, ln|y|), and its max radius agree with the
+oracle's within POINT_TOL.  `reference_limit_directions` bins the expanded
+far points one at a time with the math module, the oracle of the weighted
+array binning: the same counts, directions within DIRECTION_TOL.
+`power_form_block` keeps the earlier residual and weight, every root raised
+to every y-exponent, as the oracle of the Horner sums.  Grids whose terms
+leave the float range are refused when the job is read.  The roots of
+y-degree 1 and 2, found in closed form, are checked against chosen roots.
+The work-count and memory tests pin the batching itself.
 """
 
 import cmath
@@ -24,6 +28,7 @@ import time
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -96,12 +101,13 @@ def reference_sample(f, s_grid, angles, mirror=True):
 
 
 def assert_matches(got, want, context=None):
-    """Equal point and drop counts; the points sorted by (s, ln|y|) and the
-    max radius within POINT_TOL."""
+    """Equal point and drop counts; the points of the whole grid sorted by
+    (s, ln|y|) and the max radius within POINT_TOL."""
     assert got.points.dtype == np.float64 and got.points.shape == (len(got.points), 2)
-    assert (len(got.points), got.dropped) == (len(want.points), want.dropped), context
-    g = np.array(sorted(map(tuple, got.points.tolist()))).reshape(-1, 2)
-    w = np.array(sorted(map(tuple, want.points.tolist()))).reshape(-1, 2)
+    assert (got.count, got.dropped) == (want.count, want.dropped), context
+    g = np.array(sorted(map(tuple, got.grid_points().tolist()))).reshape(-1, 2)
+    w = np.array(sorted(map(tuple, want.grid_points().tolist()))).reshape(-1, 2)
+    assert len(g) == got.count, context
     assert np.abs(g - w).max(initial=0.0) <= POINT_TOL, context
     assert abs(got.max_radius - want.max_radius) <= POINT_TOL, context
 
@@ -190,8 +196,8 @@ def test_the_row_at_two_pi_minus_phi_is_the_row_at_phi():
     down, _ = reference_row(f, reference_x(0.0, 3, 4, mirror=False))
     assert round(max(up), 3) == 12.115 and round(max(down), 3) == 11.749
     cloud = amoeba_sample(f, [0.0], 4)
-    assert (len(cloud.points), cloud.dropped) == (4 * 4, 0)
-    rows = cloud.points[:, 1].reshape(4, 4)
+    assert (cloud.count, cloud.dropped) == (4 * 4, 0)
+    rows = cloud.grid_points()[:, 1].reshape(4, 4)
     assert np.array_equal(rows[1], rows[3])
     assert np.abs(np.sort(rows[1]) - np.sort(up)).max() <= POINT_TOL
 
@@ -236,7 +242,7 @@ def test_a_root_with_a_nan_residual_is_dropped_and_counted():
     cloud = amoeba_sample(f, [s], angles)
     assert_matches(cloud, reference_sample(f, [s], angles))
     assert cloud.dropped >= nan_roots
-    assert len(cloud.points) + cloud.dropped == angles * 2
+    assert cloud.count + cloud.dropped == angles * 2
 
 
 def test_a_root_whose_residual_overflows_is_dropped_not_raised():
@@ -250,9 +256,10 @@ def test_a_root_whose_residual_overflows_is_dropped_not_raised():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cloud = amoeba_sample(f, [0.0, 1.0, 300.0, 2.0], 4)
-    assert len(cloud.points) + cloud.dropped == 4 * 4 * 2
-    near = cloud.points[cloud.points[:, 0] != 300.0]
-    dropped = cloud.dropped - (4 * 2 - (len(cloud.points) - len(near)))
+    assert cloud.count + cloud.dropped == 4 * 4 * 2
+    points = cloud.grid_points()
+    near = points[points[:, 0] != 300.0]
+    dropped = cloud.dropped - (4 * 2 - (len(points) - len(near)))
     assert_matches(AmoebaCloud(points=near, dropped=dropped),
                    reference_sample(f, [0.0, 1.0, 2.0], 4))
 
@@ -315,11 +322,11 @@ def test_grids_near_the_float_range_match_the_reference_or_exit_3():
                     with np.errstate(over="ignore"):
                         want = reference_sample(f, [s], angles)
                 except (ArithmeticError, np.linalg.LinAlgError):
-                    assert got.dropped == angles and not len(got.points)
+                    assert got.dropped == angles and not got.count
                     kinds.add("dropped")
                     continue
                 assert_matches(got, want, (terms, angles, s))
-                kinds.add("cloud" if len(want.points) else "empty")
+                kinds.add("cloud" if want.count else "empty")
     assert {"cloud", "dropped", "refused"} <= kinds
 
 
@@ -481,8 +488,8 @@ def test_the_small_root_of_a_far_row_is_kept():
     grid = [-200.0 + 400.0 * i / 30 for i in range(2, 31)]
     angles = 16
     cloud = amoeba_sample(f, grid, angles)
-    assert cloud.dropped == 0 and len(cloud.points) == len(grid) * angles * 2
-    s, lny = cloud.points.reshape(len(grid), angles, 2, 2).transpose(3, 0, 1, 2)
+    assert cloud.dropped == 0 and cloud.count == len(grid) * angles * 2
+    s, lny = cloud.grid_points().reshape(len(grid), angles, 2, 2).transpose(3, 0, 1, 2)
     large, small = lny.max(axis=2), lny.min(axis=2)
     assert np.abs(small - (s[:, :, 0] - large)).max() <= 1e-9
     far = s[:, 0, 0] <= -100.0
@@ -490,11 +497,131 @@ def test_the_small_root_of_a_far_row_is_kept():
     assert np.round(small[0], 2).tolist() == [-694.03] * angles
 
 
+def block_terms(f):
+    """The terms (a, ymax - b, c), ymax and the y-degree span, as
+    amoeba_sample hands them to _sample_block."""
+    ydegs = [b for _, b in f.terms]
+    ymax = max(ydegs)
+    return ([(a, ymax - b, float(c)) for (a, b), c in f.terms.items()], ymax,
+            ymax - min(ydegs))
+
+
+def power_form_block(terms, ymax, span, s, phi):
+    """_sample_block's drop rules with the residual and weight of the earlier
+    sampler: every root raised to every y-exponent of f over a (rows, span,
+    span + 1) array, and the columns |c| e^(a s) formed row by row.  Per row
+    (s, phi), s-major: x, the roots y (shape (rows, span)), the mask of kept
+    roots and the number dropped."""
+    n = len(s) * len(phi)
+    s, phi = np.repeat(s, len(phi)), np.tile(phi, len(s))
+    y = np.zeros((n, span), dtype=complex)
+    valid = np.zeros((n, span), dtype=bool)
+    with np.errstate(all="ignore"):
+        x = np.exp(s + 1j * phi)
+        c = np.zeros((n, span + 1), dtype=complex)
+        for a, col, fc in terms:
+            c[:, col] += fc * x ** a
+        live = c[:, 0] != 0
+        deg = span - np.argmax(c[:, ::-1] != 0, axis=1)
+        for d in range(1, span + 1):
+            sel = np.flatnonzero(live & (deg == d))
+            top = -c[sel, 1:d + 1] / c[sel, :1]
+            finite = np.isfinite(top).all(axis=1)
+            live[sel[~finite]] = False
+            sel = sel[finite]
+            if len(sel):
+                y[sel, :d] = _companion_roots(np, top[finite])
+                valid[sel, :d] = True
+        ay = np.abs(y)
+        cand = valid & (ay != 0.0) & np.isfinite(ay)
+        yc = np.where(cand, y, 1.0)[:, :, None]
+        exps = ymax - np.arange(span + 1)
+        resid = np.abs((c[:, None, :] * yc ** exps).sum(axis=2))
+        w = np.zeros((n, span + 1))
+        for a, col, fc in terms:
+            w[:, col] += abs(fc) * np.exp(a * s)
+        weight = (w[:, None, :] * np.abs(yc) ** exps).sum(axis=2)
+        kept = cand & (resid / weight <= RESIDUAL_TOL)
+    return x, y, kept, np.where(live, span - deg, 1) + (valid & ~kept).sum(axis=1)
+
+
+def exact_relative_residual(f, x, y):
+    """|f(x, y)| / sum |c| |x|^a |y|^b at these floats, in mpmath at 50
+    digits, whose exponent range no power of y leaves."""
+    with mpmath.workdps(50):
+        x, y = mpmath.mpc(x), mpmath.mpc(y)
+        terms = [(mpmath.mpf(float(c)), x ** a * y ** b) for (a, b), c in f.terms.items()]
+        return (abs(mpmath.fsum(c * t for c, t in terms))
+                / mpmath.fsum(abs(c) * abs(t) for c, t in terms))
+
+
+def times_y(f, e):
+    """f * y^e: the same roots, other y-exponents."""
+    return laurent({(a, b + e): c for (a, b), c in f.terms.items()})
+
+
+@pytest.mark.parametrize("grid", [GRID, [-300.0, 0.0, 300.0], [-700.0, 0.0, 700.0],
+                                  [-800.0]])
+def test_horner_at_own_exponents_keeps_what_the_power_form_keeps(grid):
+    """Residual and weight by Horner in y over the y-exponents >= 0 and in
+    1/y over those < 0 keep every root the power form keeps, on y-exponents
+    of both signs, all >= 1 and all <= -1.  On GRID they keep and drop the
+    same roots, row by row.  Far out a power y^b of the power form can leave
+    the float range while the terms c x^a y^b do not: there the power form
+    drops true roots, which the Horner sums keep.  Each such root has an
+    exact relative residual within RESIDUAL_TOL, and its row counts it as
+    kept instead of dropped."""
+    phi = 2.0 * math.pi * np.arange(5) / 8
+    signs, kept_total, extra_total = set(), 0, 0
+    for i, f in enumerate(random_curves(12, 40)):
+        ydegs = [b for _, b in f.terms]
+        # the lowest exponent 1 or 2, the highest -1 or -2: Horner steps
+        # over the missing exponent 0, or -1, too
+        low, high = 1 + i % 2, -1 - i % 2
+        for g in (f, times_y(f, low - min(ydegs)), times_y(f, high - max(ydegs))):
+            terms, ymax, span = block_terms(g)
+            ymin = ymax - span
+            signs.add(1 if ymin > 0 else -1 if ymax < 0 else 0 if ymin < 0 < ymax else None)
+            _, kept, dropped = tropical._sample_block(np, terms, ymax, span,
+                                                      np.array(grid), phi)
+            x, y, want_kept, want_dropped = power_form_block(terms, ymax, span,
+                                                             np.array(grid), phi)
+            assert not (want_kept & ~kept).any(), (g, grid)
+            extra = kept & ~want_kept
+            assert np.array_equal(dropped, want_dropped - extra.sum(axis=1)), (g, grid)
+            for row, slot in zip(*np.nonzero(extra)):
+                assert exact_relative_residual(g, x[row], y[row, slot]) <= RESIDUAL_TOL
+            kept_total += int(kept.sum())
+            extra_total += int(extra.sum())
+    assert {-1, 0, 1} <= signs  # all >= 1, all <= -1, and both signs
+    assert kept_total > 0
+    assert extra_total == 0 if grid in (GRID, [-800.0]) else extra_total > 100
+
+
+def test_a_term_lost_to_underflow_drops_the_root_it_dominates():
+    """f = 2/y + x/y^2 + 5x^2/y^4 + x^2/y^5 at s = -400: x^2 = e^-800
+    underflows to 0, so the coefficient rows are those of 2/y + x/y^2.  Their
+    root y = -x/2 is no root of f, whose terms in x^2 are e^800 and e^1200
+    times the others there, and Horner over those rows alone finds it exact.
+    The lost terms join the residual at |c| 2^-1074 |y|^b and drop it: the
+    job is read and answered with every root dropped, as the power form
+    answered it."""
+    f = laurent({(0, -1): 2, (1, -2): 1, (2, -4): 5, (2, -5): 1})
+    result = run(amoeba_job(f, [-400.0], 8))["result"]
+    assert (result["points"], result["dropped"]) == (0, 8 * 4)
+    x = cmath.exp(-400.0)
+    root = -x / 2
+    assert exact_relative_residual(f, x, root) > 0.5
+    rows = np.array([[2.0, x, 0.0, 0.0, 0.0]], dtype=complex)  # y^-1 ... y^-5
+    assert abs(tropical._at_own_exponents(rows, np.array([[root]]), -1)[0, 0]) \
+        <= RESIDUAL_TOL * 4 / abs(root)
+
+
 def reference_limit_directions(cloud, min_radius, angle_bins):
-    """The per-point binning: bin k holds the angles within half a bin width
-    of k * 2 pi / angle_bins."""
+    """The per-point binning of the points of the whole grid: bin k holds the
+    angles within half a bin width of k * 2 pi / angle_bins."""
     bins = {}
-    for px, py in cloud.points.tolist():
+    for px, py in cloud.grid_points().tolist():
         r = math.hypot(px, py)
         if r < float(min_radius) or r == 0:
             continue
@@ -536,6 +663,36 @@ def test_limit_directions_match_the_per_point_binning_on_random_curves():
                 assert_same_directions(got, want, (f, min_radius, angle_bins))
                 far_seen.add(want.no_far_points)
     assert far_seen == {True, False}
+
+
+@pytest.mark.parametrize("angles", [1, 2, 3, 4, 7, 64])
+def test_the_weighted_half_cloud_stands_for_the_whole_grid(angles):
+    """The cloud holds the rows k = 0 ... angles // 2, weight 1 at k = 0 and
+    k = angles / 2 and 2 elsewhere.  Expanded to the whole grid it matches
+    the reference; its far directions and counts are those of the per-point
+    binning of the expanded points; a job's `points` is the sum of the
+    weights."""
+    grid = [x / 4 for x in range(-60, 61, 5)]
+    half = angles // 2 + 1
+    k = np.arange(half)
+    row_weight = np.where((k == 0) | (2 * k == angles), 1, 2)
+    for f in random_curves(13, 6 if angles == 64 else 12):
+        cloud = amoeba_sample(f, grid, angles)
+        assert len(cloud.row_sizes) == len(grid) * half
+        assert len(cloud.points) == cloud.row_sizes.sum()
+        assert np.array_equal(cloud.weights,
+                              np.repeat(np.tile(row_weight, len(grid)), cloud.row_sizes))
+        expanded = AmoebaCloud(points=cloud.grid_points(), dropped=cloud.dropped)
+        assert_matches(expanded, reference_sample(f, grid, angles), f)
+        assert sorted(map(tuple, np.repeat(cloud.points, cloud.weights, axis=0).tolist())) \
+            == sorted(map(tuple, expanded.points.tolist()))
+        for min_radius, angle_bins in ((0, 8), (5.0, 72), (12, 360)):
+            want = reference_limit_directions(expanded, min_radius, angle_bins)
+            got = log_limit_directions(cloud, min_radius, angle_bins)
+            assert_same_directions(got, want, (f, min_radius, angle_bins))
+        result = run(amoeba_job(f, grid, angles, min_radius=5.0))["result"]
+        assert result["points"] == cloud.weights.sum() == cloud.count
+        assert result["dropped"] == cloud.dropped
 
 
 def cloud_of(points):
@@ -649,7 +806,8 @@ def count_solver_calls(monkeypatch, terms, span):
     cloud = amoeba_sample(laurent(terms), BIG_JOB["payload"]["s_grid"], 64)
     # one np.roots call per (s, phi) was 161 * 64 = 10,304 calls
     assert calls["roots"] == 0
-    assert len(cloud.points) + cloud.dropped == 161 * 64 * span
+    # the weighted count: every root of the 161 * 64 rows is kept or dropped
+    assert cloud.count + cloud.dropped == 161 * 64 * span
     assert cloud.points.dtype == np.float64 and cloud.points.shape == (len(cloud.points), 2)
     return calls
 

@@ -346,6 +346,11 @@ def _read_dyn(payload):
         return parse_poly(f, rank, ZZ)
 
     phi = PushMap.of(_array(obj["matrix"], lambda row: _array(row, poly)))
+    try:
+        nrm = norm(phi)
+    except OverflowError:  # the norm's float is the root of a squared length
+        raise ValueError("matrix has a monomial whose squared length is past "
+                         "the float range") from None
     start = _array(obj.get("start", []), poly)
     if start and len(start) != phi.size:
         raise ValueError(f"start has length {len(start)}, not the matrix size {phi.size}")
@@ -355,14 +360,14 @@ def _read_dyn(payload):
     vec = start or [LaurentPoly.one(rank)] + [LaurentPoly.zero(rank)] * (phi.size - 1)
     # the iterates' and powers' supports and coefficients grow with these
     # keys: on a 3 x 3 rank-2 matrix of two-term entries with exponents in
-    # [-1, 1], iters 32 and powers 20 together take under a second, where
-    # iters 50 or powers 30 alone take 1.4 s
-    return (phi, vec, chi, _int(obj.get("iters", 8), 1, 32),
+    # [-1, 1], iters 32 and powers 20 together take 0.3-0.4 s on a 2-core
+    # host with Python 3.11, where iters 50 alone takes 0.7-1.0 s and
+    # powers 30 alone 0.4-0.55 s
+    return (phi, nrm, vec, chi, _int(obj.get("iters", 8), 1, 32),
             _int(obj.get("powers", 5), 1, 20))
 
 
-def _run_dyn(phi, vec, chi, iters, powers):
-    nrm = norm(phi)
+def _run_dyn(phi, nrm, vec, chi, iters, powers):
     result = {
         "size": phi.size,
         "norm": {"squared": frac_str(nrm.squared), "value": nrm.value},

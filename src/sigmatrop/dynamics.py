@@ -6,6 +6,13 @@ canonical control map at the origin (so a basis element g*x_j sits at the
 lattice point g).  Norms, guaranteed shifts, and the positivity cone are all
 exact; the far-direction estimate iterates the map exactly and only its
 angular comparison uses floats, backed by an exact squared-cosine test.
+
+The orbit and the powers run on integer term maps over a `Frame`: a box
+fixed before the loop that holds every monomial the loop can reach, whose
+points are numbered in mixed radix.  Multiplying by a monomial is then one
+integer addition per term, each image entry is accumulated in one dict,
+and exponent tuples are decoded only for the answer: the directions of the
+last iterates and the shifts of the powers.
 """
 
 from __future__ import annotations
@@ -18,8 +25,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .polyhedra import Polyhedron, PolyhedralSet
-from .rings import (ZZ, Character, DimensionError, Direction, SoundnessError,
-                    poly_matrix_mul)
+from .rings import ZZ, Character, DimensionError, Direction, SoundnessError
 
 INF = math.inf
 
@@ -51,17 +57,99 @@ class PushMap:
         """The sorted support monomials of all entries, formed once."""
         return tuple(sorted({g for row in self.entries for f in row for g in f.terms}))
 
-    def compose(self, other: "PushMap") -> "PushMap":
-        if self.size != other.size or self.rank != other.rank:
-            raise DimensionError("size mismatch in composition")
-        return PushMap(self.rank, tuple(
-            tuple(row) for row in poly_matrix_mul(self.entries, other.entries)))
 
-    def apply(self, vec):
-        """Image of a column vector of ring elements."""
-        if len(vec) != self.size:
-            raise DimensionError("vector length must match the matrix size")
-        return tuple(row[0] for row in poly_matrix_mul(self.entries, [[v] for v in vec]))
+class Frame:
+    """A box [lo, hi] of Z^n with its points numbered in mixed radix.
+
+    key(g) = offset(g - lo), where offset(h) = sum h_i * stride_i with
+    stride_0 = 1 and stride_(i+1) = stride_i * (hi_i - lo_i + 1).  Keys are
+    one-to-one on the box, and for g and g + h both in it, key(g + h) =
+    key(g) + offset(h): a shift by the monomial x^h is one addition.  Keys
+    of points outside the box alias, so a frame must hold every monomial
+    its loop can reach."""
+
+    __slots__ = ("lo", "widths", "strides", "origin")
+
+    def __init__(self, lo, hi):
+        self.lo = tuple(lo)
+        self.widths = tuple(b - a + 1 for a, b in zip(lo, hi))
+        strides = [1]
+        for w in self.widths[:-1]:
+            strides.append(strides[-1] * w)
+        self.strides = tuple(strides)
+        self.origin = self.offset(self.lo)
+
+    @classmethod
+    def reach(cls, phi: "PushMap", start, steps: int) -> "Frame":
+        """The box of the start monomials moved by up to `steps` steps of
+        the box of phi's support, coordinatewise: lo + steps * min(0, lo(phi))
+        and hi + steps * max(0, hi(phi)).  No start monomial gives the
+        origin's box."""
+        lo, hi = _box(phi.rank, start)
+        step_lo, step_hi = _box(phi.rank, phi.support)
+        return cls([a + steps * min(0, b) for a, b in zip(lo, step_lo)],
+                   [a + steps * max(0, b) for a, b in zip(hi, step_hi)])
+
+    def offset(self, h) -> int:
+        return sum(map(mul, h, self.strides))
+
+    def keyed(self, f) -> dict:
+        """The term map of a LaurentPoly inside the box, keyed by its points."""
+        origin = self.origin
+        return {self.offset(g) - origin: c for g, c in f.terms.items()}
+
+    def columns(self, phi: "PushMap") -> list:
+        """phi's entries as keyed term maps, column by column."""
+        return [[self.keyed(row[j]) for row in phi.entries] for j in range(phi.size)]
+
+    def shifts(self, phi: "PushMap") -> list:
+        """phi's entries as term maps keyed by offsets, row by row: the
+        multiplier whose terms are added to keys."""
+        return [[{self.offset(g): c for g, c in f.terms.items()} for f in row]
+                for row in phi.entries]
+
+    def points(self, keys):
+        """The monomials of the keys, decoded one coordinate at a time."""
+        keys = list(keys)
+        cols = []
+        for a, w in zip(self.lo, self.widths):
+            cols.append([a + k % w for k in keys])
+            keys = [k // w for k in keys]
+        return zip(*cols)
+
+
+def _keys(columns) -> set:
+    """The distinct keys of a matrix of keyed term maps."""
+    return set().union(*(e for col in columns for e in col))
+
+
+def _box(rank: int, monomials):
+    """Coordinatewise minima and maxima of the monomials; the origin for none."""
+    cols = list(zip(*monomials)) or [(0,)] * rank
+    return [min(c) for c in cols], [max(c) for c in cols]
+
+
+def _image(shifts, column) -> list:
+    """The image of a column of keyed term maps under a matrix of offset
+    term maps: each entry is accumulated in place in one dict, and the
+    terms that cancel are dropped once, at the end."""
+    out = []
+    for row in shifts:
+        acc = {}
+        get = acc.get
+        for f, v in zip(row, column):
+            for h, c in f.items():
+                for k, a in v.items():
+                    k += h
+                    acc[k] = get(k, 0) + c * a
+        out.append({k: a for k, a in acc.items() if a})
+    return out
+
+
+def _product(shifts, columns) -> list:
+    """The matrix product of a multiplier and a matrix given by columns,
+    column by column."""
+    return [_image(shifts, col) for col in columns]
 
 
 class Norm(NamedTuple):
@@ -81,16 +169,24 @@ def gsh(phi: PushMap, chi: Character):
 
     Equivariance and the ultrametric rules make the infimum over the whole
     free module equal the minimum over basis images; a zero column shifts by
-    +inf.  The value is for chi as given (not unit-normalized); the minimum is
-    taken over integers, chi scaled by the common denominator of its values.
-    """
+    +inf.  The value is for chi as given (not unit-normalized)."""
     if chi.rank != phi.rank:
         raise DimensionError("direction rank does not match the map")
-    # chi(g) = (den chi)(g) / den, an integer dot product over one denominator
+    return _least_value(chi, (g for row in phi.entries for f in row for g in f.terms))
+
+
+def _integral(chi: Character):
+    """chi scaled by the common denominator of its values, as the integer
+    vector den chi and den: chi(g) = (den chi)(g) / den."""
     den = math.lcm(*(v.denominator for v in chi.values))
-    scaled = [v.numerator * (den // v.denominator) for v in chi.values]
-    best = min((sum(map(mul, scaled, g))
-                for row in phi.entries for f in row for g in f.terms), default=None)
+    return [v.numerator * (den // v.denominator) for v in chi.values], den
+
+
+def _least_value(chi: Character, monomials):
+    """The minimum of chi over the monomials, +inf for none, taken over
+    integers as the minimum of den chi divided by den."""
+    scaled, den = _integral(chi)
+    best = min((sum(map(mul, scaled, g)) for g in monomials), default=None)
     return INF if best is None else Fraction(best, den)
 
 
@@ -110,23 +206,26 @@ class PushOrbitReport:
 def lambda_of_push_estimate(phi: PushMap, start, iters: int) -> PushOrbitReport:
     """Far-direction estimate: iterate phi on the start vector exactly and
     cluster the nonzero support monomials of the last three iterates into
-    primitive directions, each distinct monomial once."""
-    vec = tuple(start)
-    history = []
+    primitive directions, each distinct monomial once.  The iterates are
+    keyed term maps over the frame of the start moved by iters steps."""
+    start = tuple(start)
+    if len(start) != phi.size or any(v.rank != phi.rank for v in start):
+        raise DimensionError("the start vector must match the map's size and rank")
+    frame = Frame.reach(phi, [g for v in start for g in v.terms], iters)
+    shifts = frame.shifts(phi)
+    vec = [frame.keyed(v) for v in start]
+    history = []  # the last three iterates
     died_out = False
     steps = 0
     for _ in range(iters):
-        vec = phi.apply(vec)
+        vec = _image(shifts, vec)
         steps += 1
-        supp = set()
-        for entry in vec:
-            supp.update(entry.terms)
-        if not supp:
+        if not any(vec):
             died_out = True
             break
-        history.append(supp)
+        history = history[-2:] + [vec]
     dirs = {Direction.from_vector(g).vector
-            for g in set().union(*history[-3:]) if any(g)}
+            for g in frame.points(_keys(history)) if any(g)}
     return PushOrbitReport(directions=[Direction(v) for v in sorted(dirs)],
                            died_out=died_out, steps=steps)
 
@@ -160,18 +259,23 @@ def check_angle_bound(chi: Character, g, nsq: Fraction, dirs) -> AngleBoundRepor
         raise ValueError("the angle bound needs a strictly positive shift")
     if nsq <= 0:
         raise SoundnessError("a positive shift forces a positive norm")
-    chin = sum(v * v for v in chi.values)
+    scaled, den = _integral(chi)
+    chin = sum(v * v for v in scaled)
     # unit-normalized shift g/|chi| gives the bound arccos(g / (|chi| |phi|));
     # in cos(angle(chi, e)) >= g/(|chi| |phi|) the |chi| factors cancel, so the
-    # exact test is a*|phi| >= g*|e| with a = chi*e, squared once signs allow
-    bound = math.acos(min(1.0, math.sqrt(float((g * g) / (chin * nsq)))))
+    # exact test is a*|phi| >= g*|e| with a = chi*e, squared once signs allow;
+    # over den chi, a = (den chi)*e is an integer and g becomes den g
+    gd2 = (g * den) ** 2
+    bound = math.acos(min(1.0, math.sqrt(float(gd2 / (chin * nsq)))))
     checks = []
     for d in dirs:
         vec = d.vector if isinstance(d, Direction) else tuple(d)
-        a = sum(Fraction(v) * e for v, e in zip(chi.values, vec))
+        a = sum(map(mul, scaled, vec))
         esq = sum(e * e for e in vec)
-        exact = a > 0 and (a * a) * nsq >= (g * g) * esq
-        angle = math.acos(max(-1.0, min(1.0, float(a) / math.sqrt(float(chin) * esq))))
+        exact = a > 0 and a * a * nsq >= gd2 * esq
+        # the float cosine, correctly rounded from the integer ratio
+        # a^2 / (|den chi|^2 |e|^2) <= 1: no float of |chi|^2 is built
+        angle = math.acos(math.copysign(math.sqrt(a * a / (chin * esq)), a))
         within = angle <= bound + ANGLE_SLACK
         checks.append(AngleCheck(direction=Direction(tuple(vec)),
                                  cos_ok_exact=bool(exact),
@@ -198,18 +302,25 @@ def compose_gsh_check(phi: PushMap, psi: PushMap, chi: Character,
     k = 2, ..., max_power unless gsh(phi) is +inf.  Each power is built once,
     as phi times the one before, up to the first that fails.  When psi is
     phi, gsh(psi) is gsh(phi) and phi psi is phi^2, so max_power powers take
-    max(1, max_power - 1) products and one shift per distinct map."""
+    max(1, max_power - 1) products and one shift per distinct map.  The
+    products are keyed term maps over the frame of phi's and psi's supports
+    moved by that many steps."""
+    if psi.size != phi.size or psi.rank != phi.rank:
+        raise DimensionError("size mismatch in composition")
     g_phi = gsh(phi, chi)
     g_psi = g_phi if psi is phi else gsh(psi, chi)
-    composed = phi.compose(psi)
-    g_comp = gsh(composed, chi)
+    frame = Frame.reach(phi, phi.support + psi.support, max(1, max_power - 1))
+    shifts = frame.shifts(phi)
+    acc = frame.columns(phi)
+    composed = _product(shifts, acc if psi is phi else frame.columns(psi))
+    g_comp = _least_value(chi, frame.points(_keys(composed)))
     additive_ok = g_comp >= g_phi + g_psi
     power_ok = True
     if g_phi != INF:
-        acc = phi
         for k in range(2, max_power + 1):
-            acc = composed if k == 2 and psi is phi else phi.compose(acc)
-            if (g_comp if acc is composed else gsh(acc, chi)) < k * g_phi:
+            acc = composed if k == 2 and psi is phi else _product(shifts, acc)
+            if (g_comp if acc is composed
+                    else _least_value(chi, frame.points(_keys(acc)))) < k * g_phi:
                 power_ok = False
                 break
     return ComposeShiftReport(gsh_first=g_phi, gsh_second=g_psi,

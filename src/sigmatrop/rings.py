@@ -360,23 +360,6 @@ def initial_part(chi: Character, f: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(f.rank, f.domain, {g: c for g, c in f.terms.items() if vals[g] == m})
 
 
-def poly_matrix_mul(a, b):
-    """Product of matrices with LaurentPoly entries."""
-    k, m, n = len(a), len(b), len(b[0])
-    if any(len(row) != m for row in a):
-        raise DimensionError("matrix product: inner dimensions differ")
-    out = []
-    for i in range(k):
-        row = []
-        for j in range(n):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, m):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def poly_matrix_det(rows) -> LaurentPoly:
     """Determinant of a square LaurentPoly matrix by cofactor expansion."""
     k = len(rows)

@@ -108,6 +108,18 @@ def test_dyn_job():
     assert res["angle_bound"]["passed"]
 
 
+def test_dyn_angle_bound_takes_a_chi_past_the_float_range():
+    # |chi|^2 = 10^400 + 1 has no float; the cosines came from float(|chi|^2)
+    # and ended in an OverflowError (exit 1)
+    xy = {"terms": [{"exp": [1, 0], "coef": 1}, {"exp": [1, 1], "coef": 1}]}
+    doc = run({"version": 1, "command": "dyn", "payload": {
+        "rank": 2, "matrix": [[xy]], "iters": 3, "chi": ["1" + "0" * 200, "1"]}})
+    bound = doc["result"]["angle_bound"]
+    assert bound["passed"] and bound["bound_degrees"] == 45.0
+    assert [c["direction"] for c in bound["checks"]] == [[1, 0], [1, 1], [2, 1],
+                                                         [3, 1], [3, 2]]
+
+
 def test_h2_job():
     doc = run(H2_JOB)
     res = doc["result"]
@@ -466,6 +478,12 @@ _SCALAR = {"mode": "scalar", "rhos": ["6"]}
     ("h2", {"p": 2, "zero_obstruction": {"q": 2, "coeff_bound": 2, "size_bound": 1,
                                          "module": "A"}},
      "Additional properties are not allowed ('module' was unexpected)"),
+    # a dyn monomial whose squared length no float holds ended in an
+    # OverflowError of the norm's square root (exit 1)
+    *[("dyn", {"rank": len(exp), "matrix": [[{"terms": [{"exp": exp, "coef": 1}]}]],
+               "iters": 2, "chi": ["1"] * len(exp)},
+       "matrix has a monomial whose squared length is past the float range")
+      for exp in ([10 ** 200], [10 ** 154, -10 ** 154])],
 ])
 def test_module_gaps_are_schema_errors(tmp_path, capsys, command, payload, message):
     job_file = tmp_path / "job.json"

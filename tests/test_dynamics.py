@@ -7,7 +7,11 @@ import pytest
 from sigmatrop.dynamics import (INF, PushMap, check_angle_bound,
                                 compose_gsh_check, gsh, lambda_of_push_estimate,
                                 norm, sigma_of_push)
-from sigmatrop.rings import ZZ, Character, Direction, LaurentPoly, chi_value
+from sigmatrop.rings import (ZZ, Character, DimensionError, Direction, LaurentPoly,
+                             chi_value)
+
+from reference_dynamics import (poly_matrix_mul, reference_compose_gsh_check,
+                                reference_orbit)
 
 X = LaurentPoly.monomial
 
@@ -209,3 +213,116 @@ def test_push_respects_module_sigma():
             assert cone.radial().subset_of(result.proved_sigma)
             checked += 1
         assert checked >= 1
+
+
+def test_poly_matrix_mul_checks_shapes():
+    one, t = X((0,)), X((1,))
+    assert poly_matrix_mul([[one, t]], [[t], [one]]) == [[t + t]]
+    with pytest.raises(DimensionError):
+        poly_matrix_mul([[one, t]], [[t, one]])
+
+
+# exponent sets of the seeded maps; the large one keeps a small lattice of
+# sums, so that supports grow as for small exponents while the frame is
+# 10^6 wide
+EXPONENTS = {"mixed": (-2, -1, 0, 1, 2), "negative": (-3, -2, -1),
+             "positive": (1, 2, 3),
+             "large": (-10 ** 6 - 1, -10 ** 6, -1, 0, 1, 10 ** 6, 10 ** 6 + 1)}
+
+
+def seeded_entry(rng, rank, exps):
+    terms = {}
+    for _ in range(rng.randint(0, 2)):
+        terms[tuple(rng.choice(exps) for _ in range(rank))] = rng.choice((-2, -1, 1, 3))
+    return LaurentPoly(rank, ZZ, terms)
+
+
+def seeded_map(rng, rank, size, exps, shape):
+    """A push map of the given shape: "free" entries, "nilpotent" (zero on
+    and below the diagonal, so every orbit dies out within size steps) or
+    "cancel" (a row whose second entry is minus its first)."""
+    rows = [[seeded_entry(rng, rank, exps) for _ in range(size)] for _ in range(size)]
+    if shape == "nilpotent":
+        rows = [[f if j > i else LaurentPoly.zero(rank) for j, f in enumerate(row)]
+                for i, row in enumerate(rows)]
+    elif shape == "cancel" and size > 1:
+        row = rows[rng.randrange(size)]
+        row[1] = -row[0]
+    return PushMap.of(rows)
+
+
+def seeded_start(rng, phi, exps, shape):
+    """A start vector: the unit vector, random entries with zeros among
+    them, or (for "cancel") equal first entries, whose images cancel."""
+    if rng.random() < 0.3:
+        return [LaurentPoly.one(phi.rank)] + [LaurentPoly.zero(phi.rank)] * (phi.size - 1)
+    start = [seeded_entry(rng, phi.rank, exps) for _ in range(phi.size)]
+    if shape == "cancel" and phi.size > 1:
+        start[1] = start[0]
+    return start
+
+
+# the most iterations and powers the oracle takes fast, by rank
+ITERS = {1: 32, 2: 12, 3: 6}
+POWERS = {1: 20, 2: 10, 3: 5}
+
+
+def seeded_cases(seed, count):
+    rng = random.Random(seed)
+    for n in range(count):
+        rank, size = n % 3 + 1, n // 3 % 3 + 1
+        kind = rng.choice(sorted(EXPONENTS))
+        exps = EXPONENTS[kind]
+        shape = ("free", "nilpotent", "cancel")[n // 9 % 3]
+        yield rng, rank, size, exps, shape, (rank, size, kind, shape)
+
+
+def test_orbit_matches_the_laurent_oracle():
+    """Ranks and sizes 1-3, exponents of one sign, of both and near +-10^6,
+    rows that cancel, orbits that die out, zero start entries and iters
+    1-32: the framed orbit reports what the LaurentPoly orbit does."""
+    seen = set()
+    for rng, rank, size, exps, shape, case in seeded_cases(29, 270):
+        phi = seeded_map(rng, rank, size, exps, shape)
+        start = seeded_start(rng, phi, exps, shape)
+        top = ITERS[rank] if exps is not EXPONENTS["large"] else 6
+        for iters in {1, rng.randint(2, top), top}:
+            want = reference_orbit(phi, start, iters)
+            assert lambda_of_push_estimate(phi, start, iters) == want, (case, iters)
+            seen.add("died" if want.died_out else "lived")
+            seen.add(iters)
+    assert {"died", "lived", 1, 32} <= seen
+
+
+def test_orbit_iterates_32_times_on_a_wide_map():
+    # x + y^-1 and a size-2 map: supports of hundreds of monomials at step 32
+    phi = PushMap.of([[LaurentPoly(2, ZZ, {(1, 0): 1, (0, -1): -1}),
+                       LaurentPoly(2, ZZ, {(-1, 1): 2})],
+                      [LaurentPoly(2, ZZ, {(0, 0): 1}),
+                       LaurentPoly(2, ZZ, {(1, 1): 1, (-1, 0): 1})]])
+    start = [LaurentPoly(2, ZZ, {(10 ** 6, -3): 1}), LaurentPoly.zero(2)]
+    got = lambda_of_push_estimate(phi, start, 32)
+    assert got == reference_orbit(phi, start, 32) and len(got.directions) > 100
+
+
+def test_compose_check_matches_the_laurent_oracle():
+    """The same maps against a second map psi or phi itself, chi of any
+    sign, powers 1-20 and zero maps, whose shift is +inf: the framed
+    products report what the LaurentPoly products do."""
+    seen = set()
+    for rng, rank, size, exps, shape, case in seeded_cases(31, 270):
+        phi = seeded_map(rng, rank, size, exps, shape)
+        psi = phi if rng.random() < 0.4 else seeded_map(rng, rank, size, exps, shape)
+        if rng.random() < 0.1:
+            phi = PushMap.of([[LaurentPoly.zero(rank)] * size] * size)
+        chi = Character(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                              for _ in range(rank)))
+        top = POWERS[rank] if exps is not EXPONENTS["large"] else 4
+        for powers in {1, 2, rng.randint(3, top), top}:
+            want = reference_compose_gsh_check(phi, psi, chi, powers)
+            got = compose_gsh_check(phi, psi, chi, powers)
+            assert got == want, (case, powers)
+            seen.add("inf" if got.gsh_first == INF else "psi" if psi is phi else "phi")
+            seen.add(powers)
+    assert {"inf", "psi", "phi", 1, 20} <= seen
+

@@ -6,7 +6,7 @@ import pytest
 
 from sigmatrop.rings import (GF, QQ, ZZ, Character, DimensionError, Direction,
                              LaurentPoly, _primitive, chi_value, initial_part,
-                             poly_matrix_mul, v_chi)
+                             v_chi)
 
 X = LaurentPoly.monomial
 
@@ -144,13 +144,6 @@ def test_ring_arithmetic_basics():
     assert f.scale(0).is_zero
     two = LaurentPoly(1, GF(2), {(0,): 1}) + LaurentPoly(1, GF(2), {(0,): 1})
     assert two.is_zero
-
-
-def test_poly_matrix_mul_checks_shapes():
-    one, t = X((0,)), X((1,))
-    assert poly_matrix_mul([[one, t]], [[t], [one]]) == [[t + t]]
-    with pytest.raises(DimensionError):
-        poly_matrix_mul([[one, t]], [[t, one]])
 
 
 @pytest.mark.parametrize("vec", [(3, -6, 9), (-2, 4, 0, 6), (0, -5, 7), (0, 0, 0),

@@ -15,6 +15,10 @@ the module itself, each with its own convention:
 Same radical.  Over Q, DG/(f) has the same invariant as DG/(f^2), DG/(x^g f)
 and DG/(-f).
 
+Across commands.  For a certificate lam over Z, the push map "multiply by
+1 - lam" has a positivity cone (the dyn command's) that contains lam's
+validity cone: the push criterion of Bieri and Geoghegan.
+
 A probe direction that both sides decide must get the same class.  A probe
 that only one side decides is counted, not failed: it points at a search
 that gave up, not at a wrong answer.
@@ -28,8 +32,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from sigmatrop.rings import QQ, Direction, LaurentPoly
+from sigmatrop import cli
+from sigmatrop.dynamics import PushMap, sigma_of_push
+from sigmatrop.polyhedra import PolyhedralSet
+from sigmatrop.rings import QQ, ZZ, Direction, LaurentPoly
 from sigmatrop.sigma import CyclicModule, ScalarAction, sigma_of_module
+
+from test_output_digests import JOBS
 
 RATIOS = [Fraction(r) for r in ("2", "3", "5", "1/2", "1/3", "6", "2/3", "3/2",
                                  "10/3", "4/9", "5/2")]
@@ -150,3 +159,19 @@ def test_the_cyclic_convention_does_not_hold_for_scalar_twists(scalar_twists):
     conflicts = sum(compare(result, twisted, rank, lambda v: transpose_apply(u, v))[1]
                     for rank, u, result, twisted in scalar_twists)
     assert conflicts > 0
+
+
+def test_the_push_of_each_integral_certificate_covers_its_validity_cone():
+    checked = 0
+    for command, payload in JOBS.values():
+        if command not in ("sigma", "group"):
+            continue
+        module, bounds = cli._read_sigma(payload, ("fpm",))
+        for _piece, cone, lam in sigma_of_module(module, **bounds).certified:
+            if lam.domain != ZZ:
+                continue
+            push = PushMap.of([[LaurentPoly.one(lam.rank) - lam]])
+            assert PolyhedralSet(cone.rank, [cone]).subset_of(sigma_of_push(push)), lam
+            checked += 1
+    # the scalar, matrix and cyclic-over-Z digest jobs
+    assert checked == 112

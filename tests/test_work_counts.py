@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from sigmatrop import cli, dynamics, polyhedra, sigma
+from sigmatrop import cli, dynamics, polyhedra, rings, sigma
 from sigmatrop.dynamics import PushMap, gsh
 from sigmatrop.halfplane import (verify_infinity_obstruction_A, verify_push_B,
                                  verify_zero_obstruction_B)
@@ -191,24 +191,27 @@ DYN_JOBS = [payload for command, payload in JOBS.values() if command == "dyn"] +
 
 
 def test_dyn_derives_each_quantity_once(monkeypatch):
-    """Per dyn job: powers - 1 products (one at least), one shift per
-    distinct map, one norm, one support and one direction per distinct
-    monomial."""
-    products = counting(monkeypatch, PushMap, "compose")
-    shifts = counting(monkeypatch, dynamics, "gsh")
+    """Per dyn job: powers - 1 framed products (one at least), one shift per
+    distinct map (phi's by gsh, each product's from its frame keys), one
+    norm, one support and one direction per distinct monomial, and no
+    LaurentPoly product."""
+    products = counting(monkeypatch, dynamics, "_product")
+    shifts = counting(monkeypatch, dynamics, "_least_value")
+    maps = counting(monkeypatch, dynamics, "gsh")
     norms = counting(monkeypatch, cli, "norm")
     supports = counting_property(monkeypatch, PushMap, "support")
+    term_products = counting(monkeypatch, rings, "_term_mul")
     from_vector = Direction.from_vector
     monomials = []
     monkeypatch.setattr(Direction, "from_vector", staticmethod(
         lambda v: monomials.append(tuple(v)) or from_vector(v)))
     for payload in DYN_JOBS:
-        for calls in (products, shifts, norms, supports, monomials):
+        for calls in (products, shifts, maps, norms, supports, term_products, monomials):
             del calls[:]
         doc = cli.run({"version": 1, "command": "dyn", "payload": payload})
         assert doc["result"]["compose_check"]["passed"]
         assert len(products) == max(1, payload["powers"] - 1), payload
-        maps = [phi for phi, _ in shifts]
-        assert len({id(phi) for phi in maps}) == len(maps) == len(products) + 1
+        assert len(maps) == 1 and len(shifts) == len(products) + 1, payload
         assert len(norms) == len(supports) == 1
+        assert not term_products, payload
         assert monomials and len(set(monomials)) == len(monomials), payload

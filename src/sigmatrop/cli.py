@@ -566,7 +566,7 @@ def emit_plot_data(kind, obj, plot_dir: Path) -> list[str]:
 # Entry points.
 
 
-def run(job: dict, bound_escalation: int | None = None) -> dict:
+def run(job: dict) -> dict:
     """Read one job document, then compute its result document.  Every
     ValueError of the read step is a SchemaError; the compute step's
     exceptions pass through."""
@@ -575,11 +575,7 @@ def run(job: dict, bound_escalation: int | None = None) -> dict:
         if not _is_int(obj["version"]) or obj["version"] != 1:
             raise ValueError("1 was expected")
         read, compute = COMMANDS[_one_of(obj["command"], COMMANDS)]
-        payload = _dict(obj["payload"])
-        if bound_escalation is not None and obj["command"] in ("sigma", "group"):
-            # before reading, so an escalated box meets the payload's minimum
-            payload = {"box": bound_escalation, **payload}
-        inputs = read(payload)
+        inputs = read(_dict(obj["payload"]))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     result, undecided, plot = compute(*inputs)
@@ -621,9 +617,6 @@ def main(argv=None) -> int:
     parser.add_argument("--job", required=True, help="job JSON file")
     parser.add_argument("--out", help="result JSON file (default: stdout)")
     parser.add_argument("--plot", help="directory for CSV plot data")
-    parser.add_argument("--bound-escalation", type=int, default=None,
-                        help="certificate search box of a sigma or group job "
-                             "whose payload gives no box")
     try:
         args = parser.parse_args(argv)
     except argparse.ArgumentError as exc:
@@ -636,7 +629,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": {"type": "input", "message": str(exc)}}))
         return 1
     try:
-        doc = run(job, bound_escalation=args.bound_escalation)
+        doc = run(job)
         plot = doc.get("_plot")
         if args.plot and plot is not None:
             emit_plot_data(plot[0], plot[1], Path(args.plot))

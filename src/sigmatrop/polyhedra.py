@@ -716,15 +716,13 @@ class SphericalSet(PolyhedralSet):
     @cached_property
     def finite_directions(self):
         """The sorted tuple of directions when every piece is at most a ray,
-        else None; computed once."""
+        else None; computed once.  A homogeneous piece of dimension <= 1 is
+        {0}, a ray or a line, and it holds every ray of its closure."""
         dirs = set()
         for p in self.pieces:
             if p.dim() > 1:
                 return None
-            for r in p.rays():
-                d = Direction(r)
-                if self.contains(d):
-                    dirs.add(d)
+            dirs.update(Direction(r) for r in p.rays())
         return tuple(sorted(dirs, key=lambda d: d.vector))
 
     def __repr__(self):

@@ -630,13 +630,13 @@ def sigma_scalar_action_exact(mod: ModulePresentation, box_limit: int = COVER_BO
         witnesses = []
         dirs = []
         for p in sorted(prime_support(rhos)):
+            # p divides a reduced ratio, so vec is never zero
             vec = tuple(PAdicValuation(p).value(r) for r in rhos)
-            if any(vec):
-                d = Direction.from_vector(vec)
-                if all(w.direction != d for w in witnesses):
-                    dirs.append(d)
-                witnesses.append(ComplementWitness(direction=d, kind="p-adic",
-                                                   prime=p, vector=vec))
+            d = Direction.from_vector(vec)
+            if all(w.direction != d for w in witnesses):
+                dirs.append(d)
+            witnesses.append(ComplementWitness(direction=d, kind="p-adic",
+                                               prime=p, vector=vec))
         complement = SphericalSet.from_directions(dirs, rank=m.rank)
 
     certified, failed = _cover(_ActionCache(m), complement.complement().pieces,

@@ -5,8 +5,9 @@
 and `HoroballSpec` the Busemann geometry in "log arguments" (a Busemann
 value is stored as the rational whose natural log it is) and `epsilon` the
 module images.  `sigmatrop.halfplane` now runs in integer pairs and
-triples and answers both obstructions by their divisibility certificate;
-the tests compare it against these and against the enumerations
+triples, answers both obstructions by their divisibility certificate and
+proves the push on t; the tests compare it against these, against the
+seeded push sampler `test_halfplane.reference_push_B` and the enumerations
 `reference_infinity_obstruction` and `reference_zero_obstruction`, which
 search for a witness over the same bounded families.
 """

@@ -193,34 +193,35 @@ def test_main_end_to_end(tmp_path):
 
 
 def test_bound_escalation_sets_a_missing_box(tmp_path):
-    # A non-diagonalizable matrix module: its answer changes with the box.
+    # A non-diagonalizable matrix module: its answer changes with the box,
+    # which only the payload sets.
     module = {"mode": "matrix", "mats": [[[2, 1], [0, 2]]],
               "generators": [[1, 0], [0, 1]]}
 
-    def answer(payload, *flags):
+    def answer(payload):
         job_file = tmp_path / "job.json"
         out_file = tmp_path / "out.json"
         job_file.write_text(json.dumps({"version": 1, "command": "sigma",
                                         "payload": payload}))
-        code = main(["--job", str(job_file), "--out", str(out_file), *flags])
+        code = main(["--job", str(job_file), "--out", str(out_file)])
         doc = json.loads(out_file.read_text())
         return code, doc["result"], doc["undecided"]
 
     box1 = answer({"module": module, "box": 1})
     assert answer({"module": module}) != box1
-    assert answer({"module": module}, "--bound-escalation", "1") == box1
     assert answer({"module": module, "box": 2}) != box1
-    assert answer({"module": module, "box": 1}, "--bound-escalation", "2") == box1
 
 
-def test_bound_escalation_meets_the_box_minimum(tmp_path, capsys):
+def test_bound_escalation_is_a_usage_error(tmp_path, capsys):
+    # a second way to set the box, which the echoed job did not name
     job_file = tmp_path / "job.json"
     for job in (SIGMA_JOB, GROUP_JOB):
         job_file.write_text(json.dumps(job))
-        assert main(["--job", str(job_file), "--bound-escalation", "0"]) == 3
-        error = json.loads(capsys.readouterr().out)["error"]
-        assert error == {"type": "schema",
-                         "message": "0 is less than the minimum of 1"}
+        for value in ("0", "1"):
+            assert main(["--job", str(job_file), "--bound-escalation", value]) == 1
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error["type"] == "usage"
+            assert "--bound-escalation" in error["message"]
 
 
 def test_main_exit_codes(tmp_path):

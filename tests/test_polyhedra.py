@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sigmatrop import linalg
 from sigmatrop.rings import Character, DimensionError, Direction
 from sigmatrop.polyhedra import (Polyhedron, PolyhedralSet, SphericalSet,
                                  _project_out_last,
@@ -283,6 +284,40 @@ def test_finite_directions():
     assert SphericalSet.full(2).finite_directions is None
     line = SphericalSet(1, [Polyhedron.full(1)])
     assert [d.vector for d in line.finite_directions] == [(-1,), (1,)]
+
+
+def test_finite_directions_of_rays_half_lines_and_lines():
+    """Every ray of a piece's closure is in the piece: an open ray holds d,
+    a closed half-line d, a line d and -d, and {0} has no ray."""
+    rng = random.Random(29)
+    kinds = set()
+    for _ in range(120):
+        rank = rng.randint(1, 4)
+        pieces, want = [], set()
+        for _ in range(rng.randint(1, 4)):
+            vec = [rng.randint(-3, 3) for _ in range(rank)]
+            if not any(vec):
+                vec[rng.randrange(rank)] = rng.choice((-1, 1))
+            d = Direction.from_vector(vec)
+            kernel = linalg.nullspace([d.vector], rank)
+            kind = rng.choice(("ray", "half-line", "line", "origin"))
+            if kind == "ray":
+                piece, rays = ray_cone(d), {d}
+            elif kind == "half-line":
+                piece, rays = Polyhedron.cone(rank, eq=kernel, ge=[d.vector]), {d}
+            elif kind == "line":
+                piece, rays = Polyhedron.cone(rank, eq=kernel), {d, -d}
+            else:
+                piece, rays = Polyhedron.cone(rank, eq=kernel + [d.vector]), set()
+            assert {Direction(r) for r in piece.rays()} == rays, kind
+            assert all(piece.contains(r.vector) for r in rays), kind
+            pieces.append(piece)
+            want |= rays
+            kinds.add(kind)
+        s = SphericalSet(rank, pieces)
+        assert s.finite_directions == tuple(sorted(want, key=lambda d: d.vector))
+        assert all(s.contains(d) for d in s.finite_directions)
+    assert kinds == {"ray", "half-line", "line", "origin"}
 
 
 def test_feasible_point_prefers_strict_bounds():

@@ -136,3 +136,21 @@ def test_package_source_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_package_source_imports_no_random():
+    """Every decided answer rests on a certificate, none on sampled draws."""
+    found = []
+    for path in sorted(Path(sigmatrop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}"
+                                               for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "random" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

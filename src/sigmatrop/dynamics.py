@@ -7,12 +7,24 @@ lattice point g).  Norms, guaranteed shifts, and the positivity cone are all
 exact; the far-direction estimate iterates the map exactly and only its
 angular comparison uses floats, backed by an exact squared-cosine test.
 
-The orbit and the powers run on integer term maps over a `Frame`: a box
-fixed before the loop that holds every monomial the loop can reach, whose
-points are numbered in mixed radix.  Multiplying by a monomial is then one
-integer addition per term, each image entry is accumulated in one dict,
-and exponent tuples are decoded only for the answer: the directions of the
-last iterates and the shifts of the powers.
+Two statements about the shift are theorems, and nothing here recomputes
+them.  The guaranteed shift is a minimum of chi over support monomials,
+and supports add under products: each monomial of (phi psi)_ij is a sum
+g + h with g in the support of some phi_il and h in that of psi_lj.  So
+gsh(phi psi) >= gsh(phi) + gsh(psi) and gsh(phi^k) >= k gsh(phi) for every
+push map and character (a zero map shifts by +inf).  From a start
+supported at the origin, a monomial g of the k-th iterate is a sum of k
+support monomials, so chi(g) >= k gsh and |g| <= k |phi|: when gsh > 0 the
+angle bound cos angle(chi, g) >= gsh / (|chi| |phi|) holds, and
+`check_angle_bound` cannot fail.  From any other start it is a claim that
+the check decides.
+
+The orbit runs on integer term maps over a `Frame`: a box fixed before the
+loop that holds every monomial the loop can reach, whose points are
+numbered in mixed radix.  Multiplying by a monomial is then one integer
+addition per term, each image entry is accumulated in one dict, and
+exponent tuples are decoded only for the answer: the directions of the
+last iterates.
 """
 
 from __future__ import annotations
@@ -81,10 +93,10 @@ class Frame:
 
     @classmethod
     def reach(cls, phi: "PushMap", start, steps: int) -> "Frame":
-        """The box of the start monomials moved by up to `steps` steps of
-        the box of phi's support, coordinatewise: lo + steps * min(0, lo(phi))
-        and hi + steps * max(0, hi(phi)).  No start monomial gives the
-        origin's box."""
+        """The box that holds the orbit: the start monomials moved by up to
+        `steps` steps of the box of phi's support, coordinatewise:
+        lo + steps * min(0, lo(phi)) and hi + steps * max(0, hi(phi)).  No
+        start monomial gives the origin's box."""
         lo, hi = _box(phi.rank, start)
         step_lo, step_hi = _box(phi.rank, phi.support)
         return cls([a + steps * min(0, b) for a, b in zip(lo, step_lo)],
@@ -97,10 +109,6 @@ class Frame:
         """The term map of a LaurentPoly inside the box, keyed by its points."""
         origin = self.origin
         return {self.offset(g) - origin: c for g, c in f.terms.items()}
-
-    def columns(self, phi: "PushMap") -> list:
-        """phi's entries as keyed term maps, column by column."""
-        return [[self.keyed(row[j]) for row in phi.entries] for j in range(phi.size)]
 
     def shifts(self, phi: "PushMap") -> list:
         """phi's entries as term maps keyed by offsets, row by row: the
@@ -116,11 +124,6 @@ class Frame:
             cols.append([a + k % w for k in keys])
             keys = [k // w for k in keys]
         return zip(*cols)
-
-
-def _keys(columns) -> set:
-    """The distinct keys of a matrix of keyed term maps."""
-    return set().union(*(e for col in columns for e in col))
 
 
 def _box(rank: int, monomials):
@@ -144,12 +147,6 @@ def _image(shifts, column) -> list:
                     acc[k] = get(k, 0) + c * a
         out.append({k: a for k, a in acc.items() if a})
     return out
-
-
-def _product(shifts, columns) -> list:
-    """The matrix product of a multiplier and a matrix given by columns,
-    column by column."""
-    return [_image(shifts, col) for col in columns]
 
 
 class Norm(NamedTuple):
@@ -224,8 +221,8 @@ def lambda_of_push_estimate(phi: PushMap, start, iters: int) -> PushOrbitReport:
             died_out = True
             break
         history = history[-2:] + [vec]
-    dirs = {Direction.from_vector(g).vector
-            for g in frame.points(_keys(history)) if any(g)}
+    keys = set().union(*(e for vec in history for e in vec))
+    dirs = {Direction.from_vector(g).vector for g in frame.points(keys) if any(g)}
     return PushOrbitReport(directions=[Direction(v) for v in sorted(dirs)],
                            died_out=died_out, steps=steps)
 
@@ -254,7 +251,11 @@ def check_angle_bound(chi: Character, g, nsq: Fraction, dirs) -> AngleBoundRepor
     bound of chi: angle(chi, e) <= arccos(gsh_unit / norm), for a map's
     shift g = gsh(phi, chi) and squared norm nsq.  A direction passes by the
     exact test on squared cosines alone; its float angle within 1e-6 of the
-    bound is reported as within_slack and decides nothing."""
+    bound is reported as within_slack and decides nothing.
+
+    For the directions of an orbit from a start supported at the origin the
+    bound is a theorem (see the module docstring); from any other start it
+    can fail, so the test runs for every start."""
     if g == INF or g <= 0:
         raise ValueError("the angle bound needs a strictly positive shift")
     if nsq <= 0:
@@ -283,47 +284,3 @@ def check_angle_bound(chi: Character, g, nsq: Fraction, dirs) -> AngleBoundRepor
     return AngleBoundReport(gsh_value=g, norm_squared=nsq,
                             bound_degrees=math.degrees(bound), checks=checks,
                             passed=all(c.cos_ok_exact for c in checks))
-
-
-@dataclass
-class ComposeShiftReport:
-    gsh_first: object
-    gsh_second: object
-    gsh_composed: object
-    additive_ok: bool
-    power_ok: bool
-    passed: bool
-
-
-def compose_gsh_check(phi: PushMap, psi: PushMap, chi: Character,
-                      max_power: int = 5) -> ComposeShiftReport:
-    """Exact superadditivity of the shift under composition and powers:
-    gsh(phi psi) >= gsh(phi) + gsh(psi), and gsh(phi^k) >= k gsh(phi) for
-    k = 2, ..., max_power unless gsh(phi) is +inf.  Each power is built once,
-    as phi times the one before, up to the first that fails.  When psi is
-    phi, gsh(psi) is gsh(phi) and phi psi is phi^2, so max_power powers take
-    max(1, max_power - 1) products and one shift per distinct map.  The
-    products are keyed term maps over the frame of phi's and psi's supports
-    moved by that many steps."""
-    if psi.size != phi.size or psi.rank != phi.rank:
-        raise DimensionError("size mismatch in composition")
-    g_phi = gsh(phi, chi)
-    g_psi = g_phi if psi is phi else gsh(psi, chi)
-    frame = Frame.reach(phi, phi.support + psi.support, max(1, max_power - 1))
-    shifts = frame.shifts(phi)
-    acc = frame.columns(phi)
-    composed = _product(shifts, acc if psi is phi else frame.columns(psi))
-    g_comp = _least_value(chi, frame.points(_keys(composed)))
-    additive_ok = g_comp >= g_phi + g_psi
-    power_ok = True
-    if g_phi != INF:
-        for k in range(2, max_power + 1):
-            acc = composed if k == 2 and psi is phi else _product(shifts, acc)
-            if (g_comp if acc is composed
-                    else _least_value(chi, frame.points(_keys(acc)))) < k * g_phi:
-                power_ok = False
-                break
-    return ComposeShiftReport(gsh_first=g_phi, gsh_second=g_psi,
-                              gsh_composed=g_comp, additive_ok=additive_ok,
-                              power_ok=power_ok,
-                              passed=additive_ok and power_ok)

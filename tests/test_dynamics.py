@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from sigmatrop.dynamics import (INF, PushMap, check_angle_bound,
-                                compose_gsh_check, gsh, lambda_of_push_estimate,
-                                norm, sigma_of_push)
+from sigmatrop import cli
+from sigmatrop.dynamics import (INF, PushMap, check_angle_bound, gsh,
+                                lambda_of_push_estimate, norm, sigma_of_push)
 from sigmatrop.rings import (ZZ, Character, DimensionError, Direction, LaurentPoly,
                              chi_value)
 
@@ -173,14 +173,14 @@ def test_compose_examples():
     x = mult_by({(1,): 1})
     xinv = mult_by({(-1,): 1})
     chi = Character.of(1)
-    rep = compose_gsh_check(x, x, chi)
+    rep = reference_compose_gsh_check(x, x, chi)
     assert rep.passed and rep.gsh_composed == 2
 
-    rep2 = compose_gsh_check(mult_by({(1,): 1, (3,): 1}),
-                             mult_by({(1,): 1, (3,): 1}), chi)
+    rep2 = reference_compose_gsh_check(mult_by({(1,): 1, (3,): 1}),
+                                       mult_by({(1,): 1, (3,): 1}), chi)
     assert rep2.passed
 
-    rep3 = compose_gsh_check(x, xinv, chi)
+    rep3 = reference_compose_gsh_check(x, xinv, chi)
     assert rep3.passed and rep3.gsh_composed == 0 and rep3.gsh_second == -1
 
 
@@ -195,7 +195,7 @@ def test_compose_superadditive_random():
         if chi.is_zero:
             continue
         done += 1
-        assert compose_gsh_check(phi, psi, chi, max_power=5).passed
+        assert reference_compose_gsh_check(phi, psi, chi, max_power=5).passed
 
 
 def test_push_respects_module_sigma():
@@ -305,10 +305,19 @@ def test_orbit_iterates_32_times_on_a_wide_map():
     assert got == reference_orbit(phi, start, 32) and len(got.directions) > 100
 
 
-def test_compose_check_matches_the_laurent_oracle():
+def dyn_job(phi, chi, **keys):
+    matrix = [[{"terms": [{"exp": list(g), "coef": c} for g, c in sorted(f.terms.items())]}
+               for f in row] for row in phi.entries]
+    return cli.run({"version": 1, "command": "dyn", "payload": {
+        "rank": phi.rank, "matrix": matrix, "chi": [str(v) for v in chi.values],
+        **keys}})["result"]
+
+
+def test_compose_theorem_holds_on_the_laurent_oracle():
     """The same maps against a second map psi or phi itself, chi of any
-    sign, powers 1-20 and zero maps, whose shift is +inf: the framed
-    products report what the LaurentPoly products do."""
+    sign, powers 1-20 and zero maps, whose shift is +inf: the LaurentPoly
+    products are superadditive, as `dyn` states without building them, and
+    `dyn` prints phi's shift and the three true flags."""
     seen = set()
     for rng, rank, size, exps, shape, case in seeded_cases(31, 270):
         phi = seeded_map(rng, rank, size, exps, shape)
@@ -319,10 +328,46 @@ def test_compose_check_matches_the_laurent_oracle():
                               for _ in range(rank)))
         top = POWERS[rank] if exps is not EXPONENTS["large"] else 4
         for powers in {1, 2, rng.randint(3, top), top}:
-            want = reference_compose_gsh_check(phi, psi, chi, powers)
-            got = compose_gsh_check(phi, psi, chi, powers)
-            assert got == want, (case, powers)
-            seen.add("inf" if got.gsh_first == INF else "psi" if psi is phi else "phi")
+            rep = reference_compose_gsh_check(phi, psi, chi, powers)
+            assert rep.passed and rep.gsh_first == gsh(phi, chi), (case, powers)
+            seen.add("inf" if rep.gsh_first == INF else "psi" if psi is phi else "phi")
             seen.add(powers)
+        res = dyn_job(phi, chi, iters=1, powers=rng.randint(1, 20))
+        g = gsh(phi, chi)
+        assert res["gsh"] == ("inf" if g == INF else cli.frac_str(g)), case
+        assert res["compose_check"] == {"additive_ok": True, "power_ok": True,
+                                        "passed": True}, case
     assert {"inf", "psi", "phi", 1, 20} <= seen
 
+
+def test_angle_bound_is_a_theorem_from_the_origin():
+    """From the unit start, supported at the origin, every seeded map of
+    rank and size 1-3 with a positive shift passes the angle bound: a
+    monomial g of the k-th iterate has chi(g) >= k gsh and |g| <= k |phi|.
+    From an offset start the bound can fail, so the check stays."""
+    passed, failed, shapes = 0, 0, set()
+    for rng, rank, size, exps, shape, case in seeded_cases(37, 540):
+        phi = seeded_map(rng, rank, size, exps, shape)
+        for _ in range(8):  # a chi with a positive shift, if one is drawn
+            chi = Character(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                  for _ in range(rank)))
+            g = gsh(phi, chi)
+            if g != INF and g > 0:
+                break
+        else:
+            continue
+        iters = rng.randint(1, ITERS[rank] if exps is not EXPONENTS["large"] else 6)
+        unit = [LaurentPoly.one(rank)] + [LaurentPoly.zero(rank)] * (size - 1)
+        offset = [seeded_entry(rng, rank, exps) for _ in range(size)]
+        for start in (unit, offset):
+            dirs = lambda_of_push_estimate(phi, start, iters).directions
+            if not dirs:
+                continue
+            rep = angle_bound(phi, chi, dirs)
+            if start is unit:
+                assert rep.passed, (case, chi, iters)
+                passed += 1
+                shapes.add((rank, size))
+            else:
+                failed += not rep.passed
+    assert passed >= 100 and len(shapes) == 9 and failed >= 1, (passed, failed)

@@ -190,13 +190,13 @@ DYN_JOBS = [payload for command, payload in JOBS.values() if command == "dyn"] +
 
 
 def test_dyn_derives_each_quantity_once(monkeypatch):
-    """Per dyn job: powers - 1 framed products (one at least), one shift per
-    distinct map (phi's by gsh, each product's from its frame keys), one
-    norm, one support and one direction per distinct monomial, and no
-    LaurentPoly product."""
-    products = counting(monkeypatch, dynamics, "_product")
+    """Per dyn job: one image per orbit step and no product of maps, one
+    shift (phi's, by gsh), one norm, one support and one direction per
+    distinct monomial, and no LaurentPoly product.  The compose check is a
+    theorem, so `powers` changes no result byte."""
+    images = counting(monkeypatch, dynamics, "_image")
     shifts = counting(monkeypatch, dynamics, "_least_value")
-    maps = counting(monkeypatch, dynamics, "gsh")
+    maps = counting(monkeypatch, cli, "gsh")
     norms = counting(monkeypatch, cli, "norm")
     supports = counting_property(monkeypatch, PushMap, "support")
     term_products = counting(monkeypatch, rings, "_term_mul")
@@ -204,13 +204,18 @@ def test_dyn_derives_each_quantity_once(monkeypatch):
     monomials = []
     monkeypatch.setattr(Direction, "from_vector", staticmethod(
         lambda v: monomials.append(tuple(v)) or from_vector(v)))
+    results = {}
     for payload in DYN_JOBS:
-        for calls in (products, shifts, maps, norms, supports, term_products, monomials):
+        for calls in (images, shifts, maps, norms, supports, term_products, monomials):
             del calls[:]
         doc = cli.run({"version": 1, "command": "dyn", "payload": payload})
-        assert doc["result"]["compose_check"]["passed"]
-        assert len(products) == max(1, payload["powers"] - 1), payload
-        assert len(maps) == 1 and len(shifts) == len(products) + 1, payload
+        result = doc["result"]
+        assert result["compose_check"] == {"additive_ok": True, "power_ok": True,
+                                           "passed": True}
+        assert len(images) == result["orbit"]["steps"], payload
+        assert len(maps) == len(shifts) == 1, payload
         assert len(norms) == len(supports) == 1
         assert not term_products, payload
         assert monomials and len(set(monomials)) == len(monomials), payload
+        results[payload["powers"]] = cli.canonical_json(dict(doc, job=None))
+    assert results[1] == results[2] == results[4]

@@ -26,10 +26,13 @@ point it knows, and the point is taken only after an integer check against
 every row (_take_point); one that breaks a row leaves the polyhedron to
 FM.  A polyhedron caches its point, dimension and has_direction answer, so
 each is decided at most once per object.
-Rays, lineality spaces and ranks come from linalg's fraction-free integer
-elimination.  A cone's rays are enumerated in the coordinates of one basis
-of W, the kernel of its equalities and lineality space: a ray is the kernel
-line of dim W - 1 weak normals reduced to W, mapped back to Z^n.
+Lineality spaces and ranks come from linalg's fraction-free integer
+elimination.  A cone's rays come from kernels cut one row at a time: an
+integer basis of a subspace of Z^n is restricted to a row's kernel by
+integer combinations of its vectors (_restrict), with no elimination.  W,
+the kernel of the equalities and the lineality space, is cut by subsets of
+dim W - 1 weak normals, walked depth first so that each subset prefix is
+cut once, and a subset that leaves a line gives a ray candidate.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from operator import mul
 
 from . import linalg
@@ -253,6 +256,35 @@ def _project_out_last(eq_rows, rows, n):
     return Polyhedron(n - 1, eq=[(v[: n - 1], r) for v, r in eq_rows],
                       ge=[(v[: n - 1], r) for v, r, s in rows if not s],
                       gt=[(v[: n - 1], r) for v, r, s in rows if s])
+
+
+def _restrict(space, row):
+    """A primitive basis of the vectors of span(space) on which row
+    vanishes, or None when row vanishes on all of span(space).
+
+    space is a basis of integer tuples.  With a_i = row*s_i and s_j a
+    vector of least nonzero |a_j|, every other s_i becomes the primitive
+    a_j s_i - a_i s_j, which is s_i itself when a_i = 0."""
+    vals = [_dot(row, s) for s in space]
+    if not any(vals):
+        return None
+    a = min(filter(None, vals), key=abs)
+    j = vals.index(a)
+    pivot = space[j]
+    return [_primitive(tuple(a * x - b * y for x, y in zip(s, pivot))) if b else s
+            for i, (b, s) in enumerate(zip(vals, space)) if i != j]
+
+
+def _restrict_all(space, rows):
+    """span(space) cut by each row in turn; a row that vanishes on what is
+    left cuts nothing."""
+    for row in rows:
+        if not space:
+            break
+        cut = _restrict(space, row)
+        if cut is not None:
+            space = cut
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +571,16 @@ class Polyhedron:
 
         When the lineality space L is nonzero: rays of closure intersected
         with the orthogonal complement of L, plus +/- a primitive basis of L
-        (documented convention).  The rest are found in the coordinates of
-        one primitive basis w_1..w_d of W = ker(equalities and L): the weak
-        normals are reduced to their values on the w_i once, deduplicated up
-        to positive scale, and the zero ones dropped.  Each extreme ray is
-        the kernel line of d - 1 reduced normals, when that kernel is a
-        line, in the sign whose dot products with every reduced normal are
-        >= 0, mapped back to sum(x_i w_i) and made primitive.
+        (documented convention).  Every kernel is a basis of a subspace of
+        Z^n cut down one row at a time (_restrict).  Z^n cut by the
+        equalities, then by every distinct weak normal, is L, so
+        lineality_basis() is asked only when that leaves a vector; cut by
+        the equalities and L's basis it is W.  With d = dim W, each extreme
+        ray is the line that d - 1 of the sorted distinct weak normals cut
+        out of W, in the sign whose dot products with every weak normal are
+        >= 0.  The subsets are walked depth first, one cut per prefix, and
+        a prefix with a normal that vanishes on what is left cuts out no
+        line, so none of its extensions is tried.
         """
         if self.rank > RAY_RANK_LIMIT:
             raise ValueError(f"ray enumeration limited to rank <= {RAY_RANK_LIMIT}")
@@ -553,29 +588,35 @@ class Polyhedron:
             return []
         if not self.is_homogeneous:
             raise ValueError("rays need a homogeneous piece; use positive_hull()")
-        lin = self.lineality_basis()
-        result = set(lin) | {tuple(-x for x in l) for l in lin}
-        basis = linalg.nullspace([v for v, _ in self.eq] + lin, self.rank)
-        if not basis:
-            return sorted(result)
-        reduced = {_primitive([_dot(v, w) for w in basis])
-                   for v, _ in self.ge + self.gt}
-        normals = sorted(a for a in reduced if any(a))
-        for combo in combinations(normals, len(basis) - 1):
-            line = linalg.nullspace(combo, len(basis))
-            if len(line) != 1:
+        n = self.rank
+        space = _restrict_all([tuple(int(i == j) for j in range(n)) for i in range(n)],
+                              [v for v, _ in self.eq])
+        normals = sorted({v for v, _ in self.ge + self.gt})
+        result = set()
+        if _restrict_all(space, normals):
+            lin = self.lineality_basis()
+            result.update(lin, (tuple(-x for x in l) for l in lin))
+            space = _restrict_all(space, lin)
+        stack = [(space, 0)] if space else []
+        while stack:
+            space, start = stack.pop()
+            if len(space) > 1:
+                # len(space) - 1 more cuts leave a line: i leaves room for them
+                for i in range(start, len(normals) - len(space) + 2):
+                    cut = _restrict(space, normals[i])
+                    if cut is not None:
+                        stack.append((cut, i + 1))
                 continue
             # all dots 0 would put the line in L, which W meets only in 0,
             # so at most one sign meets every weak normal
-            dots = [_dot(a, line[0]) for a in normals]
-            if min(dots) >= 0:
-                sign = 1
-            elif max(dots) <= 0:
-                sign = -1
+            line, sign = space[0], 0
+            for v in normals:
+                dot = _dot(v, line)
+                if dot * sign < 0:
+                    break
+                sign = sign or dot
             else:
-                continue
-            ray = [sign * _dot(line[0], col) for col in zip(*basis)]
-            result.add(_primitive(ray))
+                result.add(line if sign > 0 else tuple(-x for x in line))
         return sorted(result)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .polyhedra import Polyhedron, PolyhedralSet
+from .polyhedra import Polyhedron, PolyhedralSet, _norm_row
 from .rings import DimensionError, LaurentPoly
 from .valuations import PAdicValuation, TrivialValuation, ValuationSpec, prime_support
 
@@ -32,6 +32,12 @@ def trop_hypersurface(f: LaurentPoly, v: ValuationSpec) -> PolyhedralSet:
     A point where several monomials are minimal lies in the piece of every
     pair of them, so a pair first tries the points of the earlier pieces
     and is solved only when none of them has g and h both minimal.
+
+    The primitive row (k - g | v(c_g) - v(c_k)) of each ordered pair is
+    made once and shared by the pieces that use it, which are stored as
+    the constructor would store them: no row is constant, as the monomials
+    differ, and the tie of g < h is row (g, h), whose first nonzero entry,
+    that of h - g, is already positive.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no tropical hypersurface")
@@ -39,13 +45,14 @@ def trop_hypersurface(f: LaurentPoly, v: ValuationSpec) -> PolyhedralSet:
     monos = sorted(vals)
     if len(monos) == 1:
         return PolyhedralSet.empty(f.rank)
+    rows = {(g, k): _norm_row(tuple(a - b for a, b in zip(k, g)), vals[g] - vals[k])
+            for g in monos for k in monos if k != g}
     pieces, known = [], []
     for i, g in enumerate(monos):
         for h in monos[i + 1:]:
-            eq = [(tuple(a - b for a, b in zip(g, h)), vals[h] - vals[g])]
-            ge = [(tuple(a - b for a, b in zip(k, g)), vals[g] - vals[k])
-                  for k in monos if k != g and k != h]
-            piece = Polyhedron(f.rank, eq=eq, ge=ge)
+            eq, ge = rows[g, h], {rows[g, k] for k in monos if k != g and k != h}
+            piece = Polyhedron.__new__(Polyhedron)
+            piece._store(f.rank, [eq], ge, (), not eq[1] and not any(r for _, r in ge))
             if not any(map(piece._take_point, known)) and not piece.is_empty:
                 known.append(piece.feasible_point())
             pieces.append(piece)

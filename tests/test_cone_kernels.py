@@ -5,8 +5,13 @@ oracle: `rref` (from reference_linalg), `ref_rank` and `ref_nullspace`
 eliminate over Fractions, `ref_dim` probes every weak row, and `ref_rays`
 tries every subset of weak normals of each size up to the one that can give
 a line, one Fraction nullspace per subset.  The kernels must agree with them
-exactly (kernels up to positive scaling), and the work-count tests pin how
-much less work the fan path does.  `positive_hull()` is checked against the
+exactly (kernels up to positive scaling), on random cones that include the
+shapes where `rays()` prunes its depth-first walk: up to 2 rank weak
+normals, dependent equalities, strict rows and a lineality space.  The
+work-count tests pin how much less work the fan path does: `rays()` runs no
+elimination unless the lineality space is nonzero, and `trop_hypersurface`
+makes each row primitive once per ordered monomial pair, its pieces equal
+to the per-pair constructor's.  `positive_hull()` is checked against the
 projection of the lifted rank-(n + 1) cone it replaced, and the row
 normalizers against themselves on the same row given as ints and as
 Fractions.  The tests at the end check that a closed cone's origin point
@@ -21,11 +26,11 @@ from itertools import combinations
 
 import pytest
 
-from sigmatrop import linalg, polyhedra
+from sigmatrop import linalg, polyhedra, tropical
 from sigmatrop.cli import run
 from sigmatrop.polyhedra import (RAY_RANK_LIMIT, PolyhedralSet, Polyhedron,
                                 _project_out_last)
-from sigmatrop.rings import ZZ, LaurentPoly
+from sigmatrop.rings import GF, QQ, ZZ, LaurentPoly
 from sigmatrop.tropical import global_tropical_Z, trop_hypersurface, trop_prevariety
 from sigmatrop.valuations import PAdicValuation, TrivialValuation
 
@@ -145,6 +150,21 @@ def random_cones():
             n_eq = rng.choice((0, 0, 1, 2))
             yield rand_cone(rng, rank, n_eq, rng.randint(0, rank + 1),
                             rng.choice((0, 0, 0, 1)), dependent=rng.random() < 0.3)
+    # where rays() prunes: up to 2 rank weak normals, so that many subset
+    # prefixes are dependent, with dependent equalities, strict rows, and a
+    # lineality space from normals that all miss the last coordinate
+    rng = random.Random(37)
+    for rank in range(3, RAY_RANK_LIMIT + 1):
+        for _ in range(6):
+            yield rand_cone(rng, rank, rng.choice((0, 0, 1, 2)),
+                            rng.randint(rank + 2, 2 * rank), rng.choice((0, 1)),
+                            dependent=rng.random() < 0.5)
+        for _ in range(3):
+            n_eq, n_gt = rng.choice((0, 1)), rng.choice((0, 1))
+            flat = [(*rand_vec(rng, rank - 1), 0)
+                    for _ in range(n_eq + n_gt + rng.randint(rank, 2 * rank))]
+            yield Polyhedron.cone(rank, eq=flat[:n_eq], gt=flat[n_eq:n_eq + n_gt],
+                                  ge=flat[n_eq + n_gt:])
 
 
 def test_kernels_match_the_references_on_random_cones():
@@ -324,19 +344,17 @@ def counting(monkeypatch, module, name):
 def test_rays_and_has_direction_call_no_fraction_kernel(monkeypatch):
     echelons = counting(monkeypatch, linalg, "echelon")
     dims = counting(monkeypatch, Polyhedron, "dim")
+    seen = set()
     for p in list(random_cones())[::7]:
-        closure = Polyhedron(p.rank, eq=p.eq, ge=p.ge + p.gt)
-        k = len(set(closure.ge))
-        # a zero row makes the kernel of no normals the whole space
-        lin = ref_nullspace([list(v) for v, _ in closure.eq + closure.ge] + [[0] * p.rank])
-        need = p.rank - 1 - ref_rank([list(v) for v, _ in closure.eq] + lin)
+        lineal = not fresh(p).is_empty and bool(fresh(p).lineality_basis())
         before = len(echelons)
         fresh(p).rays()
-        # the lineality basis L, the basis of W = ker(equalities and L), then
-        # one kernel in W-coordinates per subset of exactly `need` distinct
-        # nonzero reduced weak normals (at most k of them)
-        assert len(echelons) - before <= 2 + (math.comb(k, need) if need >= 0 else 0)
+        # every kernel is cut row by row with no elimination; only a nonzero
+        # lineality space is asked of linalg, for its rref basis
+        assert len(echelons) - before == lineal, p
+        seen.add(lineal)
         fresh(p).has_direction()
+    assert seen == {True, False}
     assert not dims
     assert not hasattr(linalg, "rref") and not hasattr(linalg, "det")
 
@@ -359,6 +377,52 @@ def test_trop_job_work_counts(monkeypatch):
     assert len(doc["result"]["fan"]["spherical_rays"]) == 8
     # every piece of a trivial-valuation fan is a closed cone
     assert not solves
+
+
+def test_hypersurface_makes_each_row_primitive_once(monkeypatch):
+    f = LaurentPoly(4, ZZ, {tuple(t["exp"]): t["coef"]
+                            for t in WORK_JOB["payload"]["generators"][0]["terms"]})
+    rows = counting(monkeypatch, polyhedra, "_norm_row")
+    shared = counting(monkeypatch, tropical, "_norm_row")
+    trop_hypersurface(f, TrivialValuation())
+    # one row per ordered pair of the 6 monomials; one per pair and other
+    # monomial, C(6, 2) * 5 = 75, when each piece normalized its own rows
+    assert len(rows) + len(shared) == 30
+
+
+def pair_pieces(f, v):
+    """The nonempty pieces as the per-pair constructor builds them, in a
+    PolyhedralSet, which keeps the first of equal pieces."""
+    vals = {g: v.value(tropical._coeff_as_rational(f, g)) for g in f.terms}
+    monos = sorted(vals)
+    pieces = [Polyhedron(f.rank, eq=[(tuple(a - b for a, b in zip(g, h)), vals[h] - vals[g])],
+                         ge=[(tuple(a - b for a, b in zip(k, g)), vals[g] - vals[k])
+                             for k in monos if k != g and k != h])
+              for i, g in enumerate(monos) for h in monos[i + 1:]]
+    return PolyhedralSet(f.rank, [p for p in pieces if not p.is_empty]).pieces
+
+
+def test_shared_row_pieces_are_the_per_pair_pieces():
+    rng = random.Random(41)
+    seen = set()
+    for domain in (ZZ, QQ, GF(5)):
+        for _ in range(12):
+            rank = rng.randint(1, 4)
+            terms = {}
+            while len(terms) < rng.randint(2, 6):
+                c = rng.choice((1, -1, 2, 3, 4, 6, 9, -12))  # none is 0 mod 5
+                terms[tuple(rng.randint(-1, 2) for _ in range(rank))] = (
+                    Fraction(c, rng.choice((1, 2, 3, 4))) if domain is QQ else c)
+            f = LaurentPoly(rank, domain, terms)
+            for v in (TrivialValuation(), PAdicValuation(2), PAdicValuation(3)):
+                got = trop_hypersurface(f, v).pieces
+                want = pair_pieces(f, v)
+                assert [p._key() for p in got] == [p._key() for p in want], (f, v)
+                assert [p.is_homogeneous for p in got] == [p.is_homogeneous for p in want]
+                seen.update(p.is_homogeneous for p in got)
+    assert seen == {True, False}
+
+
 
 
 # f = 1 + 2 x1 + 3 x2 + 6 x3 + 4 x1 x2 x3: 10 monomial pairs, and the 2-adic

@@ -23,7 +23,7 @@ from .rings import (ZZ, Character, DimensionError, Direction, Domain,
                     LaurentPoly, SoundnessError, _primitive, chi_value,
                     initial_part, v_chi)
 from .tropical import global_tropical_Z, trop_hypersurface, trop_prevariety
-from .valuations import PAdicValuation, TrivialValuation, prime_support
+from .valuations import TrivialValuation, padic_valuation
 
 
 class UnsupportedModeError(ValueError):
@@ -407,10 +407,13 @@ def certificate_search(mod: ModulePresentation, chi: Character, box: int,
 
 @dataclass(frozen=True)
 class ComplementWitness:
-    """A valuation vector realizing a proved complement direction."""
+    """A valuation vector realizing a proved complement direction.  A
+    "coprime-base" witness names in `prime` a base b that stayed composite:
+    its vector is the exponent vector of b in the ratios, and the p-adic
+    vector of each prime p of b is that vector times v_p(b)."""
 
     direction: Direction
-    kind: str  # "p-adic" | "tropical"
+    kind: str  # "p-adic" | "coprime-base" | "tropical"
     prime: int | None = None
     vector: tuple = ()
 
@@ -601,10 +604,12 @@ def sigma_scalar_action_exact(mod: ModulePresentation, box_limit: int = COVER_BO
     """Sigma invariant for scalar or matrix actions over Q.
 
     Scalar actions are exact: the complement is the radial projection of the
-    finite set of p-adic value vectors of the ratios, and the rest of the
-    sphere is covered by searched certificates.  Matrix actions reduce to
-    scalar ones when simultaneously diagonalizable over Q; otherwise only the
-    certificate side is attempted and the complement side stays undecided.
+    finite set of p-adic value vectors of the ratios, that is the directions
+    of their exponent vectors over the ratios' coprime base
+    (`integers.ratio_base`), and the rest of the sphere is covered by
+    searched certificates.  Matrix actions reduce to scalar ones when
+    simultaneously diagonalizable over Q; otherwise only the certificate
+    side is attempted and the complement side stays undecided.
     """
     if isinstance(mod, CyclicModule):
         raise UnsupportedModeError("use sigma_cyclic_field for cyclic presentations")
@@ -627,16 +632,28 @@ def sigma_scalar_action_exact(mod: ModulePresentation, box_limit: int = COVER_BO
         witnesses: list[ComplementWitness] = []
     else:
         rhos = tuple(m.mats[i][0][0] for i in range(m.rank))
+        from .integers import ratio_base
+
         witnesses = []
         dirs = []
-        for p in sorted(prime_support(rhos)):
-            # p divides a reduced ratio, so vec is never zero
-            vec = tuple(PAdicValuation(p).value(r) for r in rhos)
+        primes, composites = ratio_base(rhos)
+        for q in sorted(primes + composites):
+            # q divides a reduced ratio and is coprime to the rest of the
+            # base, so vec is the nonzero exponent vector of q in the ratios
+            vec = tuple(padic_valuation(r.numerator, q) - padic_valuation(r.denominator, q)
+                        for r in rhos)
             d = Direction.from_vector(vec)
             if all(w.direction != d for w in witnesses):
                 dirs.append(d)
-            witnesses.append(ComplementWitness(direction=d, kind="p-adic",
-                                               prime=p, vector=vec))
+            witnesses.append(ComplementWitness(
+                direction=d, kind="p-adic" if q in primes else "coprime-base",
+                prime=q, vector=vec))
+        if composites:
+            noun = "base stays" if len(composites) == 1 else "bases stay"
+            notes.append(f"{len(composites)} coprime {noun} composite within the "
+                         "factorization budget: the witness of a base b has the "
+                         "exponent vector of b in the ratios, and each prime p of b "
+                         "has that vector times v_p(b)")
         complement = SphericalSet.from_directions(dirs, rank=m.rank)
 
     certified, failed = _cover(_ActionCache(m), complement.complement().pieces,
@@ -662,15 +679,20 @@ def _rational_eigentuples(m: MatrixAction):
     (A_1 - rho_1; ...; A_i - rho_i) have a nonzero kernel, its joint
     eigenspace.  The matrices commute, so joint eigenspaces of distinct
     tuples are independent, and their dimensions add up to d exactly when
-    the action is simultaneously diagonalizable over Q.  Tuples come out
-    sorted, since each level extends them by sorted roots.
+    the action is simultaneously diagonalizable over Q.  Each matrix A's
+    sorted distinct rational eigenvalues are those of the integer matrix
+    den*A over den, from its characteristic polynomial and that
+    polynomial's rational roots (`integers.charpoly`,
+    `integers.rational_roots`).  Tuples come out sorted, since each level
+    extends them by sorted roots.
     """
-    import sympy
+    from .integers import charpoly, rational_roots
 
     live = [((), [], m.dim)]  # (tuple, stacked rows, kernel dimension)
     for mat in m.mats:
-        poly = sympy.Matrix(mat).charpoly()
-        roots = sorted(Fraction(int(r.p), int(r.q)) for r in poly.ground_roots())
+        den = math.lcm(*(x.denominator for row in mat for x in row))
+        ints = [[x.numerator * (den // x.denominator) for x in row] for row in mat]
+        roots = [r / den for r in rational_roots(charpoly(ints))]
         grown = []
         for eigs, rows, _ in live:
             for rho in roots:

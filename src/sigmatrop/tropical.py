@@ -84,7 +84,8 @@ def trop_prevariety(gens: list[LaurentPoly], v: ValuationSpec) -> PolyhedralSet:
 def global_tropical_Z(f: LaurentPoly) -> PolyhedralSet:
     """Union of the trivial-valuation hypersurface and the p-adic ones over
     the primes of the coefficient support (all other primes repeat the
-    trivial one)."""
+    trivial one).  A coefficient with a factor that `prime_support` cannot
+    split raises FactorizationBudgetError."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no tropical variety")
     if f.domain.kind != "ZZ":

@@ -3,7 +3,8 @@
 A valuation v satisfies v(0) = inf, v(1) = 0, v(ab) = v(a) + v(b), and
 v(a+b) >= min(v(a), v(b)).  The p-adic valuation counts the exponent of p;
 negative values occur on denominators.  Trivial and p-adic values are ints,
-table values Fractions.
+table values Fractions.  Prime tests and factorizations come from
+`integers`, in stdlib integers, which each function imports when it runs.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ class PAdicValuation:
     kind = "p-adic"
 
     def __post_init__(self):
-        from sympy import isprime
+        from .integers import is_prime
 
-        if not isprime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
     def value(self, a):
@@ -63,9 +64,9 @@ class TableValuation:
     """Valuation given by a finite table, extended multiplicatively.
 
     The table maps coefficients to rational values (0 may map to inf and
-    nothing else may).  Queries outside the table fall back to prime
-    factorization using the table's values on primes.  Consistency is
-    checked by sampling, not proved.
+    nothing else may).  Queries outside the table fall back to `factorize`
+    and the table's values on primes.  Consistency is checked by sampling,
+    not proved.
     """
 
     table: tuple[tuple[Fraction, Fraction], ...]
@@ -94,11 +95,11 @@ class TableValuation:
             return d[a]
         if a == 0:
             return INF
-        from sympy import factorint
+        from .integers import factorize
 
         total = Fraction(0)
         for n, sign in ((a.numerator, 1), (a.denominator, -1)):
-            for p, e in factorint(abs(n)).items():
+            for p, e in factorize(n).items():
                 vp = d.get(Fraction(p))
                 if vp is None:
                     raise UnknownCoefficientError(
@@ -155,14 +156,11 @@ def newton_polygon(coeffs, v: ValuationSpec) -> NewtonPolygon:
 
 
 def prime_support(rationals) -> set[int]:
-    """Primes dividing any numerator or denominator of the (nonzero) inputs."""
-    from sympy import factorint
+    """Primes dividing any numerator or denominator of the (nonzero) inputs;
+    raises FactorizationBudgetError when a base stays composite."""
+    from .integers import ratio_base, unsplit_error
 
-    primes: set[int] = set()
-    for a in rationals:
-        a = Fraction(a)
-        if a == 0:
-            raise ValueError("prime support is undefined for 0")
-        primes.update(factorint(abs(a.numerator)))
-        primes.update(factorint(a.denominator))
-    return primes
+    primes, composites = ratio_base(rationals)
+    if composites:
+        raise unsplit_error(composites)
+    return set(primes)

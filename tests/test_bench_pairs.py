@@ -23,7 +23,7 @@ def test_one_short_pair_writes_the_bench_layout(tmp_path):
     parent, change = tree(tmp_path / "parent"), tree(tmp_path / "change")
     out = tmp_path / "BENCH_0.json"
     proc = subprocess.run([sys.executable, str(TOOL), str(parent), str(change),
-                           "--workloads", "light-mix", "--pairs", "1", "--seconds", "0.2",
+                           "--workloads", "light-mix", "--pairs", "1", "--seconds", "2",
                            "--out", str(out)],
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -31,7 +31,7 @@ def test_one_short_pair_writes_the_bench_layout(tmp_path):
     assert proc.stderr.splitlines()[0].startswith("light-mix pair 1 parent:")
     doc = json.loads(out.read_text())
     assert doc["command"] == ("python3 perfbench/run.py --workload W --seed 1 "
-                              "--seconds 0.2 --trace 0")
+                              "--seconds 2 --trace 0")
     assert doc["parent"] is None  # not a git checkout
     assert set(doc["host"]) == {"cpus", "cpu", "memory_gb", "python"}
     lm = doc["workloads"]["light-mix"]

@@ -572,20 +572,121 @@ def test_one_value_mutants_answer_or_are_schema_errors(job):
     assert not failures, "\n".join(failures)
 
 
-def test_light_jobs_import_neither_sympy_nor_numpy():
+def child_env():
+    """The environment for a child process that imports the package this
+    process imported, installed or not."""
     src = str(Path(sigmatrop.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def test_light_jobs_import_neither_sympy_nor_numpy():
     code = ("import json, sys\n"
             "from sigmatrop.cli import run\n"
             "for job in json.loads(sys.argv[1]):\n"
             "    run(job)\n"
-            "print(sorted({'sympy', 'numpy', 'jsonschema'} & set(sys.modules)))")
+            "print(sorted({'sympy', 'numpy', 'jsonschema', 'sigmatrop.integers'}\n"
+            "             & set(sys.modules)))")
     proc = subprocess.run(
         [sys.executable, "-c", code, json.dumps([TROP_JOB, CYCLIC_Q_JOB])],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _module_job(command, module):
+    return {"version": 1, "command": command, "payload": {"module": module}}
+
+
+def _trop_job(rank, terms, valuation, domain="Z"):
+    return {"version": 1, "command": "trop", "payload": {
+        "rank": rank, "domain": domain, "valuation": valuation,
+        "generators": [{"terms": [{"exp": list(e), "coef": c} for e, c in terms]}]}}
+
+
+# one job of each kind whose answer needs primes or eigenvalues
+DECISION_JOBS = {
+    "scalar": _module_job("group", {"mode": "scalar", "rhos": ["6", "10/3"]}),
+    "matrix-diag": _module_job("sigma", {
+        "mode": "matrix", "mats": [[["2", "1"], ["0", "1/3"]], [["5", "0"], ["0", "5"]]],
+        "generators": [["1", "0"], ["0", "1"]]}),
+    "matrix-nondiag": {**JORDAN_JOB, "payload": {**JORDAN_JOB["payload"], "box": 2}},
+    "cyclic-z": _module_job("sigma", {"mode": "cyclic", "rank": 2, "domain": "Z",
+                                      "generators": [{"terms": [
+                                          {"exp": [1, 0], "coef": 6},
+                                          {"exp": [0, 1], "coef": -1},
+                                          {"exp": [0, 0], "coef": 1}]}]}),
+    "cyclic-gf": _module_job("sigma", {"mode": "cyclic", "rank": 2, "domain": {"GF": 7},
+                                       "generators": [{"terms": [
+                                           {"exp": [1, 0], "coef": 3},
+                                           {"exp": [0, 1], "coef": 1},
+                                           {"exp": [0, 0], "coef": 1}]}]}),
+    "p-adic": _trop_job(2, [((1, 0), 4), ((0, 1), 9), ((0, 0), 1)],
+                        {"kind": "p-adic", "p": 3}),
+    "global-z": _trop_job(2, [((1, 0), 12), ((0, 1), -5), ((0, 0), 1)],
+                          {"kind": "global-z"}),
+    "table": {**TABLE_JOB, "payload": {**TABLE_JOB["payload"], "domain": "Q", "generators": [
+        {"terms": [{"exp": [1], "coef": 1}, {"exp": [0], "coef": "-12/9"}]}]}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DECISION_JOBS))
+def test_decision_jobs_do_not_import_sympy(kind):
+    """Primes, prime tests and eigenvalues come from stdlib integers: a
+    fresh process runs each job kind without loading sympy."""
+    code = ("import json, sys\n"
+            "from sigmatrop.cli import run\n"
+            "doc = run(json.loads(sys.argv[1]))\n"
+            "print(json.dumps(['sympy' in sys.modules, doc['undecided']]))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(DECISION_JOBS[kind])],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    imported, undecided = json.loads(proc.stdout)
+    assert not imported
+    assert undecided is (kind == "matrix-nondiag")
+
+
+SEMIPRIME = (10 ** 24 + 7) * (3 * 10 ** 24 + 7)
+
+
+def test_semiprime_scalar_job_answers_over_a_composite_base(tmp_path, capsys):
+    # 49 digits, two 25-digit primes: rho does not split it, and the
+    # complement is exact over the base {N}; the sigma side's certificate
+    # 1 - N x^-1 needs a coefficient bound of N
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps({"version": 1, "command": "sigma", "payload": {
+        "module": {"mode": "scalar", "rhos": [str(SEMIPRIME)]}, "coeff_bound": SEMIPRIME}}))
+    start = time.perf_counter()
+    assert main(["--job", str(job_file)]) == 0
+    elapsed = time.perf_counter() - start
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["proved_complement"]["directions"] == [[1]]
+    assert res["witnesses"] == [{"direction": [1], "kind": "coprime-base",
+                                 "prime": SEMIPRIME, "vector": ["1"]}]
+    assert any("composite" in note for note in res["notes"])
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
+    # beside primes, in the base's order
+    res = run(_module_job("sigma", {"mode": "scalar",
+                                    "rhos": [f"1/{SEMIPRIME}", "6"]}))["result"]
+    assert res["proved_complement"]["directions"] == [[-1, 0], [0, 1]]
+    assert res["witnesses"] == [
+        {"direction": [0, 1], "kind": "p-adic", "prime": 2, "vector": ["0", "1"]},
+        {"direction": [0, 1], "kind": "p-adic", "prime": 3, "vector": ["0", "1"]},
+        {"direction": [-1, 0], "kind": "coprime-base", "prime": SEMIPRIME,
+         "vector": ["-1", "0"]}]
+
+
+def test_unsplit_coefficient_exits_one_with_a_structured_error(tmp_path, capsys):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps(_trop_job(1, [((0,), 1), ((1,), SEMIPRIME)],
+                                             {"kind": "global-z"})))
+    start = time.perf_counter()
+    assert main(["--job", str(job_file)]) == 1
+    elapsed = time.perf_counter() - start
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "FactorizationBudgetError"
+    assert str(SEMIPRIME) in error["message"]
+    assert elapsed < 2.0, f"{elapsed:.2f}s"
 
 
 def test_h2_obstructions_at_their_maxima_answer(tmp_path, capsys):
@@ -640,13 +741,9 @@ def test_amoeba_plot_csv(tmp_path):
 def test_console_script_runs(tmp_path):
     job_file = tmp_path / "job.json"
     job_file.write_text(json.dumps(SIGMA_JOB))
-    # the child imports the package this process imported, installed or not
-    src = str(Path(sigmatrop.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "sigmatrop.cli", "--job", str(job_file)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["proved_complement"]["directions"] == [[1]]

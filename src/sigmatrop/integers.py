@@ -4,11 +4,11 @@
 3.3*10^24 (Sorenson and Webster, Math. Comp. 2017) and Baillie-PSW above.
 `coprime_base` refines numbers into a pairwise coprime base by gcds only
 (Bach, Driscoll and Shallit, J. Algorithms 1993), and `split` breaks a
-number into primes by trial division and Pollard-Brent rho within
-FACTOR_BUDGET steps per cofactor; a factor left composite is reported, and
-`factorize` raises FactorizationBudgetError on it.  `charpoly` and
-`rational_roots` give a rational matrix's rational eigenvalues with no
-factoring.
+number into primes by trial division, an exact-power test and
+Pollard-Brent rho within FACTOR_BUDGET steps per cofactor; a factor left
+composite is reported, and `factorize` raises FactorizationBudgetError on
+it.  `charpoly` and `rational_roots` give a rational matrix's rational
+eigenvalues with no factoring.
 
 The functions that need this module import it when they run (p-adic and
 table valuations, GF domains, prime supports, scalar and matrix actions),
@@ -164,6 +164,28 @@ def _brent(n: int):
     return None
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1: Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _power_root(n: int):
+    """The root r of n = r^k for the least k >= 2, or None, for n whose prime
+    factors are all at least TRIAL_BOUND, so that k <= log_TRIAL_BOUND(n)."""
+    k = 2
+    while TRIAL_BOUND ** k <= n:
+        r = _iroot(n, k)
+        if r ** k == n:
+            return r
+        k += 1
+    return None
+
+
 def coprime_base(numbers) -> list[int]:
     """The pairwise coprime base of the integers' absolute values, sorted:
     every number is a product of powers of its elements, each of which
@@ -190,9 +212,9 @@ def coprime_base(numbers) -> list[int]:
 def split(n: int) -> tuple[dict[int, int], dict[int, int]]:
     """n > 0 as (primes, composites), each {factor: exponent}, with n the
     product of every factor's power and the factors pairwise coprime: trial
-    division below TRIAL_BOUND, then is_prime, then Pollard-Brent rho on
-    each composite cofactor, FACTOR_BUDGET steps each.  A composite is one
-    that rho did not split in that budget."""
+    division below TRIAL_BOUND, then on each cofactor is_prime, an exact
+    k-th root and Pollard-Brent rho, FACTOR_BUDGET steps each.  A composite
+    is one that is no power and that rho did not split in that budget."""
     primes: dict[int, int] = {}
     for p in range(2, TRIAL_BOUND):
         if p * p > n:
@@ -206,6 +228,10 @@ def split(n: int) -> tuple[dict[int, int], dict[int, int]]:
         a = parts.pop()
         if a < TRIAL_BOUND ** 2 or is_prime(a):
             found.append(a)
+            continue
+        root = _power_root(a)
+        if root is not None:
+            parts.append(root)
             continue
         d = _brent(a)
         if d is None:

@@ -689,6 +689,24 @@ def test_unsplit_coefficient_exits_one_with_a_structured_error(tmp_path, capsys)
     assert elapsed < 2.0, f"{elapsed:.2f}s"
 
 
+BIG_PRIME = 10 ** 12 + 39
+
+
+def test_square_of_a_prime_past_rho_names_the_prime():
+    # rho does not find 10^12 + 39 within the budget; the exact-power test does
+    square = [((0,), 1), ((1,), BIG_PRIME ** 2)]
+    res = run(_trop_job(1, square, {"kind": "global-z"}))["result"]
+    assert res == run(_trop_job(1, [((0,), 1), ((1,), 49)], {"kind": "global-z"}))["result"]
+    assert [p["eq"] for p in res["fan"]["pieces"]] == [[{"normal": [1], "rhs": 0}],
+                                                       [{"normal": [1], "rhs": -2}]]
+    job = _module_job("sigma", {"mode": "scalar", "rhos": [str(BIG_PRIME ** 2)]})
+    job["payload"]["coeff_bound"] = BIG_PRIME ** 2
+    res = run(job)["result"]
+    assert res["proved_complement"]["directions"] == [[1]] and res["notes"] == []
+    assert res["witnesses"] == [{"direction": [1], "kind": "p-adic",
+                                 "prime": BIG_PRIME, "vector": ["2"]}]
+
+
 def test_h2_obstructions_at_their_maxima_answer(tmp_path, capsys):
     job_file = tmp_path / "job.json"
     job_file.write_text(json.dumps({"version": 1, "command": "h2", "payload": {

@@ -16,6 +16,8 @@ from sigmatrop.rings import GF
 from sigmatrop.valuations import PAdicValuation, TableValuation, padic_valuation, prime_support
 
 SEMIPRIME = (10 ** 24 + 7) * (3 * 10 ** 24 + 7)
+# a prime past rho's reach within the budget
+BIG_PRIME = 10 ** 12 + 39
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +76,7 @@ def test_factorize_round_trips():
 def test_split_reports_what_rho_cannot_split():
     start = time.perf_counter()
     assert split(SEMIPRIME) == ({}, {SEMIPRIME: 1})
-    assert split(12 * SEMIPRIME ** 2) == ({2: 2, 3: 1}, {SEMIPRIME ** 2: 1})
+    assert split(12 * SEMIPRIME ** 2) == ({2: 2, 3: 1}, {SEMIPRIME: 2})
     assert time.perf_counter() - start < 1.0
     with pytest.raises(FactorizationBudgetError) as err:
         factorize(SEMIPRIME)
@@ -83,6 +85,30 @@ def test_split_reports_what_rho_cannot_split():
         prime_support([Fraction(7, SEMIPRIME)])
     with pytest.raises(FactorizationBudgetError):
         TableValuation(((Fraction(2), Fraction(1)),)).value(2 * SEMIPRIME)
+
+
+def test_split_takes_exact_powers_before_rho():
+    start = time.perf_counter()
+    assert split(BIG_PRIME ** 2) == ({BIG_PRIME: 2}, {})
+    assert split(6 * BIG_PRIME ** 3) == ({2: 1, 3: 1, BIG_PRIME: 3}, {})
+    assert split((BIG_PRIME * (10 ** 9 + 7) ** 3) ** 4) == (
+        {10 ** 9 + 7: 12, BIG_PRIME: 4}, {})
+    assert split((2 ** 61 - 1) ** 7) == ({2 ** 61 - 1: 7}, {})
+    assert split(SEMIPRIME ** 3) == ({}, {SEMIPRIME: 3})
+    assert time.perf_counter() - start < 2.0
+    assert factorize(-BIG_PRIME ** 2) == sympy.factorint(BIG_PRIME ** 2)
+    assert prime_support([Fraction(5, BIG_PRIME ** 2)]) == {5, BIG_PRIME}
+    assert TableValuation(((Fraction(BIG_PRIME), Fraction(1, 3)),)).value(
+        BIG_PRIME ** 2) == Fraction(2, 3)
+
+
+def test_split_finds_primes_to_about_1e9_and_gives_up_past_1e11():
+    rng = random.Random(39)
+    for e, splits in ((7, True), (8, True), (11, False), (12, False)):
+        for _ in range(3):
+            p = sympy.nextprime(rng.randint(10 ** e, 10 ** (e + 1)))
+            q = sympy.nextprime(rng.randint(10 ** 20, 10 ** 21))
+            assert split(p * q) == (({p: 1, q: 1}, {}) if splits else ({}, {p * q: 1}))
 
 
 def test_coprime_base_is_pairwise_coprime_and_rebuilds_every_input():

@@ -3,9 +3,8 @@
 
 Usage (from anywhere):
 
-    python3 tools/frontier.py TREE [--quick] [--pairs N]
-    python3 tools/frontier.py PARENT_TREE CHANGE_TREE [--quick] [--pairs N] \\
-        --out BENCH_<n>.json
+    python3 tools/frontier.py TREE [--quick]
+    python3 tools/frontier.py PARENT_TREE CHANGE_TREE [--quick] --out BENCH_<n>.json
 
 Each tree is a checkout of the repository (its `src/`).  Every recipe
 below builds one job document, from perfbench/jobs.py's `random_poly`
@@ -17,15 +16,16 @@ seconds.  It records the wall time from launch to exit (a blocking wait,
 no polling), the exit code (None after the alarm), the sha256 of the
 process's standard output (the canonical result, or the error object) and
 the result's `undecided` flag.  A recipe with `repeat` > 1 runs that many
-times per tree and side, and counts at the median.  The `import` recipe
+times per tree, and counts at the median.  The `import` recipe
 launches `import sigmatrop.cli` alone.  One untimed launch per tree first
 writes its bytecode, and PYTHONDONTWRITEBYTECODE is dropped from the
 child's environment, so no timed launch compiles the sources.
 
-Given one tree, it prints one line per recipe.  Given two, pair i runs each
-recipe in both trees, the parent first in even pairs and the change first
-in odd ones, prints one line per recipe and side, and writes (or replaces)
-the `frontier` section of the --out file, keeping its other sections.
+Given one tree, it prints one line per recipe.  Given two, each launch of a
+recipe runs in both trees back to back, the first tree alternating from
+one launch to the next across repeats and recipes (ORDER); it prints one
+line per recipe and side, and writes (or replaces) the `frontier` section
+of the --out file, keeping its other sections.
 `--quick` runs only the recipes that take under QUICK_S seconds at HEAD.
 Nothing of the program is imported here.
 """
@@ -53,7 +53,8 @@ import jobs as J  # noqa: E402
 
 ALARM_S = 120.0
 QUICK_S = 10.0
-ORDER = "parent and change alternate; the first side alternates from pair to pair"
+ORDER = ("each launch runs in both trees back to back; the first tree alternates "
+         "from launch to launch, across repeats and recipes")
 SEMIPRIME = (10 ** 24 + 7) * (3 * 10 ** 24 + 7)
 Z_COEFS = (1, -1, 2, -2, 3, -3, 4, -4, 5, -5)
 Q_COEFS = (1, -1, 2, -2, 3, -3)
@@ -154,10 +155,10 @@ def launch(tree: Path, argv: list, workdir: Path) -> dict:
             "sha256": hashlib.sha256(out).hexdigest(), "undecided": undecided}
 
 
-def run_recipe(tree: Path, argv: list, repeat: int, workdir: Path) -> dict:
-    runs = [launch(tree, argv, workdir) for _ in range(repeat)]
+def summary(runs: list) -> dict:
+    """A recipe's launches in one tree, counted at the median wall time."""
     rec = dict(runs[-1], wall_s=round(statistics.median(r["wall_s"] for r in runs), 4))
-    if repeat > 1:
+    if len(runs) > 1:
         rec["runs_s"] = [r["wall_s"] for r in runs]
     if len({(r["exit"], r["sha256"]) for r in runs}) > 1:
         rec["unstable"] = True
@@ -175,7 +176,6 @@ def main(argv=None) -> int:
     ap.add_argument("trees", type=Path, nargs="+", metavar="TREE")
     ap.add_argument("--quick", action="store_true",
                     help=f"only the recipes under {QUICK_S:g} s at HEAD")
-    ap.add_argument("--pairs", type=int, default=1)
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
     if len(args.trees) > 2:
@@ -188,7 +188,7 @@ def main(argv=None) -> int:
     if args.out is not None and len(sides) != 2:
         ap.error("--out needs PARENT_TREE CHANGE_TREE")
     chosen = [r for r in recipes() if not (args.quick and r[3])]
-    results = {name: {side: [] for side in sides} for name, *_ in chosen}
+    results = {}
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         commands = {}
@@ -200,18 +200,21 @@ def main(argv=None) -> int:
             commands[name] = job
         for tree in sides.values():
             launch(tree, ["-c", "import sigmatrop.cli"], workdir)
-        for i in range(args.pairs):
-            order = list(sides) if i % 2 == 0 else list(reversed(sides))
-            for name, _, repeat, _ in chosen:
+        order = list(sides)
+        for name, _, repeat, _ in chosen:
+            runs = {side: [] for side in sides}
+            for _ in range(repeat):
                 for side in order:
-                    rec = run_recipe(sides[side], commands[name], repeat, workdir)
-                    results[name][side].append(rec)
-                    print(line(name, side, rec), flush=True)
+                    runs[side].append(launch(sides[side], commands[name], workdir))
+                order.reverse()
+            results[name] = {side: summary(runs[side]) for side in sides}
+            for side in sides:
+                print(line(name, side, results[name][side]), flush=True)
     if args.out is not None:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
         doc["frontier"] = {
             "command": "python3 tools/frontier.py PARENT_TREE CHANGE_TREE"
-                       + (" --quick" if args.quick else "") + f" --pairs {args.pairs}",
+                       + (" --quick" if args.quick else ""),
             "alarm_s": ALARM_S, "order": ORDER,
             "jobs": {name: {"repeat": repeat, "slow_at_head": slow,
                             **{side: results[name][side] for side in sides}}

@@ -24,7 +24,9 @@ already known to lie in a new polyhedron decides it with no FM solve
 either: intersect hands its result an operand's point, and a caller a
 point it knows, and the point is taken only after an integer check against
 every row (_take_point); one that breaks a row leaves the polyhedron to
-FM.  A polyhedron caches its point, dimension and has_direction answer, so
+FM.  Emptiness has the counterpart rule in PolyhedralSet.complement: a
+candidate in which two opposed rows leave no room is never built.  A
+polyhedron caches its point, dimension and has_direction answer, so
 each is decided at most once per object.
 Lineality spaces and ranks come from linalg's fraction-free integer
 elimination.  A cone's rays come from kernels cut one row at a time: an
@@ -366,6 +368,12 @@ class Polyhedron:
         return ([(v, r, False) for v, r in self.ge]
                 + [(v, r, True) for v, r in self.gt])
 
+    def _bound_rows(self):
+        """The inequality rows, each equality added as its two weak rows."""
+        return ([(v, r, False) for v, r in self.eq]
+                + [(tuple(-a for a in v), -r, False) for v, r in self.eq]
+                + self._ineq_rows())
+
     # -- predicates ---------------------------------------------------------
 
     def contains(self, point) -> bool:
@@ -673,14 +681,37 @@ class PolyhedralSet:
         Each piece picks one disjoint complement piece of every input piece,
         so distinct pieces are disjoint unions of cells of the arrangement of
         the |H| rows involved: at most O(|H|^(n-1)) pieces in rank n for
-        homogeneous rows, O(|H|^n) for affine ones."""
+        homogeneous rows, O(|H|^n) for affine ones.
+
+        A candidate q & c (the current piece q, a complement part c) is
+        decided empty before it is built when a row v*u >= r of c (> when
+        strict) faces q's tightest row -v*u >= r2 with no room between, that
+        is r > -r2, or r = -r2 with either row strict: two opposed rows are
+        a Farkas certificate.  An equality counts as two weak rows.  Every
+        other candidate is built and decided as intersect leaves it, by a
+        known point first, then FM."""
         out = [Polyhedron.full(self.rank)]
         for piece in self.pieces:
             if piece.is_empty:
                 continue
-            parts = piece.complement_pieces()
-            out = [q.intersect(c) for q in out for c in parts]
-            out = [q for q in out if not q.is_empty]
+            parts = [(c, [(tuple(-a for a in v), r, s) for v, r, s in c._bound_rows()])
+                     for c in piece.complement_pieces()]
+            meets = []
+            for q in out:
+                bounds = {}  # normal -> q's tightest (rhs, strict) along it
+                for v, r, s in q._bound_rows():
+                    b = bounds.get(v)
+                    if b is None or (r, s) > b:
+                        bounds[v] = r, s
+                for c, facing in parts:
+                    # (r + r2, either strict) > (0, False): no room between
+                    if any((r + b[0], s or b[1]) > (0, False)
+                           for v, r, s in facing if (b := bounds.get(v))):
+                        continue
+                    meet = q.intersect(c)
+                    if not meet.is_empty:
+                        meets.append(meet)
+            out = meets
         return type(self)(self.rank, out)
 
     def minus(self, other: "PolyhedralSet") -> "PolyhedralSet":

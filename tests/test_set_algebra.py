@@ -27,6 +27,7 @@ from sigmatrop.rings import ZZ, Direction, LaurentPoly
 from sigmatrop.tropical import trop_hypersurface
 from sigmatrop.valuations import PAdicValuation
 
+from reference_complement import reference_complement
 from reference_linalg import rref
 from test_cone_kernels import as_fractions, counting, fresh, rand_vec
 
@@ -62,11 +63,11 @@ def rand_rows(rng, rank, k, affine):
              rng.randint(-2, 2) if affine else 0) for _ in range(k)]
 
 
-def rand_set(rng, rank, affine):
+def rand_set(rng, rank, affine, most=2):
     pieces = [Polyhedron(rank, eq=rand_rows(rng, rank, rng.randint(0, 1), affine),
                          ge=rand_rows(rng, rank, rng.randint(0, 2), affine),
                          gt=rand_rows(rng, rank, rng.randint(0, 2), affine))
-              for _ in range(rng.randint(1, 2))]
+              for _ in range(rng.randint(1, most))]
     return PolyhedralSet(rank, pieces)
 
 
@@ -83,7 +84,7 @@ def test_complement_matches_overlapping_reference(affine):
     new_total = ref_total = 0
     for _ in range(100):
         rank = rng.randint(1, 3)
-        s = rand_set(rng, rank, affine)
+        s = rand_set(rng, rank, affine, most=3)
         new, ref = s.complement(), overlapping_complement(s)
         new_total += len(new.pieces)
         ref_total += len(ref.pieces)
@@ -108,6 +109,90 @@ def test_complement_pieces_partition_the_complement():
             assert a.intersect(b).is_empty, (p, a, b)
         for x in sample_points(rng, rank):
             assert sum(c.contains(x) for c in pieces) == (not p.contains(x)), (p, x)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the complement that builds every candidate.
+
+
+def pooled_set(rng, rank, affine):
+    """1-3 pieces whose rows are drawn from a pool of 3-4 vectors, each with
+    a random sign, so that parallel, opposed and repeated rows are common."""
+    pool = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(3, 4))]
+
+    def rows(k):
+        return [(tuple(rng.choice((1, -1)) * a for a in rng.choice(pool)),
+                 rng.randint(-2, 2) if affine else 0) for _ in range(k)]
+    return PolyhedralSet(rank, [
+        Polyhedron(rank, eq=rows(rng.randint(0, 1)), ge=rows(rng.randint(0, 2)),
+                   gt=rows(rng.randint(0, 2)))
+        for _ in range(rng.randint(1, 3))])
+
+
+def test_complement_matches_the_candidate_product(monkeypatch):
+    """On 2,400 sets of rank 1-3 drawn from small row pools, complement()
+    gives the reference's pieces in the reference's order, and builds fewer
+    candidates: a candidate that two opposed rows rule out is never built."""
+    rng = random.Random(401)
+    built = counting(monkeypatch, Polyhedron, "intersect")
+    new_built = ref_built = 0
+    for i in range(2400):
+        rank, affine = 1 + i % 3, i % 2 == 1
+        s = pooled_set(rng, rank, affine)
+        del built[:]
+        ref = reference_complement(s)
+        ref_built += len(built)
+        del built[:]
+        new = s.complement()
+        new_built += len(built)
+        assert [p._key() for p in new.pieces] == [p._key() for p in ref.pieces], s
+    assert new_built < ref_built
+
+
+V, W = (1, 2), (2, 1)  # (1, 2) sorts before (2, 1)
+
+
+def neg(v):
+    return tuple(-a for a in v)
+
+
+@pytest.mark.parametrize("first, second, at, skipped", [
+    # q = {v >= 0} against c = {-v >= 0}: they meet in the hyperplane v = 0
+    ({"gt": [(neg(V), 0)]}, {"gt": [(V, 0)]}, (0, 0), False),
+    # q = {v >= 0} against c = {-v > 0}
+    ({"gt": [(neg(V), 0)]}, {"ge": [(V, 0)]}, (0, 0), True),
+    # q = {v >= 2} against c = {v = 1, w > 0} and c = {-v > -1}; c = {v > 1}
+    # faces no row of q
+    ({"gt": [(neg(V), -2)]}, {"eq": [(V, 1), (W, 0)]}, (0, 2), True),
+    ({"gt": [(neg(V), -2)]}, {"eq": [(V, 1), (W, 0)]}, (0, 1), True),
+    ({"gt": [(neg(V), -2)]}, {"eq": [(V, 1), (W, 0)]}, (0, 0), False),
+    # q = {v = 1, w > 0} against c = {v >= 2}, and c = {v >= 1}, which holds
+    # q's hyperplane
+    ({"eq": [(V, 1), (W, 0)]}, {"gt": [(neg(V), -2)]}, (2, 0), True),
+    ({"eq": [(V, 1), (W, 0)]}, {"gt": [(neg(V), -1)]}, (2, 0), False),
+    # affine: q = {-v >= -2}, that is v <= 2, against c = {v >= 3}, {v >= 2}
+    # and {v > 2}; and q = {-v > -2} against c = {v >= 2} and {v >= 1}
+    ({"gt": [(V, 2)]}, {"gt": [(neg(V), -3)]}, (0, 0), True),
+    ({"gt": [(V, 2)]}, {"gt": [(neg(V), -2)]}, (0, 0), False),
+    ({"gt": [(V, 2)]}, {"ge": [(neg(V), -2)]}, (0, 0), True),
+    ({"ge": [(V, 2)]}, {"gt": [(neg(V), -2)]}, (0, 0), True),
+    ({"ge": [(V, 2)]}, {"gt": [(neg(V), -1)]}, (0, 0), False),
+])
+def test_opposed_rows_rule_a_candidate_out_unbuilt(monkeypatch, first, second, at, skipped):
+    """complement() of {P1, P2} at rank 2: in its second round the candidate
+    q & c, with q piece at[0] of P1's complement and c part at[1] of P2's,
+    is built unless two opposed rows leave no room between them.  The
+    candidate is empty when skipped, and the pieces are the reference's."""
+    p1, p2 = Polyhedron(2, **first), Polyhedron(2, **second)
+    s = PolyhedralSet(2, [p1, p2])
+    q = reference_complement(PolyhedralSet(2, [p1])).pieces[at[0]]
+    c = p2.complement_pieces()[at[1]]
+    built = counting(monkeypatch, Polyhedron, "intersect")
+    got = s.complement()
+    monkeypatch.undo()
+    assert ((q._key(), c._key()) not in {(a._key(), b._key()) for a, b in built}) == skipped
+    assert q.intersect(c).is_empty or not skipped
+    assert [p._key() for p in got.pieces] == [p._key() for p in reference_complement(s).pieces]
 
 
 # ---------------------------------------------------------------------------

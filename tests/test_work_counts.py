@@ -12,10 +12,12 @@ from sigmatrop import cli, dynamics, polyhedra, rings, sigma
 from sigmatrop.dynamics import PushMap, gsh
 from sigmatrop.halfplane import (verify_infinity_obstruction_A, verify_push_B,
                                  verify_zero_obstruction_B)
-from sigmatrop.polyhedra import Polyhedron, SphericalSet, _solve_system, ray_cone
+from sigmatrop.polyhedra import (PolyhedralSet, Polyhedron, SphericalSet, _solve_system,
+                                 ray_cone)
 from sigmatrop.rings import ZZ, Character, Direction, LaurentPoly
 from sigmatrop.sigma import MatrixAction, SigmaResult
 
+from reference_complement import reference_complement
 from test_cone_kernels import counting
 from test_output_digests import JOBS, cyclic, poly
 
@@ -100,18 +102,51 @@ def test_matrix_system_builds_no_fraction(monkeypatch):
     assert all(type(x) is int for row in rows for x in row.values())
 
 
+def three_rays():
+    return SphericalSet.from_directions([Direction(v) for v in
+                                         ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+
+
 def test_complement_candidates_holding_a_known_point_take_no_solve(monkeypatch):
     """The complement of three rays of rank 3 (scalar (2, 3, 5)) meets its
-    pieces' complement parts in 75 candidates; a candidate that holds the
-    point of the piece it came from takes that point, so only 63 are
-    solved."""
-    s = SphericalSet.from_directions([Direction(v) for v in
-                                      ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+    pieces' complement parts in 75 candidates.  45 of them have a row that
+    an opposed row of the current piece leaves no room, so they are never
+    built; of the 30 built, a candidate that holds the point of the piece
+    it came from takes that point, so only 18 are solved."""
     candidates = counting(monkeypatch, Polyhedron, "intersect")
+    assert len(reference_complement(three_rays()).pieces) == 15
+    assert len(candidates) == 75
+    del candidates[:]
     solves = counting(monkeypatch, polyhedra, "_solve_system")
-    assert len(s.complement().pieces) == 15
+    assert len(three_rays().complement().pieces) == 15
     assert len(solves) < len(candidates)
-    assert (len(candidates), len(solves)) == (75, 63)
+    assert (len(candidates), len(solves)) == (30, 18)
+
+
+def test_cyclic_z_complement_solves(monkeypatch):
+    """Job 14 of the seed-1 sigma-ladder batch, `sigma` on the cyclic module
+    ZG/(3 x^-1 y z^-1 + 2 + 2 x y z^-1) over Z of rank 3: the complement of
+    its global-Z radial set builds 36 of 77 candidates and solves 14 by FM,
+    where building them all took 55 solves."""
+    solves, inside = [], [False]
+    complement, solve = PolyhedralSet.complement, polyhedra._solve_system
+
+    def counted_complement(self):
+        inside[0] = True
+        try:
+            return complement(self)
+        finally:
+            inside[0] = False
+
+    def counted_solve(*args):
+        if inside[0]:
+            solves.append(args)
+        return solve(*args)
+    monkeypatch.setattr(PolyhedralSet, "complement", counted_complement)
+    monkeypatch.setattr(polyhedra, "_solve_system", counted_solve)
+    module = cyclic(3, "Z", [((-1, 1, -1), 3), ((0, 0, 0), 2), ((1, 1, -1), 2)])
+    cli.run({"version": 1, "command": "sigma", "payload": {"module": module}})
+    assert len(solves) == 14
 
 
 def test_failing_piece_tests_each_box_monomial_once(monkeypatch):
